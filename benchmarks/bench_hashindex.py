@@ -1,9 +1,13 @@
 """Wall-time benchmarks of the hash-index implementations themselves.
 
 These measure the *Python* implementations (not the modeled PMEM), which
-matters for users of the library: bulk probes are the hot path of every
-SSB execution.
+matters for users of the library: bulk builds and probes are the hot path
+of every SSB execution. Every run also checks the bulk paths against the
+per-key ``insert``/``get`` oracle, so a speedup that changes the index
+layout or its traffic statistics fails here.
 """
+
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -22,6 +26,40 @@ def data():
     return keys, probes
 
 
+def stats_delta(stats, before: dict[str, int]) -> dict[str, int]:
+    return {name: value - before[name] for name, value in asdict(stats).items()}
+
+
+def dash_layout(index: DashIndex) -> tuple:
+    """Global depth, size, stats, directory aliasing and segment bytes."""
+    rows: dict[int, int] = {}
+    contents = []
+    aliasing = []
+    for segment in index._directory:
+        if id(segment) not in rows:
+            rows[id(segment)] = len(rows)
+            contents.append(
+                (segment.local_depth, segment.keys.tobytes(),
+                 segment.values.tobytes(), segment.fps.tobytes(),
+                 segment.stash_keys.tobytes(), segment.stash_values.tobytes())
+            )
+        aliasing.append(rows[id(segment)])
+    return index.global_depth, len(index), asdict(index.stats), aliasing, contents
+
+
+@pytest.fixture(scope="module")
+def per_key_dash(data):
+    """The oracle: the same build through the single-key path.
+
+    Returns the index and its layout as built, before any probe.
+    """
+    keys, _ = data
+    index = DashIndex()
+    for key in keys.tolist():
+        index.insert(key, key * 2, assume_new=True)
+    return index, dash_layout(index)
+
+
 @pytest.fixture(scope="module")
 def dash(data):
     keys, _ = data
@@ -38,10 +76,21 @@ def chained(data):
     return index
 
 
-def test_dash_bulk_probe(benchmark, dash, data):
+def test_dash_bulk_probe(benchmark, dash, per_key_dash, data):
     _, probes = data
+    oracle, _ = per_key_dash
     out = benchmark(dash.bulk_probe, probes)
     assert (out == probes * 2).all()
+    # Same values and traffic as single-key gets, misses included.
+    checked = np.concatenate((probes[:2_000], -probes[:100] - 1))
+    bulk_before = asdict(dash.stats)
+    oracle_before = asdict(oracle.stats)
+    bulk = dash.bulk_probe(checked)
+    singles = [oracle.get(key, default=-1) for key in checked.tolist()]
+    assert bulk.tolist() == singles
+    assert stats_delta(dash.stats, bulk_before) == stats_delta(
+        oracle.stats, oracle_before
+    )
     benchmark.extra_info["probes"] = N_PROBES
     benchmark.extra_info["reads_per_probe"] = round(dash.stats.reads_per_probe, 2)
 
@@ -56,17 +105,20 @@ def test_chained_bulk_probe(benchmark, chained, data):
     )
 
 
-def test_dash_bulk_build(benchmark, data):
+def test_dash_bulk_build(benchmark, per_key_dash, data):
     keys, _ = data
-    small = keys[:2000]
 
     def build():
         index = DashIndex()
-        index.bulk_insert(small, small)
+        index.bulk_insert(keys, keys * 2)
         return index
 
     index = benchmark(build)
-    assert len(index) == len(small)
+    assert len(index) == N_KEYS
+    _, oracle_layout = per_key_dash
+    assert dash_layout(index) == oracle_layout
+    benchmark.extra_info["keys"] = N_KEYS
+    benchmark.extra_info["segments"] = index.segment_count
 
 
 def test_chained_bulk_build(benchmark, data):

@@ -32,8 +32,9 @@ from repro.errors import BenchError
 SCHEMA = "repro.bench/1"
 
 #: The ``--smoke`` subset: fast benches covering the sweep service, the
-#: process-pool/EvalContext layer, the columnar result path, and the
-#: per-family vector kernel grids this harness exists to track.
+#: process-pool/EvalContext layer, the columnar result path, the
+#: per-family vector kernel grids, and the SSB hash-index build and probe
+#: this harness exists to track.
 SMOKE_BENCHES = (
     "bench_sweep_service.py",
     "bench_procpool_sweep.py",
@@ -41,6 +42,7 @@ SMOKE_BENCHES = (
     "bench_columnar_results.py",
     "bench_serving.py",
     "bench_vector_families.py",
+    "bench_hashindex.py",
 )
 
 #: Fields every per-bench entry must carry, with their types.

@@ -129,20 +129,20 @@ class ChainedIndex:
         self._keys[start : start + n] = keys
         self._values[start : start + n] = values
         # Prepend preserving per-bucket order: later records become heads.
+        # Within each bucket group every node links to its predecessor in
+        # the group, the group's first node to the bucket's old head.
         order = np.argsort(buckets, kind="stable")
         sorted_buckets = buckets[order]
         sorted_idx = idx[order]
-        boundaries = np.nonzero(np.diff(sorted_buckets))[0]
-        group_starts = np.concatenate(([0], boundaries + 1))
-        group_ends = np.concatenate((boundaries, [n - 1]))
-        for gs, ge in zip(group_starts, group_ends):
-            bucket = int(sorted_buckets[gs])
-            chain = sorted_idx[gs : ge + 1]
-            prev = self._heads[bucket]
-            for node in chain:
-                self._next[node] = prev
-                prev = node
-            self._heads[bucket] = prev
+        first = np.ones(n, dtype=bool)
+        first[1:] = sorted_buckets[1:] != sorted_buckets[:-1]
+        prev = np.empty(n, dtype=np.int64)
+        prev[1:] = sorted_idx[:-1]
+        prev[first] = self._heads[sorted_buckets[first]]
+        self._next[sorted_idx] = prev
+        last = np.ones(n, dtype=bool)
+        last[:-1] = first[1:]
+        self._heads[sorted_buckets[last]] = sorted_idx[last]
         self._size += n
         self.stats.node_writes += n
 

@@ -12,14 +12,19 @@ insertion, and segment splits with directory doubling — and instruments
 every operation with the PMEM line traffic it would cause, which the SSB
 cost model prices via :mod:`repro.memsim`.
 
-Single-key ``insert``/``get`` follow the structure literally; the bulk
-paths used by the query engine vectorise the same probe sequence with
-numpy (grouped by segment) and report identical traffic statistics.
+Single-key ``insert``/``get`` follow the structure literally and are the
+oracle the bulk paths are tested against. The bulk paths used by the
+query engine produce the same layout, results and traffic statistics
+without looping them: ``bulk_insert`` hashes every key in one vectorised
+call and replays the insertion sequence (target bucket, neighbour, stash,
+split) over plain-int fill lists before writing the segments back once;
+``bulk_probe`` stacks the distinct segments into flat pools and gathers
+each probe hop for all keys at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,18 +41,40 @@ BUCKETS_PER_SEGMENT: int = 64
 #: Stash buckets per segment.
 STASH_BUCKETS: int = 4
 
+_STASH_SLOTS: int = STASH_BUCKETS * BUCKET_SLOTS
+
+#: Keys per ``bulk_probe`` gather round; bounds the probe's scratch memory.
+_PROBE_CHUNK: int = 32_768
+
 _EMPTY: int = -(2**62)
+
+_MASK64: int = 0xFFFFFFFFFFFFFFFF
+_GOLDEN: int = 0x9E3779B97F4A7C15
+_MUL1: int = 0xBF58476D1CE4E5B9
+_MUL2: int = 0x94D049BB133111EB
 
 
 def _mix(keys: np.ndarray) -> np.ndarray:
     """splitmix64 finaliser over int64 keys (vectorised)."""
+    mask = np.uint64(_MASK64)
     h = keys.astype(np.uint64, copy=True)
-    h = (h + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(0xFFFFFFFFFFFFFFFF)
+    h = (h + np.uint64(_GOLDEN)) & mask
     h ^= h >> np.uint64(30)
-    h = (h * np.uint64(0xBF58476D1CE4E5B9)) & np.uint64(0xFFFFFFFFFFFFFFFF)
+    h = (h * np.uint64(_MUL1)) & mask
     h ^= h >> np.uint64(27)
-    h = (h * np.uint64(0x94D049BB133111EB)) & np.uint64(0xFFFFFFFFFFFFFFFF)
+    h = (h * np.uint64(_MUL2)) & mask
     h ^= h >> np.uint64(31)
+    return h
+
+
+def _mix_int(key: int) -> int:
+    """splitmix64 finaliser over one int64 key; equals ``_mix`` elementwise."""
+    h = (key + _GOLDEN) & _MASK64
+    h ^= h >> 30
+    h = (h * _MUL1) & _MASK64
+    h ^= h >> 27
+    h = (h * _MUL2) & _MASK64
+    h ^= h >> 31
     return h
 
 
@@ -104,9 +131,8 @@ class _Segment:
         self.keys = np.full(shape, _EMPTY, dtype=np.int64)
         self.values = np.zeros(shape, dtype=np.int64)
         self.fps = np.zeros(shape, dtype=np.uint8)
-        stash = STASH_BUCKETS * BUCKET_SLOTS
-        self.stash_keys = np.full(stash, _EMPTY, dtype=np.int64)
-        self.stash_values = np.zeros(stash, dtype=np.int64)
+        self.stash_keys = np.full(_STASH_SLOTS, _EMPTY, dtype=np.int64)
+        self.stash_values = np.zeros(_STASH_SLOTS, dtype=np.int64)
 
     def records(self) -> list[tuple[int, int]]:
         """All (key, value) pairs stored in the segment."""
@@ -126,6 +152,142 @@ class _Segment:
         )
 
 
+def _distinct(directory: list) -> tuple[list, list[int]]:
+    """Distinct segments in directory order, and each slot's index into them."""
+    rows: dict[int, int] = {}
+    distinct: list = []
+    slot_rows: list[int] = []
+    for segment in directory:
+        row = rows.setdefault(id(segment), len(distinct))
+        if row == len(distinct):
+            distinct.append(segment)
+        slot_rows.append(row)
+    return distinct, slot_rows
+
+
+class _ReplaySegment:
+    """A segment during a bulk build: record ids per bucket and in the stash.
+
+    Slots fill in order because nothing is ever deleted, so a bucket's
+    list position is its slot number and ``len`` is its fill count.
+    """
+
+    __slots__ = ("local_depth", "buckets", "stash")
+
+    def __init__(self, local_depth: int) -> None:
+        self.local_depth = local_depth
+        self.buckets: list[list[int]] = [[] for _ in range(BUCKETS_PER_SEGMENT)]
+        self.stash: list[int] = []
+
+
+class _BulkBuild:
+    """Replays :meth:`DashIndex.insert` over precomputed hashes.
+
+    Records are ids into the ``keys``/``values``/``hashes`` lists; the
+    replay moves ids between plain-int fill lists exactly as the
+    single-key path moves records between segment slots, and tallies the
+    same ``build_reads``/``bucket_writes``.
+    """
+
+    def __init__(
+        self,
+        global_depth: int,
+        directory: list[_ReplaySegment],
+        keys: list[int],
+        values: list[int],
+        hashes: np.ndarray,
+    ) -> None:
+        self.global_depth = global_depth
+        self.directory = directory
+        self.keys = keys
+        self.values = values
+        self.hashes: list[int] = hashes.tolist()
+        self.buckets: list[int] = (
+            (hashes >> np.uint64(8)) % np.uint64(BUCKETS_PER_SEGMENT)
+        ).tolist()
+        self.build_reads = 0
+        self.bucket_writes = 0
+        self.inserted = 0
+
+    def slot_of(self, record: int) -> int:
+        """Directory slot of a record (``_segment_index`` of its hash)."""
+        return self.hashes[record] >> (64 - self.global_depth)
+
+    def insert(self, record: int, assume_new: bool) -> None:
+        """One ``DashIndex.insert``: attempts with bounded splits."""
+        for _ in range(64):
+            if not assume_new and self._overwrite(record):
+                return
+            if self._place(record):
+                self.inserted += 1
+                return
+            self._split(self.slot_of(record))
+        raise SimulationError("DashIndex: unbounded split loop")
+
+    def _overwrite(self, record: int) -> bool:
+        """The lookup half of ``_try_insert`` when keys may repeat."""
+        segment = self.directory[self.slot_of(record)]
+        b = self.buckets[record]
+        key = self.keys[record]
+        keys = self.keys
+        for bucket in (b, (b + 1) % BUCKETS_PER_SEGMENT):
+            self.build_reads += 1
+            for held in segment.buckets[bucket]:
+                if keys[held] == key:
+                    self.values[held] = self.values[record]
+                    self.bucket_writes += 1
+                    return True
+        for held in segment.stash:
+            if keys[held] == key:
+                self.build_reads += 1
+                self.values[held] = self.values[record]
+                self.bucket_writes += 1
+                return True
+        return False
+
+    def _place(self, record: int) -> bool:
+        """Balanced insertion of ``_try_insert``: target, neighbour, stash."""
+        segment = self.directory[self.slot_of(record)]
+        b = self.buckets[record]
+        target = segment.buckets[b]
+        neighbour = segment.buckets[(b + 1) % BUCKETS_PER_SEGMENT]
+        self.build_reads += 1
+        if len(target) < BUCKET_SLOTS or len(neighbour) < BUCKET_SLOTS:
+            # Ties go to the target bucket (more free slots or equal).
+            (target if len(target) <= len(neighbour) else neighbour).append(record)
+            self.bucket_writes += 1
+            return True
+        if len(segment.stash) < _STASH_SLOTS:
+            segment.stash.append(record)
+            self.build_reads += 1
+            self.bucket_writes += 1
+            return True
+        return False
+
+    def _split(self, directory_slot: int) -> None:
+        """``DashIndex._split``, reinserting in ``_Segment.records`` order."""
+        old = self.directory[directory_slot]
+        if old.local_depth == self.global_depth:
+            self.directory = [s for s in self.directory for _ in range(2)]
+            self.global_depth += 1
+        depth = old.local_depth + 1
+        left = _ReplaySegment(depth)
+        right = _ReplaySegment(depth)
+        shift = self.global_depth - depth
+        for i, seg in enumerate(self.directory):
+            if seg is old:
+                self.directory[i] = right if (i >> shift) & 1 else left
+        for bucket in old.buckets:
+            for record in bucket:
+                self._reinsert(record)
+        for record in old.stash:
+            self._reinsert(record)
+
+    def _reinsert(self, record: int) -> None:
+        while not self._place(record):
+            self._split(self.slot_of(record))
+
+
 class DashIndex:
     """Segmented extendible hash with 256 B buckets and stash overflow."""
 
@@ -141,7 +303,7 @@ class DashIndex:
     # -- hashing -------------------------------------------------------
 
     def _hash(self, key: int) -> int:
-        return int(_mix(np.asarray([key], dtype=np.int64))[0])
+        return _mix_int(int(key))
 
     def _segment_index(self, h: int) -> int:
         if self.global_depth == 0:
@@ -181,6 +343,8 @@ class DashIndex:
         overwrite lookup (safe when keys are known unique, e.g. building
         a join table over dimension primary keys).
         """
+        if key == _EMPTY:
+            raise ConfigurationError(f"key {_EMPTY} marks empty slots")
         for _ in range(64):  # split attempts are bounded
             if self._try_insert(key, value, assume_new):
                 return
@@ -288,68 +452,187 @@ class DashIndex:
     def bulk_insert(
         self, keys: np.ndarray, values: np.ndarray, assume_unique: bool = True
     ) -> None:
-        """Insert many records (loops the single-key path; splits work).
+        """Insert many records; same layout and stats as looping ``insert``.
 
         ``assume_unique`` (the default) skips per-key overwrite lookups —
-        correct for join builds over dimension primary keys.
+        correct for join builds over dimension primary keys — exactly as
+        ``insert(..., assume_new=True)`` does.
+
+        The existing records and the new keys are hashed in one
+        vectorised call. The insertion sequence (target bucket, then
+        neighbour, then stash, then a split that may double the
+        directory and reinserts the old segment's records in
+        ``_Segment.records`` order) is replayed over plain-int fill
+        lists, and the final segments are written back once.
         """
         if len(keys) != len(values):
             raise ConfigurationError("keys and values must align")
-        for key, value in zip(keys.tolist(), values.tolist()):
-            self.insert(int(key), int(value), assume_new=assume_unique)
+        keys = np.asarray(keys).astype(np.int64)
+        values = np.asarray(values).astype(np.int64)
+        if len(keys) == 0:
+            return
+        if np.any(keys == _EMPTY):
+            raise ConfigurationError(f"key {_EMPTY} marks empty slots")
+
+        segments, slot_rows = _distinct(self._directory)
+        old_keys, old_values, replays = self._unpack(segments)
+        all_keys = np.concatenate((old_keys, keys))
+        hashes = _mix(all_keys)
+        build = _BulkBuild(
+            self.global_depth,
+            [replays[row] for row in slot_rows],
+            all_keys.tolist(),
+            np.concatenate((old_values, values)).tolist(),
+            hashes,
+        )
+        for record in range(len(old_keys), len(all_keys)):
+            build.insert(record, assume_unique)
+
+        self._pack(build, hashes)
+        self.stats.build_reads += build.build_reads
+        self.stats.bucket_writes += build.bucket_writes
+        self._size += build.inserted
+
+    @staticmethod
+    def _unpack(
+        segments: list[_Segment],
+    ) -> tuple[np.ndarray, np.ndarray, list[_ReplaySegment]]:
+        """Existing records as replay segments (record ids ``0..m-1``)."""
+        keys = np.stack([s.keys for s in segments])
+        stash = np.stack([s.stash_keys for s in segments])
+        held = keys != _EMPTY
+        stash_held = stash != _EMPTY
+        fills = held.sum(axis=2).tolist()
+        stash_fills = stash_held.sum(axis=1).tolist()
+        out_keys: list[np.ndarray] = []
+        out_values: list[np.ndarray] = []
+        replays: list[_ReplaySegment] = []
+        record = 0
+        for i, segment in enumerate(segments):
+            replay = _ReplaySegment(segment.local_depth)
+            for bucket, fill in zip(replay.buckets, fills[i]):
+                bucket.extend(range(record, record + fill))
+                record += fill
+            replay.stash.extend(range(record, record + stash_fills[i]))
+            record += stash_fills[i]
+            replays.append(replay)
+            out_keys += [keys[i][held[i]], stash[i][stash_held[i]]]
+            out_values += [
+                segment.values[held[i]],
+                segment.stash_values[stash_held[i]],
+            ]
+        return np.concatenate(out_keys), np.concatenate(out_values), replays
+
+    def _pack(self, build: _BulkBuild, hashes: np.ndarray) -> None:
+        """Write the replayed segments back as ``_Segment`` arrays."""
+        replays, slot_rows = _distinct(build.directory)
+        n_seg = len(replays)
+        line_slots = BUCKETS_PER_SEGMENT * BUCKET_SLOTS
+        rows: list[int] = []
+        cells: list[int] = []
+        ids: list[int] = []
+        stash_rows: list[int] = []
+        stash_cells: list[int] = []
+        stash_ids: list[int] = []
+        for row, replay in enumerate(replays):
+            for b, bucket in enumerate(replay.buckets):
+                if bucket:
+                    first = b * BUCKET_SLOTS
+                    rows += [row] * len(bucket)
+                    cells.extend(range(first, first + len(bucket)))
+                    ids += bucket
+            if replay.stash:
+                stash_rows += [row] * len(replay.stash)
+                stash_cells.extend(range(len(replay.stash)))
+                stash_ids += replay.stash
+        all_keys = np.asarray(build.keys, dtype=np.int64)
+        all_values = np.asarray(build.values, dtype=np.int64)
+        fps = (hashes & np.uint64(0xFF)).astype(np.uint8)
+        fps[fps == 0] = 1
+
+        keys = np.full((n_seg, line_slots), _EMPTY, dtype=np.int64)
+        vals = np.zeros((n_seg, line_slots), dtype=np.int64)
+        fp = np.zeros((n_seg, line_slots), dtype=np.uint8)
+        keys[rows, cells] = all_keys[ids]
+        vals[rows, cells] = all_values[ids]
+        fp[rows, cells] = fps[ids]
+        stash_keys = np.full((n_seg, _STASH_SLOTS), _EMPTY, dtype=np.int64)
+        stash_vals = np.zeros((n_seg, _STASH_SLOTS), dtype=np.int64)
+        stash_keys[stash_rows, stash_cells] = all_keys[stash_ids]
+        stash_vals[stash_rows, stash_cells] = all_values[stash_ids]
+
+        shape = (BUCKETS_PER_SEGMENT, BUCKET_SLOTS)
+        segments: list[_Segment] = []
+        for row, replay in enumerate(replays):
+            segment = _Segment(replay.local_depth)
+            segment.keys = keys[row].reshape(shape)
+            segment.values = vals[row].reshape(shape)
+            segment.fps = fp[row].reshape(shape)
+            segment.stash_keys = stash_keys[row]
+            segment.stash_values = stash_vals[row]
+            segments.append(segment)
+        self._directory = [segments[row] for row in slot_rows]
+        self.global_depth = build.global_depth
 
     def bulk_probe(self, keys: np.ndarray, missing: int = -1) -> np.ndarray:
         """Vectorised probe of many keys; traffic charged like singles.
 
-        Returns the value per key, ``missing`` where absent. Grouped by
-        segment so each group's buckets are gathered with one fancy
-        index; the probe sequence (bucket, neighbour, stash) and the
-        charged line reads match the scalar path.
+        Returns the value per key, ``missing`` where absent. The distinct
+        segments are stacked into flat bucket and stash pools, so each
+        hop of the probe sequence (bucket, neighbour, stash) is one
+        gather over all still-unresolved keys of a chunk; the charged
+        line reads match the scalar path.
         """
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         n = len(keys)
         out = np.full(n, missing, dtype=np.int64)
         if n == 0:
             return out
-        h = _mix(keys)
-        if self.global_depth == 0:
-            seg_idx = np.zeros(n, dtype=np.int64)
-        else:
-            seg_idx = (h >> np.uint64(64 - self.global_depth)).astype(np.int64)
-        bucket_idx = ((h >> np.uint64(8)) % np.uint64(BUCKETS_PER_SEGMENT)).astype(
-            np.int64
-        )
-        fp = (h & np.uint64(0xFF)).astype(np.uint8)
-        fp = np.where(fp == 0, np.uint8(1), fp)
+        segments, slot_rows = _distinct(self._directory)
+        lines = (len(segments) * BUCKETS_PER_SEGMENT, BUCKET_SLOTS)
+        pool_keys = np.stack([s.keys for s in segments]).reshape(lines)
+        pool_values = np.stack([s.values for s in segments]).reshape(lines)
+        stash_keys = np.stack([s.stash_keys for s in segments])
+        stash_values = np.stack([s.stash_values for s in segments])
+        slot_row = np.asarray(slot_rows, dtype=np.intp)
 
         self.stats.probes += n
-        for s in np.unique(seg_idx):
-            segment = self._directory[int(s)]
-            in_seg = np.nonzero(seg_idx == s)[0]
-            seg_keys = keys[in_seg]
-            seg_buckets = bucket_idx[in_seg]
-            found = np.zeros(len(in_seg), dtype=bool)
+        for start in range(0, n, _PROBE_CHUNK):
+            chunk = keys[start : start + _PROBE_CHUNK]
+            h = _mix(chunk)
+            if self.global_depth == 0:
+                row = np.zeros(len(chunk), dtype=np.intp)
+            else:
+                row = slot_row[h >> np.uint64(64 - self.global_depth)]
+            bucket = ((h >> np.uint64(8)) % np.uint64(BUCKETS_PER_SEGMENT)).astype(
+                np.intp
+            )
+            pending = np.arange(len(chunk))
             for hop in (0, 1):
-                buckets = (seg_buckets + hop) % BUCKETS_PER_SEGMENT
-                # First bucket read is charged for everyone still probing;
-                # the neighbour read only for unresolved keys.
-                pending = ~found
-                self.stats.bucket_reads += int(np.count_nonzero(pending))
-                rows_keys = segment.keys[buckets]           # (m, SLOTS)
-                match = (rows_keys == seg_keys[:, None]) & pending[:, None]
+                # The target read is charged for every key; the neighbour
+                # read only for keys the target did not resolve.
+                self.stats.bucket_reads += pending.size
+                line = row[pending] * BUCKETS_PER_SEGMENT + (
+                    (bucket[pending] + hop) % BUCKETS_PER_SEGMENT
+                )
+                match = pool_keys[line] == chunk[pending, None]
                 hit_rows, hit_slots = np.nonzero(match)
                 if hit_rows.size:
-                    out[in_seg[hit_rows]] = segment.values[
-                        buckets[hit_rows], hit_slots
+                    out[start + pending[hit_rows]] = pool_values[
+                        line[hit_rows], hit_slots
                     ]
-                    found[hit_rows] = True
-                if found.all():
+                    unresolved = np.ones(pending.size, dtype=bool)
+                    unresolved[hit_rows] = False
+                    pending = pending[unresolved]
+                if not pending.size:
                     break
-            pending = np.nonzero(~found)[0]
             if pending.size:
-                self.stats.stash_reads += int(pending.size)
-                stash_match = segment.stash_keys[None, :] == seg_keys[pending][:, None]
-                rows, slots = np.nonzero(stash_match)
-                if rows.size:
-                    out[in_seg[pending[rows]]] = segment.stash_values[slots]
+                self.stats.stash_reads += pending.size
+                stash_row = row[pending]
+                match = stash_keys[stash_row] == chunk[pending, None]
+                hit_rows, hit_slots = np.nonzero(match)
+                if hit_rows.size:
+                    out[start + pending[hit_rows]] = stash_values[
+                        stash_row[hit_rows], hit_slots
+                    ]
         return out

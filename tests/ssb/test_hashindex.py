@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.memsim.constants import CACHE_LINE, OPTANE_LINE
 from repro.ssb.hashindex import BUCKET_SLOTS, ChainedIndex, DashIndex
+from repro.ssb.hashindex.dash import _EMPTY
 
 
 @pytest.fixture
@@ -184,3 +186,188 @@ class TestDashVsChainedTrafficContrast:
         # hop is a dependent access.
         assert dash.stats.reads_per_probe <= 2.5
         assert chained.stats.reads_per_probe >= 1.0
+
+
+def _dash_layout(index):
+    """Everything a build decides: segments, their contents, aliasing."""
+    rows = {}
+    segments = []
+    aliasing = []
+    for segment in index._directory:
+        if id(segment) not in rows:
+            rows[id(segment)] = len(segments)
+            segments.append(segment)
+        aliasing.append(rows[id(segment)])
+    contents = [
+        (
+            s.local_depth,
+            s.keys.tobytes(),
+            s.values.tobytes(),
+            s.fps.tobytes(),
+            s.stash_keys.tobytes(),
+            s.stash_values.tobytes(),
+        )
+        for s in segments
+    ]
+    return index.global_depth, len(index), index.stats, aliasing, contents
+
+
+def _per_key_build(index, keys, values, assume_new=True):
+    for key, value in zip(keys.tolist(), values.tolist()):
+        index.insert(key, value, assume_new=assume_new)
+    return index
+
+
+class TestDashBulkMatchesPerKey:
+    """The per-key ``insert``/``get`` path is the oracle for the bulk paths."""
+
+    @pytest.mark.parametrize(
+        "size,depth,seed",
+        [(1, 1, 0), (700, 0, 1), (6_000, 0, 2), (12_000, 1, 3)],
+    )
+    def test_bulk_insert_layout_and_stats(self, size, depth, seed):
+        rng = np.random.default_rng(seed)
+        keys = rng.choice(10**9, size=size, replace=False).astype(np.int64)
+        values = rng.integers(0, 2**40, size=size)
+        bulk = DashIndex(initial_depth=depth)
+        bulk.bulk_insert(keys, values)
+        oracle = _per_key_build(DashIndex(initial_depth=depth), keys, values)
+        assert _dash_layout(bulk) == _dash_layout(oracle)
+
+    def test_splits_double_the_directory(self):
+        keys = np.arange(7_000, dtype=np.int64)
+        bulk = DashIndex(initial_depth=0)
+        bulk.bulk_insert(keys, keys)
+        oracle = _per_key_build(DashIndex(initial_depth=0), keys, keys)
+        assert bulk.global_depth == 4
+        assert bulk.segment_count < len(bulk._directory)  # aliased slots
+        assert _dash_layout(bulk) == _dash_layout(oracle)
+
+    def test_extreme_keys(self):
+        keys = np.array(
+            [0, 1, -1, 2**63 - 1, -(2**63), 2**40, -(2**40)], dtype=np.int64
+        )
+        bulk = DashIndex()
+        bulk.bulk_insert(keys, np.arange(len(keys)))
+        oracle = _per_key_build(DashIndex(), keys, np.arange(len(keys)))
+        assert _dash_layout(bulk) == _dash_layout(oracle)
+
+    def test_bulk_insert_into_non_empty_index(self):
+        rng = np.random.default_rng(4)
+        keys = rng.choice(10**8, size=5_000, replace=False).astype(np.int64)
+        bulk = DashIndex()
+        bulk.bulk_insert(keys[:1_500], keys[:1_500])
+        bulk.insert(-7, 7)
+        bulk.bulk_insert(keys[1_500:], keys[1_500:])
+        oracle = _per_key_build(DashIndex(), keys[:1_500], keys[:1_500])
+        oracle.insert(-7, 7)
+        _per_key_build(oracle, keys[1_500:], keys[1_500:])
+        assert _dash_layout(bulk) == _dash_layout(oracle)
+
+    def test_duplicate_keys_overwrite_when_not_unique(self):
+        rng = np.random.default_rng(5)
+        keys = rng.integers(0, 1_500, size=4_000).astype(np.int64)
+        values = np.arange(len(keys), dtype=np.int64)
+        bulk = DashIndex()
+        bulk.bulk_insert(keys[:1_000], values[:1_000], assume_unique=False)
+        bulk.bulk_insert(keys[1_000:], values[1_000:], assume_unique=False)
+        oracle = _per_key_build(DashIndex(), keys, values, assume_new=False)
+        assert _dash_layout(bulk) == _dash_layout(oracle)
+        assert len(bulk) == len(np.unique(keys))
+
+    def test_bulk_probe_matches_get(self):
+        rng = np.random.default_rng(6)
+        keys = np.arange(7_000, dtype=np.int64)
+        index = DashIndex(initial_depth=0)
+        index.bulk_insert(keys, keys * 3 + 1)
+        segments = {id(s): s for s in index._directory}.values()
+        stashed = np.concatenate(
+            [s.stash_keys[s.stash_keys != _EMPTY] for s in segments]
+        )
+        assert stashed.size  # the build overflowed into some stash
+        misses = rng.integers(10**8, 2 * 10**8, size=500)
+        probes = np.concatenate([keys[::2], stashed, misses, keys[-50:]])
+        rng.shuffle(probes)
+        oracle = DashIndex(initial_depth=0)
+        oracle.bulk_insert(keys, keys * 3 + 1)
+        bulk = index.bulk_probe(probes, missing=-5)
+        singles = [oracle.get(key, default=-5) for key in probes.tolist()]
+        assert bulk.tolist() == singles
+        assert index.stats == oracle.stats
+        assert index.stats.stash_reads >= stashed.size + misses.size
+
+    def test_bulk_probe_spans_chunks(self, monkeypatch):
+        from repro.ssb.hashindex import dash
+
+        keys = np.arange(3_000, dtype=np.int64)
+        probes = np.concatenate([keys, keys + 2_000])
+        whole = DashIndex()
+        whole.bulk_insert(keys, keys)
+        expected = whole.bulk_probe(probes)
+        monkeypatch.setattr(dash, "_PROBE_CHUNK", 1_000)
+        chunked = DashIndex()
+        chunked.bulk_insert(keys, keys)
+        assert np.array_equal(chunked.bulk_probe(probes), expected)
+        assert chunked.stats == whole.stats
+
+    def test_bulk_insert_hashes_once(self, monkeypatch):
+        """Per-key hashing must not creep back into the bulk build."""
+        from repro.ssb.hashindex import dash
+
+        calls = []
+        real_mix = dash._mix
+
+        def counting_mix(keys):
+            calls.append(len(keys))
+            return real_mix(keys)
+
+        monkeypatch.setattr(dash, "_mix", counting_mix)
+        index = DashIndex(initial_depth=0)
+        index.bulk_insert(np.arange(4_000, dtype=np.int64), np.zeros(4_000))
+        assert calls == [4_000]
+        assert index.segment_count > 1  # splits replayed without rehashing
+
+    def test_empty_marker_key_rejected(self):
+        index = DashIndex()
+        with pytest.raises(ConfigurationError):
+            index.bulk_insert(np.array([1, -(2**62)]), np.array([1, 2]))
+        with pytest.raises(ConfigurationError):
+            index.insert(-(2**62), 1)
+        assert len(index) == 0
+
+
+class TestDashScalarHash:
+    def test_scalar_hash_equals_vector_mix(self):
+        from repro.ssb.hashindex.dash import _mix
+
+        rng = np.random.default_rng(7)
+        sample = rng.integers(-(2**63), 2**63 - 1, size=500, dtype=np.int64)
+        keys = np.concatenate(
+            [np.array([0, 1, -1, 2**63 - 1, -(2**63)], dtype=np.int64), sample]
+        )
+        index = DashIndex()
+        expected = _mix(keys).tolist()
+        assert [index._hash(key) for key in keys.tolist()] == expected
+        assert [index._hash(key) for key in keys] == expected  # numpy scalars
+
+
+class TestChainedBulkMatchesPerKey:
+    @pytest.mark.parametrize("expected_size", [8, 4_000])
+    def test_bulk_insert_links_like_prepends(self, expected_size):
+        rng = np.random.default_rng(8)
+        keys = rng.integers(0, 3_000, size=4_000).astype(np.int64)
+        values = rng.integers(0, 10**6, size=4_000)
+        bulk = ChainedIndex(expected_size=expected_size)
+        bulk.bulk_insert(keys[:1_000], values[:1_000])
+        bulk.bulk_insert(keys[1_000:], values[1_000:])
+        oracle = ChainedIndex(expected_size=expected_size)
+        for key, value in zip(keys.tolist(), values.tolist()):
+            oracle.insert(key, value)
+        size = len(oracle)
+        assert len(bulk) == size
+        assert np.array_equal(bulk._heads, oracle._heads)
+        for name in ("_keys", "_values", "_next"):
+            assert np.array_equal(
+                getattr(bulk, name)[:size], getattr(oracle, name)[:size]
+            )
+        assert bulk.stats == oracle.stats
