@@ -4,7 +4,8 @@ Two claims back this file:
 
 * **Sharding to local worker processes scales.** On a machine with
   >= 4 CPU cores, sharding a cold dense grid across 4 locally spawned
-  cluster workers must beat single-process serial by at least 1.8x
+  cluster workers must beat a single-process per-point loop (serial)
+  by at least 1.8x
   (``test_cluster_speedup_over_serial``). On 1-2 core hosts the
   comparison is meaningless — worker spawn and wire framing dominate
   and there is no parallelism to win — so the gate skips with an
@@ -12,9 +13,6 @@ Two claims back this file:
 * **Speed never costs identity.** Every run in this file asserts the
   cluster totals equal serial's before any timing is trusted; a faster
   wrong answer fails the bench.
-
-The dense grid mirrors ``bench_procpool_sweep.py`` so the two backends'
-trajectories stay directly comparable in the snapshot series.
 """
 
 from __future__ import annotations
@@ -24,12 +22,12 @@ import timeit
 
 import pytest
 
-from repro.memsim import Op
+from repro.memsim import Op, paper_config
 from repro.sweep import EvaluationService, SweepRunner
 from repro.workloads.sequential import sequential_sweep
 
-#: Same dense axes as the procpool bench: wide enough that worker
-#: startup does not drown the signal being measured.
+#: Dense axes: wide enough that worker startup does not drown the
+#: signal being measured.
 _DENSE_SIZES = tuple(64 << i for i in range(21))
 _DENSE_THREADS = tuple(range(1, 37, 3))
 
@@ -45,9 +43,12 @@ def _cores() -> int:
 
 
 def _serial_totals(grid) -> dict[str, float]:
-    return SweepRunner(
-        EvaluationService(memoize=False), backend="serial"
-    ).totals(grid)
+    service = EvaluationService(memoize=False)
+    config = paper_config()
+    return {
+        point.label: service.evaluate(config, point.streams).total_gbps
+        for point in grid
+    }
 
 
 def _cluster_totals(grid, workers: int) -> dict[str, float]:

@@ -1,16 +1,17 @@
-"""Benchmark: the sweep service's memo cache and thread fan-out.
+"""Benchmark: the sweep service's memo cache and batched grid path.
 
 Regenerates Figure 3 (the largest grid sweep: access size x thread count
-x media) three ways — uncached, warm-cache, and with a 4-thread
-``SweepRunner`` — so the report quantifies what the pure-core refactor
-buys: a warm second regeneration should be far cheaper than a cold one,
-and the parallel run must stay bit-identical to the serial one.
+x media) three ways — uncached, warm-cache, and the raw grid through the
+default (vector) ``SweepRunner`` — so the report quantifies what the
+pure-core refactor buys: a warm second regeneration should be far
+cheaper than a cold one, and the batched run must stay bit-identical to
+a per-point loop.
 """
 
 from __future__ import annotations
 
 from repro.experiments.fig03 import run
-from repro.memsim import BandwidthModel, Op
+from repro.memsim import BandwidthModel, Op, paper_config
 from repro.sweep import EvaluationService, SweepRunner
 from repro.workloads.sequential import sequential_sweep
 
@@ -35,11 +36,15 @@ def test_sweep_warm_cache(benchmark):
     assert result.comparisons
 
 
-def test_sweep_parallel(benchmark):
-    """The raw grid fanned out on 4 threads, checked against serial."""
+def test_sweep_vector(benchmark):
+    """The raw grid through the batched runner, checked against serial."""
     grid = sequential_sweep(Op.READ)
-    serial = SweepRunner(EvaluationService(memoize=False), jobs=1).totals(grid)
+    service = EvaluationService(memoize=False)
+    serial = {
+        point.label: service.evaluate(paper_config(), point.streams).total_gbps
+        for point in grid
+    }
     totals = benchmark(
-        lambda: SweepRunner(EvaluationService(memoize=False), jobs=4).totals(grid)
+        lambda: SweepRunner(EvaluationService(memoize=False)).totals(grid)
     )
     assert totals == serial

@@ -49,7 +49,6 @@ from repro.memsim.crosscheck import DEFAULT_ANCHORS
 from repro.memsim.engine import EngineConfig, simulate
 from repro.memsim.kernels import (
     classify_point,
-    evaluate_grid,
     evaluate_grid_columns,
     run_epochs,
 )
@@ -102,8 +101,8 @@ def test_evaluate_grid_cost(benchmark):
     """Batched cost of a dense all-eligible grid (compare to hot scalar)."""
     context = eval_context(paper_config())
     points = _dense_points()
-    results = benchmark(lambda: evaluate_grid(context, points))
-    assert len(results) == len(points)
+    columns = benchmark(lambda: evaluate_grid_columns(context, points))
+    assert len(columns) == len(points)
 
 
 def test_epoch_engine_anchor_set_cost(benchmark):
@@ -134,7 +133,7 @@ def test_grid_speedup_over_scalar():
     expected = scalar()
     # Bit-identical before it may be faster: the batch's lazy views are
     # the scalar results, float for float.
-    assert evaluate_grid(context, points, state) == expected
+    assert evaluate_grid_columns(context, points, state).views() == expected
     columns = batched()
     assert columns.total_gbps() == [r.total_gbps for r in expected]
     if _cores() < 4:
@@ -209,8 +208,8 @@ def test_mixed_eligibility_fallback_fraction():
     assert sum(1 for p in points if classify_point(context, p) is None) == len(points)
 
     recorder = CountersRecorder()
-    results = evaluate_grid(context, points, recorder=recorder)
-    assert len(results) == len(points)
+    columns = evaluate_grid_columns(context, points, recorder=recorder)
+    assert len(columns) == len(points)
     counters = recorder.snapshot()["counters"]
     assert "sweep.vector.fallback_count" not in counters
 
@@ -220,7 +219,7 @@ def test_mixed_eligibility_fallback_fraction():
     assert sum(1 for p in poisoned if classify_point(context, p) is not None) == 1
     recorder = CountersRecorder()
     with pytest.raises(TopologyError):
-        evaluate_grid(context, poisoned, recorder=recorder)
+        evaluate_grid_columns(context, poisoned, recorder=recorder)
     counters = recorder.snapshot()["counters"]
     assert counters["sweep.vector.fallback_count"] == 1
     assert counters["sweep.vector.fallback.socket_count"] == 1
@@ -230,9 +229,11 @@ def test_vector_backend_grid_cost(benchmark, fig3_grid):
     """The Figure 3 sweep through ``backend="vector"``, end to end."""
     from repro.sweep import EvaluationService, SweepRunner
 
-    serial = SweepRunner(
-        EvaluationService(memoize=False), backend="serial"
-    ).totals(fig3_grid)
+    service = EvaluationService(memoize=False)
+    serial = {
+        point.label: service.evaluate(paper_config(), point.streams).total_gbps
+        for point in fig3_grid
+    }
     totals = benchmark(
         lambda: SweepRunner(
             EvaluationService(memoize=False), backend="vector"

@@ -39,7 +39,7 @@ DEFAULT_ALLOWED_RAISES: tuple[str, ...] = (
 #: Purity roots for SIM201: fnmatch patterns over fully-qualified function
 #: names. Everything reachable from a root through the call graph must be
 #: free of shared-state writes — this is the contract the memo cache, the
-#: parallel backend, and the bit-identity tests all assume.
+#: cluster backend, and the bit-identity tests all assume.
 DEFAULT_PURITY_ROOTS: tuple[str, ...] = (
     "repro.memsim.evaluation.evaluate",
     "repro.memsim.kernels.*",
@@ -48,9 +48,11 @@ DEFAULT_PURITY_ROOTS: tuple[str, ...] = (
     "repro.memsim.context._build_context",
 )
 
-#: Types that cross the :mod:`repro.sweep.procpool` process boundary
-#: (pickled into workers or back): SIM202 checks them — and every type
-#: reachable through their field annotations — for pickle-hostile state.
+#: Types that cross the cluster wire, pickled by
+#: :func:`repro.sweep.cluster.protocol.encode_blob` into worker frames
+#: and decoded by ``decode_blob`` on the other side: SIM202 checks them —
+#: and every type reachable through their field annotations — for
+#: pickle-hostile state.
 DEFAULT_PICKLE_BOUNDARY: tuple[str, ...] = (
     "repro.memsim.config.MachineConfig",
     "repro.memsim.config.DirectoryState",

@@ -3,8 +3,9 @@
 The per-file rules in :mod:`repro.analysis.rules` see one module at a
 time; the contracts they guard, however, are *program* properties: the
 purity of :func:`repro.memsim.evaluation.evaluate` depends on every
-function it transitively calls, the pickle-safety of a sweep depends on
-every type that crosses the :mod:`repro.sweep.procpool` boundary, and
+function it transitively calls, the pickle-safety of a cluster sweep
+depends on every type that crosses the wire pickled
+(:mod:`repro.sweep.cluster.protocol`), and
 the counter catalogue is only honest if every emitted name — wherever
 it is built — round-trips against :mod:`repro.obs.catalog`.
 

@@ -1,12 +1,12 @@
-"""SIM202: pickle-hostile state in types that cross the procpool boundary.
+"""SIM202: pickle-hostile state in types that cross the cluster wire.
 
-The process-parallel sweep backend ships configs and grid points *into*
-workers and results and counter snapshots *out* — every one of those
-objects is pickled. A lambda default, a ``threading.Lock`` field, an
-open file handle, or a field referencing a module-level mutable all
-either fail to pickle outright (a crash on first parallel sweep) or,
-worse, pickle a *copy* so each worker silently diverges from the parent.
-Those are the distributed heisenbugs ISSUE 6 exists to prevent.
+The cluster sweep backend ships configs and grid points *into* workers
+and column blocks and errors *out*, each pickled into a frame by
+:func:`repro.sweep.cluster.protocol.encode_blob` and unpickled by
+``decode_blob``. A lambda default, a ``threading.Lock`` field, an open
+file handle, or a field referencing a module-level mutable all either
+fail to pickle outright (a crash on the first cluster sweep) or, worse,
+pickle a *copy* so each worker silently diverges from the coordinator.
 
 The pass seeds from the configured boundary types (``pickle_boundary``)
 and closes over field annotations: if ``MachineConfig`` carries a
@@ -25,7 +25,7 @@ from repro.analysis.registry import register_program
 RULE = Rule(
     code="SIM202",
     name="pickle-safety",
-    summary="procpool-crossing type holds pickle-hostile state",
+    summary="wire-crossing type holds pickle-hostile state",
 )
 
 _KIND_LABEL = {
@@ -109,9 +109,9 @@ def check_pickle_safety(program) -> Iterable[Finding]:
         cls = program.classes[full]
         seed = via[full]
         crossing = (
-            "crosses the procpool boundary"
+            "crosses the cluster wire"
             if seed == full
-            else f"crosses the procpool boundary via '{seed}'"
+            else f"crosses the cluster wire via '{seed}'"
         )
         for site in (*cls.summary.fields, *cls.summary.init_attrs):
             reasons: list[str] = []

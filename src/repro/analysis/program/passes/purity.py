@@ -2,7 +2,7 @@
 
 The repo's correctness story leans on :func:`repro.memsim.evaluation.
 evaluate` being a pure function of ``(config, directory, spec)``: the
-memo cache replays results by digest, the process pool assumes workers
+memo cache replays results by digest, the cluster assumes workers
 are interchangeable, and the bit-identity tests compare backends point
 by point. Those tests *sample* purity; this pass proves the static half
 of it: no function reachable from a purity root writes module-level or

@@ -29,7 +29,7 @@ Array-ness and batch-ness are inferred locally and conservatively: a
 name counts as a NumPy array only when the module assigns it from a
 ``np.*``/``numpy.*`` call, and as a column batch only when assigned
 from one of the known batch producers (``ResultColumns(...)``,
-``from_results``, ``evaluate_batch_columns``, ``evaluate_grid_columns``,
+``from_results``, ``evaluate_points_columns``, ``evaluate_grid_columns``,
 ``run_columns``, ...). Loops the kernels legitimately need (per-stream
 setup, fixed-point iteration over epochs) iterate plain Python
 structures and never match; a reasoned exception belongs in the simlint
@@ -59,19 +59,15 @@ POINT_MATERIALIZATION = Rule(
 #: Call names that produce a ``ResultColumns`` batch, mapped to which
 #: assignment target receives the batch: ``None`` for a plain
 #: ``batch = producer(...)``, else the tuple-unpack index of the batch
-#: (``evaluate_batch_columns`` returns ``(columns, emit)``;
-#: ``run_columns``/``run_grid_columns``/``_vector_columns`` return
-#: ``(labels, columns)``).
+#: (``evaluate_points_columns`` returns ``(columns, emit)``;
+#: ``run_columns``/``run_grid_columns`` return ``(labels, columns)``).
 _BATCH_PRODUCERS: dict[str, int | None] = {
     "ResultColumns": None,
     "from_results": None,
-    "assemble": None,
     "evaluate_grid_columns": None,
-    "evaluate_batch_columns": 0,
     "evaluate_points_columns": 0,
     "run_columns": -1,
     "run_grid_columns": -1,
-    "_vector_columns": -1,
 }
 
 #: Heads recognised as the NumPy module in dotted call targets.

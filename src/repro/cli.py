@@ -61,6 +61,8 @@ def _positive_int(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.sweep import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Maximizing Persistent Memory Bandwidth "
@@ -74,21 +76,15 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiments", nargs="+", metavar="EXP",
                      help="experiment ids, e.g. fig7 table1")
     run.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                     help="evaluate sweep points on N workers (default 1; "
-                          "results are bit-identical to serial runs)")
-    run.add_argument("--backend",
-                     choices=("serial", "thread", "process", "vector", "cluster"),
-                     default="vector",
-                     help="sweep worker pool: 'vector' (default) batches "
-                          "eligible points through the NumPy kernels and "
-                          "keeps results columnar, 'thread' shares the "
-                          "memo cache, 'process' scales cold grids across "
-                          "cores, 'cluster' shards across worker processes "
-                          "with a shared cache and work-stealing, 'serial' "
-                          "forces inline evaluation (all bit-identical)")
-    run.add_argument("--workers", type=_positive_int, default=None, metavar="N",
                      help="with --backend cluster: local worker processes "
-                          "to spawn (default 2, or --jobs when > 1)")
+                          "to spawn (default 1 leaves the cluster default "
+                          "of 2)")
+    run.add_argument("--backend", choices=BACKENDS, default="vector",
+                     help="sweep backend: 'vector' (default) batches every "
+                          "grid through the NumPy kernels in-process, "
+                          "'cluster' shards it across worker processes "
+                          "with a shared cache and work-stealing "
+                          "(bit-identical)")
     run.add_argument("--connect", action="append", metavar="HOST:PORT",
                      default=None,
                      help="with --backend cluster: dial a standing 'repro "
@@ -169,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("benches", nargs="*", metavar="BENCH",
                        help="bench names or substrings, e.g. fig03 "
-                            "procpool (default: the whole suite)")
+                            "hashindex (default: the whole suite)")
     bench.add_argument("--smoke", action="store_true",
                        help="run the pinned fast subset with one round and "
                             "no warmup (seconds, not minutes)")
@@ -177,14 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="skip pytest-benchmark's warmup phase")
     bench.add_argument("--rounds", type=_positive_int, default=3, metavar="N",
                        help="minimum timing rounds per bench (default 3)")
-    bench.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                       help="worker count recorded in the snapshot and "
-                            "exported to parameterised benches")
-    bench.add_argument("--backend",
-                       choices=("serial", "thread", "process", "vector", "cluster"),
-                       default="thread",
-                       help="sweep backend recorded in the snapshot and "
-                            "exported to parameterised benches")
     bench.add_argument("-o", "--output", metavar="PATH", default=None,
                        help="output file or directory (default: "
                             "./BENCH_<timestamp>.json)")
@@ -245,7 +233,6 @@ def _cmd_run(
     cache_dir: str | None = None,
     metrics: bool = False,
     output: str | None = None,
-    workers: int | None = None,
     connect: Sequence[str] | None = None,
 ) -> int:
     import contextlib
@@ -273,7 +260,7 @@ def _cmd_run(
         )
     previous_cluster = None
     installed_cluster = False
-    if backend == "cluster" and (workers is not None or connect):
+    if backend == "cluster" and connect:
         from repro.sweep.cluster import (
             ClusterOptions,
             parse_endpoint,
@@ -282,8 +269,7 @@ def _cmd_run(
 
         previous_cluster = set_default_cluster_options(
             ClusterOptions(
-                workers=workers if workers is not None else 2,
-                connect=tuple(parse_endpoint(text) for text in connect or ()),
+                connect=tuple(parse_endpoint(text) for text in connect),
             )
         )
         installed_cluster = True
@@ -464,8 +450,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             smoke=args.smoke,
             warmup=not args.no_warmup,
             rounds=args.rounds,
-            jobs=args.jobs,
-            backend=args.backend,
         )
     except BenchError as exc:
         print(f"bench: {exc}", file=sys.stderr)
@@ -563,7 +547,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.analysis.cli import main as lint_main
 
         return lint_main(argv[1:])
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run" and args.jobs > 1 and args.backend != "cluster":
+        parser.error("--jobs N > 1 requires --backend cluster")
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":
@@ -574,7 +561,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             cache_dir=args.cache_dir,
             metrics=args.metrics,
             output=args.output,
-            workers=args.workers,
             connect=args.connect,
         )
     if args.command == "trace":

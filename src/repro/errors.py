@@ -41,7 +41,7 @@ class SweepError(SimulationError):
     """A sweep point failed to evaluate.
 
     Wraps the underlying exception (available as ``__cause__``) and
-    names the failing grid and point label — a thread pool's traceback
+    names the failing grid and point label — a worker's traceback
     alone would not say *which* of a few hundred points was poisoned.
     """
 
@@ -73,12 +73,12 @@ class GridPointError(SweepError):
     loses the caller's per-point framing, so the service reports *which*
     input index failed — and, when the sweep backends supply them, the
     point's label and the grid's name, so the message reads the same
-    whether the failure surfaced inline or inside a worker process.
+    whether the failure surfaced inline or inside a cluster worker.
 
     ``partial`` preserves the ``ResultColumns`` batch of every point
     that completed before the failure (in ``points`` order), so callers
-    paying for a long sweep keep what was already computed. It crosses
-    the process-pool pickle boundary with the exception.
+    paying for a long sweep keep what was already computed. It survives
+    pickling with the exception.
     """
 
     def __init__(
@@ -95,7 +95,8 @@ class GridPointError(SweepError):
         else:
             message = f"grid point {index} failed: {original}"
         super().__init__(message)
-        #: Index into the ``points`` sequence passed to ``evaluate_grid``.
+        #: Index into the ``points`` sequence passed to
+        #: ``evaluate_grid_columns``.
         self.index = index
         #: The exception the point's evaluation raised.
         self.original = original
@@ -110,7 +111,7 @@ class GridPointError(SweepError):
         # The default exception reduce replays ``__init__(*args)`` with
         # the stored ``args`` — the formatted message string — which
         # does not match this signature. Rebuild from the real fields so
-        # the error survives the process-pool boundary intact.
+        # the error survives pickling intact.
         return (
             _rebuild_grid_point_error,
             (self.index, self.original, self.label, self.grid, self.partial),

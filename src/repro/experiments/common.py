@@ -35,11 +35,10 @@ def evaluate_grid(
     :class:`DirectoryState` (not by mutating the model), so far-access
     points reflect steady-state behaviour and the call leaves no state
     behind; experiments that specifically study the cold path (Fig. 5)
-    pass their own state values. The default ``"vector"`` backend keeps
-    results columnar end-to-end — the totals are read straight off the
-    batch, no per-point result object exists anywhere — and is
-    bit-identical to the per-point backends; ``jobs``/``backend`` fan
-    points out across a thread or process pool instead.
+    pass their own state values. Results stay columnar end-to-end — the
+    totals are read straight off the batch, no per-point result object
+    exists anywhere. ``backend="cluster"`` (with ``jobs`` local workers)
+    fans points out across worker processes instead, bit-identically.
     """
     if directory is None:
         directory = DirectoryState.warm(model.topology)

@@ -10,8 +10,8 @@ Two kernels, two contracts:
   in the same order* as per-point
   :func:`repro.memsim.evaluation.evaluate`, so results are **bit
   identical** — the sweep service can mix cached per-point results with
-  batched computes freely. :func:`evaluate_grid` / :func:`evaluate_batch`
-  are the materializing wrappers (lazy views over the same columns).
+  batched computes freely. Callers that want per-point objects take
+  lazy views off the batch (:meth:`ResultColumns.views`).
 * :func:`run_epochs` (:mod:`repro.memsim.kernels.epoch`) — an
   epoch-stepped fast path for the discrete-event engine. It trades the
   per-op ``heapq`` loop for batched array steps and is validated against
@@ -20,8 +20,8 @@ Two kernels, two contracts:
 
 :class:`ResultColumns` itself is imported eagerly (it is pure stdlib);
 the kernels are resolved lazily via :pep:`562` so that consumers which
-only ship or store column blocks — the sweep cache, the process-pool
-boundary — never pull NumPy onto their import path.
+only ship or store column blocks — the sweep cache, the cluster wire —
+never pull NumPy onto their import path.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ __all__ = [
     "FALLBACK_REASONS",
     "ResultColumns",
     "classify_point",
-    "evaluate_batch",
-    "evaluate_batch_columns",
-    "evaluate_batch_deferred",
-    "evaluate_grid",
     "evaluate_grid_columns",
     "evaluate_points_columns",
     "run_epochs",
@@ -49,10 +45,6 @@ __all__ = [
 _ANALYTIC = frozenset({
     "FALLBACK_REASONS",
     "classify_point",
-    "evaluate_batch",
-    "evaluate_batch_columns",
-    "evaluate_batch_deferred",
-    "evaluate_grid",
     "evaluate_grid_columns",
     "evaluate_points_columns",
     "vector_eligible",

@@ -13,7 +13,7 @@ and per-point :class:`~repro.memsim.evaluation.BandwidthResult` objects
 exist only as lazy views built on demand. Materializing the three result
 objects per point used to cost ~4.7 µs under a ~25-30 µs scalar
 baseline — the dominant term once the arithmetic was batched — so the
-columnar path is what the sweep service, process pool, disk cache, and
+columnar path is what the sweep service, cluster, disk cache, and
 experiment consumers all move between themselves.
 
 **Bit-identity contract.** Every elementwise float64 add, subtract,
@@ -67,17 +67,11 @@ from repro.units import GB
 if TYPE_CHECKING:
     from typing import Callable
 
-    from repro.memsim.config import MachineConfig
-    from repro.memsim.evaluation import BandwidthResult
     from repro.obs import Recorder
 
 __all__ = [
     "FALLBACK_REASONS",
     "classify_point",
-    "evaluate_batch",
-    "evaluate_batch_columns",
-    "evaluate_batch_deferred",
-    "evaluate_grid",
     "evaluate_grid_columns",
     "evaluate_points_columns",
     "vector_eligible",
@@ -218,58 +212,6 @@ def evaluate_points_columns(
         )
 
     return out, emit
-
-
-def evaluate_batch_columns(
-    ctx: EvalContext,
-    specs: Sequence[StreamSpec],
-    directory: DirectoryState,
-) -> "tuple[ResultColumns, Callable[..., None]]":
-    """Evaluate eligible single-stream points into one column batch.
-
-    Compatibility wrapper over :func:`evaluate_points_columns` for
-    callers holding bare specs: point ``i`` is ``(specs[i],)``.
-    """
-    if not specs:
-        return ResultColumns(), lambda recorder, i, **kw: None
-    return evaluate_points_columns(ctx, [(spec,) for spec in specs], directory)
-
-
-def evaluate_batch(
-    ctx: EvalContext,
-    specs: Sequence[StreamSpec],
-    directory: DirectoryState,
-    *,
-    recorder: "Recorder | None" = None,
-) -> "list[BandwidthResult]":
-    """:func:`evaluate_batch_columns` materialized to per-point results.
-
-    Compatibility wrapper for callers that want objects; batch-native
-    consumers should take the columns directly.
-    """
-    if not specs:
-        return []
-    columns, emit = evaluate_batch_columns(ctx, specs, directory)
-    if recorder is not None and recorder.enabled:
-        for i in range(len(columns)):
-            emit(recorder, i)
-    return columns.views()
-
-
-def evaluate_batch_deferred(
-    ctx: EvalContext,
-    specs: Sequence[StreamSpec],
-    directory: DirectoryState,
-) -> "tuple[list[BandwidthResult], Callable[..., None]]":
-    """:func:`evaluate_batch` with emission left to the caller.
-
-    Compatibility wrapper over :func:`evaluate_batch_columns` returning
-    materialized views plus the same ``emit(recorder, i)`` callable.
-    """
-    if not specs:
-        return [], lambda recorder, i, **kw: None
-    columns, emit = evaluate_batch_columns(ctx, specs, directory)
-    return columns.views(), emit
 
 
 class _FlatSolos:
@@ -1297,19 +1239,3 @@ def evaluate_grid_columns(
             )
     return out
 
-
-def evaluate_grid(
-    context: EvalContext,
-    points: Sequence[tuple[StreamSpec, ...] | list[StreamSpec]],
-    directory: DirectoryState | None = None,
-    *,
-    recorder: "Recorder | None" = None,
-) -> "list[BandwidthResult]":
-    """:func:`evaluate_grid_columns` materialized to per-point results.
-
-    Compatibility wrapper; batch-native consumers should take the
-    columns directly and materialize views only where needed.
-    """
-    return evaluate_grid_columns(
-        context, points, directory, recorder=recorder
-    ).views()

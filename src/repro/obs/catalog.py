@@ -111,7 +111,7 @@ CATALOG: tuple[CounterSpec, ...] = (
     CounterSpec("sweep.cache.misses_count", "count", "evaluations actually computed"),
     CounterSpec("sweep.cache.disk_hits_count", "count", "cache hits served from disk"),
     CounterSpec("sweep.points_count", "count", "sweep points evaluated"),
-    CounterSpec("sweep.point.wall_seconds", "seconds", "wall time per sweep point"),
+    CounterSpec("sweep.batch.wall_seconds", "seconds", "wall time per evaluated sweep batch or cluster work item"),
     CounterSpec("sweep.vector.fallback_count", "count", "grid points that fell back to the scalar evaluator"),
     CounterSpec("sweep.vector.fallback.empty_count", "count", "fallbacks because the point had no streams"),
     CounterSpec("sweep.vector.fallback.socket_count", "count", "fallbacks because a stream named an unknown or core-less socket"),

@@ -210,8 +210,8 @@ class CountersRecorder:
 
         Exact for everything a snapshot carries: counters and event/span
         tallies add; histograms merge their count/total/min/max monoids
-        (:meth:`HistogramSummary.merge`). The process-pool sweep backend
-        uses this to account worker-side emissions in the parent — the
+        (:meth:`HistogramSummary.merge`). The cluster sweep backend uses
+        this to account worker-side emissions in the coordinator — the
         merged state equals what a single shared recorder would have
         accumulated, up to float addition order across workers.
         """
@@ -262,7 +262,7 @@ class TraceRecorder:
         self._next_span = 0
         self._depth = 0
         #: Histogram observations carry wall-time samples (e.g.
-        #: ``sweep.point.wall_seconds``); dropping them by default keeps
+        #: ``sweep.batch.wall_seconds``); dropping them by default keeps
         #: the trace of a deterministic run deterministic.
         self.record_observations = record_observations
 

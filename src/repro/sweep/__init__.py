@@ -1,4 +1,4 @@
-"""Sweep service: memoized, parallel evaluation of the pure memsim core.
+"""Sweep service: memoized, batched evaluation of the pure memsim core.
 
 Layering (see DESIGN.md §4):
 
@@ -6,10 +6,12 @@ Layering (see DESIGN.md §4):
   ``evaluate(MachineConfig, streams, DirectoryState)``;
 * :class:`EvaluationService` wraps it in a content-keyed memo cache and
   an optional on-disk cache (:class:`~repro.sweep.cache.DiskCache`);
-* :class:`SweepRunner` fans whole grids out over a thread or process
-  pool (:mod:`repro.sweep.procpool`) — or a worker cluster with a
-  shared cache tier and work-stealing (:mod:`repro.sweep.cluster`) —
-  with bit-identical, order-independent results keyed by point label.
+* :class:`SweepRunner` evaluates whole grids into one column batch,
+  either in-process through the service's batched kernel path
+  (``backend="vector"``, the default) or across a worker cluster with a
+  shared cache tier and work-stealing (``backend="cluster"``,
+  :mod:`repro.sweep.cluster`) — bit-identical either way, rows in grid
+  order.
 
 Everything above this package — experiments, the SSB cost model, the
 core advisor/optimizer — evaluates bandwidth through here.

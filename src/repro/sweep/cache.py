@@ -17,8 +17,7 @@ write instead of hundreds of entry writes — the access-granularity
 lesson of the source paper applied to the cache's own I/O. Both caches
 store *references* into shared column batches wherever a batch exists;
 per-point :class:`BandwidthResult` objects are materialized lazily as
-views on delivery. Legacy v1 per-point entries are never read (a miss)
-and are retired as their digests are rewritten into blocks.
+views on delivery. Legacy v1 per-point entries are never read (a miss).
 """
 
 from __future__ import annotations
@@ -41,8 +40,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 from repro.errors import ConfigurationError, SchemaError
 from repro.memsim.address import DaxMode
 from repro.memsim.config import DirectoryState, MachineConfig
-from repro.memsim.counters import PerfCounters
-from repro.memsim.evaluation import BandwidthResult, StreamResult
+from repro.memsim.evaluation import BandwidthResult
 from repro.memsim.kernels import COUNTER_COLUMNS, ResultColumns
 from repro.memsim.scheduler import PinningPolicy
 from repro.memsim.spec import Layout, Op, Pattern, StreamSpec
@@ -189,33 +187,6 @@ def _spec_from_payload(payload: dict[str, object]) -> StreamSpec:
     )
 
 
-def result_from_payload(payload: dict[str, object]) -> BandwidthResult:
-    """Inverse of :func:`result_to_payload`."""
-    streams = tuple(
-        StreamResult(
-            spec=_spec_from_payload(entry["spec"]),
-            gbps=entry["gbps"],
-            solo_gbps=entry["solo_gbps"],
-            notes=tuple(entry["notes"]),
-        )
-        for entry in payload["streams"]  # type: ignore[union-attr]
-    )
-    counters_payload = dict(payload["counters"])  # type: ignore[arg-type]
-    counters_payload["notes"] = list(counters_payload.get("notes", []))
-    directory_after = payload.get("directory_after")
-    return BandwidthResult(
-        streams=streams,
-        counters=PerfCounters(**counters_payload),
-        directory_after=(
-            None
-            if directory_after is None
-            else DirectoryState(frozenset(
-                (pair[0], pair[1]) for pair in directory_after  # type: ignore[union-attr]
-            ))
-        ),
-    )
-
-
 #: Disk schema identifier; bumping it orphans every existing entry.
 CACHE_SCHEMA = "repro.sweep.cache/2"
 
@@ -324,7 +295,7 @@ class DiskCache:
     which is what makes ``repro run --cache-dir`` useful across
     invocations. Corrupt, truncated, or legacy (v1 per-point, stored at
     ``<root>/<digest[:2]>/<digest>.json`` — never read) entries are
-    treated as misses; recomputing rewrites them as column blocks.
+    treated as misses; recomputing writes the result as a column block.
 
     Loaded blocks are kept in memory so a sweep resolving hundreds of
     digests against one block parses it once.
@@ -350,19 +321,16 @@ class DiskCache:
     def _index_path(self, digest: str) -> Path:
         return self.root / "index" / f"{digest[:2]}.json"
 
-    def _legacy_path(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest}.json"
-
     @contextlib.contextmanager
     def _shard_lock(self, prefix: str) -> Iterator[None]:
         """Exclusive advisory lock for one index shard's read-merge-write.
 
-        Shards are shared files: without the lock, two pool workers
-        merging the same shard concurrently would each read the old
-        shard and the last writer would silently drop the other's new
-        entries (a lost update, surfacing as warm-run cache misses).
-        ``flock`` is per-open-file, so threads and processes both
-        serialize here; on platforms without ``fcntl`` the merge runs
+        Shards are shared files: without the lock, two writers (processes
+        sharing one cache directory, or threads) merging the same shard
+        concurrently would each read the old shard and the last writer
+        would silently drop the other's new entries (a lost update,
+        surfacing as warm-run cache misses). ``flock`` is per-open-file,
+        so threads and processes both serialize here; on platforms without ``fcntl`` the merge runs
         unlocked, degrading to the racy-but-atomic behavior.
         """
         if fcntl is None:  # pragma: no cover - non-POSIX fallback
@@ -427,19 +395,6 @@ class DiskCache:
             return None
         return columns, row
 
-    def get(self, digest: str) -> BandwidthResult | None:
-        """Materialized view of the cached result, or ``None``.
-
-        The returned object is a shared lazy view; callers that mutate
-        results (the evaluation service annotates counters) must copy
-        first — :meth:`EvaluationService._deliver` always does.
-        """
-        ref = self.get_ref(digest)
-        if ref is None:
-            return None
-        columns, row = ref
-        return columns.view(row)
-
     def put(self, digest: str, result: BandwidthResult) -> None:
         """Store one result (a single-row block)."""
         self.put_columns([digest], ResultColumns.from_results([result]))
@@ -494,13 +449,3 @@ class DiskCache:
                     encoding="utf-8",
                 )
                 tmp.replace(path)
-        for digest in digests:
-            # Retire any v1 per-point entry this digest used to live in
-            # (missing_ok: a racing process may have removed it already).
-            legacy = self._legacy_path(digest)
-            try:
-                legacy.unlink(missing_ok=True)
-            except OSError as exc:  # pragma: no cover - permissions only
-                raise ConfigurationError(
-                    f"could not retire legacy cache entry {legacy}: {exc}"
-                ) from exc

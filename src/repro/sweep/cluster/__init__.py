@@ -3,7 +3,7 @@
 ``backend="cluster"`` on :class:`~repro.sweep.SweepRunner` fans a grid
 out across worker processes — spawned locally around the coordinator, or
 standing ``repro worker`` peers reached over TCP — while staying
-bit-identical to serial. The package splits along the wire:
+bit-identical to the in-process ``vector`` backend. The package splits along the wire:
 
 * :mod:`~repro.sweep.cluster.protocol` — newline-JSON frames (reusing
   the :mod:`repro.serve` framing) with pickled column-block blobs.
@@ -18,7 +18,7 @@ bit-identical to serial. The package splits along the wire:
   process-wide default the CLI installs.
 """
 
-from repro.sweep.cluster.backend import run_grid, run_grid_columns
+from repro.sweep.cluster.backend import run_grid_columns
 from repro.sweep.cluster.config import (
     ClusterOptions,
     default_cluster_options,
@@ -36,7 +36,6 @@ __all__ = [
     "connect_worker",
     "default_cluster_options",
     "parse_endpoint",
-    "run_grid",
     "run_grid_columns",
     "serve_worker",
     "set_default_cluster_options",

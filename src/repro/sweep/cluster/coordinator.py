@@ -6,7 +6,7 @@ given point — and any duplicate of it — deterministically lands in the
 same chunk regardless of worker count), ships one chunk at a time to
 each joined worker, and assembles the returned column rows **by global
 index in grid order**, which is what makes ``backend="cluster"``
-bit-identical to serial no matter how chunks interleave, steal, or
+bit-identical to in-process evaluation no matter how chunks interleave, steal, or
 requeue.
 
 Straggler and fault handling:
@@ -31,8 +31,7 @@ every other worker (``cache_get``), with the same digests the local
 tiers key by — which is why hit/miss accounting carries over unchanged
 (see DESIGN.md §7).
 
-Counters and cache statistics fold into the parent exactly as the
-process pool's do: per-item snapshots are buffered and merged **in grid
+Counters and cache statistics fold into the parent: per-item snapshots are buffered and merged **in grid
 order** at the end (:func:`repro.obs.merge_snapshot`), stats deltas sum
 as they arrive, and the coordinator emits the ``cluster.*`` counters for
 its own mechanics.
@@ -180,7 +179,7 @@ class Coordinator:
 
         The shard of a point is a pure function of its request digest,
         so duplicate-content points co-locate on one worker and the
-        memo there serves them exactly as serial's would.
+        memo there serves them exactly as an in-process memo would.
         """
         n_chunks = max(1, min(len(self._points), workers * CHUNKS_PER_WORKER))
         shards: list[list[int]] = [[] for _ in range(n_chunks)]
@@ -251,7 +250,7 @@ class Coordinator:
         if self._fatal is not None:
             raise self._fatal  # simlint: ignore[foreign-raise] -- _fatal is only ever a SweepError
         # Counters merge in grid order — deterministic for a given
-        # partitioning, exactly like procpool's submission-order merge.
+        # partitioning.
         if self._observing:
             for _, snapshot in sorted(self._snapshots, key=lambda item: item[0]):
                 merge_snapshot(self._recorder, snapshot)

@@ -6,9 +6,9 @@ so the coordinator and a ``repro worker`` peer speak the same framing as
 the bandwidth server. The payloads that are *not* naturally JSON (the
 :class:`~repro.memsim.config.MachineConfig`, ``SweepPoint`` tuples, and
 whole :class:`~repro.memsim.kernels.ResultColumns` blocks) travel as
-pickled, base64-encoded blobs inside a frame field: every one of those
-types is already on the SIM202 pickle boundary (they cross the
-process-pool boundary today), and pickling a column block is the
+pickled, base64-encoded blobs inside a frame field
+(:func:`encode_blob`/:func:`decode_blob`, the pickle boundary simlint
+rule SIM202 guards), and pickling a column block is the
 structure-of-arrays move — one blob per chunk, never an object per
 point.
 

@@ -4,9 +4,9 @@ One :class:`ClusterWorker` serves one coordinator session over one
 connection. The session is fully coordinator-driven: the worker joins,
 receives a ``hello`` pinning the machine config and directory state,
 then evaluates ``chunk`` frames through its own memoizing
-:class:`~repro.sweep.service.EvaluationService` — the same per-worker
-service arrangement the process-pool backend uses, so all the
-determinism and accounting arguments carry over unchanged.
+:class:`~repro.sweep.service.EvaluationService`, so all the
+determinism and accounting arguments of the in-process service carry
+over unchanged.
 
 Three design points keep the worker responsive and the results exact:
 
@@ -29,7 +29,8 @@ Three design points keep the worker responsive and the results exact:
 * **Per-item accounting.** Each item gets a fresh
   :class:`~repro.obs.CountersRecorder` and a cache-stats delta, shipped
   with the item's ``result`` frame; the coordinator merges snapshots in
-  grid order, exactly as the process pool merges per-chunk snapshots.
+  grid order. The item's wall time is one ``sweep.batch.wall_seconds``
+  observation.
 
 Fault injection (``item_delay_seconds``, ``crash_after_items``,
 ``heartbeat``) exists for the deterministic fault tests: the delay parks
@@ -300,7 +301,7 @@ class ClusterWorker:
                 error_blob = protocol.encode_blob(exc.original)
             except Exception:
                 # Unpicklable originals degrade to a text-only SweepError,
-                # mirroring how pickling drops procpool __cause__ chains.
+                # mirroring how pickling drops __cause__ chains.
                 error_blob = protocol.encode_blob(SweepError(str(exc.original)))
             await protocol.send_frame(
                 self._writer,
@@ -328,9 +329,7 @@ class ClusterWorker:
             )
         if rec is not None:
             rec.incr("sweep.points_count", len(item.points))
-            mean = wall / len(item.points)
-            for _ in item.points:
-                rec.observe("sweep.point.wall_seconds", mean)
+            rec.observe("sweep.batch.wall_seconds", wall)
         delta = (stats.hits - hits0, stats.misses - misses0, stats.disk_hits - disk0)
         await protocol.send_frame(
             self._writer,

@@ -1,68 +1,55 @@
-"""Parallel sweep execution with deterministic assembly.
+"""Sweep execution with deterministic assembly.
 
 A :class:`SweepRunner` evaluates every point of a
 :class:`~repro.workloads.grids.SweepGrid` through an
-:class:`~repro.sweep.EvaluationService`, optionally fanning out across a
-worker pool. Results are keyed and assembled by point *label* in grid
-order, and every point is evaluated against the same immutable inputs —
-so any ``jobs``/``backend`` combination is bit-identical to serial
-regardless of completion order.
+:class:`~repro.sweep.EvaluationService` into one
+:class:`~repro.memsim.kernels.ResultColumns` batch, rows in grid order.
+Every point is evaluated against the same immutable inputs, so both
+backends are bit-identical to a per-point :func:`repro.memsim.evaluate`
+loop regardless of completion order.
 
-Five backends:
+Two backends:
 
-* ``"serial"`` — evaluate inline, ignoring ``jobs``; the reference
-  behaviour the others are tested against.
-* ``"thread"`` (default) — a thread pool. The GIL serialises the pure
-  Python arithmetic, but hits on the *shared* memo cache overlap, which
-  is the common case for re-priced grids.
-* ``"process"`` — a :mod:`repro.sweep.procpool` process pool for real
-  multicore scaling on cold grids. Each worker owns its own memoizing
-  service (optionally sharing the parent's disk-cache directory), and
-  worker counters/cache statistics are merged back into the parent.
-* ``"vector"`` — route the whole grid through
-  :meth:`~repro.sweep.service.EvaluationService.evaluate_grid`, which
-  computes cache-missing eligible points in one batched NumPy pass
-  (:mod:`repro.memsim.kernels`). With ``jobs > 1`` it composes with the
-  process pool: chunks fan out across workers and each worker runs the
-  batched kernel on its chunk. Bit-identical to serial either way.
+* ``"vector"`` (default) — route the whole grid through
+  :meth:`~repro.sweep.service.EvaluationService.evaluate_grid_columns`,
+  which computes cache-missing points in one batched NumPy pass
+  (:mod:`repro.memsim.kernels`), in this process.
 * ``"cluster"`` — a :mod:`repro.sweep.cluster` coordinator/worker
   cluster: grid points are sharded by content hash across worker
-  processes (spawned locally, or remote ``repro worker`` peers), with a
-  content-addressed shared cache tier above each worker's local tiers,
-  work-stealing for stragglers, and heartbeat-timeout requeueing for
-  dead workers. Still bit-identical to serial — rows are assembled by
+  processes (``jobs`` of them spawned locally, or remote ``repro
+  worker`` peers), with a content-addressed shared cache tier above each
+  worker's local tiers, work-stealing for stragglers, and
+  heartbeat-timeout requeueing for dead workers. Rows are assembled by
   global grid index.
 
-An unknown ``backend`` name raises
-:class:`~repro.errors.BackendError` naming the valid set. A point that
-raises — serial or parallel — is re-raised as
-:class:`~repro.errors.SweepError` naming the grid and the point label,
-with the original exception chained; ``pool.map`` alone would surface
-only the worker's traceback, leaving the poisoned point anonymous.
+``jobs`` is the cluster's local worker count only; the vector backend
+runs on one core, so ``jobs > 1`` without ``backend="cluster"`` raises
+:class:`~repro.errors.ConfigurationError`. An unknown ``backend`` name
+raises :class:`~repro.errors.BackendError` naming the valid set. A
+failing point raises :class:`~repro.errors.GridPointError` naming the
+grid and the point label, with the original exception chained.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
-from repro.errors import BackendError, ConfigurationError, SweepError
+from repro.errors import BackendError, ConfigurationError
 from repro.memsim.config import DirectoryState, MachineConfig, paper_config
-from repro.memsim.evaluation import BandwidthResult
 from repro.obs import Recorder, default_recorder
 from repro.sweep.service import EvaluationService, default_service
-from repro.workloads.grids import SweepGrid, SweepPoint
+from repro.workloads.grids import SweepGrid
 
 if TYPE_CHECKING:
     from repro.memsim.kernels import ResultColumns
 
 #: Recognised ``SweepRunner`` backends, in documentation order.
-BACKENDS = ("serial", "thread", "process", "vector", "cluster")
+BACKENDS = ("vector", "cluster")
 
 
 class SweepRunner:
-    """Evaluates sweep grids, point-parallel, through a shared service.
+    """Evaluates sweep grids into column batches through a shared service.
 
     Parameters
     ----------
@@ -70,15 +57,16 @@ class SweepRunner:
         Evaluation service to route points through; defaults to the
         process-wide shared service.
     jobs:
-        Workers for the fan-out; ``1`` (default) evaluates inline.
+        Local cluster workers to spawn; ``1`` (default) leaves the count
+        to the cluster options. Only ``backend="cluster"`` accepts
+        ``jobs > 1``.
     backend:
-        One of :data:`BACKENDS` (``"thread"`` is the default) — see the
-        module docstring for the trade-offs. Every backend produces
-        bit-identical results; anything else raises
-        :class:`~repro.errors.BackendError`.
+        One of :data:`BACKENDS` (``"vector"`` is the default) — see the
+        module docstring. Both produce bit-identical results; anything
+        else raises :class:`~repro.errors.BackendError`.
     recorder:
-        Observability sink for per-point counters and wall time;
-        defaults to the process-wide :func:`repro.obs.default_recorder`.
+        Observability sink for counters and batch wall time; defaults to
+        the process-wide :func:`repro.obs.default_recorder`.
     """
 
     def __init__(
@@ -86,13 +74,18 @@ class SweepRunner:
         service: EvaluationService | None = None,
         *,
         jobs: int = 1,
-        backend: str = "thread",
+        backend: str = "vector",
         recorder: Recorder | None = None,
     ) -> None:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         if backend not in BACKENDS:
             raise BackendError(backend, BACKENDS)
+        if jobs > 1 and backend != "cluster":
+            raise ConfigurationError(
+                f'jobs={jobs} needs backend="cluster"; the "{backend}" '
+                "backend evaluates in-process on one core"
+            )
         self._service = service
         self._recorder = recorder
         self.jobs = jobs
@@ -101,106 +94,6 @@ class SweepRunner:
     @property
     def service(self) -> EvaluationService:
         return self._service if self._service is not None else default_service()
-
-    def run(
-        self,
-        grid: SweepGrid,
-        *,
-        config: MachineConfig | None = None,
-        directory: DirectoryState | None = None,
-    ) -> dict[str, BandwidthResult]:
-        """Evaluate every point; returns ``{label: BandwidthResult}``.
-
-        Every point sees the same ``directory`` (default cold) — a sweep
-        is a set of independent what-if evaluations, not a sequence, so
-        no point's warm-up leaks into another. The result dict is in grid
-        order independent of ``jobs``.
-        """
-        cfg = config if config is not None else paper_config()
-        state = directory if directory is not None else DirectoryState.cold()
-        points = list(grid)
-        rec = self._recorder if self._recorder is not None else default_recorder()
-        observing = rec.enabled
-
-        if self.backend == "cluster":
-            # Imported lazily, like the process pool: only cluster runs
-            # pay for the asyncio/multiprocessing machinery.
-            from repro.sweep import cluster
-
-            return cluster.run_grid(
-                grid,
-                points,
-                config=cfg,
-                directory=state,
-                jobs=self.jobs,
-                service=self.service,
-                recorder=rec,
-            )
-
-        if self.backend == "vector":
-            # Columnar end-to-end; the object dict is materialized (as
-            # lazy views) only here at the API boundary. Batch-native
-            # callers should use :meth:`run_columns` instead.
-            if self.jobs > 1 and len(points) > 1:
-                from repro.sweep import procpool
-
-                labels, columns = procpool.run_grid_columns(
-                    grid,
-                    points,
-                    config=cfg,
-                    directory=state,
-                    jobs=self.jobs,
-                    service=self.service,
-                    recorder=rec,
-                )
-            else:
-                labels, columns = self._vector_columns(grid, points, cfg, state, rec)
-            return dict(zip(labels, columns.views()))
-
-        if self.backend == "process" and self.jobs > 1 and len(points) > 1:
-            # Imported lazily: most sweeps never pay for the
-            # concurrent.futures process machinery.
-            from repro.sweep import procpool
-
-            return procpool.run_grid(
-                grid,
-                points,
-                config=cfg,
-                directory=state,
-                jobs=self.jobs,
-                service=self.service,
-                recorder=rec,
-            )
-
-        def evaluate_point(point: SweepPoint) -> BandwidthResult:
-            started = time.perf_counter() if observing else 0.0
-            try:
-                result = self.service.evaluate(
-                    cfg, point.streams, state, recorder=rec
-                )
-            except SweepError:
-                raise
-            except Exception as exc:
-                raise SweepError(
-                    f"sweep {grid.name!r} point {point.label!r} failed: {exc}"
-                ) from exc
-            if observing:
-                # Wall time is inherently nondeterministic, hence a
-                # histogram observation: CountersRecorder keeps only a
-                # summary and TraceRecorder drops observations unless
-                # asked to record them.
-                rec.incr("sweep.points_count")
-                rec.observe(
-                    "sweep.point.wall_seconds", time.perf_counter() - started
-                )
-            return result
-
-        if self.backend == "serial" or self.jobs == 1 or len(points) <= 1:
-            results = [evaluate_point(point) for point in points]
-        else:
-            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                results = list(pool.map(evaluate_point, points))
-        return {point.label: result for point, result in zip(points, results)}
 
     def run_columns(
         self,
@@ -211,13 +104,11 @@ class SweepRunner:
     ) -> "tuple[list[str], ResultColumns]":
         """Evaluate every point into one column batch, in grid order.
 
-        The batch-native counterpart of :meth:`run`: with the
-        ``"vector"`` backend no per-point result object is materialized
-        anywhere — the kernel's columns flow through the service (and,
-        with ``jobs > 1``, across the process-pool boundary as column
-        blocks) straight to the caller. The other backends evaluate
-        point-at-a-time as always and columnarize at the end, so every
-        backend returns equal batches (bit-identical floats).
+        Returns ``(labels, columns)``. Every point sees the same
+        ``directory`` (default cold) — a sweep is a set of independent
+        what-if evaluations, not a sequence, so no point's warm-up leaks
+        into another. No per-point result object is materialized; call
+        ``columns.views()`` for objects.
 
         A failing point raises
         :class:`~repro.errors.GridPointError` naming the grid and point
@@ -230,6 +121,8 @@ class SweepRunner:
         rec = self._recorder if self._recorder is not None else default_recorder()
 
         if self.backend == "cluster":
+            # Imported lazily: only cluster runs pay for the
+            # asyncio/multiprocessing machinery.
             from repro.sweep import cluster
 
             return cluster.run_grid_columns(
@@ -242,46 +135,13 @@ class SweepRunner:
                 recorder=rec,
             )
 
-        if self.backend == "vector":
-            if self.jobs > 1 and len(points) > 1:
-                from repro.sweep import procpool
-
-                return procpool.run_grid_columns(
-                    grid,
-                    points,
-                    config=cfg,
-                    directory=state,
-                    jobs=self.jobs,
-                    service=self.service,
-                    recorder=rec,
-                )
-            return self._vector_columns(grid, points, cfg, state, rec)
-
-        from repro.memsim.kernels import ResultColumns
-
-        results = self.run(grid, config=config, directory=directory)
-        return list(results), ResultColumns.from_results(results.values())
-
-    def _vector_columns(
-        self,
-        grid: SweepGrid,
-        points: list[SweepPoint],
-        config: MachineConfig,
-        state: DirectoryState,
-        rec: Recorder,
-    ) -> "tuple[list[str], ResultColumns]":
-        """Route the whole grid through the service's batched evaluator.
-
-        :class:`~repro.errors.GridPointError` propagates as raised by the
-        service — it is a :class:`SweepError` whose message already names
-        the grid and point label (the service is passed both), and it
-        carries the partial batch.
-        """
         labels = [point.label for point in points]
         observing = rec.enabled
         started = time.perf_counter() if observing else 0.0
+        # GridPointError propagates as raised: the service is passed the
+        # labels and grid name, so its message already names the point.
         columns = self.service.evaluate_grid_columns(
-            config,
+            cfg,
             [point.streams for point in points],
             state,
             recorder=rec,
@@ -289,13 +149,11 @@ class SweepRunner:
             grid_name=grid.name,
         )
         if observing and points:
+            # Wall time is inherently nondeterministic, hence a histogram
+            # observation: CountersRecorder keeps only a summary and
+            # TraceRecorder drops observations unless asked to record them.
             rec.incr("sweep.points_count", len(points))
-            # Batched evaluation has no per-point wall time; spreading the
-            # batch mean keeps the histogram monoid (count/total) aligned
-            # with the per-point backends.
-            mean = (time.perf_counter() - started) / len(points)
-            for _ in points:
-                rec.observe("sweep.point.wall_seconds", mean)
+            rec.observe("sweep.batch.wall_seconds", time.perf_counter() - started)
         return labels, columns
 
     def totals(
@@ -307,18 +165,9 @@ class SweepRunner:
     ) -> dict[str, float]:
         """Total bandwidth per point in decimal GB/s, ``{label: GB/s}``.
 
-        On the ``"vector"`` backend this reads the totals straight off
-        the column batch — the common consumer path (experiments, the
-        SSB cost model) never materializes a result object.
+        Read straight off the column batch — the common consumer path
+        (experiments, the SSB cost model) never materializes a result
+        object.
         """
-        if self.backend == "vector":
-            labels, columns = self.run_columns(
-                grid, config=config, directory=directory
-            )
-            return dict(zip(labels, columns.total_gbps()))
-        return {
-            label: result.total_gbps
-            for label, result in self.run(
-                grid, config=config, directory=directory
-            ).items()
-        }
+        labels, columns = self.run_columns(grid, config=config, directory=directory)
+        return dict(zip(labels, columns.total_gbps()))

@@ -92,8 +92,8 @@ class EvaluationService:
     def disk_cache(self) -> DiskCache | None:
         """The backing :class:`DiskCache`, if any.
 
-        Exposed so the process-pool sweep backend can point worker-side
-        services at the same directory (the disk format is atomic-write,
+        Exposed so the cluster coordinator can back its shared cache
+        tier with the same directory (the disk format is atomic-write,
         so concurrent readers and writers are safe).
         """
         return self._disk
@@ -421,25 +421,6 @@ class EvaluationService:
             except Exception as exc:
                 raise fail(i, exc, out) from exc
         return out
-
-    def evaluate_grid(
-        self,
-        config: MachineConfig,
-        points: Sequence[tuple[StreamSpec, ...] | list[StreamSpec]],
-        directory: DirectoryState | None = None,
-        *,
-        recorder: Recorder | None = None,
-    ) -> list[BandwidthResult]:
-        """Cached, batched equivalent of calling :meth:`evaluate` per point.
-
-        Compatibility wrapper over :meth:`evaluate_grid_columns`
-        materializing one lazy view per point; batch-native consumers
-        (the sweep runner, experiments, the SSB cost model) should take
-        the columns directly.
-        """
-        return self.evaluate_grid_columns(
-            config, points, directory, recorder=recorder
-        ).views()
 
     @staticmethod
     def _deliver(

@@ -270,8 +270,8 @@ class TestPointMaterializationRule:
 
     def test_tuple_unpack_tracks_the_batch_position(self, tmp_path):
         source = (
-            "from repro.memsim.kernels import evaluate_batch_columns\n"
-            "columns, emit = evaluate_batch_columns(ctx, specs, state)\n"
+            "from repro.memsim.kernels import evaluate_points_columns\n"
+            "columns, emit = evaluate_points_columns(ctx, points, state)\n"
             "labels, out = runner.run_columns(grid)\n"
             "for v in columns.views():\n"
             "    pass\n"

@@ -34,7 +34,7 @@ from repro.memsim.config import MachineConfig
 from repro.memsim.kernels import (
     FALLBACK_REASONS,
     classify_point,
-    evaluate_grid,
+    evaluate_grid_columns,
     evaluate_points_columns,
     vector_eligible,
 )
@@ -136,7 +136,7 @@ class TestFamilyBitIdentity:
         points = family_grid(family, seed=0xC0FFEE, n=48)
         assert all(vector_eligible(context, p) for p in points)
         state = DirectoryState.cold()
-        batched = evaluate_grid(context, points, state)
+        batched = evaluate_grid_columns(context, points, state).views()
         assert len(batched) == len(points)
         for streams, got in zip(points, batched):
             assert_identical(got, evaluate(config, streams, state, context=context))
@@ -149,7 +149,7 @@ class TestFamilyBitIdentity:
         context = eval_context(config)
         warm = DirectoryState.warm(config.topology)
         points = family_grid(family, seed=1879, n=32)
-        batched = evaluate_grid(context, points, warm)
+        batched = evaluate_grid_columns(context, points, warm).views()
         for streams, got in zip(points, batched):
             assert_identical(got, evaluate(config, streams, warm, context=context))
 
@@ -166,7 +166,7 @@ class TestFamilyBitIdentity:
             for family in sorted(FAMILIES):
                 points = family_grid(family, seed=52, n=8)
                 for streams, got in zip(
-                    points, evaluate_grid(context, points, state)
+                    points, evaluate_grid_columns(context, points, state).views()
                 ):
                     assert_identical(
                         got, evaluate(config, streams, state, context=context)
@@ -184,7 +184,7 @@ class TestFamilyEmissionParity:
         points = family_grid(family, seed=31337, n=24)
         state = DirectoryState.cold()
         grid_rec, scalar_rec = CountersRecorder(), CountersRecorder()
-        evaluate_grid(context, points, state, recorder=grid_rec)
+        evaluate_grid_columns(context, points, state, recorder=grid_rec)
         for streams in points:
             evaluate(config, streams, state, recorder=scalar_rec, context=context)
         assert grid_rec.snapshot() == scalar_rec.snapshot()
@@ -264,7 +264,7 @@ class TestFallbackObservability:
         eligible = (StreamSpec(op=Op.READ, threads=4),)
         recorder = CountersRecorder()
         with pytest.raises(raises):
-            evaluate_grid(context, [eligible, point], recorder=recorder)
+            evaluate_grid_columns(context, [eligible, point], recorder=recorder)
         counters = recorder.snapshot()["counters"]
         assert counters["sweep.vector.fallback_count"] == 1
         assert counters[f"sweep.vector.fallback.{reason}_count"] == 1
@@ -281,6 +281,6 @@ class TestFallbackObservability:
         context = eval_context(paper_config())
         points = family_grid(family, seed=77, n=16)
         recorder = CountersRecorder()
-        evaluate_grid(context, points, recorder=recorder)
+        evaluate_grid_columns(context, points, recorder=recorder)
         counters = recorder.snapshot()["counters"]
         assert "sweep.vector.fallback_count" not in counters

@@ -1,7 +1,7 @@
 """Batched analytic kernels are bit-identical to per-point ``evaluate``.
 
 The vector backend's whole value proposition rests on exact equality:
-``evaluate_grid`` may share setup across points and compute in NumPy
+``evaluate_grid_columns`` may share setup across points and compute in NumPy
 arrays, but every observable of every result — bandwidth floats, stream
 notes, performance counters, the directory state — must equal the scalar
 evaluator's bit for bit, so cached entries and golden files are
@@ -27,7 +27,11 @@ from repro.memsim import (
     evaluate,
     paper_config,
 )
-from repro.memsim.kernels import evaluate_batch, evaluate_grid, vector_eligible
+from repro.memsim.kernels import (
+    evaluate_grid_columns,
+    evaluate_points_columns,
+    vector_eligible,
+)
 from repro.obs import CountersRecorder
 
 THREADS = (1, 2, 4, 8, 18, 24, 36)
@@ -92,7 +96,7 @@ class TestGridBitIdentity:
         context = eval_context(config)
         points = sample_grid(seed=20260807, n=96)
         state = DirectoryState.cold()
-        batched = evaluate_grid(context, points, state)
+        batched = evaluate_grid_columns(context, points, state).views()
         assert len(batched) == len(points)
         for streams, got in zip(points, batched):
             want = evaluate(config, streams, state, context=context)
@@ -118,7 +122,7 @@ class TestGridBitIdentity:
         context = eval_context(config)
         warm = DirectoryState.warm(config.topology)
         points = sample_grid(seed=7, n=32)
-        batched = evaluate_grid(context, points, warm)
+        batched = evaluate_grid_columns(context, points, warm).views()
         for streams, got in zip(points, batched):
             assert_identical(got, evaluate(config, streams, warm, context=context))
 
@@ -127,7 +131,7 @@ class TestGridBitIdentity:
         context = eval_context(config)
         read = (StreamSpec(op=Op.READ, threads=4),)
         write = (StreamSpec(op=Op.WRITE, threads=4),)
-        results = evaluate_grid(context, [read, write, read])
+        results = evaluate_grid_columns(context, [read, write, read]).views()
         assert results[0] == results[2]
         assert results[0].streams[0].spec.op is Op.READ
         assert results[1].streams[0].spec.op is Op.WRITE
@@ -141,14 +145,16 @@ class TestBatchKernel:
         points = sample_grid(seed=99, n=96)
         specs = [p[0] for p in points if vector_eligible(context, p)]
         assert specs
-        batched = evaluate_batch(context, specs, state)
+        columns, _ = evaluate_points_columns(context, [(s,) for s in specs], state)
+        batched = columns.views()
         for spec, got in zip(specs, batched):
             assert_identical(got, evaluate(config, (spec,), state, context=context))
 
     def test_empty_batch(self):
         context = eval_context(paper_config())
-        assert evaluate_batch(context, [], DirectoryState.cold()) == []
-        assert evaluate_grid(context, []) == []
+        columns, _ = evaluate_points_columns(context, [], DirectoryState.cold())
+        assert len(columns) == 0
+        assert len(evaluate_grid_columns(context, [])) == 0
 
 
 class TestObservabilityParity:
@@ -161,7 +167,7 @@ class TestObservabilityParity:
         points = sample_grid(seed=3, n=48)
         state = DirectoryState.cold()
         grid_rec, scalar_rec = CountersRecorder(), CountersRecorder()
-        evaluate_grid(context, points, state, recorder=grid_rec)
+        evaluate_grid_columns(context, points, state, recorder=grid_rec)
         for streams in points:
             evaluate(config, streams, state, recorder=scalar_rec, context=context)
         assert grid_rec.snapshot() == scalar_rec.snapshot()

@@ -156,8 +156,8 @@ def test_stale_index_row_is_a_miss(tmp_path):
     assert service.stats.disk_hits == 0
 
 
-def test_legacy_v1_entry_is_a_miss_and_gets_migrated(tmp_path):
-    """v1 per-point entries are never read; recompute rewrites as a block."""
+def test_legacy_v1_entry_is_a_miss(tmp_path):
+    """v1 per-point entries are never read; recompute writes a block."""
     streams = (SPEC,)
     state = DirectoryState.cold()
     normalized = state.restrict(observable_pairs(streams))
@@ -171,8 +171,7 @@ def test_legacy_v1_entry_is_a_miss_and_gets_migrated(tmp_path):
     assert service.stats.misses == 1
     assert service.stats.disk_hits == 0
     assert recomputed.total_gbps == fresh.total_gbps
-    # The legacy entry is retired and replaced by a column block ...
-    assert not legacy.exists()
+    # The recompute lands in a column block ...
     sole_block(tmp_path)
     # ... which the next process hits.
     follower, _ = evaluate_through(tmp_path)

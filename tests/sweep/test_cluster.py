@@ -14,6 +14,7 @@ from repro.errors import (
 )
 from repro.memsim import Op, StreamSpec
 from repro.memsim.config import DirectoryState, paper_config
+from repro.memsim.kernels import ResultColumns
 from repro.obs import NULL_RECORDER, CountersRecorder
 from repro.sweep import BACKENDS, DiskCache, EvaluationService, SweepRunner
 from repro.sweep.cluster import ClusterOptions, parse_endpoint
@@ -36,6 +37,24 @@ def _point(label: str, *, threads: int = 4, size: int = 4096,
         issuing_socket=issuing, target_socket=target,
     )
     return SweepPoint(label=label, params={"threads": threads}, streams=(spec,))
+
+
+def _serial(grid: SweepGrid, *, service=None, recorder=None):
+    """The oracle: one ``evaluate`` call per point, keyed by label."""
+    service = service if service is not None else EvaluationService(memoize=False)
+    config = paper_config()
+    return {
+        point.label: service.evaluate(config, point.streams, recorder=recorder)
+        for point in grid
+    }
+
+
+def _cluster(grid: SweepGrid, service=None, **kwargs):
+    service = service if service is not None else EvaluationService(memoize=False)
+    labels, columns = SweepRunner(
+        service, jobs=2, backend="cluster", **kwargs
+    ).run_columns(grid)
+    return dict(zip(labels, columns.views()))
 
 
 def _assert_identical(serial, parallel) -> None:
@@ -129,13 +148,7 @@ class TestSharding:
 class TestBitIdentity:
     def test_cluster_bit_identical_to_serial_cold(self):
         grid = fig3_grid()
-        serial = SweepRunner(
-            EvaluationService(memoize=False), backend="serial"
-        ).run(grid)
-        cluster = SweepRunner(
-            EvaluationService(memoize=False), jobs=2, backend="cluster"
-        ).run(grid)
-        _assert_identical(serial, cluster)
+        _assert_identical(_serial(grid), _cluster(grid))
 
     @given(
         threads=st.lists(
@@ -149,26 +162,20 @@ class TestBitIdentity:
             _point(f"{t}T", threads=t, size=size, target=t % 2) for t in threads
         )
         grid = SweepGrid(name="prop", points=points)
-        serial = SweepRunner(
-            EvaluationService(memoize=False), backend="serial"
-        ).run(grid)
-        cluster = SweepRunner(
-            EvaluationService(memoize=False), jobs=2, backend="cluster"
-        ).run(grid)
-        _assert_identical(serial, cluster)
+        _assert_identical(_serial(grid), _cluster(grid))
 
     def test_cluster_columns_equal_serial_columns(self):
         grid = fig3_grid()
-        s_labels, s_columns = SweepRunner(
-            EvaluationService(memoize=False), backend="serial"
-        ).run_columns(grid)
+        serial = _serial(grid)
+        s_columns = ResultColumns.from_results(serial.values())
         c_labels, c_columns = SweepRunner(
             EvaluationService(memoize=False), jobs=2, backend="cluster"
         ).run_columns(grid)
-        assert s_labels == c_labels
-        assert s_columns.total_gbps() == c_columns.total_gbps()
-        for row in range(len(s_labels)):
-            assert s_columns.view(row).counters == c_columns.view(row).counters
+        assert list(serial) == c_labels
+        assert c_columns == s_columns
+        assert [v.hex() for v in s_columns.total_gbps()] == [
+            v.hex() for v in c_columns.total_gbps()
+        ]
 
 
 class TestAccounting:
@@ -177,16 +184,16 @@ class TestAccounting:
         ser_rec, clu_rec = CountersRecorder(), CountersRecorder()
         ser_svc = EvaluationService(memoize=False)
         clu_svc = EvaluationService(memoize=False)
-        SweepRunner(ser_svc, backend="serial", recorder=ser_rec).run(grid)
-        SweepRunner(clu_svc, jobs=2, backend="cluster", recorder=clu_rec).run(grid)
+        _serial(grid, service=ser_svc, recorder=ser_rec)
+        _cluster(grid, clu_svc, recorder=clu_rec)
         assert (ser_svc.stats.hits, ser_svc.stats.misses, ser_svc.stats.disk_hits) \
             == (clu_svc.stats.hits, clu_svc.stats.misses, clu_svc.stats.disk_hits)
         serial = ser_rec.snapshot()["counters"]
         cluster = clu_rec.snapshot()["counters"]
         # The sweep-layer tallies are integers and must match exactly;
         # cluster.* keys are extra (the cluster's own mechanics).
-        for key in ("sweep.points_count", "sweep.cache.misses_count"):
-            assert cluster[key] == serial[key]
+        assert cluster["sweep.points_count"] == len(grid)
+        assert cluster["sweep.cache.misses_count"] == serial["sweep.cache.misses_count"]
         assert cluster["cluster.workers_count"] == 2
         assert cluster["cluster.chunks.shipped_count"] >= 2
         # Every serial counter exists in the cluster snapshot too (the
@@ -195,16 +202,11 @@ class TestAccounting:
 
     def test_shared_disk_cache_warm_run_hits_everywhere(self, tmp_path):
         grid = fig3_grid()
-        serial = SweepRunner(
-            EvaluationService(memoize=False), backend="serial"
-        ).run(grid)
-        cold_svc = EvaluationService(disk_cache=DiskCache(tmp_path))
-        cold = SweepRunner(cold_svc, jobs=2, backend="cluster").run(grid)
+        serial = _serial(grid)
+        cold = _cluster(grid, EvaluationService(disk_cache=DiskCache(tmp_path)))
         warm_rec = CountersRecorder()
         warm_svc = EvaluationService(disk_cache=DiskCache(tmp_path))
-        warm = SweepRunner(
-            warm_svc, jobs=2, backend="cluster", recorder=warm_rec
-        ).run(grid)
+        warm = _cluster(grid, warm_svc, recorder=warm_rec)
         _assert_identical(serial, cold)
         _assert_identical(serial, warm)
         n = len(serial)
@@ -240,9 +242,9 @@ class TestErrorPropagation:
         # are bit-identical to serial's.
         assert len(exc.partial) <= exc.index
         if len(exc.partial):
-            serial = SweepRunner(
-                EvaluationService(memoize=False), backend="serial"
-            ).run(SweepGrid(name="prefix", points=points[: len(exc.partial)]))
+            serial = _serial(
+                SweepGrid(name="prefix", points=points[: len(exc.partial)])
+            )
             for row, label in enumerate(list(serial)):
                 assert exc.partial.view(row).counters == serial[label].counters
 
@@ -259,6 +261,16 @@ class TestBackendValidation:
         for name in BACKENDS:
             assert repr(name) in str(exc)
         assert "cluster" in str(exc)
+
+    @pytest.mark.parametrize("retired", ["serial", "thread", "process"])
+    def test_retired_backends_raise_backend_error(self, retired):
+        assert BACKENDS == ("vector", "cluster")
+        with pytest.raises(BackendError) as excinfo:
+            SweepRunner(EvaluationService(), backend=retired)
+        assert excinfo.value.backend == retired
+
+    def test_default_backend_is_vector(self):
+        assert SweepRunner().backend == "vector"
 
 
 class TestOptions:

@@ -15,7 +15,7 @@ import pytest
 from repro.memsim import Op, StreamSpec
 from repro.memsim.config import DirectoryState, paper_config
 from repro.obs import NULL_RECORDER, CountersRecorder
-from repro.sweep import DiskCache, EvaluationService, SweepRunner
+from repro.sweep import DiskCache, EvaluationService
 from repro.sweep.cluster import ClusterOptions, protocol
 from repro.sweep.cluster.coordinator import Coordinator
 from repro.sweep.cluster.worker import ClusterWorker
@@ -45,7 +45,12 @@ def _grid(n: int = 12) -> SweepGrid:
 
 
 def _serial(grid: SweepGrid):
-    return SweepRunner(EvaluationService(memoize=False), backend="serial").run(grid)
+    """The oracle: one ``evaluate`` call per point, keyed by label."""
+    service = EvaluationService(memoize=False)
+    return {
+        point.label: service.evaluate(paper_config(), point.streams)
+        for point in grid
+    }
 
 
 async def _run_scenario(

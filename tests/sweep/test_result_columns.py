@@ -3,13 +3,13 @@
 The SoA refactor's contract, pinned here with seeded random grids:
 
 * lazy views materialized off a column batch are **bit-identical** to
-  scalar :meth:`EvaluationService.evaluate` results, on every backend
-  (serial / thread / process / vector, with and without a process pool);
+  scalar :meth:`EvaluationService.evaluate` results, on both backends
+  (in-process vector and cluster);
 * recorder snapshots of a columnar run match the per-point path;
 * batches round-trip the v2 disk-cache payload and the pickle boundary
   float-for-float (the view cache never travels);
 * :class:`~repro.errors.GridPointError` names the failing point and
-  carries the partial batch, inline and across the process pool.
+  carries the partial batch, inline and across the cluster.
 """
 
 import json
@@ -21,7 +21,6 @@ import pytest
 from repro.errors import GridPointError
 from repro.memsim import DirectoryState, Op, StreamSpec, paper_config
 from repro.memsim.kernels import COUNTER_COLUMNS, ResultColumns
-from repro.memsim.kernels.columns import assemble
 from repro.obs import CountersRecorder
 from repro.sweep import DiskCache, EvaluationService, SweepRunner
 from repro.sweep.cache import (
@@ -33,11 +32,8 @@ from repro.sweep.cache import (
 from repro.workloads.grids import SweepGrid, SweepPoint
 
 BACKENDS = [
-    pytest.param("serial", 1, id="serial"),
-    pytest.param("thread", 2, id="thread"),
-    pytest.param("process", 2, id="process"),
     pytest.param("vector", 1, id="vector"),
-    pytest.param("vector", 2, id="vector-procpool"),
+    pytest.param("cluster", 2, id="cluster"),
 ]
 
 
@@ -58,6 +54,15 @@ def random_grid(seed: int, n: int = 12) -> SweepGrid:
             SweepPoint(label=f"p{i}-{op.value}", params={"i": i}, streams=(spec,))
         )
     return SweepGrid(name=f"random-{seed}", points=tuple(points))
+
+
+def serial_columns(grid, recorder=None) -> ResultColumns:
+    """The oracle: one uncached ``evaluate`` call per point, columnized."""
+    oracle = EvaluationService(memoize=False)
+    config = paper_config()
+    return ResultColumns.from_results(
+        oracle.evaluate(config, point.streams, recorder=recorder) for point in grid
+    )
 
 
 def results_identical(a, b) -> bool:
@@ -90,9 +95,7 @@ class TestBitIdentityAcrossBackends:
     @pytest.mark.parametrize("backend,jobs", BACKENDS)
     def test_batches_equal_across_backends(self, backend, jobs):
         grid = random_grid(7)
-        _, reference = SweepRunner(
-            EvaluationService(memoize=False), backend="serial"
-        ).run_columns(grid)
+        reference = serial_columns(grid)
         _, columns = SweepRunner(
             EvaluationService(memoize=False), backend=backend, jobs=jobs
         ).run_columns(grid)
@@ -115,18 +118,15 @@ class TestRecorderParity:
     def test_columnar_snapshot_matches_serial(self):
         grid = random_grid(11)
         serial_rec, column_rec = CountersRecorder(), CountersRecorder()
-        SweepRunner(
-            EvaluationService(memoize=False), backend="serial", recorder=serial_rec
-        ).run(grid)
+        serial_columns(grid, recorder=serial_rec)
         SweepRunner(
             EvaluationService(memoize=False), backend="vector", recorder=column_rec
         ).run_columns(grid)
         serial_snap, column_snap = serial_rec.snapshot(), column_rec.snapshot()
-        assert serial_snap["counters"] == column_snap["counters"]
+        expected = dict(serial_snap["counters"], **{"sweep.points_count": len(grid)})
+        assert column_snap["counters"] == expected
         assert serial_snap["events"] == column_snap["events"]
-        serial_hist = serial_snap["histograms"]["sweep.point.wall_seconds"]
-        column_hist = column_snap["histograms"]["sweep.point.wall_seconds"]
-        assert serial_hist["count"] == column_hist["count"] == len(grid)
+        assert column_snap["histograms"]["sweep.batch.wall_seconds"]["count"] == 1
 
 
 class TestDiskCacheRoundTrip:
@@ -159,9 +159,9 @@ class TestDiskCacheRoundTrip:
         """Writers merging one shard union entries instead of racing.
 
         Regression: shards are shared files, and an unlocked
-        read-merge-write let the last of two concurrent pool workers
-        silently drop the other's new entries — a cold ``--jobs N`` run
-        would then miss points on the warm rerun.
+        read-merge-write let the last of two concurrent writers (say,
+        cluster workers sharing a cache directory) silently drop the
+        other's new entries — a warm rerun would then miss those points.
         """
         import threading
 
@@ -242,7 +242,7 @@ class TestBatchAssembly:
         assert results_identical(picked.view(0), results[2])
         assert results_identical(picked.view(1), results[0])
 
-    def test_extend_and_assemble_concatenate(self):
+    def test_extend_concatenates(self):
         results = self._results(6)
         left = ResultColumns.from_results(results[:2])
         right = ResultColumns.from_results(results[2:])
@@ -250,7 +250,6 @@ class TestBatchAssembly:
         merged.extend(left)
         merged.extend(right)
         assert merged == ResultColumns.from_results(results)
-        assert assemble([left, right]) == merged
 
     def test_counter_columns_cover_perf_counters(self):
         results = self._results(1)
@@ -283,11 +282,13 @@ class TestGridPointErrorPartial:
             ),
         )
 
-    @pytest.mark.parametrize("jobs", [1, 2], ids=["inline", "procpool"])
-    def test_partial_batch_holds_the_completed_prefix(self, jobs):
+    @pytest.mark.parametrize(
+        "backend, jobs", [("vector", 1), ("cluster", 2)], ids=["inline", "cluster"]
+    )
+    def test_partial_batch_holds_the_completed_prefix(self, backend, jobs):
         grid = self._poisoned()
         runner = SweepRunner(
-            EvaluationService(memoize=False), backend="vector", jobs=jobs
+            EvaluationService(memoize=False), backend=backend, jobs=jobs
         )
         with pytest.raises(GridPointError) as excinfo:
             runner.run_columns(grid)

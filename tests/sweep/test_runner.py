@@ -1,10 +1,10 @@
-"""SweepRunner: parallel, interleaved, and cached runs are bit-identical."""
+"""SweepRunner: cluster, interleaved, and cached runs are bit-identical."""
 
 import pytest
 
 from repro.errors import SimulationError, SweepError
 from repro.memsim import DirectoryState, MachineConfig, Op, StreamSpec, paper_config
-from repro.sweep import EvaluationService, SweepRunner
+from repro.sweep import DiskCache, EvaluationService, SweepRunner
 from repro.workloads.grids import SweepGrid, SweepPoint
 
 
@@ -38,31 +38,44 @@ def make_grid(name: str = "grid", threads=(1, 2, 4, 8, 18, 24, 36)) -> SweepGrid
 class TestParallelism:
     def test_jobs_4_bit_identical_to_jobs_1(self):
         grid = make_grid()
-        serial = SweepRunner(EvaluationService(memoize=False), jobs=1).run(grid)
-        threaded = SweepRunner(EvaluationService(memoize=False), jobs=4).run(grid)
-        assert list(serial) == list(threaded)  # same labels, same order
-        for label in serial:
-            assert serial[label].total_gbps == threaded[label].total_gbps
-            assert serial[label].counters == threaded[label].counters
-            assert serial[label].directory_after == threaded[label].directory_after
+        labels, inline = SweepRunner(
+            EvaluationService(memoize=False), jobs=1
+        ).run_columns(grid)
+        cluster_labels, cluster = SweepRunner(
+            EvaluationService(memoize=False), jobs=4, backend="cluster"
+        ).run_columns(grid)
+        assert labels == cluster_labels  # same labels, same order
+        assert inline == cluster
+        for a, b in zip(inline.views(), cluster.views()):
+            assert a.total_gbps.hex() == b.total_gbps.hex()
+            assert a.counters == b.counters
+            assert a.directory_after == b.directory_after
 
-    def test_jobs_share_one_memo_cache(self):
-        service = EvaluationService()
-        grid = make_grid()
-        SweepRunner(service, jobs=4).run(grid)
-        SweepRunner(service, jobs=4).run(grid)
+    def test_jobs_share_one_memo_cache(self, tmp_path):
+        # Cluster workers share the coordinator's cache tier: a second
+        # run over the same disk-backed service computes nothing.
+        grid = make_grid(threads=(1, 4))
+        SweepRunner(
+            EvaluationService(DiskCache(tmp_path)), jobs=2, backend="cluster"
+        ).run_columns(grid)
+        service = EvaluationService(DiskCache(tmp_path))
+        SweepRunner(service, jobs=2, backend="cluster").run_columns(grid)
         assert service.stats.hits >= len(grid)
+        assert service.stats.misses == 0
 
     def test_results_keyed_and_ordered_by_label(self):
         grid = make_grid(threads=(1, 4))
-        results = SweepRunner(EvaluationService(), jobs=2).run(grid)
-        assert list(results) == grid.labels()
+        labels, columns = SweepRunner(EvaluationService()).run_columns(grid)
+        assert labels == grid.labels()
+        assert len(columns) == len(grid)
 
     def test_totals_match_run(self):
         grid = make_grid(threads=(1, 4))
-        runner = SweepRunner(EvaluationService(), jobs=2)
+        runner = SweepRunner(EvaluationService())
+        labels, columns = runner.run_columns(grid)
         assert runner.totals(grid) == {
-            label: result.total_gbps for label, result in runner.run(grid).items()
+            label: result.total_gbps
+            for label, result in zip(labels, columns.views())
         }
 
 
@@ -106,7 +119,7 @@ def poisoned_grid() -> SweepGrid:
     """A grid whose middle point references a socket that does not exist.
 
     The spec constructs fine — the failure only surfaces inside
-    ``evaluate``, which is exactly the case where a bare thread-pool
+    ``evaluate``, which is exactly the case where a bare worker
     traceback would not say which point was at fault.
     """
     good = StreamSpec(op=Op.READ, threads=4, access_size=4096)
@@ -122,11 +135,15 @@ def poisoned_grid() -> SweepGrid:
 
 
 class TestPoisonedPoint:
-    @pytest.mark.parametrize("jobs", [1, 4], ids=["serial", "parallel"])
-    def test_error_names_grid_and_point(self, jobs):
-        runner = SweepRunner(EvaluationService(memoize=False), jobs=jobs)
+    @pytest.mark.parametrize(
+        "backend, jobs", [("vector", 1), ("cluster", 2)], ids=["serial", "parallel"]
+    )
+    def test_error_names_grid_and_point(self, backend, jobs):
+        runner = SweepRunner(
+            EvaluationService(memoize=False), jobs=jobs, backend=backend
+        )
         with pytest.raises(SweepError) as excinfo:
-            runner.run(poisoned_grid())
+            runner.run_columns(poisoned_grid())
         message = str(excinfo.value)
         assert "'poisoned'" in message
         assert "'bad-socket-9'" in message
@@ -134,7 +151,7 @@ class TestPoisonedPoint:
     def test_original_exception_is_chained(self):
         runner = SweepRunner(EvaluationService(memoize=False))
         with pytest.raises(SweepError) as excinfo:
-            runner.run(poisoned_grid())
+            runner.run_columns(poisoned_grid())
         cause = excinfo.value.__cause__
         assert cause is not None
         assert "socket" in str(cause)

@@ -2,15 +2,16 @@
 
 ``backend="vector"`` routes whole grids through the batched kernels, so
 beyond result equality these tests pin the operational contract: cache
-statistics and recorder counters account every point exactly as the
-serial path does, a grid-primed memo cache services later per-point
-calls, failures name the grid and point label, and composing with the
-process pool (``jobs > 1``) changes nothing observable.
+statistics and recorder counters account every point exactly as a plain
+per-point loop over :meth:`EvaluationService.evaluate` (the serial
+oracle) does, a grid-primed memo cache services later per-point calls,
+failures name the grid and point label, and the cluster backend changes
+nothing observable.
 """
 
 import pytest
 
-from repro.errors import GridPointError, SweepError
+from repro.errors import ConfigurationError, GridPointError, SweepError
 from repro.memsim import (
     DaxMode,
     DirectoryState,
@@ -65,6 +66,27 @@ def poisoned_grid() -> SweepGrid:
     )
 
 
+def serial_run(grid, *, config=None, directory=None, recorder=None):
+    """The oracle: one uncached ``evaluate`` call per point, in grid order."""
+    service = EvaluationService(memoize=False)
+    cfg = config if config is not None else paper_config()
+    return {
+        point.label: service.evaluate(cfg, point.streams, directory, recorder=recorder)
+        for point in grid
+    }
+
+
+def vector_run(grid, *, service=None, backend="vector", jobs=1, recorder=None, **kw):
+    runner = SweepRunner(
+        service if service is not None else EvaluationService(memoize=False),
+        backend=backend,
+        jobs=jobs,
+        recorder=recorder,
+    )
+    labels, columns = runner.run_columns(grid, **kw)
+    return dict(zip(labels, columns.views()))
+
+
 def assert_runs_identical(serial, vector):
     assert list(serial) == list(vector)
     for label in serial:
@@ -77,52 +99,37 @@ def assert_runs_identical(serial, vector):
 class TestBitIdentity:
     def test_vector_matches_serial(self):
         grid = make_grid()
-        serial = SweepRunner(
-            EvaluationService(memoize=False), backend="serial"
-        ).run(grid)
-        vector = SweepRunner(
-            EvaluationService(memoize=False), backend="vector"
-        ).run(grid)
-        assert_runs_identical(serial, vector)
+        assert_runs_identical(serial_run(grid), vector_run(grid))
 
     def test_vector_matches_serial_with_warm_directory(self):
         config = paper_config()
         warm = DirectoryState.warm(config.topology)
         grid = make_grid()
-        serial = SweepRunner(
-            EvaluationService(memoize=False), backend="serial"
-        ).run(grid, config=config, directory=warm)
-        vector = SweepRunner(
-            EvaluationService(memoize=False), backend="vector"
-        ).run(grid, config=config, directory=warm)
+        serial = serial_run(grid, config=config, directory=warm)
+        vector = vector_run(grid, config=config, directory=warm)
         assert_runs_identical(serial, vector)
 
-    def test_vector_composes_with_process_pool(self):
-        grid = make_grid()
-        serial = SweepRunner(
-            EvaluationService(memoize=False), backend="serial"
-        ).run(grid)
-        fanned = SweepRunner(
-            EvaluationService(memoize=False), backend="vector", jobs=2
-        ).run(grid)
-        assert_runs_identical(serial, fanned)
+    def test_vector_rejects_jobs_and_names_the_cluster(self):
+        # jobs only sizes the cluster; in-process vector runs on one core.
+        with pytest.raises(ConfigurationError, match='backend="cluster"'):
+            SweepRunner(EvaluationService(), backend="vector", jobs=2)
 
 
 class TestCacheInterop:
     def test_stats_account_every_point(self):
         service = EvaluationService()
         grid = make_grid()
-        SweepRunner(service, backend="vector").run(grid)
+        SweepRunner(service, backend="vector").run_columns(grid)
         assert service.stats.misses == len(grid)
         assert service.stats.hits == 0
-        SweepRunner(service, backend="vector").run(grid)
+        SweepRunner(service, backend="vector").run_columns(grid)
         assert service.stats.misses == len(grid)
         assert service.stats.hits == len(grid)
 
     def test_grid_primed_memo_services_per_point_calls(self):
         service = EvaluationService()
         grid = make_grid()
-        vector = SweepRunner(service, backend="vector").run(grid)
+        vector = vector_run(grid, service=service)
         hits_before = service.stats.hits
         for point in grid:
             result = service.evaluate(paper_config(), point.streams)
@@ -134,33 +141,47 @@ class TestObservability:
     def test_counters_and_events_match_serial(self):
         grid = make_grid()
         serial_rec, vector_rec = CountersRecorder(), CountersRecorder()
-        SweepRunner(
-            EvaluationService(memoize=False),
-            backend="serial",
-            recorder=serial_rec,
-        ).run(grid)
-        SweepRunner(
-            EvaluationService(memoize=False),
-            backend="vector",
-            recorder=vector_rec,
-        ).run(grid)
+        serial_run(grid, recorder=serial_rec)
+        vector_run(grid, recorder=vector_rec)
         serial_snap, vector_snap = serial_rec.snapshot(), vector_rec.snapshot()
-        assert serial_snap["counters"] == vector_snap["counters"]
+        # The runner adds its own point tally on top of the evaluations'.
+        expected = dict(serial_snap["counters"], **{"sweep.points_count": len(grid)})
+        assert vector_snap["counters"] == expected
         assert serial_snap["events"] == vector_snap["events"]
-        # Wall time is nondeterministic; only the sample counts align.
-        serial_hist = serial_snap["histograms"]["sweep.point.wall_seconds"]
-        vector_hist = vector_snap["histograms"]["sweep.point.wall_seconds"]
-        assert serial_hist["count"] == vector_hist["count"] == len(grid)
+
+    def test_one_wall_time_observation_per_batch(self):
+        # A 100-point grid is one batch: one wall-time sample, not one
+        # fabricated per point.
+        grid = SweepGrid(
+            name="hundred",
+            points=tuple(
+                SweepPoint(
+                    label=f"p{i}",
+                    params={},
+                    streams=(StreamSpec(op=Op.READ, threads=1 + i % 36,
+                                        access_size=64 * (1 + i)),),
+                )
+                for i in range(100)
+            ),
+        )
+        recorder = CountersRecorder()
+        vector_run(grid, recorder=recorder)
+        snapshot = recorder.snapshot()
+        assert snapshot["counters"]["sweep.points_count"] == 100
+        assert snapshot["histograms"]["sweep.batch.wall_seconds"]["count"] == 1
+        assert "sweep.point.wall_seconds" not in snapshot["histograms"]
 
 
 class TestFailures:
-    @pytest.mark.parametrize("jobs", [1, 2], ids=["inline", "procpool"])
-    def test_error_names_grid_and_point(self, jobs):
+    @pytest.mark.parametrize(
+        "backend, jobs", [("vector", 1), ("cluster", 2)], ids=["inline", "cluster"]
+    )
+    def test_error_names_grid_and_point(self, backend, jobs):
         runner = SweepRunner(
-            EvaluationService(memoize=False), backend="vector", jobs=jobs
+            EvaluationService(memoize=False), backend=backend, jobs=jobs
         )
         with pytest.raises(SweepError) as excinfo:
-            runner.run(poisoned_grid())
+            runner.run_columns(poisoned_grid())
         message = str(excinfo.value)
         assert "'poisoned'" in message
         assert "'bad-socket-9'" in message
@@ -170,7 +191,7 @@ class TestFailures:
         service = EvaluationService(memoize=False)
         grid = poisoned_grid()
         with pytest.raises(GridPointError) as excinfo:
-            service.evaluate_grid(
+            service.evaluate_grid_columns(
                 paper_config(), [point.streams for point in grid]
             )
         assert excinfo.value.index == 1
@@ -220,15 +241,12 @@ class TestFamilyCoverage:
     def test_every_family_matches_serial_with_counters(self):
         grid = family_grid()
         serial_rec, vector_rec = CountersRecorder(), CountersRecorder()
-        serial = SweepRunner(
-            EvaluationService(memoize=False), backend="serial", recorder=serial_rec
-        ).run(grid)
-        vector = SweepRunner(
-            EvaluationService(memoize=False), backend="vector", recorder=vector_rec
-        ).run(grid)
+        serial = serial_run(grid, recorder=serial_rec)
+        vector = vector_run(grid, recorder=vector_rec)
         assert_runs_identical(serial, vector)
         serial_snap, vector_snap = serial_rec.snapshot(), vector_rec.snapshot()
-        assert serial_snap["counters"] == vector_snap["counters"]
+        expected = dict(serial_snap["counters"], **{"sweep.points_count": len(grid)})
+        assert vector_snap["counters"] == expected
         # Every family is priced in batch: no scalar fallback remains.
         assert "sweep.vector.fallback_count" not in vector_snap["counters"]
 
@@ -238,7 +256,7 @@ class TestFamilyCoverage:
         # call hits the memo the vector sweep populated.
         service = EvaluationService()
         grid = family_grid()
-        vector = SweepRunner(service, backend="vector").run(grid)
+        vector = vector_run(grid, service=service)
         assert service.stats.misses == len(grid)
         for point in grid:
             assert service.evaluate(paper_config(), point.streams) == vector[point.label]
@@ -252,7 +270,7 @@ class TestFallbackCounters:
         service = EvaluationService(memoize=False)
         recorder = CountersRecorder()
         with pytest.raises(GridPointError):
-            service.evaluate_grid(
+            service.evaluate_grid_columns(
                 paper_config(),
                 [point.streams for point in poisoned_grid()],
                 recorder=recorder,

@@ -23,10 +23,7 @@ def minimal_payload() -> dict:
     return {
         "schema": SCHEMA,
         "created": "20260807T000000Z",
-        "config": {
-            "jobs": 1, "backend": "thread", "smoke": True,
-            "warmup": False, "rounds": 1,
-        },
+        "config": {"smoke": True, "warmup": False, "rounds": 1},
         "cache_stats": {"hits": 0, "misses": 3, "disk_hits": 0},
         "benchmarks": [
             {
@@ -49,11 +46,11 @@ class TestSelection:
         assert [path.name for path in selected] == list(SMOKE_BENCHES)
 
     def test_substring_and_stem_match_same_file(self):
-        by_sub = resolve_selection(["procpool"])
-        by_stem = resolve_selection(["bench_procpool_sweep"])
-        by_name = resolve_selection(["bench_procpool_sweep.py"])
+        by_sub = resolve_selection(["hashindex"])
+        by_stem = resolve_selection(["bench_hashindex"])
+        by_name = resolve_selection(["bench_hashindex.py"])
         assert by_sub == by_stem == by_name
-        assert [path.name for path in by_sub] == ["bench_procpool_sweep.py"]
+        assert [path.name for path in by_sub] == ["bench_hashindex.py"]
 
     def test_no_names_selects_whole_suite(self):
         everything = resolve_selection(None)
@@ -74,7 +71,7 @@ class TestSchema:
             (lambda p: p.pop("schema"), "schema is None"),
             (lambda p: p.update(schema="repro.bench/0"), "schema is"),
             (lambda p: p.update(created=123), "'created'"),
-            (lambda p: p["config"].pop("backend"), "config\\['backend'\\]"),
+            (lambda p: p["config"].pop("smoke"), "config\\['smoke'\\]"),
             (lambda p: p["config"].update(rounds="three"), "config\\['rounds'\\]"),
             (lambda p: p["cache_stats"].pop("disk_hits"), "disk_hits"),
             (lambda p: p.update(benchmarks=[]), "non-empty"),
@@ -87,6 +84,14 @@ class TestSchema:
         payload = minimal_payload()
         mutate(payload)
         with pytest.raises(BenchError, match=match):
+            validate_payload(payload)
+
+    def test_version_1_payload_rejected(self):
+        # Schema 2 dropped the dead jobs/backend run knobs.
+        payload = minimal_payload()
+        payload["schema"] = "repro.bench/1"
+        payload["config"].update(jobs=1, backend="thread")
+        with pytest.raises(BenchError, match="expected 'repro.bench/2'"):
             validate_payload(payload)
 
     def test_write_payload_uses_canonical_name(self, tmp_path):

@@ -114,10 +114,40 @@ class TestClusterCli:
 
     def test_cluster_flags_parse_and_run(self, capsys):
         assert main(
-            ["run", "fig4", "--backend", "cluster", "--workers", "2"]
+            ["run", "fig4", "--backend", "cluster", "--jobs", "2"]
         ) == 0
         out = capsys.readouterr().out
         assert "fig4" in out
+
+    def test_jobs_without_cluster_backend_is_a_usage_error(self, capsys):
+        for argv in (["run", "fig4", "--jobs", "2"],
+                     ["run", "fig4", "--jobs", "2", "--backend", "vector"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert "--backend cluster" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("retired", ["serial", "thread", "process"])
+    def test_backend_choices_are_vector_and_cluster(self, retired, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "fig4", "--backend", retired])
+        assert excinfo.value.code == 2
+        assert "'vector', 'cluster'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fig4", "--backend", "cluster", "--workers", "2"],
+            ["bench", "--smoke", "--jobs", "2"],
+            ["bench", "--smoke", "--backend", "vector"],
+        ],
+        ids=["run-workers", "bench-jobs", "bench-backend"],
+    )
+    def test_removed_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bad_connect_endpoint_rejected(self):
         from repro.errors import ConfigurationError

@@ -45,7 +45,7 @@ def test_whole_program_contracts_hold():
     """The four interprocedural contracts, run repo-wide.
 
     SIM201: nothing reachable from the evaluation roots mutates shared
-    state. SIM202: every type crossing the procpool boundary pickles.
+    state. SIM202: every type crossing the cluster wire pickles.
     SIM203: emitted counter names and the catalogue round-trip with no
     drift in either direction. SIM204: no mixed-scale unit arithmetic
     flows across a function boundary.
