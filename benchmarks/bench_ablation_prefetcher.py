@@ -6,19 +6,21 @@ hyperthreaded readers reach the 40 GB/s peak. The same switch exists on
 the model.
 """
 
-from repro.memsim import BandwidthModel, Layout
+from repro.memsim import Layout, MachineConfig, evaluate, read_stream
 
 
 def _study():
-    on = BandwidthModel(prefetcher_enabled=True)
-    off = BandwidthModel(prefetcher_enabled=False)
+    on = MachineConfig(prefetcher_enabled=True)
+    off = MachineConfig(prefetcher_enabled=False)
+    dip = read_stream(36, access_size=1024, layout=Layout.GROUPED)
+    low, ht = read_stream(4), read_stream(36)
     return {
-        "dip_1k_on": on.sequential_read(36, 1024, layout=Layout.GROUPED),
-        "dip_1k_off": off.sequential_read(36, 1024, layout=Layout.GROUPED),
-        "low_threads_on": on.sequential_read(4, 4096),
-        "low_threads_off": off.sequential_read(4, 4096),
-        "ht_36_on": on.sequential_read(36, 4096),
-        "ht_36_off": off.sequential_read(36, 4096),
+        "dip_1k_on": evaluate(on, (dip,)).total_gbps,
+        "dip_1k_off": evaluate(off, (dip,)).total_gbps,
+        "low_threads_on": evaluate(on, (low,)).total_gbps,
+        "low_threads_off": evaluate(off, (low,)).total_gbps,
+        "ht_36_on": evaluate(on, (ht,)).total_gbps,
+        "ht_36_off": evaluate(off, (ht,)).total_gbps,
     }
 
 

@@ -5,18 +5,19 @@ the multi-threaded run — is reproduced: one cheap touch removes the 5x
 first-run penalty.
 """
 
-from repro.memsim import BandwidthModel
+from repro.memsim import DirectoryState, evaluate, paper_config, read_stream
 
 
 def _study():
-    model = BandwidthModel()
-    model.reset_directory()
-    cold = model.sequential_read(18, 4096, far=True, warm=False)
+    config = paper_config()
+    far = (read_stream(18, target_socket=1),)
+    cold = evaluate(config, far, DirectoryState.cold()).total_gbps
 
-    model.reset_directory()
     # Single-threaded priming pass, then the measured run.
-    model.sequential_read(1, 4096, far=True, warm=False)
-    primed = model.sequential_read(18, 4096, far=True, warm=False)
+    priming = evaluate(
+        config, (read_stream(1, target_socket=1),), DirectoryState.cold()
+    )
+    primed = evaluate(config, far, priming.directory_after).total_gbps
     return {"cold_gbps": cold, "primed_gbps": primed}
 
 

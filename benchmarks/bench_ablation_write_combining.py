@@ -6,17 +6,18 @@ configurations collapse. Quantifies how much of PMEM's usable write
 bandwidth the buffer is responsible for.
 """
 
-from repro.memsim import BandwidthModel
+from repro.memsim import MachineConfig, evaluate, write_stream
 
 
 def _study():
-    on = BandwidthModel(write_combining_enabled=True)
-    off = BandwidthModel(write_combining_enabled=False)
+    on = MachineConfig(write_combining_enabled=True)
+    off = MachineConfig(write_combining_enabled=False)
+    best, log_append = write_stream(4), write_stream(36, access_size=256)
     return {
-        "best_config_on": on.sequential_write(4, 4096),
-        "best_config_off": off.sequential_write(4, 4096),
-        "log_append_on": on.sequential_write(36, 256),
-        "log_append_off": off.sequential_write(36, 256),
+        "best_config_on": evaluate(on, (best,)).total_gbps,
+        "best_config_off": evaluate(off, (best,)).total_gbps,
+        "log_append_on": evaluate(on, (log_append,)).total_gbps,
+        "log_append_off": evaluate(off, (log_append,)).total_gbps,
     }
 
 

@@ -4,8 +4,8 @@ from benchmarks.conftest import attach
 from repro.experiments.bestpractices import run
 
 
-def test_best_practices(benchmark, model):
-    result = benchmark(run, model)
+def test_best_practices(benchmark):
+    result = benchmark(run)
     attach(benchmark, result)
     assert all(v == 1.0 for v in result.series_values("practices hold").values())
     assert all(v == 1.0 for v in result.series_values("insights hold").values())

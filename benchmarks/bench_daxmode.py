@@ -4,8 +4,8 @@ from benchmarks.conftest import attach
 from repro.experiments.daxmode import run
 
 
-def test_daxmode(benchmark, model):
-    result = benchmark(run, model)
+def test_daxmode(benchmark):
+    result = benchmark(run)
     attach(benchmark, result)
     devdax = result.series_values("devdax")["18"]
     fsdax = result.series_values("fsdax")["18"]

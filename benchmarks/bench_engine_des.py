@@ -3,7 +3,7 @@ with the analytic model on a calibrated anchor."""
 
 import pytest
 
-from repro.memsim import BandwidthModel
+from repro.memsim import evaluate, paper_config, write_stream
 from repro.memsim.engine import EngineConfig, simulate
 from repro.memsim.spec import Layout, Op
 from repro.units import MIB
@@ -16,7 +16,7 @@ def test_des_write_boomerang(benchmark):
     result = benchmark.pedantic(simulate, args=(config,), rounds=2, iterations=1)
     benchmark.extra_info["gbps"] = round(result.gbps, 2)
     benchmark.extra_info["amplification"] = round(result.amplification, 2)
-    analytic = BandwidthModel().sequential_write(18, 4096)
+    analytic = evaluate(paper_config(), (write_stream(18),)).total_gbps
     assert result.gbps == pytest.approx(analytic, rel=0.45)
 
 

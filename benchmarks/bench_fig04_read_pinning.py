@@ -4,8 +4,8 @@ from benchmarks.conftest import attach
 from repro.experiments.fig04 import run
 
 
-def test_fig04_read_pinning(benchmark, model):
-    result = benchmark(run, model)
+def test_fig04_read_pinning(benchmark):
+    result = benchmark(run)
     attach(benchmark, result)
     assert max(result.series_values("cores").values()) > 4 * max(
         result.series_values("none").values()

@@ -4,8 +4,8 @@ from benchmarks.conftest import attach
 from repro.experiments.fig09 import run
 
 
-def test_fig09_write_pinning(benchmark, model):
-    result = benchmark(run, model)
+def test_fig09_write_pinning(benchmark):
+    result = benchmark(run)
     attach(benchmark, result)
     ratio = max(result.series_values("cores").values()) / max(
         result.series_values("none").values()

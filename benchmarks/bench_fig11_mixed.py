@@ -4,8 +4,8 @@ from benchmarks.conftest import attach
 from repro.experiments.fig11 import run
 
 
-def test_fig11_mixed(benchmark, model):
-    result = benchmark(run, model)
+def test_fig11_mixed(benchmark):
+    result = benchmark(run)
     attach(benchmark, result)
     reads = result.series_values("read")
     assert reads["1/30"] < 30.0  # one writer already dents the pool

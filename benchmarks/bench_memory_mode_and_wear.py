@@ -6,11 +6,14 @@ into lifetime estimates.
 """
 
 from repro.memsim import (
-    BandwidthModel,
+    DirectoryState,
     MemoryModeModel,
     Op,
     PinningPolicy,
     StreamSpec,
+    evaluate,
+    paper_config,
+    read_stream,
     wear_from_counters,
 )
 from repro.memsim.spec import Pattern
@@ -18,14 +21,14 @@ from repro.units import GIB
 
 
 def _memory_mode_study():
-    mode = MemoryModeModel(BandwidthModel())
+    mode = MemoryModeModel(paper_config())
     return {
         "cached_10GiB": mode.read_bandwidth(18, 4096, 10 * GIB),
         "streaming_700GiB": mode.read_bandwidth(18, 4096, 700 * GIB),
         "random_186GiB": mode.read_bandwidth(
             36, 256, 186 * GIB, pattern=Pattern.RANDOM
         ),
-        "app_direct": mode.model.sequential_read(18, 4096),
+        "app_direct": evaluate(mode.machine, (read_stream(18),)).total_gbps,
     }
 
 
@@ -39,18 +42,22 @@ def test_memory_mode(benchmark):
 
 
 def _wear_study():
-    model = BandwidthModel()
-    model.warm_directory()
-    near = model.evaluate(
-        [StreamSpec(op=Op.WRITE, threads=6, pinning=PinningPolicy.NUMA_REGION)]
+    config = paper_config()
+    warm = DirectoryState.warm(config.topology)
+    near = evaluate(
+        config,
+        [StreamSpec(op=Op.WRITE, threads=6, pinning=PinningPolicy.NUMA_REGION)],
+        warm,
     )
-    far = model.evaluate(
+    far = evaluate(
+        config,
         [
             StreamSpec(
                 op=Op.WRITE, threads=18, pinning=PinningPolicy.NUMA_REGION,
                 issuing_socket=0, target_socket=1,
             )
-        ]
+        ],
+        warm,
     )
     elapsed = 3600.0
     return {

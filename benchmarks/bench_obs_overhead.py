@@ -11,7 +11,8 @@ measurements back that up on the Figure 3 sweep (the same workload as
   evaluations in a cold per-point sweep, must stay under 2% of the
   sweep's wall time. This is asserted, not just reported. The per-point
   path (one :meth:`EvaluationService.evaluate` call per point, as the
-  SSB cost model's one-off queries and the façade take it) is the one
+  SSB cost model's one-off queries and :func:`repro.sweep.stream_gbps`
+  take it) is the one
   that pays every guard on every evaluation; the batched runner pays
   them once per grid.
 * ``test_sweep_cold_with_counters`` times the *enabled* path under a
@@ -26,9 +27,9 @@ import timeit
 
 import pytest
 
-from repro.memsim import BandwidthModel, paper_config
+from repro.memsim import paper_config, read_stream
 from repro.obs import NULL_RECORDER, CountersRecorder, default_recorder, using_recorder
-from repro.sweep import EvaluationService, SweepRunner
+from repro.sweep import EvaluationService, SweepRunner, stream_gbps
 
 
 def _cold_runner() -> SweepRunner:
@@ -105,7 +106,8 @@ def test_sweep_cold_with_counters(benchmark, fig3_grid):
     assert rec.counter("sweep.points_count") == len(list(fig3_grid))
 
 
-def test_model_facade_unaffected(benchmark, model: BandwidthModel):
-    """The deprecated façade still answers point queries at full speed."""
-    gbps = benchmark(lambda: model.sequential_read(36, 4096))
+def test_point_query_unaffected(benchmark):
+    """A one-off query through the default service stays cheap."""
+    config, streams = paper_config(), (read_stream(36),)
+    gbps = benchmark(lambda: stream_gbps(config, streams))
     assert gbps > 0.0

@@ -10,29 +10,38 @@ a per-point loop.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 from repro.experiments.fig03 import run
-from repro.memsim import BandwidthModel, Op, paper_config
-from repro.sweep import EvaluationService, SweepRunner
+from repro.memsim import Op, paper_config
+from repro.sweep import EvaluationService, SweepRunner, set_default_service
 from repro.workloads.sequential import sequential_sweep
 
 
-def _fresh_model() -> BandwidthModel:
-    return BandwidthModel(service=EvaluationService(memoize=False))
+@contextmanager
+def _default(service: EvaluationService):
+    """Route every default-service lookup to ``service`` for the block."""
+    previous = set_default_service(service)
+    try:
+        yield service
+    finally:
+        set_default_service(previous)
 
 
 def test_sweep_cold(benchmark):
     """Full Figure 3 regeneration with caching disabled: the baseline."""
-    result = benchmark(lambda: run(_fresh_model()))
+    with _default(EvaluationService(memoize=False)):
+        result = benchmark(run)
     assert result.comparisons
 
 
 def test_sweep_warm_cache(benchmark):
     """Regeneration against an already-populated memo cache."""
-    model = BandwidthModel(service=EvaluationService())
-    run(model)  # populate
-    result = benchmark(run, model)
-    benchmark.extra_info["hit_rate"] = round(model.service.stats.hit_rate, 3)
-    assert model.service.stats.hit_rate > 0.5
+    with _default(EvaluationService()) as service:
+        run()  # populate
+        result = benchmark(run)
+    benchmark.extra_info["hit_rate"] = round(service.stats.hit_rate, 3)
+    assert service.stats.hit_rate > 0.5
     assert result.comparisons
 
 

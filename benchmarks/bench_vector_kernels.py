@@ -1,6 +1,6 @@
-"""Benchmark: the vectorized evaluation kernels against their oracles.
+"""Benchmark: the vectorized evaluation kernel against its oracle.
 
-Two speedup gates back the vector backend:
+One speedup gate backs the vector backend:
 
 * **Columnar analytic grid >= 5x per-point.** ``evaluate_grid_columns``
   amortizes the Python interpretation of the evaluation chain across a
@@ -13,18 +13,15 @@ Two speedup gates back the vector backend:
   The columnar batch removes that floor, so the gate moved from 3x to
   5x. Bit-identity is still asserted on every host: materializing the
   batch's lazy views reproduces the scalar results exactly.
-* **Epoch engine >= 3x scalar DES.** The epoch-stepped replay of the
-  anchor set runs ~8-17x faster than the op-at-a-time ``heapq`` engine;
-  3x is the regression floor, far under the measured headroom.
 
-A third, unconditional check demos the widened eligibility: on a grid
+A second, unconditional check demos the widened eligibility: on a grid
 mixing every point family, the fallback fraction — observable via the
 ``sweep.vector.fallback_count`` counter — is zero, and poisoning the
 grid with an unpriceable point moves it to exactly that point.
 
-Speedup gates skip on hosts with < 4 CPU cores (shared/noisy small
-hosts flake on wall-clock ratios); the identity and tolerance asserts
-run everywhere, so correctness is never skipped.
+The speedup gate skips on hosts with < 4 CPU cores (shared/noisy small
+hosts flake on wall-clock ratios); the identity asserts run
+everywhere, so correctness is never skipped.
 """
 
 from __future__ import annotations
@@ -45,25 +42,20 @@ from repro.memsim import (
     evaluate,
     paper_config,
 )
-from repro.memsim.crosscheck import DEFAULT_ANCHORS
-from repro.memsim.engine import EngineConfig, simulate
 from repro.memsim.kernels import (
     classify_point,
     evaluate_grid_columns,
-    run_epochs,
 )
 from repro.memsim.spec import Pattern
 from repro.obs import CountersRecorder
-from repro.units import MIB
 from repro.workloads.sequential import sequential_sweep
 
 #: Dense access-size x thread-count axis; all points are vector-eligible.
 _DENSE_SIZES = tuple(64 << i for i in range(14))
 _DENSE_THREADS = tuple(range(1, 37, 3))
 
-#: Minimum speedups enforced on capable hosts (see module docstring).
+#: Minimum speedup enforced on capable hosts (see module docstring).
 _GRID_GATE = 5.0
-_EPOCH_GATE = 3.0
 
 
 def _cores() -> int:
@@ -77,42 +69,12 @@ def _dense_points():
     return [point.streams for point in grid]
 
 
-def _anchor_configs():
-    configs = []
-    for anchor in DEFAULT_ANCHORS:
-        total = max(2 * MIB, anchor.threads * anchor.access_size * 16)
-        configs.append(
-            EngineConfig(
-                op=anchor.op,
-                threads=anchor.threads,
-                access_size=anchor.access_size,
-                layout=anchor.layout,
-                pattern=anchor.pattern,
-                total_bytes=total,
-                region_bytes=(
-                    256 * MIB if anchor.pattern is Pattern.RANDOM else None
-                ),
-            )
-        )
-    return configs
-
-
 def test_evaluate_grid_cost(benchmark):
     """Batched cost of a dense all-eligible grid (compare to hot scalar)."""
     context = eval_context(paper_config())
     points = _dense_points()
     columns = benchmark(lambda: evaluate_grid_columns(context, points))
     assert len(columns) == len(points)
-
-
-def test_epoch_engine_anchor_set_cost(benchmark):
-    """Epoch replay of the full cross-check anchor set."""
-    context = eval_context(paper_config())
-    configs = _anchor_configs()
-    gbps = benchmark(
-        lambda: [run_epochs(config, context=context).gbps for config in configs]
-    )
-    assert all(value > 0 for value in gbps)
 
 
 def test_grid_speedup_over_scalar():
@@ -148,34 +110,6 @@ def test_grid_speedup_over_scalar():
         f"evaluate_grid_columns speedup {speedup:.2f}x < {_GRID_GATE}x over "
         f"{len(points)} points (scalar {scalar_seconds:.3f}s, "
         f"batched {batched_seconds:.3f}s)"
-    )
-
-
-def test_epoch_speedup_over_scalar_engine():
-    """The epoch engine must beat the scalar DES by >= 3x on the anchors."""
-    context = eval_context(paper_config())
-    configs = _anchor_configs()
-
-    def scalar():
-        return [simulate(config, context=context).gbps for config in configs]
-
-    def epoch():
-        return [run_epochs(config, context=context).gbps for config in configs]
-
-    # Tolerance is asserted on every host; only the clock ratio is gated.
-    for anchor, s, e in zip(DEFAULT_ANCHORS, scalar(), epoch()):
-        assert abs(e - s) / s <= anchor.tolerance, anchor.label
-    if _cores() < 4:
-        pytest.skip(
-            f"speedup gate needs >= 4 CPU cores for stable wall-clock "
-            f"ratios (have {_cores()}); tolerance was still asserted"
-        )
-    scalar_seconds = min(timeit.repeat(scalar, number=1, repeat=3))
-    epoch_seconds = min(timeit.repeat(epoch, number=1, repeat=3))
-    speedup = scalar_seconds / epoch_seconds
-    assert speedup >= _EPOCH_GATE, (
-        f"epoch engine speedup {speedup:.2f}x < {_EPOCH_GATE}x "
-        f"(scalar {scalar_seconds:.3f}s, epoch {epoch_seconds:.3f}s)"
     )
 
 

@@ -10,14 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.memsim import BandwidthModel, Op
+from repro.memsim import Op
 from repro.ssb.runner import SsbRunner
 from repro.workloads.sequential import sequential_sweep
-
-
-@pytest.fixture(scope="session")
-def model() -> BandwidthModel:
-    return BandwidthModel()
 
 
 @pytest.fixture(scope="session")

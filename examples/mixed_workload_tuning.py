@@ -11,12 +11,13 @@ can" advice by comparing against phase-separated execution.
 Run:  python examples/mixed_workload_tuning.py
 """
 
-from repro import BandwidthModel
+from repro.memsim import evaluate, paper_config, read_stream, write_stream
 from repro.units import GIB
+from repro.workloads import mixed_streams
 
 
 def main() -> None:
-    model = BandwidthModel()
+    config = paper_config()
 
     print("interference map (write GB/s / read GB/s):")
     read_counts = (1, 8, 18, 30)
@@ -24,7 +25,7 @@ def main() -> None:
     for writers in (1, 2, 4, 6):
         row = []
         for readers in read_counts:
-            outcome = model.mixed(write_threads=writers, read_threads=readers)
+            outcome = evaluate(config, mixed_streams(writers, readers))
             row.append(f"{outcome.write_gbps:5.1f} / {outcome.read_gbps:5.1f}")
         print(f"  {writers} wr    " + "  ".join(f"{c:>14}" for c in row))
     print()
@@ -33,7 +34,7 @@ def main() -> None:
     best = None
     for writers in range(1, 7):
         for readers in range(1, 37 - writers):
-            outcome = model.mixed(write_threads=writers, read_threads=readers)
+            outcome = evaluate(config, mixed_streams(writers, readers))
             if outcome.write_gbps >= ingest_slo_gbps:
                 if best is None or outcome.read_gbps > best[2].read_gbps:
                     best = (writers, readers, outcome)
@@ -50,8 +51,8 @@ def main() -> None:
     mixed_time = max(
         data / (outcome.write_gbps * 1e9), data / (outcome.read_gbps * 1e9)
     )
-    write_alone = model.sequential_write(6, 4096)
-    read_alone = model.sequential_read(18, 4096)
+    write_alone = evaluate(config, [write_stream(6)]).total_gbps
+    read_alone = evaluate(config, [read_stream(18)]).total_gbps
     serialized_time = data / (write_alone * 1e9) + data / (read_alone * 1e9)
     print(
         f"\nmoving 40 GiB each way: concurrent {mixed_time:.1f}s vs "

@@ -10,12 +10,12 @@ predicted by the model rather than promised by a rule of thumb.
 Run:  python examples/placement_advisor.py
 """
 
-from repro import BandwidthModel, PlacementAdvisor, WorkloadIntent
+from repro import PlacementAdvisor, WorkloadIntent
 from repro.core import AccessProfile
 
 
 def main() -> None:
-    advisor = PlacementAdvisor(BandwidthModel())
+    advisor = PlacementAdvisor()
 
     scenarios = [
         (

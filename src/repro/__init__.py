@@ -18,14 +18,16 @@ The package provides five layers:
 
 Quickstart::
 
-    from repro import BandwidthModel, PlacementAdvisor, WorkloadIntent
+    from repro import PlacementAdvisor, WorkloadIntent
     from repro.core import AccessProfile
+    from repro.memsim import evaluate, paper_config, read_stream, write_stream
 
-    model = BandwidthModel()
-    print(model.sequential_read(threads=18, access_size=4096))   # ~40 GB/s
-    print(model.sequential_write(threads=36, access_size=65536)) # the collapse
+    config = paper_config()
+    print(evaluate(config, [read_stream(18)]).total_gbps)    # ~40 GB/s
+    print(evaluate(config, [write_stream(36, access_size=65536)]).total_gbps)
+    # ^ the §4.2 collapse: many threads writing large blocks
 
-    advisor = PlacementAdvisor(model)
+    advisor = PlacementAdvisor()
     intent = WorkloadIntent(profile=AccessProfile.JOIN_HEAVY)
     print(advisor.recommend(intent).describe())
 """
@@ -39,7 +41,6 @@ from repro.core import (
     verify_practices,
 )
 from repro.memsim import (
-    BandwidthModel,
     DaxMode,
     DeviceCalibration,
     Layout,
@@ -57,7 +58,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AccessProfile",
-    "BandwidthModel",
     "DaxMode",
     "DeviceCalibration",
     "Layout",

@@ -31,7 +31,7 @@ name counts as a NumPy array only when the module assigns it from a
 from one of the known batch producers (``ResultColumns(...)``,
 ``from_results``, ``evaluate_points_columns``, ``evaluate_grid_columns``,
 ``run_columns``, ...). Loops the kernels legitimately need (per-stream
-setup, fixed-point iteration over epochs) iterate plain Python
+setup, fixed-point iteration) iterate plain Python
 structures and never match; a reasoned exception belongs in the simlint
 baseline or behind a suppression comment.
 """

@@ -47,8 +47,17 @@ import os
 import sys
 from collections.abc import Sequence
 
-from repro.memsim import BandwidthModel, Layout, MediaKind, PinningPolicy
-from repro.memsim.spec import Pattern
+from repro.memsim import (
+    DirectoryState,
+    Layout,
+    MediaKind,
+    Op,
+    Pattern,
+    PinningPolicy,
+    StreamSpec,
+    paper_config,
+)
+from repro.units import GIB
 
 
 def _positive_int(text: str) -> int:
@@ -329,27 +338,28 @@ def _cmd_report() -> int:
 
 
 def _cmd_bandwidth(args: argparse.Namespace) -> int:
-    model = BandwidthModel()
+    from repro.sweep import stream_gbps
+
+    config = paper_config()
     media = MediaKind.PMEM if args.media == "pmem" else MediaKind.DRAM
-    layout = Layout.GROUPED if args.layout == "grouped" else Layout.INDIVIDUAL
-    pinning = PinningPolicy(args.pinning)
     if args.pattern == "random":
-        if args.op == "read":
-            gbps = model.random_read(args.threads, args.size, media=media)
-        else:
-            gbps = model.random_write(args.threads, args.size, media=media)
-    elif args.op == "read":
-        if args.far and not args.cold:
-            model.warm_directory()
-        gbps = model.sequential_read(
-            args.threads, args.size, layout=layout, media=media,
-            pinning=pinning, far=args.far, warm=args.far and not args.cold,
+        spec = StreamSpec(
+            op=Op(args.op), threads=args.threads, access_size=args.size,
+            media=media, pattern=Pattern.RANDOM, region_bytes=2 * GIB,
         )
     else:
-        gbps = model.sequential_write(
-            args.threads, args.size, layout=layout, media=media,
-            pinning=pinning, far=args.far,
+        spec = StreamSpec(
+            op=Op(args.op), threads=args.threads, access_size=args.size,
+            media=media,
+            layout=Layout.GROUPED if args.layout == "grouped" else Layout.INDIVIDUAL,
+            pinning=PinningPolicy(args.pinning),
+            target_socket=1 if args.far else 0,
         )
+    # Only far reads observe the coherence directory (§3.4).
+    directory = (
+        DirectoryState.cold() if args.cold else DirectoryState.warm(config.topology)
+    )
+    gbps = stream_gbps(config, (spec,), directory)
     locality = "far" if args.far else "near"
     print(
         f"{args.op} {args.pattern} {args.size}B x {args.threads} threads "
@@ -389,10 +399,9 @@ def _cmd_ssb(args: argparse.Namespace) -> int:
 def _cmd_verify() -> int:
     from repro.core import practices_report, verify_all
 
-    model = BandwidthModel()
-    insights = verify_all(model)
+    insights = verify_all()
     failed = [number for number, ok in insights.items() if not ok]
-    print(practices_report(model))
+    print(practices_report())
     print()
     if failed:
         print(f"FAILED insights: {failed}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from repro.core.best_practices import get_practice
 from repro.core.optimizer import TuningSpace, tune
 from repro.errors import ConfigurationError
-from repro.memsim import BandwidthModel, DaxMode, Layout, PinningPolicy
+from repro.memsim import DaxMode, Layout, MachineConfig, PinningPolicy
 from repro.memsim.spec import Op
 
 
@@ -102,8 +102,8 @@ class Recommendation:
 class PlacementAdvisor:
     """Derives configurations from the bandwidth model and the practices."""
 
-    def __init__(self, model: BandwidthModel | None = None) -> None:
-        self.model = model if model is not None else BandwidthModel()
+    def __init__(self, config: MachineConfig | None = None) -> None:
+        self.config = config
 
     def recommend(self, intent: WorkloadIntent) -> Recommendation:
         """Produce a configuration for ``intent``.
@@ -124,7 +124,7 @@ class PlacementAdvisor:
             ),
             pinnings=(pinning,),
         )
-        read_best = tune(Op.READ, model=self.model, space=space).best
+        read_best = tune(Op.READ, config=self.config, space=space).best
         write_space = TuningSpace(
             access_sizes=tuple(
                 s for s in (64, 256, 1024, 4096, 16384)
@@ -134,7 +134,7 @@ class PlacementAdvisor:
             layouts=(Layout.INDIVIDUAL,),
             pinnings=(pinning,),
         )
-        write_best = tune(Op.WRITE, model=self.model, space=write_space).best
+        write_best = tune(Op.WRITE, config=self.config, space=write_space).best
 
         rec = Recommendation(
             read_threads=read_best.spec.threads,

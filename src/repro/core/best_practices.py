@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.insights import ALL_INSIGHTS, get_insight
-from repro.memsim import BandwidthModel
+from repro.memsim import DaxMode, MachineConfig, paper_config, read_stream
+from repro.sweep import stream_gbps
 
 
 @dataclass(frozen=True)
@@ -26,9 +27,9 @@ class BestPractice:
         """The underlying insights this practice condenses."""
         return tuple(get_insight(n) for n in self.insight_numbers)
 
-    def holds(self, model: BandwidthModel) -> bool:
-        """True when every underlying insight checks out in the model."""
-        return all(insight.check(model) for insight in self.insights())
+    def holds(self, config: MachineConfig) -> bool:
+        """True when every underlying insight checks out on ``config``."""
+        return all(insight.check(config) for insight in self.insights())
 
 
 BEST_PRACTICES: tuple[BestPractice, ...] = (
@@ -82,30 +83,30 @@ def get_practice(number: int) -> BestPractice:
     raise KeyError(f"no best practice #{number}; the paper defines 1-7")
 
 
-def _devdax_beats_fsdax(model: BandwidthModel) -> bool:
-    from repro.memsim import DaxMode
-
-    devdax = model.sequential_read(18, 4096)
-    fsdax = model.sequential_read(18, 4096, dax_mode=DaxMode.FSDAX)
+def _devdax_beats_fsdax(config: MachineConfig) -> bool:
+    devdax = stream_gbps(config, (read_stream(18),))
+    fsdax = stream_gbps(config, (read_stream(18, dax_mode=DaxMode.FSDAX),))
     return devdax > fsdax
 
 
-def verify_practices(model: BandwidthModel | None = None) -> dict[int, bool]:
-    """Check all seven practices against the model; return {number: holds}."""
-    model = model if model is not None else BandwidthModel()
+def verify_practices(config: MachineConfig | None = None) -> dict[int, bool]:
+    """Check all seven practices on ``config``; return {number: holds}.
+
+    ``config`` defaults to :func:`~repro.memsim.paper_config`.
+    """
+    config = config if config is not None else paper_config()
     results: dict[int, bool] = {}
     for practice in BEST_PRACTICES:
         if practice.number == 7:
-            results[7] = _devdax_beats_fsdax(model)
+            results[7] = _devdax_beats_fsdax(config)
         else:
-            results[practice.number] = practice.holds(model)
+            results[practice.number] = practice.holds(config)
     return results
 
 
-def practices_report(model: BandwidthModel | None = None) -> str:
+def practices_report(config: MachineConfig | None = None) -> str:
     """Render the practices with their verification status (examples)."""
-    model = model if model is not None else BandwidthModel()
-    results = verify_practices(model)
+    results = verify_practices(config)
     lines = ["Best practices for PMEM bandwidth in OLAP workloads (paper §7):"]
     for practice in BEST_PRACTICES:
         mark = "HOLDS" if results[practice.number] else "VIOLATED"

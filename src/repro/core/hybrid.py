@@ -20,8 +20,16 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.memsim import BandwidthModel, DirectoryState, MediaKind, Op, StreamSpec
+from repro.memsim import (
+    DirectoryState,
+    MachineConfig,
+    MediaKind,
+    Op,
+    StreamSpec,
+    paper_config,
+)
 from repro.memsim.spec import Pattern
+from repro.sweep import stream_gbps
 from repro.units import GB
 
 
@@ -105,14 +113,14 @@ class HybridPlan:
 class HybridPlanner:
     """Places structures on PMEM or DRAM to maximize modeled time saved."""
 
-    def __init__(self, model: BandwidthModel | None = None, threads: int = 18) -> None:
+    def __init__(self, config: MachineConfig | None = None, threads: int = 18) -> None:
         if threads < 1:
             raise ConfigurationError("need at least one thread")
-        self.model = model if model is not None else BandwidthModel()
+        self.config = config if config is not None else paper_config()
         self.threads = threads
         # Placement decisions are steady-state comparisons, priced through
         # the (memoized) evaluation service with an explicit warm state.
-        self._directory = DirectoryState.warm(self.model.topology)
+        self._directory = DirectoryState.warm(self.config.topology)
 
     def _seconds(self, structure: Structure, media: MediaKind) -> float:
         """Time to move the structure's traffic on ``media``."""
@@ -129,9 +137,7 @@ class HybridPlanner:
                 pattern=Pattern.RANDOM,
                 region_bytes=max(structure.size_bytes, structure.access_size),
             )
-        gbps = self.model.service.evaluate(
-            self.model.config, (spec,), self._directory
-        ).total_gbps
+        gbps = stream_gbps(self.config, (spec,), self._directory)
         return structure.traffic_bytes / (gbps * GB)
 
     def benefit(self, structure: Structure) -> float:

@@ -13,7 +13,20 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from repro.memsim import BandwidthModel, Layout, PinningPolicy
+from repro.memsim import (
+    DirectoryState,
+    Layout,
+    MachineConfig,
+    MixedOutcome,
+    Pattern,
+    PinningPolicy,
+    paper_config,
+    read_stream,
+    write_stream,
+)
+from repro.sweep import default_service, stream_gbps
+from repro.workloads.mixed import mixed_streams
+from repro.workloads.random_ import DEFAULT_REGION
 
 
 @dataclass(frozen=True)
@@ -23,115 +36,141 @@ class Insight:
     number: int
     section: str
     statement: str
-    check: Callable[[BandwidthModel], bool]
+    check: Callable[[MachineConfig], bool]
 
 
-def _insight_1(m: BandwidthModel) -> bool:
+def _insight_1(c: MachineConfig) -> bool:
     # Individual regions are size-insensitive and fast; grouped access
     # peaks at 4 KB.
-    individual = [m.sequential_read(18, s) for s in (64, 256, 4096, 65536)]
+    individual = [
+        stream_gbps(c, (read_stream(18, access_size=s),))
+        for s in (64, 256, 4096, 65536)
+    ]
     grouped_best = max(
         (64, 256, 1024, 4096, 16384),
-        key=lambda s: m.sequential_read(36, s, layout=Layout.GROUPED),
+        key=lambda s: stream_gbps(
+            c, (read_stream(36, access_size=s, layout=Layout.GROUPED),)
+        ),
     )
     return min(individual) > 0.85 * max(individual) and grouped_best == 4096
 
 
-def _insight_2(m: BandwidthModel) -> bool:
+def _insight_2(c: MachineConfig) -> bool:
     # All cores needed to saturate; hyperthreaded reads do not help.
     return (
-        m.sequential_read(18, 4096) > m.sequential_read(8, 4096)
-        and m.sequential_read(24, 4096) <= m.sequential_read(18, 4096)
+        stream_gbps(c, (read_stream(18),)) > stream_gbps(c, (read_stream(8),))
+        and stream_gbps(c, (read_stream(24),)) <= stream_gbps(c, (read_stream(18),))
     )
 
 
-def _insight_3(m: BandwidthModel) -> bool:
-    pinned = m.sequential_read(18, 4096)
-    unpinned = m.sequential_read(18, 4096, pinning=PinningPolicy.NONE)
+def _insight_3(c: MachineConfig) -> bool:
+    pinned = stream_gbps(c, (read_stream(18),))
+    unpinned = stream_gbps(c, (read_stream(18, pinning=PinningPolicy.NONE),))
     return pinned > 3.0 * unpinned
 
 
-def _insight_4(m: BandwidthModel) -> bool:
-    m.reset_directory()
-    cold = m.sequential_read(18, 4096, far=True, warm=False)
-    warm = m.sequential_read(18, 4096, far=True, warm=True)
-    near = m.sequential_read(18, 4096)
+def _insight_4(c: MachineConfig) -> bool:
+    far = (read_stream(18, target_socket=1),)
+    cold = stream_gbps(c, far, DirectoryState.cold())
+    warm = stream_gbps(c, far, DirectoryState.warm(c.topology))
+    near = stream_gbps(c, (read_stream(18),))
     return near > warm > cold
 
 
-def _insight_5(m: BandwidthModel) -> bool:
-    from repro.memsim.spec import Op, StreamSpec
-
-    m.warm_directory()
-    near = StreamSpec(op=Op.READ, threads=18, pinning=PinningPolicy.NUMA_REGION)
-    two_near = m.evaluate(
-        [near, near.with_(issuing_socket=1, target_socket=1)]
-    ).total_gbps
-    two_far = m.evaluate(
-        [
+def _insight_5(c: MachineConfig) -> bool:
+    near = read_stream(18, pinning=PinningPolicy.NUMA_REGION)
+    two_near = stream_gbps(
+        c, (near, near.with_(issuing_socket=1, target_socket=1))
+    )
+    two_far = stream_gbps(
+        c,
+        (
             near.with_(issuing_socket=0, target_socket=1),
             near.with_(issuing_socket=1, target_socket=0),
-        ]
-    ).total_gbps
-    one_near = m.evaluate([near]).total_gbps
+        ),
+        DirectoryState.warm(c.topology),
+    )
+    one_near = stream_gbps(c, (near,))
     return two_near > 1.9 * one_near and two_near > 1.4 * two_far
 
 
-def _insight_6(m: BandwidthModel) -> bool:
+def _insight_6(c: MachineConfig) -> bool:
     best = max(
         (64, 256, 1024, 4096, 16384, 65536),
-        key=lambda s: m.sequential_write(6, s, layout=Layout.GROUPED),
+        key=lambda s: stream_gbps(
+            c, (write_stream(6, access_size=s, layout=Layout.GROUPED),)
+        ),
     )
     small_best = max(
         (64, 128, 256, 512),
-        key=lambda s: m.sequential_write(24, s, layout=Layout.GROUPED),
+        key=lambda s: stream_gbps(
+            c, (write_stream(24, access_size=s, layout=Layout.GROUPED),)
+        ),
     )
     return best == 4096 and small_best == 256
 
 
-def _insight_7(m: BandwidthModel) -> bool:
+def _insight_7(c: MachineConfig) -> bool:
     # 4-6 threads for large blocks; small accesses tolerate scaling.
-    large_best = max((1, 2, 4, 6, 8, 18, 36), key=lambda t: m.sequential_write(t, 65536))
-    small_ok = m.sequential_write(36, 256) >= 0.8 * m.sequential_write(18, 256)
+    large_best = max(
+        (1, 2, 4, 6, 8, 18, 36),
+        key=lambda t: stream_gbps(c, (write_stream(t, access_size=65536),)),
+    )
+    small_ok = stream_gbps(
+        c, (write_stream(36, access_size=256),)
+    ) >= 0.8 * stream_gbps(c, (write_stream(18, access_size=256),))
     return large_best in (4, 6) and small_ok
 
 
-def _insight_8(m: BandwidthModel) -> bool:
-    cores = m.sequential_write(24, 4096)
-    numa = m.sequential_write(24, 4096, pinning=PinningPolicy.NUMA_REGION)
-    none = m.sequential_write(24, 4096, pinning=PinningPolicy.NONE)
+def _insight_8(c: MachineConfig) -> bool:
+    cores = stream_gbps(c, (write_stream(24),))
+    numa = stream_gbps(
+        c, (write_stream(24, pinning=PinningPolicy.NUMA_REGION),)
+    )
+    none = stream_gbps(c, (write_stream(24, pinning=PinningPolicy.NONE),))
     return cores >= numa > none
 
 
-def _insight_9(m: BandwidthModel) -> bool:
-    near = max(m.sequential_write(t, 4096) for t in (4, 6, 8))
-    far = max(m.sequential_write(t, 4096, far=True) for t in (4, 6, 8, 18))
+def _insight_9(c: MachineConfig) -> bool:
+    near = max(stream_gbps(c, (write_stream(t),)) for t in (4, 6, 8))
+    far = max(
+        stream_gbps(c, (write_stream(t, target_socket=1),)) for t in (4, 6, 8, 18)
+    )
     return near > 1.5 * far
 
 
-def _insight_10(m: BandwidthModel) -> bool:
-    from repro.memsim.spec import Op, StreamSpec
-
-    near = StreamSpec(
-        op=Op.WRITE, threads=4, pinning=PinningPolicy.NUMA_REGION
+def _insight_10(c: MachineConfig) -> bool:
+    near = write_stream(4, pinning=PinningPolicy.NUMA_REGION)
+    contended = stream_gbps(
+        c, (near, near.with_(threads=8, issuing_socket=1, target_socket=0))
     )
-    contended = m.evaluate(
-        [near, near.with_(threads=8, issuing_socket=1, target_socket=0)]
-    ).total_gbps
-    alone = m.evaluate([near]).total_gbps
+    alone = stream_gbps(c, (near,))
     return contended < alone
 
 
-def _insight_11(m: BandwidthModel) -> bool:
+def _insight_11(c: MachineConfig) -> bool:
     # Mixing reads and writes costs both sides heavily: serialize when
     # latency allows.
-    out = m.mixed(write_threads=6, read_threads=18)
+    write, read = mixed_streams(6, 18)
+    both = default_service().evaluate(c, (write, read))
+    out = MixedOutcome(
+        read_gbps=both.read_gbps,
+        write_gbps=both.write_gbps,
+        read_alone_gbps=stream_gbps(c, (read,)),
+        write_alone_gbps=stream_gbps(c, (write,)),
+    )
     return out.read_retention < 0.5 and out.write_retention < 0.5
 
 
-def _insight_12(m: BandwidthModel) -> bool:
-    sequential_beats_random = m.sequential_read(36, 4096) > m.random_read(36, 4096)
-    bigger_random_better = m.random_read(36, 4096) > m.random_read(36, 256)
+def _insight_12(c: MachineConfig) -> bool:
+    def random_read(size: int) -> float:
+        spec = read_stream(
+            36, access_size=size, pattern=Pattern.RANDOM, region_bytes=DEFAULT_REGION
+        )
+        return stream_gbps(c, (spec,))
+
+    sequential_beats_random = stream_gbps(c, (read_stream(36),)) > random_read(4096)
+    bigger_random_better = random_read(4096) > random_read(256)
     return sequential_beats_random and bigger_random_better
 
 
@@ -171,7 +210,10 @@ def get_insight(number: int) -> Insight:
     raise KeyError(f"no insight #{number}; the paper defines 1-12")
 
 
-def verify_all(model: BandwidthModel | None = None) -> dict[int, bool]:
-    """Check every insight against the model; return {number: holds}."""
-    model = model if model is not None else BandwidthModel()
-    return {insight.number: insight.check(model) for insight in ALL_INSIGHTS}
+def verify_all(config: MachineConfig | None = None) -> dict[int, bool]:
+    """Check every insight against ``config``; return {number: holds}.
+
+    ``config`` defaults to :func:`~repro.memsim.paper_config`.
+    """
+    config = config if config is not None else paper_config()
+    return {insight.number: insight.check(config) for insight in ALL_INSIGHTS}

@@ -11,8 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.memsim import BandwidthModel, DirectoryState, Layout, PinningPolicy
+from repro.memsim import (
+    DirectoryState,
+    Layout,
+    MachineConfig,
+    PinningPolicy,
+    paper_config,
+)
 from repro.memsim.spec import Op, Pattern, StreamSpec
+from repro.sweep import stream_gbps
 
 DEFAULT_ACCESS_SIZES: tuple[int, ...] = (64, 256, 1024, 4096, 16384, 65536)
 DEFAULT_THREAD_COUNTS: tuple[int, ...] = (1, 2, 4, 6, 8, 12, 16, 18, 24, 36)
@@ -73,7 +80,7 @@ class TuningResult:
 def tune(
     op: Op,
     *,
-    model: BandwidthModel | None = None,
+    config: MachineConfig | None = None,
     space: TuningSpace | None = None,
     pattern: Pattern = Pattern.SEQUENTIAL,
     **spec_overrides: object,
@@ -84,9 +91,8 @@ def tune(
     media, the target socket, or the region size) applied to every
     candidate.
     """
-    model = model if model is not None else BandwidthModel()
+    config = config if config is not None else paper_config()
     space = space if space is not None else TuningSpace()
-    config, service = model.config, model.service
     # Every candidate is scored against the same steady-state directory
     # (memoized in the shared evaluation cache), so the sweep is pure and
     # its order is irrelevant.
@@ -105,7 +111,7 @@ def tune(
                         pattern=pattern,
                         **spec_overrides,  # type: ignore[arg-type]
                     )
-                    gbps = service.evaluate(config, (spec,), directory).total_gbps
+                    gbps = stream_gbps(config, (spec,), directory)
                     candidates.append(TuningCandidate(spec=spec, gbps=gbps))
     top_gbps = max(c.gbps for c in candidates)
     # Among configurations within half a percent of the optimum, prefer

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import CalibrationError, ConfigurationError
 from repro.core.insights import verify_all
-from repro.memsim import BandwidthModel, MachineConfig
+from repro.memsim import MachineConfig
 from repro.memsim.calibration import DeviceCalibration, paper_calibration
 
 #: The fitted parameters whose uncertainty matters most, as
@@ -130,5 +130,5 @@ def analyze(
             except CalibrationError:
                 report.rejected.append(key)
                 continue
-            report.outcomes[key] = verify_all(BandwidthModel(config=config))
+            report.outcomes[key] = verify_all(config)
     return report

@@ -8,24 +8,20 @@ from __future__ import annotations
 
 from repro.core.best_practices import BEST_PRACTICES, verify_practices
 from repro.core.insights import ALL_INSIGHTS, verify_all
-from repro.experiments.common import model_or_default
 from repro.experiments.result import ExperimentResult
-from repro.memsim import BandwidthModel
 
 
 def run(
-    model: BandwidthModel | None = None,
     jobs: int = 1,
     backend: str = "vector",
 ) -> ExperimentResult:
-    model = model_or_default(model)
     result = ExperimentResult(
         exp_id="bestpractices",
         title="Best practices for OLAP on PMEM (§7)",
         unit="bool",
     )
-    insight_results = verify_all(model)
-    practice_results = verify_practices(model)
+    insight_results = verify_all()
+    practice_results = verify_practices()
     result.add_series(
         "insights hold", {f"#{n}": float(ok) for n, ok in insight_results.items()}
     )

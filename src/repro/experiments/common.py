@@ -2,27 +2,13 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from repro.memsim import BandwidthModel, DirectoryState
+from repro.memsim import DirectoryState, MachineConfig
 from repro.sweep import SweepRunner
 from repro.workloads.grids import SweepGrid
 
 
-@lru_cache(maxsize=1)
-def _default_model() -> BandwidthModel:
-    # One shared façade over the cached paper MachineConfig: every
-    # default-invoked experiment reuses the same validated calibration
-    # and the same evaluation-cache keys.
-    return BandwidthModel()
-
-
-def model_or_default(model: BandwidthModel | None) -> BandwidthModel:
-    return model if model is not None else _default_model()
-
-
 def evaluate_grid(
-    model: BandwidthModel,
+    config: MachineConfig,
     grid: SweepGrid,
     *,
     directory: DirectoryState | None = None,
@@ -32,18 +18,18 @@ def evaluate_grid(
     """Evaluate every sweep point; returns {label: total GB/s}.
 
     Points are evaluated against an explicit warm
-    :class:`DirectoryState` (not by mutating the model), so far-access
-    points reflect steady-state behaviour and the call leaves no state
-    behind; experiments that specifically study the cold path (Fig. 5)
-    pass their own state values. Results stay columnar end-to-end — the
-    totals are read straight off the batch, no per-point result object
-    exists anywhere. ``backend="cluster"`` (with ``jobs`` local workers)
-    fans points out across worker processes instead, bit-identically.
+    :class:`DirectoryState`, so far-access points reflect steady-state
+    behaviour; experiments that specifically study the cold path
+    (Fig. 5) pass their own state values. Results stay columnar
+    end-to-end — the totals are read straight off the batch, no
+    per-point result object exists anywhere. ``backend="cluster"`` (with
+    ``jobs`` local workers) fans points out across worker processes
+    instead, bit-identically.
     """
     if directory is None:
-        directory = DirectoryState.warm(model.topology)
-    runner = SweepRunner(model.service, jobs=jobs, backend=backend)
-    return runner.totals(grid, config=model.config, directory=directory)
+        directory = DirectoryState.warm(config.topology)
+    runner = SweepRunner(jobs=jobs, backend=backend)
+    return runner.totals(grid, config=config, directory=directory)
 
 
 def curves_by(

@@ -8,32 +8,29 @@ fault costs ~0.5 ms, so pre-faulting 1 GB takes at least 0.25 s.
 from __future__ import annotations
 
 from repro.experiments import paperdata
-from repro.experiments.common import model_or_default
 from repro.experiments.result import ExperimentResult
-from repro.memsim import BandwidthModel, DaxMode
+from repro.memsim import DaxMode, paper_config, read_stream
 from repro.memsim.address import MappedRegion
+from repro.sweep import stream_gbps
 from repro.units import GIB
 
 
 def run(
-    model: BandwidthModel | None = None,
     jobs: int = 1,
     backend: str = "vector",
 ) -> ExperimentResult:
-    model = model_or_default(model)
+    config = paper_config()
     result = ExperimentResult(exp_id="daxmode", title="devdax vs fsdax (§2.3)")
 
-    devdax = {str(t): model.sequential_read(t, 4096) for t in (4, 8, 18, 36)}
-    fsdax = {
-        str(t): model.sequential_read(t, 4096, dax_mode=DaxMode.FSDAX)
-        for t in (4, 8, 18, 36)
-    }
-    prefaulted = {
-        str(t): model.sequential_read(
-            t, 4096, dax_mode=DaxMode.FSDAX, prefaulted=True
-        )
-        for t in (4, 8, 18, 36)
-    }
+    def series(**mode: object) -> dict[str, float]:
+        return {
+            str(t): stream_gbps(config, (read_stream(t, **mode),))
+            for t in (4, 8, 18, 36)
+        }
+
+    devdax = series()
+    fsdax = series(dax_mode=DaxMode.FSDAX)
+    prefaulted = series(dax_mode=DaxMode.FSDAX, prefaulted=True)
     result.add_series("devdax", devdax)
     result.add_series("fsdax", fsdax)
     result.add_series("fsdax (prefaulted)", prefaulted)
@@ -56,7 +53,7 @@ def run(
     result.compare(
         "pre-faulting 1 GB (§2.3: >= 0.25 s)",
         paperdata.PAGE_FAULT_SECONDS_PER_GIB,
-        region.fault_cost(model.calibration.pmem.page_fault_cost),
+        region.fault_cost(config.calibration.pmem.page_fault_cost),
         unit="s",
     )
     return result

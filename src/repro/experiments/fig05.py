@@ -14,31 +14,27 @@ each thread count starts from :meth:`DirectoryState.cold`, and the
 from __future__ import annotations
 
 from repro.experiments import paperdata
-from repro.experiments.common import model_or_default
 from repro.experiments.result import ExperimentResult
-from repro.memsim import BandwidthModel, DirectoryState, Op, StreamSpec
+from repro.memsim import DirectoryState, paper_config, read_stream
+from repro.sweep import default_service, stream_gbps
 
 
 THREADS = (1, 4, 8, 18, 24, 36)
 
 
 def run(
-    model: BandwidthModel | None = None,
     jobs: int = 1,
     backend: str = "vector",
 ) -> ExperimentResult:
-    model = model_or_default(model)
-    config, service = model.config, model.service
+    config = paper_config()
+    service = default_service()
     result = ExperimentResult(exp_id="fig5", title="Read NUMA effects")
 
-    near = {str(t): model.sequential_read(t, 4096) for t in THREADS}
+    near = {str(t): stream_gbps(config, (read_stream(t),)) for t in THREADS}
     cold = {}
     warm = {}
     for threads in THREADS:
-        far_spec = StreamSpec(
-            op=Op.READ, threads=threads, access_size=4096,
-            issuing_socket=0, target_socket=1,
-        )
+        far_spec = read_stream(threads, target_socket=1)
         first = service.evaluate(config, (far_spec,), DirectoryState.cold())
         # Second run against the now-warm state (the paper's "2nd Far").
         second = service.evaluate(config, (far_spec,), first.directory_after)

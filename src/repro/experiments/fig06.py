@@ -8,31 +8,31 @@ far reads are UPI-bound; both sockets reading the same PMEM collapses.
 from __future__ import annotations
 
 from repro.experiments import paperdata
-from repro.experiments.common import evaluate_grid, model_or_default
+from repro.experiments.common import evaluate_grid
 from repro.experiments.result import ExperimentResult
 from repro.memsim import (
-    BandwidthModel,
     DirectoryState,
     MediaKind,
     Op,
     PinningPolicy,
     StreamSpec,
+    paper_config,
 )
+from repro.sweep import default_service
 from repro.workloads import MULTISOCKET_READ_LABELS, multisocket_read_scenarios
 
 
 def run(
-    model: BandwidthModel | None = None,
     jobs: int = 1,
     backend: str = "vector",
 ) -> ExperimentResult:
-    model = model_or_default(model)
+    config = paper_config()
     result = ExperimentResult(
         exp_id="fig6", title="Read from multiple sockets (PMEM and DRAM)"
     )
     for media, panel in ((MediaKind.PMEM, "a-pmem"), (MediaKind.DRAM, "b-dram")):
         grid = multisocket_read_scenarios(media=media)
-        values = evaluate_grid(model, grid, jobs=jobs, backend=backend)
+        values = evaluate_grid(config, grid, jobs=jobs, backend=backend)
         for label in MULTISOCKET_READ_LABELS:
             curve = {
                 str(point.params["threads"]): values[point.label]
@@ -55,13 +55,13 @@ def run(
     # UPI utilization in the 2-Far scenario (§3.5: VTune shows 90%+),
     # evaluated against an explicit warm directory state.
     spec = StreamSpec(op=Op.READ, threads=18, pinning=PinningPolicy.NUMA_REGION)
-    two_far = model.service.evaluate(
-        model.config,
+    two_far = default_service().evaluate(
+        config,
         (
             spec.with_(issuing_socket=0, target_socket=1),
             spec.with_(issuing_socket=1, target_socket=0),
         ),
-        DirectoryState.warm(model.topology),
+        DirectoryState.warm(config.topology),
     )
     result.compare(
         "UPI utilization, 2 Far (§3.5: 90%+)",

@@ -9,25 +9,24 @@ beyond it; 64 B grouped writes (2.6 GB/s) trail individual ones
 from __future__ import annotations
 
 from repro.experiments import paperdata
-from repro.experiments.common import curves_by, evaluate_grid, model_or_default
+from repro.experiments.common import curves_by, evaluate_grid
 from repro.experiments.result import ExperimentResult
-from repro.memsim import BandwidthModel, Layout, Op
+from repro.memsim import Layout, Op, paper_config
 from repro.workloads import sequential_sweep
 
 
 def run(
-    model: BandwidthModel | None = None,
     jobs: int = 1,
     backend: str = "vector",
 ) -> ExperimentResult:
-    model = model_or_default(model)
+    config = paper_config()
     result = ExperimentResult(
         exp_id="fig7",
         title="Write bandwidth vs access size and thread count (grouped/individual)",
     )
     for layout, panel in ((Layout.GROUPED, "a-grouped"), (Layout.INDIVIDUAL, "b-individual")):
         grid = sequential_sweep(Op.WRITE, layout=layout)
-        values = evaluate_grid(model, grid, jobs=jobs, backend=backend)
+        values = evaluate_grid(config, grid, jobs=jobs, backend=backend)
         for threads, curve in curves_by(values, grid, "threads", "access_size").items():
             result.add_series(f"{panel}/{threads}T", curve)
 

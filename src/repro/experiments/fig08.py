@@ -7,21 +7,22 @@ grow together.
 
 from __future__ import annotations
 
-from repro.experiments.common import model_or_default
 from repro.experiments.result import ExperimentResult
-from repro.memsim import BandwidthModel, Layout
+from repro.memsim import Layout, MachineConfig, paper_config, write_stream
+from repro.sweep import stream_gbps
 from repro.units import MIB
 
 SIZES = (64, 256, 1024, 4096, 16384, 65536, MIB, 32 * MIB)
 THREADS = (1, 2, 4, 6, 8, 12, 18, 24, 30, 36)
 
 
-def heatmap(model: BandwidthModel, layout: Layout) -> dict[str, dict[str, float]]:
+def heatmap(config: MachineConfig, layout: Layout) -> dict[str, dict[str, float]]:
     """Thread-count rows of the (threads x size) write bandwidth matrix."""
-    return {
-        str(t): {str(s): model.sequential_write(t, s, layout=layout) for s in SIZES}
-        for t in THREADS
-    }
+    def cell(threads: int, size: int) -> float:
+        spec = write_stream(threads, access_size=size, layout=layout)
+        return stream_gbps(config, (spec,))
+
+    return {str(t): {str(s): cell(t, s) for s in SIZES} for t in THREADS}
 
 
 def boomerang_cells(rows: dict[str, dict[str, float]], threshold: float = 10.0):
@@ -35,16 +36,15 @@ def boomerang_cells(rows: dict[str, dict[str, float]], threshold: float = 10.0):
 
 
 def run(
-    model: BandwidthModel | None = None,
     jobs: int = 1,
     backend: str = "vector",
 ) -> ExperimentResult:
-    model = model_or_default(model)
+    config = paper_config()
     result = ExperimentResult(
         exp_id="fig8", title="Write bandwidth heatmap: the boomerang"
     )
     for layout, panel in ((Layout.GROUPED, "a-grouped"), (Layout.INDIVIDUAL, "b-individual")):
-        rows = heatmap(model, layout)
+        rows = heatmap(config, layout)
         for threads, row in rows.items():
             result.add_series(f"{panel}/{threads}T", row)
 

@@ -7,20 +7,19 @@ Same ordering as for reads but a gentler unpinned penalty: ~7 vs
 from __future__ import annotations
 
 from repro.experiments import paperdata
-from repro.experiments.common import evaluate_grid, model_or_default
+from repro.experiments.common import evaluate_grid
 from repro.experiments.result import ExperimentResult
-from repro.memsim import BandwidthModel, Op, PinningPolicy
+from repro.memsim import Op, PinningPolicy, paper_config
 from repro.workloads import pinning_sweep
 
 
 def run(
-    model: BandwidthModel | None = None,
     jobs: int = 1,
     backend: str = "vector",
 ) -> ExperimentResult:
-    model = model_or_default(model)
+    config = paper_config()
     grid = pinning_sweep(Op.WRITE)
-    values = evaluate_grid(model, grid, jobs=jobs, backend=backend)
+    values = evaluate_grid(config, grid, jobs=jobs, backend=backend)
     result = ExperimentResult(
         exp_id="fig9", title="Write bandwidth dependent on thread pinning"
     )

@@ -8,20 +8,26 @@ internally; near+far writers on the same PMEM cap at ~8 GB/s.
 from __future__ import annotations
 
 from repro.experiments import paperdata
-from repro.experiments.common import evaluate_grid, model_or_default
+from repro.experiments.common import evaluate_grid
 from repro.experiments.result import ExperimentResult
-from repro.memsim import BandwidthModel, DirectoryState, Op, PinningPolicy, StreamSpec
+from repro.memsim import (
+    DirectoryState,
+    Op,
+    PinningPolicy,
+    StreamSpec,
+    paper_config,
+)
+from repro.sweep import default_service
 from repro.workloads import MULTISOCKET_WRITE_LABELS, multisocket_write_scenarios
 
 
 def run(
-    model: BandwidthModel | None = None,
     jobs: int = 1,
     backend: str = "vector",
 ) -> ExperimentResult:
-    model = model_or_default(model)
+    config = paper_config()
     grid = multisocket_write_scenarios()
-    values = evaluate_grid(model, grid, jobs=jobs, backend=backend)
+    values = evaluate_grid(config, grid, jobs=jobs, backend=backend)
     result = ExperimentResult(exp_id="fig10", title="Writing data to multiple sockets")
     for label in MULTISOCKET_WRITE_LABELS:
         curve = {
@@ -60,8 +66,8 @@ def run(
         max(result.series_values("1 Near 1 Far").values()),
     )
 
-    far_run = model.service.evaluate(
-        model.config,
+    far_run = default_service().evaluate(
+        config,
         (
             StreamSpec(
                 op=Op.WRITE,
@@ -71,7 +77,7 @@ def run(
                 target_socket=1,
             ),
         ),
-        DirectoryState.warm(model.topology),
+        DirectoryState.warm(config.topology),
     )
     result.compare(
         "far-write internal amplification (§4.4: up to 10x)",

@@ -8,25 +8,35 @@ the combined bandwidth never exceeds the uncontended read peak.
 from __future__ import annotations
 
 from repro.experiments import paperdata
-from repro.experiments.common import model_or_default
 from repro.experiments.result import ExperimentResult
-from repro.memsim import BandwidthModel
-from repro.workloads.mixed import PAPER_READ_COUNTS, PAPER_WRITE_COUNTS
+from repro.memsim import MixedOutcome, paper_config, read_stream
+from repro.sweep import default_service, stream_gbps
+from repro.workloads.mixed import (
+    PAPER_READ_COUNTS,
+    PAPER_WRITE_COUNTS,
+    mixed_streams,
+)
 
 
 def run(
-    model: BandwidthModel | None = None,
     jobs: int = 1,
     backend: str = "vector",
 ) -> ExperimentResult:
-    model = model_or_default(model)
+    config = paper_config()
     result = ExperimentResult(exp_id="fig11", title="Mixed workload performance")
     reads: dict[str, float] = {}
     writes: dict[str, float] = {}
     outcomes = {}
     for writers in PAPER_WRITE_COUNTS:
         for readers in PAPER_READ_COUNTS:
-            outcome = model.mixed(write_threads=writers, read_threads=readers)
+            write, read = mixed_streams(writers, readers)
+            both = default_service().evaluate(config, (write, read))
+            outcome = MixedOutcome(
+                read_gbps=both.read_gbps,
+                write_gbps=both.write_gbps,
+                read_alone_gbps=stream_gbps(config, (read,)),
+                write_alone_gbps=stream_gbps(config, (write,)),
+            )
             label = f"{writers}/{readers}"
             reads[label] = outcome.read_gbps
             writes[label] = outcome.write_gbps
@@ -57,7 +67,7 @@ def run(
         balanced.write_retention,
         unit="frac",
     )
-    read_alone = model.sequential_read(18, 4096)
+    read_alone = stream_gbps(config, (read_stream(18),))
     worst_total = max(o.total_gbps for o in outcomes.values())
     result.compare(
         "max combined bandwidth <= uncontended read max",

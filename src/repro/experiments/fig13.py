@@ -8,22 +8,22 @@ threads and is nearly size-insensitive.
 from __future__ import annotations
 
 from repro.experiments import paperdata
-from repro.experiments.common import curves_by, evaluate_grid, model_or_default
+from repro.experiments.common import curves_by, evaluate_grid
 from repro.experiments.result import ExperimentResult
-from repro.memsim import BandwidthModel, MediaKind, Op
+from repro.memsim import MediaKind, Op, paper_config, write_stream
+from repro.sweep import stream_gbps
 from repro.workloads import random_sweep
 
 
 def run(
-    model: BandwidthModel | None = None,
     jobs: int = 1,
     backend: str = "vector",
 ) -> ExperimentResult:
-    model = model_or_default(model)
+    config = paper_config()
     result = ExperimentResult(exp_id="fig13", title="Random write bandwidth (PMEM/DRAM)")
     for media, panel in ((MediaKind.PMEM, "a-pmem"), (MediaKind.DRAM, "b-dram")):
         grid = random_sweep(Op.WRITE, media=media)
-        values = evaluate_grid(model, grid, jobs=jobs, backend=backend)
+        values = evaluate_grid(config, grid, jobs=jobs, backend=backend)
         for threads, curve in curves_by(values, grid, "threads", "access_size").items():
             result.add_series(f"{panel}/{threads}T", curve)
 
@@ -39,7 +39,7 @@ def run(
         float(best_threads),
         unit="thr",
     )
-    seq_peak = max(model.sequential_write(t, 4096) for t in (4, 6))
+    seq_peak = max(stream_gbps(config, (write_stream(t),)) for t in (4, 6))
     result.compare(
         "PMEM random-write peak fraction of sequential (§5.2: ~2/3)",
         paperdata.RANDOM_PEAK_FRACTION_PMEM,

@@ -9,17 +9,15 @@ from __future__ import annotations
 
 from repro.experiments import paperdata
 from repro.experiments.result import ExperimentResult
-from repro.memsim import BandwidthModel
 from repro.ssb.runner import SsbRunner, average_slowdown
 
 
 def run(
-    model: BandwidthModel | None = None,
     runner: SsbRunner | None = None,
     jobs: int = 1,
     backend: str = "vector",
 ) -> ExperimentResult:
-    runner = runner if runner is not None else SsbRunner(model=model)
+    runner = runner if runner is not None else SsbRunner()
     result = ExperimentResult(
         exp_id="fig14", title="Star Schema Benchmark performance", unit="s"
     )

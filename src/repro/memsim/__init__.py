@@ -11,19 +11,16 @@ Public surface:
   the pure evaluation core;
 * :func:`~repro.memsim.evaluation.evaluate` — the analytic steady-state
   model behind every microbenchmark figure, as a pure function;
-* :class:`~repro.memsim.bandwidth.BandwidthModel` — the deprecated
-  mutable façade over it, kept for backward compatibility;
 * :class:`~repro.memsim.spec.StreamSpec` and friends — workload
   descriptions;
 * :mod:`repro.memsim.engine` — the discrete-event cross-check.
 """
 
 from repro.memsim.address import DaxMode, InterleaveMap, MappedRegion
-from repro.memsim.bandwidth import BandwidthModel, BandwidthResult, StreamResult
 from repro.memsim.calibration import DeviceCalibration, paper_calibration
 from repro.memsim.config import DirectoryState, MachineConfig, paper_config
 from repro.memsim.context import EvalContext, eval_context
-from repro.memsim.evaluation import evaluate
+from repro.memsim.evaluation import BandwidthResult, StreamResult, evaluate
 from repro.memsim.counters import PerfCounters
 from repro.memsim.memory_mode import MemoryModeConfig, MemoryModeModel
 from repro.memsim.mixed import MixedOutcome
@@ -33,7 +30,6 @@ from repro.memsim.spec import Layout, Op, Pattern, StreamSpec, read_stream, writ
 from repro.memsim.topology import MediaKind, SystemTopology, build_topology, paper_server
 
 __all__ = [
-    "BandwidthModel",
     "BandwidthResult",
     "DaxMode",
     "DeviceCalibration",

@@ -11,7 +11,7 @@ of three values:
   instead of hidden mutable state on the model object.
 
 Both types are content-hashable, which is what makes the memoized sweep
-service (:mod:`repro.sweep`) possible: two configurations that describe
+service (the layer above memsim) possible: two configurations that describe
 the same machine share one cache entry regardless of how they were
 constructed.
 """

@@ -1,6 +1,6 @@
 """Cross-validation harness: analytic model vs. discrete-event replay.
 
-The analytic model (:class:`~repro.memsim.bandwidth.BandwidthModel`) is
+The analytic model (:func:`~repro.memsim.evaluation.evaluate`) is
 calibrated to the paper's curves; the discrete-event engine
 (:mod:`repro.memsim.engine`) replays traces through the same component
 models with no bandwidth formulas of its own. Where both agree, the
@@ -16,11 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.memsim.bandwidth import BandwidthModel
+from repro.memsim.config import MachineConfig, paper_config
 from repro.memsim.context import eval_context
 from repro.memsim.engine import EngineConfig, simulate
-from repro.memsim.spec import Layout, Op, Pattern
-from repro.units import MIB
+from repro.memsim.evaluation import evaluate
+from repro.memsim.spec import Layout, Op, Pattern, StreamSpec
+from repro.units import GIB, MIB
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ class CrossCheckReport:
 
 def cross_check(
     anchors: tuple[AnchorConfig, ...] = DEFAULT_ANCHORS,
-    model: BandwidthModel | None = None,
+    config: MachineConfig | None = None,
     volume_bytes: int = 8 * MIB,
 ) -> CrossCheckReport:
     """Run every anchor on both fidelity levels.
@@ -134,22 +135,26 @@ def cross_check(
     """
     if not anchors:
         raise ConfigurationError("need at least one anchor")
-    model = model if model is not None else BandwidthModel()
+    config = config if config is not None else paper_config()
+    context = eval_context(config)
     report = CrossCheckReport()
     for anchor in anchors:
         if anchor.pattern is Pattern.RANDOM:
-            if anchor.op is Op.READ:
-                analytic = model.random_read(anchor.threads, anchor.access_size)
-            else:
-                analytic = model.random_write(anchor.threads, anchor.access_size)
-        elif anchor.op is Op.READ:
-            analytic = model.sequential_read(
-                anchor.threads, anchor.access_size, layout=anchor.layout
+            spec = StreamSpec(
+                op=anchor.op,
+                threads=anchor.threads,
+                access_size=anchor.access_size,
+                pattern=Pattern.RANDOM,
+                region_bytes=2 * GIB,
             )
         else:
-            analytic = model.sequential_write(
-                anchor.threads, anchor.access_size, layout=anchor.layout
+            spec = StreamSpec(
+                op=anchor.op,
+                threads=anchor.threads,
+                access_size=anchor.access_size,
+                layout=anchor.layout,
             )
+        analytic = evaluate(config, (spec,), context=context).total_gbps
         total = max(volume_bytes, anchor.threads * anchor.access_size * 16)
         engine = simulate(
             EngineConfig(
@@ -161,7 +166,7 @@ def cross_check(
                 total_bytes=total,
                 region_bytes=256 * MIB if anchor.pattern is Pattern.RANDOM else None,
             ),
-            context=eval_context(model.config),
+            context=context,
         ).gbps
         report.outcomes.append(
             AnchorOutcome(anchor=anchor, analytic_gbps=analytic, engine_gbps=engine)

@@ -1,6 +1,6 @@
 """Discrete-event simulator: the mechanism-level cross-check.
 
-Where :class:`~repro.memsim.bandwidth.BandwidthModel` computes steady-state
+Where :func:`~repro.memsim.evaluation.evaluate` computes steady-state
 bandwidth analytically from pattern statistics, this engine *replays* an
 actual access trace op by op through the same component models:
 

@@ -13,7 +13,7 @@ explicit :class:`~repro.memsim.config.DirectoryState` — it mutates none
 of them. Directory warm-up is reported back as a *new* state on
 :attr:`BandwidthResult.directory_after`, which callers thread into the
 next evaluation (or discard). Purity is what lets the sweep service
-(:mod:`repro.sweep`) memoize results and fan evaluations out across
+(the layer above memsim) memoize results and fan evaluations out across
 threads with bit-identical outcomes.
 
 The model computes, per stream:

@@ -1,22 +1,17 @@
 """Vectorized evaluation kernels: batched sweeps over the pure core.
 
-Two kernels, two contracts:
-
-* :func:`evaluate_grid_columns` (:mod:`repro.memsim.kernels.analytic`)
-  — a structure-of-arrays batched analytic evaluator producing a
-  :class:`ResultColumns` batch natively. One
-  :class:`~repro.memsim.context.EvalContext` is shared across a whole
-  sweep axis and every float is produced by the *same IEEE-754 operation
-  in the same order* as per-point
-  :func:`repro.memsim.evaluation.evaluate`, so results are **bit
-  identical** — the sweep service can mix cached per-point results with
-  batched computes freely. Callers that want per-point objects take
-  lazy views off the batch (:meth:`ResultColumns.views`).
-* :func:`run_epochs` (:mod:`repro.memsim.kernels.epoch`) — an
-  epoch-stepped fast path for the discrete-event engine. It trades the
-  per-op ``heapq`` loop for batched array steps and is validated against
-  the scalar engine within the crosscheck tolerance band; the scalar
-  engine in :mod:`repro.memsim.engine.simulator` remains the oracle.
+:func:`evaluate_grid_columns` (:mod:`repro.memsim.kernels.analytic`) is
+a structure-of-arrays batched analytic evaluator producing a
+:class:`ResultColumns` batch natively. One
+:class:`~repro.memsim.context.EvalContext` is shared across a whole
+sweep axis and every float is produced by the *same IEEE-754 operation
+in the same order* as per-point
+:func:`repro.memsim.evaluation.evaluate`, so results are **bit
+identical** — the sweep service can mix cached per-point results with
+batched computes freely. Callers that want per-point objects take lazy
+views off the batch (:meth:`ResultColumns.views`). The discrete-event
+engine has no batched counterpart: its scalar simulator
+(:mod:`repro.memsim.engine.simulator`) stays the cross-check oracle.
 
 :class:`ResultColumns` itself is imported eagerly (it is pure stdlib);
 the kernels are resolved lazily via :pep:`562` so that consumers which
@@ -32,13 +27,11 @@ from repro.memsim.kernels.columns import COUNTER_COLUMNS, ResultColumns
 
 __all__ = [
     "COUNTER_COLUMNS",
-    "EpochEngine",
     "FALLBACK_REASONS",
     "ResultColumns",
     "classify_point",
     "evaluate_grid_columns",
     "evaluate_points_columns",
-    "run_epochs",
     "vector_eligible",
 ]
 
@@ -49,7 +42,6 @@ _ANALYTIC = frozenset({
     "evaluate_points_columns",
     "vector_eligible",
 })
-_EPOCH = frozenset({"EpochEngine", "run_epochs"})
 
 
 def __getattr__(name: str) -> Any:
@@ -57,10 +49,6 @@ def __getattr__(name: str) -> Any:
         from repro.memsim.kernels import analytic
 
         return getattr(analytic, name)
-    if name in _EPOCH:
-        from repro.memsim.kernels import epoch
-
-        return getattr(epoch, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

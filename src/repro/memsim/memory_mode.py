@@ -26,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, WorkloadError
-from repro.memsim.bandwidth import BandwidthModel
-from repro.memsim.spec import Pattern
+from repro.memsim.config import MachineConfig, paper_config
+from repro.memsim.evaluation import evaluate
+from repro.memsim.spec import Pattern, StreamSpec, read_stream, write_stream
 from repro.memsim.topology import MediaKind
 from repro.units import GIB
 
@@ -53,11 +54,15 @@ class MemoryModeModel:
 
     def __init__(
         self,
-        model: BandwidthModel | None = None,
+        machine: MachineConfig | None = None,
         config: MemoryModeConfig | None = None,
     ) -> None:
-        self.model = model if model is not None else BandwidthModel()
+        self.machine = machine if machine is not None else paper_config()
         self.config = config if config is not None else MemoryModeConfig()
+
+    def _gbps(self, spec: StreamSpec) -> float:
+        """App Direct bandwidth of one stream on the machine, GB/s."""
+        return evaluate(self.machine, (spec,)).total_gbps
 
     @staticmethod
     def is_persistent() -> bool:
@@ -94,16 +99,20 @@ class MemoryModeModel:
         """
         hit = self.hit_rate(working_set_bytes, pattern)
         if pattern is Pattern.SEQUENTIAL:
-            dram = self.model.sequential_read(
-                threads, access_size, media=MediaKind.DRAM
+            dram = self._gbps(
+                read_stream(threads, access_size=access_size, media=MediaKind.DRAM)
             )
-            pmem = self.model.sequential_read(threads, access_size)
+            pmem = self._gbps(read_stream(threads, access_size=access_size))
         else:
-            dram = self.model.random_read(
-                threads, access_size, media=MediaKind.DRAM,
+            dram = self._gbps(read_stream(
+                threads, access_size=access_size, media=MediaKind.DRAM,
+                pattern=Pattern.RANDOM,
                 region_bytes=min(working_set_bytes, self.config.dram_cache_bytes),
-            )
-            pmem = self.model.random_read(threads, access_size)
+            ))
+            pmem = self._gbps(read_stream(
+                threads, access_size=access_size, pattern=Pattern.RANDOM,
+                region_bytes=2 * GIB,
+            ))
         if hit >= 1.0:
             return dram
         # Misses additionally pay the cache-fill transfer into DRAM.
@@ -122,10 +131,12 @@ class MemoryModeModel:
         exceeds it, every write forces a dirty-line writeback to PMEM,
         so sustained large writes converge to PMEM's write speed.
         """
-        dram = self.model.sequential_write(threads, access_size, media=MediaKind.DRAM)
+        dram = self._gbps(
+            write_stream(threads, access_size=access_size, media=MediaKind.DRAM)
+        )
         if working_set_bytes <= self.config.dram_cache_bytes:
             return dram
-        pmem = self.model.sequential_write(threads, access_size)
+        pmem = self._gbps(write_stream(threads, access_size=access_size))
         return 1.0 / (1.0 / dram + 1.0 / pmem)
 
     def compare_app_direct(
@@ -142,8 +153,10 @@ class MemoryModeModel:
             "memory_mode_gbps": self.read_bandwidth(
                 threads, access_size, working_set_bytes
             ),
-            "app_direct_gbps": self.model.sequential_read(threads, access_size),
-            "dram_gbps": self.model.sequential_read(
-                threads, access_size, media=MediaKind.DRAM
+            "app_direct_gbps": self._gbps(
+                read_stream(threads, access_size=access_size)
+            ),
+            "dram_gbps": self._gbps(
+                read_stream(threads, access_size=access_size, media=MediaKind.DRAM)
             ),
         }

@@ -13,6 +13,9 @@ matter for bandwidth (§3.4, §3.5, §4.4):
    traversal of a region constantly reassigns mappings and crawls at
    ~8 GB/s (best at ~4 threads, worse with more); once warm — or after a
    single-threaded priming pass — the same traversal reaches ~33 GB/s.
+   Which pairs are warm is an explicit input of every evaluation, the
+   immutable :class:`~repro.memsim.config.DirectoryState`; this module
+   supplies the cold-run ceiling.
 3. **Queue pollution**: far requests are inserted into the target iMC's
    queues with UPI latency, interleaving with local request streams and
    breaking Optane's 256 B locality. This is why two sockets reading
@@ -22,57 +25,10 @@ matter for bandwidth (§3.4, §3.5, §4.4):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SimulationError, WorkloadError
 from repro.memsim.calibration import InterconnectCalibration, PmemCalibration
-
-
-@dataclass
-class CoherenceDirectory:
-    """Tracks which (reader socket -> home socket) mappings are warm.
-
-    The paper verifies that the warm-up is a NUMA-region effect, not a
-    per-core one: priming far memory with a single thread eliminates the
-    multi-threaded first-run penalty (§3.4). Accordingly the directory
-    records warmth per socket pair, and *any* access — including a
-    single-threaded priming read — warms the pair.
-    """
-
-    _warm: set[tuple[int, int]] = field(default_factory=set)
-
-    @property
-    def warm_pairs(self) -> frozenset[tuple[int, int]]:
-        """Immutable snapshot of the warm (reader, home) pairs.
-
-        Used by the :class:`~repro.memsim.bandwidth.BandwidthModel`
-        façade to convert this mutable directory into an explicit
-        :class:`~repro.memsim.config.DirectoryState` value for the pure
-        evaluation core.
-        """
-        return frozenset(self._warm)
-
-    def is_warm(self, reader_socket: int, home_socket: int) -> bool:
-        if reader_socket == home_socket:
-            return True
-        return (reader_socket, home_socket) in self._warm
-
-    def touch(self, reader_socket: int, home_socket: int) -> None:
-        """Record a completed far traversal, warming the mapping."""
-        if reader_socket != home_socket:
-            self._warm.add((reader_socket, home_socket))
-
-    def invalidate(self, home_socket: int) -> None:
-        """Drop all warm mappings for a home socket.
-
-        Models the remapping churn caused when ownership of an address
-        range keeps switching between sockets (§3.4: "if access to the
-        same memory regions is constantly switching between sockets,
-        constant remapping is required").
-        """
-        self._warm = {
-            pair for pair in self._warm if pair[1] != home_socket
-        }
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ tests rely on this.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping
@@ -100,6 +101,15 @@ _STREAM_FIELDS = (
     "dax_mode",
     "prefaulted",
 )
+#: Stream fields that must be JSON integers on the wire.
+_STREAM_INTS = frozenset({
+    "threads",
+    "access_size",
+    "issuing_socket",
+    "target_socket",
+    "region_bytes",
+    "total_bytes",
+})
 
 
 @lru_cache(maxsize=4)
@@ -148,13 +158,18 @@ def _bad(message: str) -> ServeError:
     return ServeError("bad_request", message)
 
 
+def _is_int(value: object) -> bool:
+    """A JSON integer: ``bool`` is an ``int`` subclass but not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def decode_stream(obj: object) -> StreamSpec:
     """Decode one wire stream object into a :class:`StreamSpec`.
 
     Enums decode by their ``.value`` string; absent fields take the
     ``StreamSpec`` defaults. Raises :class:`ServeError` (code
-    ``bad_request``) for unknown fields, bad enum values, or specs the
-    workload validator rejects.
+    ``bad_request``) for unknown fields, bad enum values, non-integer
+    counts, sizes or sockets, or specs the workload validator rejects.
     """
     if not isinstance(obj, Mapping):
         raise _bad(f"stream must be an object, got {type(obj).__name__}")
@@ -162,6 +177,8 @@ def decode_stream(obj: object) -> StreamSpec:
     for name, value in obj.items():
         if name not in _STREAM_FIELDS:
             raise _bad(f"unknown stream field {name!r}")
+        if name in _STREAM_INTS and not _is_int(value):
+            raise _bad(f"stream field {name!r} must be an integer, got {value!r}")
         enum_type = _STREAM_ENUMS.get(name)
         if enum_type is not None:
             try:
@@ -205,7 +222,7 @@ def _decode_directory(obj: object) -> DirectoryState:
         if (
             not isinstance(item, list)
             or len(item) != 2
-            or not all(isinstance(n, int) for n in item)
+            or not all(_is_int(n) for n in item)
         ):
             raise _bad(f"bad warm pair {item!r}; expected [issuing, target]")
         pairs.add((item[0], item[1]))
@@ -245,8 +262,13 @@ def decode_request(payload: Mapping[str, object]) -> Request:
 
     deadline = payload.get("deadline_seconds")
     if deadline is not None:
-        if not isinstance(deadline, (int, float)) or deadline <= 0:
-            raise _bad("deadline_seconds must be a positive number")
+        if (
+            not isinstance(deadline, (int, float))
+            or isinstance(deadline, bool)
+            or not math.isfinite(deadline)
+            or deadline <= 0
+        ):
+            raise _bad("deadline_seconds must be a positive finite number")
         deadline = float(deadline)
 
     include_counters = payload.get("counters", False)

@@ -1,9 +1,9 @@
 """Traffic-to-runtime cost model: prices engine traffic with memsim.
 
 For a given :class:`~repro.ssb.storage.SystemProfile`, the model derives
-the deployment's effective bandwidths from :class:`~repro.memsim.BandwidthModel`
-(the same model behind Figures 3-13 — no SSB-specific bandwidth numbers
-exist anywhere):
+the deployment's effective bandwidths from the evaluation service over
+:func:`repro.memsim.evaluate` (the same model behind Figures 3-13 — no
+SSB-specific bandwidth numbers exist anywhere):
 
 * sequential scans: near/far stream evaluation at the profile's thread
   count, pinning, and dax mode (SSD profiles scan at NVMe speed);
@@ -34,18 +34,20 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.memsim import (
-    BandwidthModel,
     DirectoryState,
     Layout,
+    MachineConfig,
     MediaKind,
     Op,
     PinningPolicy,
     StreamSpec,
+    paper_config,
 )
 from repro.memsim.spec import Pattern
 from repro.obs import Recorder, default_recorder
 from repro.ssb.engine.traffic import OperatorTraffic, QueryTraffic
 from repro.ssb.storage import SystemProfile
+from repro.sweep import default_service, stream_gbps
 from repro.units import GB, GIB, NS
 
 #: Last-level cache per socket (Xeon Gold 5220S: 24.75 MB).
@@ -118,17 +120,15 @@ class SsbCostModel:
 
     def __init__(
         self,
-        model: BandwidthModel | None = None,
+        config: MachineConfig | None = None,
         cpu_seconds_per_tuple: float = CPU_SECONDS_PER_TUPLE,
     ) -> None:
         if cpu_seconds_per_tuple <= 0:
             raise ConfigurationError("CPU cost must be positive")
-        self.model = model if model is not None else BandwidthModel()
-        self.config = self.model.config
-        self.service = self.model.service
+        self.config = config if config is not None else paper_config()
         # All pricing is steady-state: far accesses are evaluated against
-        # an explicitly warm coherence directory instead of mutating the
-        # model (the cold path is Fig. 5's subject, not SSB's).
+        # an explicitly warm coherence directory (the cold path is
+        # Fig. 5's subject, not SSB's).
         self._directory = DirectoryState.warm(self.config.topology)
         self.cpu_seconds_per_tuple = cpu_seconds_per_tuple
         # Totals primed by price(): one batched columnar evaluation per
@@ -142,9 +142,7 @@ class SsbCostModel:
         primed = self._primed.get(key)
         if primed is not None:
             return primed
-        return self.service.evaluate(
-            self.config, key, self._directory
-        ).total_gbps
+        return stream_gbps(self.config, key, self._directory)
 
     # ------------------------------------------------------------------
     # effective bandwidths
@@ -359,7 +357,7 @@ class SsbCostModel:
         if not wanted:
             return
         try:
-            columns = self.service.evaluate_grid_columns(
+            columns = default_service().evaluate_grid_columns(
                 self.config, wanted, self._directory
             )
         except Exception:

@@ -21,9 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ConfigurationError, SchemaError
-from repro.memsim import BandwidthModel, MediaKind
+from repro.memsim import MachineConfig, MediaKind, paper_config, write_stream
 from repro.ssb import schema
 from repro.ssb.dbgen import SsbDatabase, Table
+from repro.sweep import stream_gbps
 from repro.units import GB, MIB
 
 
@@ -93,7 +94,7 @@ def estimate_import(
     media: MediaKind = MediaKind.PMEM,
     threads: int = 6,
     access_size: int = 4096,
-    model: BandwidthModel | None = None,
+    config: MachineConfig | None = None,
     sockets: int = 2,
 ) -> ImportEstimate:
     """Predict the ingest time of ``volume_bytes`` (sequential writes).
@@ -105,8 +106,10 @@ def estimate_import(
         raise ConfigurationError("volume must be positive")
     if sockets not in (1, 2):
         raise ConfigurationError("model supports 1 or 2 sockets")
-    model = model if model is not None else BandwidthModel()
-    per_socket = model.sequential_write(threads, access_size, media=media)
+    config = config if config is not None else paper_config()
+    per_socket = stream_gbps(
+        config, (write_stream(threads, access_size=access_size, media=media),)
+    )
     return ImportEstimate(
         bytes=volume_bytes,
         media=media,
@@ -116,15 +119,14 @@ def estimate_import(
     )
 
 
-def import_advice(volume_bytes: int, model: BandwidthModel | None = None) -> str:
+def import_advice(volume_bytes: int, config: MachineConfig | None = None) -> str:
     """Contrast best-practice ingest with the naive configuration.
 
     The naive choice — every core writing in large blocks — is what a
     DRAM-tuned system does, and it is precisely the §4.2 collapse.
     """
-    model = model if model is not None else BandwidthModel()
-    tuned = estimate_import(volume_bytes, threads=6, access_size=4096, model=model)
-    naive = estimate_import(volume_bytes, threads=36, access_size=MIB, model=model)
+    tuned = estimate_import(volume_bytes, threads=6, access_size=4096, config=config)
+    naive = estimate_import(volume_bytes, threads=36, access_size=MIB, config=config)
     saving = naive.seconds - tuned.seconds
     return "\n".join(
         [

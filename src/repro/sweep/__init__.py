@@ -25,6 +25,7 @@ from repro.sweep.service import (
     default_service,
     request_key,
     set_default_service,
+    stream_gbps,
 )
 
 __all__ = [
@@ -38,4 +39,5 @@ __all__ = [
     "default_service",
     "request_key",
     "set_default_service",
+    "stream_gbps",
 ]

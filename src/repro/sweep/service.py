@@ -2,8 +2,9 @@
 
 The service is the single funnel through which the reproduction
 evaluates bandwidth: experiments, the SSB cost model, the optimizer, the
-advisor, and the deprecated :class:`~repro.memsim.BandwidthModel` façade
-all call :meth:`EvaluationService.evaluate`. Because the core is pure,
+advisor, the insights and the CLI all call
+:meth:`EvaluationService.evaluate` on :func:`default_service`, most of
+them through :func:`stream_gbps`. Because the core is pure,
 identical requests return identical (cached) results — the optimizer and
 the sensitivity analysis re-price the same grid points constantly, and
 regenerating a figure twice in one process is nearly free.
@@ -485,3 +486,16 @@ def set_default_service(service: EvaluationService | None) -> EvaluationService 
     previous = _DEFAULT_SERVICE
     _DEFAULT_SERVICE = service
     return previous
+
+
+def stream_gbps(
+    config: MachineConfig,
+    streams: "list[StreamSpec] | tuple[StreamSpec, ...]",
+    directory: DirectoryState | None = None,
+) -> float:
+    """Total GB/s of ``streams`` on ``config``, through :func:`default_service`.
+
+    The service is looked up per call, so a service installed with
+    :func:`set_default_service` sees every request made after it.
+    """
+    return default_service().evaluate(config, streams, directory).total_gbps

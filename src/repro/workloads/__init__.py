@@ -7,7 +7,7 @@ all run the same workloads.
 """
 
 from repro.workloads.grids import SweepGrid, SweepPoint
-from repro.workloads.mixed import mixed_grid
+from repro.workloads.mixed import mixed_grid, mixed_streams
 from repro.workloads.multisocket import (
     MULTISOCKET_READ_LABELS,
     MULTISOCKET_WRITE_LABELS,
@@ -33,6 +33,7 @@ __all__ = [
     "SweepGrid",
     "SweepPoint",
     "mixed_grid",
+    "mixed_streams",
     "multisocket_read_scenarios",
     "multisocket_write_scenarios",
     "numa_locality_sweep",

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from repro.memsim.constants import DEFAULT_SWEEP_BYTES
 from repro.memsim.scheduler import PinningPolicy
-from repro.memsim.spec import Layout, Op, StreamSpec
+from repro.memsim.spec import Op, StreamSpec
 from repro.memsim.topology import MediaKind
 from repro.units import GIB
 from repro.workloads.grids import SweepGrid, SweepPoint
@@ -13,6 +14,32 @@ PAPER_WRITE_COUNTS: tuple[int, ...] = (1, 4, 6)
 
 #: The reader counts of Fig. 11.
 PAPER_READ_COUNTS: tuple[int, ...] = (1, 8, 18, 30)
+
+
+def mixed_streams(
+    write_threads: int,
+    read_threads: int,
+    *,
+    access_size: int = 4096,
+    media: MediaKind = MediaKind.PMEM,
+    total_bytes: int = DEFAULT_SWEEP_BYTES,
+) -> tuple[StreamSpec, StreamSpec]:
+    """The (write, read) stream pair of one §5.1 mixed run.
+
+    Both sides use individual accesses to disjoint data on the *same*
+    DIMMs, pinned to the NUMA region.
+    """
+    def stream(op: Op, threads: int) -> StreamSpec:
+        return StreamSpec(
+            op=op,
+            threads=threads,
+            access_size=access_size,
+            media=media,
+            pinning=PinningPolicy.NUMA_REGION,
+            total_bytes=total_bytes,
+        )
+
+    return stream(Op.WRITE, write_threads), stream(Op.READ, read_threads)
 
 
 def mixed_grid(
@@ -31,29 +58,17 @@ def mixed_grid(
     points = []
     for writers in write_counts:
         for readers in read_counts:
-            write = StreamSpec(
-                op=Op.WRITE,
-                threads=writers,
-                access_size=access_size,
-                media=media,
-                layout=Layout.INDIVIDUAL,
-                pinning=PinningPolicy.NUMA_REGION,
-                total_bytes=40 * GIB,
-            )
-            read = StreamSpec(
-                op=Op.READ,
-                threads=readers,
-                access_size=access_size,
-                media=media,
-                layout=Layout.INDIVIDUAL,
-                pinning=PinningPolicy.NUMA_REGION,
-                total_bytes=40 * GIB,
-            )
             points.append(
                 SweepPoint(
                     label=f"{writers}/{readers}",
                     params={"write_threads": writers, "read_threads": readers},
-                    streams=(write, read),
+                    streams=mixed_streams(
+                        writers,
+                        readers,
+                        access_size=access_size,
+                        media=media,
+                        total_bytes=40 * GIB,
+                    ),
                 )
             )
     return SweepGrid(name=f"mixed-{media.value}", points=tuple(points))

@@ -8,12 +8,12 @@ from repro.core import (
     practices_report,
     verify_practices,
 )
-from repro.memsim import BandwidthModel
+from repro.memsim import MachineConfig, paper_config
 
 
 @pytest.fixture(scope="module")
-def model():
-    return BandwidthModel()
+def config():
+    return paper_config()
 
 
 class TestRegistry:
@@ -41,12 +41,12 @@ class TestRegistry:
 
 class TestAllPracticesHold:
     @pytest.mark.parametrize("number", range(1, 8))
-    def test_practice_holds(self, model, number):
-        results = verify_practices(model)
+    def test_practice_holds(self, config, number):
+        results = verify_practices(config)
         assert results[number], f"best practice #{number} violated by the model"
 
-    def test_report_renders_all(self, model):
-        report = practices_report(model)
+    def test_report_renders_all(self, config):
+        report = practices_report(config)
         assert report.count("HOLDS") == 7
         assert "VIOLATED" not in report
 
@@ -69,6 +69,5 @@ class TestPracticesAreFalsifiable:
                 write_interference_coeff=1e-6,
             ),
         )
-        model = BandwidthModel(calibration=broken)
-        results = verify_practices(model)
+        results = verify_practices(MachineConfig(calibration=broken))
         assert not results[5]

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.core import ALL_INSIGHTS, get_insight, verify_all
-from repro.memsim import BandwidthModel
+from repro.memsim import paper_config
 
 
 @pytest.fixture(scope="module")
-def model():
-    return BandwidthModel()
+def config():
+    return paper_config()
 
 
 class TestRegistry:
@@ -41,14 +41,14 @@ class TestAllInsightsHold:
     the mechanistic model, none is hard-coded."""
 
     @pytest.mark.parametrize("number", range(1, 13))
-    def test_insight_holds(self, model, number):
-        assert get_insight(number).check(model), (
+    def test_insight_holds(self, config, number):
+        assert get_insight(number).check(config), (
             f"insight #{number} no longer holds in the model: "
             f"{get_insight(number).statement}"
         )
 
-    def test_verify_all_returns_full_map(self, model):
-        results = verify_all(model)
+    def test_verify_all_returns_full_map(self, config):
+        results = verify_all(config)
         assert set(results) == set(range(1, 13))
         assert all(results.values())
 

@@ -5,10 +5,8 @@ are the headline reproduction assertions."""
 import pytest
 
 from repro.experiments.registry import all_experiment_ids, run_experiment
-from repro.memsim import BandwidthModel
 from repro.ssb.runner import SsbRunner
 
-_MODEL = BandwidthModel()
 _RUNNER = SsbRunner(measured_sf=0.02, seed=5)
 _MICRO_IDS = [
     e for e in all_experiment_ids() if e not in ("fig14", "table1")
@@ -19,7 +17,7 @@ _MICRO_IDS = [
 def results():
     out = {}
     for exp_id in _MICRO_IDS:
-        out[exp_id] = run_experiment(exp_id, model=_MODEL)
+        out[exp_id] = run_experiment(exp_id)
     out["fig14"] = run_experiment("fig14", runner=_RUNNER)
     out["table1"] = run_experiment("table1", runner=_RUNNER)
     return out

@@ -212,13 +212,10 @@ class TestEngineVsAnalytic:
         ],
     )
     def test_agreement(self, op, threads, size, layout):
-        from repro.memsim import BandwidthModel
+        from repro.memsim import StreamSpec, evaluate, paper_config
 
-        model = BandwidthModel()
-        if op is Op.READ:
-            analytic = model.sequential_read(threads, size, layout=layout)
-        else:
-            analytic = model.sequential_write(threads, size, layout=layout)
+        spec = StreamSpec(op=op, threads=threads, access_size=size, layout=layout)
+        analytic = evaluate(paper_config(), (spec,)).total_gbps
         engine = simulate(
             EngineConfig(
                 op=op, threads=threads, access_size=size, layout=layout,

@@ -7,7 +7,7 @@ fragments occupy a DIMM ~3x longer per byte, so reads queue behind them.
 import pytest
 
 from repro.errors import WorkloadError
-from repro.memsim import BandwidthModel
+from repro.memsim import evaluate, paper_calibration, paper_config
 from repro.memsim.engine.simulator import (
     EngineConfig,
     MixedEngineConfig,
@@ -16,6 +16,7 @@ from repro.memsim.engine.simulator import (
 )
 from repro.memsim.spec import Op
 from repro.units import MIB
+from repro.workloads import mixed_streams
 
 
 def _mixed(write_threads, read_threads, **kwargs):
@@ -63,7 +64,7 @@ class TestEmergentInterference:
 
     def test_combined_below_read_max(self):
         result = _mixed(write_threads=6, read_threads=18)
-        read_max = BandwidthModel().calibration.pmem.seq_read_max
+        read_max = paper_calibration().pmem.seq_read_max
         assert result.total_gbps <= read_max * 1.02
 
     def test_deterministic(self):
@@ -77,9 +78,7 @@ class TestAgreementWithAnalyticModel:
     @pytest.mark.parametrize("writers,readers", [(1, 30), (4, 8), (6, 18)])
     def test_directional_agreement(self, writers, readers):
         des = _mixed(write_threads=writers, read_threads=readers)
-        analytic = BandwidthModel().mixed(
-            write_threads=writers, read_threads=readers
-        )
+        analytic = evaluate(paper_config(), mixed_streams(writers, readers))
         # Coarse replay: agree within a 2.2x band on both sides and on
         # which side carries more bandwidth.
         assert des.read_gbps == pytest.approx(analytic.read_gbps, rel=1.2)

@@ -4,14 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memsim import (
-    BandwidthModel,
+    DirectoryState,
     MediaKind,
     Op,
     PinningPolicy,
     StreamSpec,
+    evaluate,
+    paper_config,
 )
 
-_MODEL = BandwidthModel()
+_CONFIG = paper_config()
+_WARM = DirectoryState.warm(_CONFIG.topology)
+
+
+def _evaluate(streams):
+    """Steady state: every socket pair's directory already warm."""
+    return evaluate(_CONFIG, streams, _WARM)
 
 ops = st.sampled_from([Op.READ, Op.WRITE])
 medias = st.sampled_from([MediaKind.PMEM, MediaKind.DRAM])
@@ -42,14 +50,11 @@ class TestMultiStreamInvariants:
     @settings(max_examples=60, deadline=None)
     def test_contention_never_helps(self, op1, op2, media, t1, t2, i1, i2, g1, g2, size):
         """No stream gains bandwidth from another stream's presence."""
-        _MODEL.warm_directory()
         a = _spec(op1, media, t1, i1, g1, size)
         b = _spec(op2, media, t2, i2, g2, size)
-        together = _MODEL.evaluate([a, b])
-        _MODEL.warm_directory()
-        alone_a = _MODEL.evaluate([a]).total_gbps
-        _MODEL.warm_directory()
-        alone_b = _MODEL.evaluate([b]).total_gbps
+        together = _evaluate([a, b])
+        alone_a = _evaluate([a]).total_gbps
+        alone_b = _evaluate([b]).total_gbps
         assert together.streams[0].gbps <= alone_a * 1.001
         assert together.streams[1].gbps <= alone_b * 1.001
         assert together.total_gbps <= (alone_a + alone_b) * 1.001
@@ -57,18 +62,16 @@ class TestMultiStreamInvariants:
     @given(op=ops, media=medias, t=threads, size=sizes)
     @settings(max_examples=40, deadline=None)
     def test_evaluation_is_deterministic(self, op, media, t, size):
-        _MODEL.warm_directory()
         spec = _spec(op, media, t, 0, 0, size)
-        first = _MODEL.evaluate([spec]).total_gbps
-        second = _MODEL.evaluate([spec]).total_gbps
+        first = _evaluate([spec]).total_gbps
+        second = _evaluate([spec]).total_gbps
         assert first == second
 
     @given(op=ops, t=threads, size=sizes)
     @settings(max_examples=40, deadline=None)
     def test_counters_track_volume(self, op, t, size):
-        _MODEL.warm_directory()
         spec = _spec(op, MediaKind.PMEM, t, 0, 0, size)
-        result = _MODEL.evaluate([spec])
+        result = _evaluate([spec])
         counters = result.counters
         if op is Op.READ:
             assert counters.app_bytes_read == spec.total_bytes
@@ -80,17 +83,15 @@ class TestMultiStreamInvariants:
     @given(t=threads, size=sizes)
     @settings(max_examples=30, deadline=None)
     def test_far_streams_account_upi(self, t, size):
-        _MODEL.warm_directory()
         far = _spec(Op.READ, MediaKind.PMEM, t, 0, 1, size)
-        result = _MODEL.evaluate([far])
+        result = _evaluate([far])
         assert result.counters.upi_bytes == far.total_bytes
         assert result.counters.upi_utilization > 0
 
     @given(t=threads, size=sizes)
     @settings(max_examples=30, deadline=None)
     def test_near_streams_do_not_touch_upi(self, t, size):
-        _MODEL.warm_directory()
         near = _spec(Op.READ, MediaKind.PMEM, t, 0, 0, size)
-        result = _MODEL.evaluate([near])
+        result = _evaluate([near])
         assert result.counters.upi_bytes == 0
         assert result.counters.upi_utilization == 0

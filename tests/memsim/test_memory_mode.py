@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError, WorkloadError
-from repro.memsim import BandwidthModel, MediaKind
+from repro.memsim import MediaKind, evaluate, paper_config, read_stream, write_stream
 from repro.memsim.memory_mode import MemoryModeConfig, MemoryModeModel
 from repro.memsim.spec import Pattern
 from repro.units import GIB
@@ -11,7 +11,11 @@ from repro.units import GIB
 
 @pytest.fixture(scope="module")
 def mode():
-    return MemoryModeModel(BandwidthModel())
+    return MemoryModeModel(paper_config())
+
+
+def gbps(stream):
+    return evaluate(paper_config(), (stream,)).total_gbps
 
 
 class TestConfig:
@@ -45,7 +49,7 @@ class TestHitRate:
 class TestBandwidth:
     def test_cached_working_set_runs_at_dram_speed(self, mode):
         cached = mode.read_bandwidth(18, 4096, working_set_bytes=10 * GIB)
-        dram = mode.model.sequential_read(18, 4096, media=MediaKind.DRAM)
+        dram = gbps(read_stream(18, media=MediaKind.DRAM))
         assert cached == pytest.approx(dram)
 
     def test_large_scan_is_slower_than_app_direct(self, mode):
@@ -64,12 +68,12 @@ class TestBandwidth:
 
     def test_small_writes_absorbed_by_cache(self, mode):
         cached = mode.write_bandwidth(18, 4096, working_set_bytes=10 * GIB)
-        dram = mode.model.sequential_write(18, 4096, media=MediaKind.DRAM)
+        dram = gbps(write_stream(18, media=MediaKind.DRAM))
         assert cached == pytest.approx(dram)
 
     def test_large_writes_bound_by_writeback(self, mode):
         large = mode.write_bandwidth(6, 4096, working_set_bytes=700 * GIB)
-        pmem = mode.model.sequential_write(6, 4096)
+        pmem = gbps(write_stream(6))
         assert large < pmem  # pays the DRAM pass *and* the writeback
 
     def test_no_persistence(self, mode):

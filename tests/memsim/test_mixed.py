@@ -3,14 +3,24 @@
 import pytest
 
 from repro.errors import WorkloadError
-from repro.memsim import BandwidthModel, MediaKind
+from repro.memsim import MediaKind, MixedOutcome, evaluate, paper_config, read_stream
 from repro.memsim.calibration import paper_calibration
 from repro.memsim.mixed import interference_factors, resolve
+from repro.workloads import mixed_streams
+
+PAPER = paper_config()
 
 
-@pytest.fixture
-def model():
-    return BandwidthModel()
+def mixed(write_threads, read_threads, media=MediaKind.PMEM):
+    """The §5.1 mixed run: both streams together, then each alone."""
+    write, read = mixed_streams(write_threads, read_threads, media=media)
+    both = evaluate(PAPER, (write, read))
+    return MixedOutcome(
+        read_gbps=both.read_gbps,
+        write_gbps=both.write_gbps,
+        read_alone_gbps=evaluate(PAPER, (read,)).total_gbps,
+        write_alone_gbps=evaluate(PAPER, (write,)).total_gbps,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -19,54 +29,54 @@ def cal():
 
 
 class TestMixedOutcomes:
-    def test_single_writer_dents_reader_pool(self, model):
+    def test_single_writer_dents_reader_pool(self):
         # §5.1: 30 readers drop from ~31 to ~26 GB/s with one writer —
         # roughly a 15-30% haircut.
-        out = model.mixed(write_threads=1, read_threads=30)
+        out = mixed(write_threads=1, read_threads=30)
         assert 0.6 < out.read_retention < 0.85
 
-    def test_single_reader_barely_dents_writers(self, model):
+    def test_single_reader_barely_dents_writers(self):
         # §5.1: 4 writers keep ~12 of ~13 GB/s against one reader.
-        out = model.mixed(write_threads=4, read_threads=1)
+        out = mixed(write_threads=4, read_threads=1)
         assert out.write_retention > 0.90
 
-    def test_saturating_readers_crush_writers(self, model):
+    def test_saturating_readers_crush_writers(self):
         # ~40% of max with 30 readers, ~1/3 with 18.
-        out = model.mixed(write_threads=4, read_threads=30)
+        out = mixed(write_threads=4, read_threads=30)
         assert 0.25 < out.write_retention < 0.5
 
-    def test_recommended_combo_balances_at_a_third(self, model):
+    def test_recommended_combo_balances_at_a_third(self):
         # 4-6 writers + 16-18 readers: both sides near 1/3 of their max.
-        out = model.mixed(write_threads=6, read_threads=18)
+        out = mixed(write_threads=6, read_threads=18)
         assert 0.25 < out.write_retention < 0.45
         assert 0.25 < out.read_retention < 0.45
 
-    def test_combined_never_exceeds_uncontended_read_max(self, model):
+    def test_combined_never_exceeds_uncontended_read_max(self):
         # §5.1: "the combined read and write bandwidth does not exceed
         # the non-contended maximum read bandwidth".
-        read_max = model.sequential_read(18, 4096)
+        read_max = evaluate(PAPER, (read_stream(18),)).total_gbps
         for w in (1, 4, 6):
             for r in (1, 8, 18, 30):
-                out = model.mixed(write_threads=w, read_threads=r)
+                out = mixed(write_threads=w, read_threads=r)
                 assert out.total_gbps <= read_max * 1.01
 
-    def test_more_writers_monotonically_hurt_reads(self, model):
+    def test_more_writers_monotonically_hurt_reads(self):
         reads = [
-            model.mixed(write_threads=w, read_threads=18).read_gbps
+            mixed(write_threads=w, read_threads=18).read_gbps
             for w in (1, 2, 4, 6)
         ]
         assert all(a >= b - 1e-9 for a, b in zip(reads, reads[1:]))
 
-    def test_more_readers_monotonically_hurt_writes(self, model):
+    def test_more_readers_monotonically_hurt_writes(self):
         writes = [
-            model.mixed(write_threads=4, read_threads=r).write_gbps
+            mixed(write_threads=4, read_threads=r).write_gbps
             for r in (1, 8, 18)
         ]
         assert all(a >= b - 1e-9 for a, b in zip(writes, writes[1:]))
 
-    def test_dram_interference_is_milder(self, model):
-        pmem = model.mixed(write_threads=4, read_threads=18)
-        dram = model.mixed(write_threads=4, read_threads=18, media=MediaKind.DRAM)
+    def test_dram_interference_is_milder(self):
+        pmem = mixed(write_threads=4, read_threads=18)
+        dram = mixed(write_threads=4, read_threads=18, media=MediaKind.DRAM)
         assert dram.read_retention > pmem.read_retention
         assert dram.write_retention > pmem.write_retention
 

@@ -5,14 +5,31 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memsim import BandwidthModel, Layout, MediaKind
+from repro.memsim import (
+    DirectoryState,
+    Layout,
+    MediaKind,
+    Pattern,
+    evaluate,
+    paper_config,
+    read_stream,
+    write_stream,
+)
 from repro.memsim.address import InterleaveMap
 from repro.memsim.buffers import WriteCombiningModel
 from repro.memsim.calibration import paper_calibration
 from repro.memsim.imc import ImcModel
+from repro.units import GIB
 
 _CAL = paper_calibration()
-_MODEL = BandwidthModel()
+PAPER = paper_config()
+WARM = DirectoryState.warm(PAPER.topology)
+REGION = 2 * GIB  # the §5.2 hash-index region
+
+
+def gbps(*streams, directory=None):
+    """Total GB/s of ``streams`` evaluated together on the paper machine."""
+    return evaluate(PAPER, streams, directory).total_gbps
 
 access_sizes = st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 65536])
 thread_counts = st.integers(min_value=1, max_value=36)
@@ -23,14 +40,14 @@ class TestBandwidthBounds:
     @given(threads=thread_counts, size=access_sizes, layout=layouts)
     @settings(max_examples=60, deadline=None)
     def test_read_bandwidth_within_device_limits(self, threads, size, layout):
-        bw = _MODEL.sequential_read(threads, size, layout=layout)
+        bw = gbps(read_stream(threads, access_size=size, layout=layout))
         assert math.isfinite(bw)
         assert 0 < bw <= _CAL.pmem.seq_read_max * 1.001
 
     @given(threads=thread_counts, size=access_sizes, layout=layouts)
     @settings(max_examples=60, deadline=None)
     def test_write_bandwidth_within_device_limits(self, threads, size, layout):
-        bw = _MODEL.sequential_write(threads, size, layout=layout)
+        bw = gbps(write_stream(threads, access_size=size, layout=layout))
         assert math.isfinite(bw)
         assert 0 < bw <= _CAL.pmem.seq_write_max * 1.001
 
@@ -38,22 +55,24 @@ class TestBandwidthBounds:
     @settings(max_examples=40, deadline=None)
     def test_writes_never_beat_reads(self, threads, size):
         # The device's fundamental asymmetry must hold everywhere.
-        read = _MODEL.sequential_read(threads, size)
-        write = _MODEL.sequential_write(threads, size)
+        read = gbps(read_stream(threads, access_size=size))
+        write = gbps(write_stream(threads, access_size=size))
         assert write <= read * 1.001
 
     @given(threads=thread_counts, size=access_sizes)
     @settings(max_examples=40, deadline=None)
     def test_pmem_never_beats_dram(self, threads, size):
-        pmem = _MODEL.sequential_read(threads, size)
-        dram = _MODEL.sequential_read(threads, size, media=MediaKind.DRAM)
+        pmem = gbps(read_stream(threads, access_size=size))
+        dram = gbps(read_stream(threads, access_size=size, media=MediaKind.DRAM))
         assert pmem <= dram * 1.001
 
     @given(threads=thread_counts, size=st.sampled_from([64, 256, 1024, 4096, 8192]))
     @settings(max_examples=40, deadline=None)
     def test_random_never_beats_sequential(self, threads, size):
-        rand = _MODEL.random_read(threads, size)
-        seq = _MODEL.sequential_read(max(threads, 18), max(size, 4096))
+        rand = gbps(read_stream(
+            threads, access_size=size, pattern=Pattern.RANDOM, region_bytes=REGION
+        ))
+        seq = gbps(read_stream(max(threads, 18), access_size=max(size, 4096)))
         assert rand <= seq * 1.001
 
 
@@ -61,23 +80,23 @@ class TestFarVsNear:
     @given(threads=thread_counts)
     @settings(max_examples=30, deadline=None)
     def test_far_reads_never_beat_near(self, threads):
-        near = _MODEL.sequential_read(threads, 4096)
-        far = _MODEL.sequential_read(threads, 4096, far=True, warm=True)
+        near = gbps(read_stream(threads))
+        far = gbps(read_stream(threads, target_socket=1), directory=WARM)
         assert far <= near * 1.001
 
     @given(threads=thread_counts)
     @settings(max_examples=30, deadline=None)
     def test_cold_far_never_beats_warm_far(self, threads):
-        _MODEL.reset_directory()
-        cold = _MODEL.sequential_read(threads, 4096, far=True, warm=False)
-        warm = _MODEL.sequential_read(threads, 4096, far=True, warm=True)
+        far = read_stream(threads, target_socket=1)
+        cold = gbps(far, directory=DirectoryState.cold())
+        warm = gbps(far, directory=WARM)
         assert cold <= warm * 1.001
 
     @given(threads=thread_counts)
     @settings(max_examples=30, deadline=None)
     def test_far_writes_never_beat_near(self, threads):
-        near = _MODEL.sequential_write(threads, 4096)
-        far = _MODEL.sequential_write(threads, 4096, far=True)
+        near = gbps(write_stream(threads))
+        far = gbps(write_stream(threads, target_socket=1))
         assert far <= near * 1.001
 
 

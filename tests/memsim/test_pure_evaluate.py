@@ -1,7 +1,6 @@
 """The pure core: evaluate() is a function of its three arguments."""
 
 from repro.memsim import DirectoryState, Op, StreamSpec, evaluate, paper_config
-from repro.memsim.bandwidth import BandwidthModel
 
 FAR_READ = StreamSpec(
     op=Op.READ, threads=8, access_size=4096, issuing_socket=0, target_socket=1
@@ -65,16 +64,7 @@ class TestDirectoryAfter:
         assert second.total_gbps > first.total_gbps
 
 
-class TestFacadeEquivalence:
-    def test_facade_matches_pure_core(self):
-        model = BandwidthModel()
-        pure_cold = evaluate(model.config, (FAR_READ,), DirectoryState.cold())
-        facade_cold = model.evaluate([FAR_READ])
-        assert facade_cold.total_gbps == pure_cold.total_gbps
-        # The façade replays the warm-up onto its mutable directory.
-        pure_warm = evaluate(model.config, (FAR_READ,), pure_cold.directory_after)
-        assert model.evaluate([FAR_READ]).total_gbps == pure_warm.total_gbps
-
+class TestBandwidthResult:
     def test_result_copy_isolates_counters(self):
         result = evaluate(paper_config(), (NEAR_READ,), DirectoryState.cold())
         clone = result.copy()

@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import SimulationError, WorkloadError
 from repro.memsim.calibration import paper_calibration
-from repro.memsim.upi import CoherenceDirectory, UpiModel
+from repro.memsim.config import DirectoryState
+from repro.memsim.upi import UpiModel
 
 
 @pytest.fixture(scope="module")
@@ -19,35 +20,35 @@ def upi(cal):
 
 class TestDirectory:
     def test_local_access_is_always_warm(self):
-        directory = CoherenceDirectory()
+        directory = DirectoryState.cold()
         assert directory.is_warm(0, 0)
 
     def test_far_access_starts_cold(self):
-        directory = CoherenceDirectory()
+        directory = DirectoryState.cold()
         assert not directory.is_warm(0, 1)
 
     def test_touch_warms_the_pair(self):
-        directory = CoherenceDirectory()
-        directory.touch(0, 1)
+        directory = DirectoryState.cold()
+        directory = directory.touch(0, 1)
         assert directory.is_warm(0, 1)
 
     def test_warmth_is_directional(self):
-        directory = CoherenceDirectory()
-        directory.touch(0, 1)
+        directory = DirectoryState.cold()
+        directory = directory.touch(0, 1)
         assert not directory.is_warm(1, 0)
 
     def test_single_thread_priming_counts(self):
         # §3.4: a single-threaded far read eliminates the multi-threaded
         # warm-up penalty — any touch warms the pair.
-        directory = CoherenceDirectory()
-        directory.touch(0, 1)
+        directory = DirectoryState.cold()
+        directory = directory.touch(0, 1)
         assert directory.is_warm(0, 1)
 
     def test_invalidate_by_home_socket(self):
-        directory = CoherenceDirectory()
-        directory.touch(0, 1)
-        directory.touch(1, 0)
-        directory.invalidate(1)
+        directory = DirectoryState.cold()
+        directory = directory.touch(0, 1)
+        directory = directory.touch(1, 0)
+        directory = directory.invalidate(1)
         assert not directory.is_warm(0, 1)
         assert directory.is_warm(1, 0)
 

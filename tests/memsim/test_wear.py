@@ -3,7 +3,14 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.memsim import BandwidthModel, Op, PinningPolicy, StreamSpec
+from repro.memsim import (
+    DirectoryState,
+    Op,
+    PinningPolicy,
+    StreamSpec,
+    evaluate,
+    paper_config,
+)
 from repro.memsim.counters import PerfCounters
 from repro.memsim.wear import (
     DIMM_ENDURANCE_BYTES,
@@ -65,18 +72,22 @@ class TestFromCounters:
     def test_integration_with_simulation(self):
         # Far writes at high thread counts carry the §4.4 amplification,
         # which shows up directly in the endurance estimate.
-        model = BandwidthModel()
-        model.warm_directory()
-        near = model.evaluate(
-            [StreamSpec(op=Op.WRITE, threads=4, pinning=PinningPolicy.NUMA_REGION)]
+        config = paper_config()
+        warm = DirectoryState.warm(config.topology)
+        near = evaluate(
+            config,
+            [StreamSpec(op=Op.WRITE, threads=4, pinning=PinningPolicy.NUMA_REGION)],
+            warm,
         )
-        far = model.evaluate(
+        far = evaluate(
+            config,
             [
                 StreamSpec(
                     op=Op.WRITE, threads=18, pinning=PinningPolicy.NUMA_REGION,
                     issuing_socket=0, target_socket=1,
                 )
-            ]
+            ],
+            warm,
         )
         near_wear = wear_from_counters(near.counters, elapsed_seconds=100.0)
         far_wear = wear_from_counters(far.counters, elapsed_seconds=100.0)

@@ -3,7 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.advisor import AccessProfile
 from repro.errors import ServeError
 from repro.memsim.config import DirectoryState, paper_config
 from repro.memsim.spec import MediaKind, Op, Pattern, StreamSpec, read_stream
@@ -106,6 +109,28 @@ class TestDecode:
         assert excinfo.value.code == "bad_request"
         assert fragment in str(excinfo.value)
 
+    @pytest.mark.parametrize("frame", [
+        {"kind": "evaluate", "streams": [{"op": "read", "threads": 4.5}]},
+        {"kind": "evaluate", "streams": [{"op": "read", "threads": True}]},
+        {"kind": "evaluate",
+         "streams": [{"op": "read", "threads": 4, "access_size": float("inf")}]},
+        {"kind": "evaluate",
+         "streams": [{"op": "read", "threads": 4, "access_size": float("nan")}]},
+        {"kind": "evaluate", "streams": [{"op": "read", "threads": 1}],
+         "deadline_seconds": float("nan")},
+        {"kind": "evaluate", "streams": [{"op": "read", "threads": 1}],
+         "deadline_seconds": True},
+        {"kind": "evaluate", "streams": [{"op": "read", "threads": 1}],
+         "warm_pairs": [[True, 1]]},
+    ], ids=[
+        "fractional-threads", "bool-threads", "infinite-access-size",
+        "nan-access-size", "nan-deadline", "bool-deadline", "bool-warm-pair",
+    ])
+    def test_malformed_numbers_rejected(self, frame):
+        with pytest.raises(ServeError) as excinfo:
+            decode(frame)
+        assert excinfo.value.code == "bad_request"
+
     def test_stream_wire_round_trip(self):
         spec = StreamSpec(op=Op.WRITE, threads=6, access_size=512,
                           pattern=Pattern.RANDOM)
@@ -159,3 +184,94 @@ class TestEncode:
         assert line.endswith(b"\n")
         assert b" " not in line
         assert json.loads(line) == {"id": 1, "ok": True}
+
+
+_json_leaf = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats()
+    | st.text(max_size=6)
+)
+_json = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_stream = st.fixed_dictionaries(
+    {
+        "op": st.sampled_from(["read", "write"]),
+        "threads": st.integers(min_value=1, max_value=40),
+    },
+    optional={
+        "access_size": st.integers(min_value=64, max_value=1 << 20),
+        "media": st.sampled_from(["pmem", "dram"]),
+        "pattern": st.sampled_from(["sequential", "random"]),
+        "layout": st.sampled_from(["grouped", "individual"]),
+        "pinning": st.sampled_from(["none", "numa_region", "cores"]),
+        "issuing_socket": st.integers(min_value=0, max_value=1),
+        "target_socket": st.integers(min_value=0, max_value=1),
+        "region_bytes": st.integers(min_value=1, max_value=1 << 40),
+        "dax_mode": st.sampled_from(["devdax", "fsdax"]),
+        "prefaulted": st.booleans(),
+    },
+)
+_streams = st.lists(_stream, min_size=1, max_size=3)
+_valid_frames = st.fixed_dictionaries(
+    {"kind": st.sampled_from(protocol.KINDS)},
+    optional={
+        "id": _json_leaf,
+        "streams": _streams,
+        "points": st.lists(_streams, min_size=1, max_size=3),
+        "warm_pairs": st.lists(
+            st.lists(st.integers(min_value=0, max_value=1), min_size=2, max_size=2),
+            max_size=2,
+        ),
+        "deadline_seconds": st.floats(min_value=0.001, max_value=60),
+        "counters": st.booleans(),
+        "prefetcher": st.booleans(),
+        "write_combining": st.booleans(),
+        "intent": st.fixed_dictionaries(
+            {"profile": st.sampled_from([p.value for p in AccessProfile])},
+            optional={
+                "threads_per_socket": st.integers(min_value=1, max_value=64),
+                "sockets": st.integers(min_value=1, max_value=2),
+            },
+        ),
+    },
+)
+
+
+def _paths(obj, prefix=()):
+    """Every location in a JSON value, the root included."""
+    yield prefix
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _replaced(obj, path, value):
+    if not path:
+        return value
+    copy = dict(obj) if isinstance(obj, dict) else list(obj)
+    copy[path[0]] = _replaced(obj[path[0]], path[1:], value)
+    return copy
+
+
+class TestDecodeProperty:
+    @given(frame=_valid_frames, data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_every_frame_decodes_or_is_a_bad_request(self, frame, data):
+        """A well-formed frame with any one value replaced by arbitrary JSON."""
+        path = data.draw(st.sampled_from(list(_paths(frame))))
+        frame = _replaced(frame, path, data.draw(_json))
+        try:
+            decode(frame)
+        except ServeError as exc:
+            assert exc.code == "bad_request"

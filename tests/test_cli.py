@@ -46,6 +46,14 @@ class TestBandwidth:
         value = float(capsys.readouterr().out.split(":")[-1].split()[0])
         assert value == pytest.approx(8.0, rel=0.1)
 
+    def test_far_warm_read(self, capsys):
+        # Without --cold a far read runs against a warm directory (§3.4).
+        assert main(["bandwidth", "--far"]) == 0
+        assert capsys.readouterr().out == (
+            "read sequential 4096B x 18 threads "
+            "(individual, cores, far pmem): 33.00 GB/s\n"
+        )
+
     def test_random_read(self, capsys):
         assert main(
             ["bandwidth", "--pattern", "random", "--size", "256", "--threads", "36"]

@@ -8,7 +8,6 @@ plan the hybrid, and check that all the conclusions cohere.
 import pytest
 
 from repro import (
-    BandwidthModel,
     MediaKind,
     PlacementAdvisor,
     WorkloadIntent,
@@ -18,6 +17,7 @@ from repro import (
 )
 from repro.core import AccessProfile, economics, tune
 from repro.core.hybrid import HybridPlanner, ssb_structures
+from repro.memsim import MachineConfig, evaluate, read_stream, write_stream
 from repro.memsim.spec import Op
 from repro.ssb.runner import SsbRunner, average_slowdown
 from repro.ssb.storage import HANDCRAFTED_DRAM, HANDCRAFTED_PMEM, HYBRID_PMEM_DRAM
@@ -25,8 +25,8 @@ from repro.units import GIB
 
 
 @pytest.fixture(scope="module")
-def model():
-    return BandwidthModel(paper_server())
+def config():
+    return MachineConfig(topology=paper_server())
 
 
 @pytest.fixture(scope="module")
@@ -35,22 +35,22 @@ def runner():
 
 
 class TestFullStory:
-    def test_chapter1_hardware_characterisation(self, model):
+    def test_chapter1_hardware_characterisation(self, config):
         """§3-§5: the device asymmetries exist and the insights hold."""
-        read = model.sequential_read(18, 4096)
-        write = max(model.sequential_write(t, 4096) for t in (4, 6))
+        read = evaluate(config, [read_stream(18)]).total_gbps
+        write = max(evaluate(config, [write_stream(t)]).total_gbps for t in (4, 6))
         assert 2.5 < read / write < 4.0  # reads ~3x writes
-        assert all(verify_all(model).values())
-        assert all(verify_practices(model).values())
+        assert all(verify_all(config).values())
+        assert all(verify_practices(config).values())
 
-    def test_chapter2_the_tuner_rediscovers_the_practices(self, model):
+    def test_chapter2_the_tuner_rediscovers_the_practices(self, config):
         """The optimal configurations are the recommended ones."""
-        write_best = tune(Op.WRITE, model=model).best.spec
+        write_best = tune(Op.WRITE, config=config).best.spec
         assert write_best.threads in (4, 6)
         assert write_best.access_size == 4096
 
-    def test_chapter3_the_advisor_configures_a_warehouse(self, model):
-        recommendation = PlacementAdvisor(model).recommend(
+    def test_chapter3_the_advisor_configures_a_warehouse(self, config):
+        recommendation = PlacementAdvisor(config).recommend(
             WorkloadIntent(profile=AccessProfile.JOIN_HEAVY)
         )
         assert recommendation.write_threads <= 8

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.memsim import BandwidthModel, Layout, MediaKind, Op, Pattern, PinningPolicy
+from repro.memsim import (
+    Layout,
+    MediaKind,
+    Op,
+    Pattern,
+    PinningPolicy,
+    evaluate,
+    paper_config,
+)
 from repro.workloads import (
     MULTISOCKET_READ_LABELS,
     PAPER_ACCESS_SIZES,
@@ -42,12 +50,11 @@ class TestSequentialSweep:
         assert all(s.layout is Layout.INDIVIDUAL for p in grid for s in p.streams)
 
     def test_all_points_evaluate(self):
-        model = BandwidthModel()
         grid = sequential_sweep(
             Op.READ, access_sizes=(64, 4096), thread_counts=(1, 18)
         )
         for point in grid:
-            assert model.evaluate(list(point.streams)).total_gbps > 0
+            assert evaluate(paper_config(), point.streams).total_gbps > 0
 
 
 class TestPinningSweep:
