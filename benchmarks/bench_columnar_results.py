@@ -10,9 +10,10 @@ time the three legs that claim rides on, on the shared Figure 3 grid:
 * the v2 disk-cache round trip — one content-addressed block write for
   the whole grid, then per-digest ``get_ref`` lookups resolving into
   the shared in-memory block;
-* the pickle boundary — the cost the cluster wire
-  (:func:`repro.sweep.cluster.protocol.encode_blob`) pays to ship a
-  work item's results back to the coordinator as one column block.
+* the wire codec — the cost the cluster wire pays to ship a work item's
+  results back to the coordinator as one canonical-JSON column block
+  (:func:`repro.sweep.cache.columns_to_payload` out,
+  :func:`repro.sweep.cluster.protocol.field` back in).
 
 Each bench asserts the columnar values against the materialized views
 (same floats), so the smoke run doubles as an identity check.
@@ -20,12 +21,13 @@ Each bench asserts the columnar values against the materialized views
 
 from __future__ import annotations
 
-import pickle
+import json
 
 from repro.memsim import paper_config
 from repro.memsim.kernels import ResultColumns
 from repro.sweep import DiskCache, EvaluationService, SweepRunner
-from repro.sweep.cache import request_digest
+from repro.sweep.cache import columns_to_payload, request_digest
+from repro.sweep.cluster import protocol
 
 
 def _columns_for(grid) -> tuple[list[str], ResultColumns]:
@@ -66,14 +68,19 @@ def test_disk_cache_block_round_trip(benchmark, fig3_grid, tmp_path):
     benchmark.extra_info["points"] = len(points)
 
 
-def test_column_block_pickle_boundary(benchmark, fig3_grid):
-    """Ship a grid's results across the cluster's pickle boundary and back."""
+def _result_frame(columns: ResultColumns) -> bytes:
+    return protocol.dump_line({"kind": "result", "columns": columns_to_payload(columns)})
+
+
+def test_column_block_wire_codec(benchmark, fig3_grid):
+    """Ship a grid's results across the cluster wire as JSON and back."""
     _, columns = _columns_for(fig3_grid)
 
     def ship() -> ResultColumns:
-        return pickle.loads(pickle.dumps(columns))
+        frame = json.loads(_result_frame(columns))
+        return protocol.field(frame, "columns", ResultColumns)
 
     shipped = benchmark(ship)
     assert shipped == columns
     assert shipped.total_gbps() == columns.total_gbps()
-    benchmark.extra_info["block_bytes"] = len(pickle.dumps(columns))
+    benchmark.extra_info["block_bytes"] = len(_result_frame(columns))

@@ -6,7 +6,7 @@ time is the tax every pre-commit run pays. Two claims are tracked:
 
 * **A full repo lint stays under 5 seconds.** Past that, linters get
   turned off; ``test_full_repo_lint_under_budget`` runs all file rules
-  plus all four interprocedural passes over ``src`` against a wall-clock
+  plus all three interprocedural passes over ``src`` against a wall-clock
   budget. The gate skips on < 4 core hosts, where CI containers are too
   noisy for a wall-clock assertion to mean anything.
 * **The summary cache pays for itself.** A warm ``build_program`` must

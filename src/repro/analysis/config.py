@@ -48,22 +48,6 @@ DEFAULT_PURITY_ROOTS: tuple[str, ...] = (
     "repro.memsim.context._build_context",
 )
 
-#: Types that cross the cluster wire, pickled by
-#: :func:`repro.sweep.cluster.protocol.encode_blob` into worker frames
-#: and decoded by ``decode_blob`` on the other side: SIM202 checks them —
-#: and every type reachable through their field annotations — for
-#: pickle-hostile state.
-DEFAULT_PICKLE_BOUNDARY: tuple[str, ...] = (
-    "repro.memsim.config.MachineConfig",
-    "repro.memsim.config.DirectoryState",
-    "repro.memsim.evaluation.BandwidthResult",
-    "repro.memsim.evaluation.StreamResult",
-    "repro.memsim.kernels.columns.ResultColumns",
-    "repro.workloads.grids.SweepPoint",
-    "repro.errors.SweepError",
-    "repro.errors.GridPointError",
-)
-
 #: Module defining the counter catalogue (``CATALOG`` of specs) that
 #: SIM203 round-trips emitted names against.
 DEFAULT_COUNTER_CATALOG = "repro.obs.catalog"
@@ -110,8 +94,6 @@ class SimlintConfig:
     disable: tuple[str, ...] = ()
     #: SIM201 roots (fnmatch patterns over full function names).
     purity_roots: tuple[str, ...] = DEFAULT_PURITY_ROOTS
-    #: SIM202 seed types (full class names) crossing the pickle boundary.
-    pickle_boundary: tuple[str, ...] = DEFAULT_PICKLE_BOUNDARY
     #: SIM203 catalogue module (dotted); empty string disables the pass.
     counter_catalog: str = DEFAULT_COUNTER_CATALOG
 
@@ -165,7 +147,6 @@ _LIST_KEYS = {
     "allowed_raises",
     "disable",
     "purity_roots",
-    "pickle_boundary",
 }
 
 _STR_KEYS = {"baseline", "counter_catalog"}

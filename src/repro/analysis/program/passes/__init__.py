@@ -1,10 +1,9 @@
-"""Whole-program passes: importing this package registers SIM201-SIM204."""
+"""Whole-program passes: importing this package registers SIM201, SIM203 and SIM204."""
 
 from __future__ import annotations
 
 from repro.analysis.program.passes import (  # noqa: F401
     counters,
-    pickle_safety,
     purity,
     units_flow,
 )

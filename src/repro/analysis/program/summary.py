@@ -3,7 +3,7 @@
 One pass over a module's AST reduces it to a small, JSON-serialisable
 record of *facts* — imports, module-level bindings, functions with their
 calls, side-effect sites, counter emissions and unit-tagged arithmetic,
-classes with their fields. The whole-program passes never re-visit the
+classes with their bases. The whole-program passes never re-visit the
 AST: they combine summaries over the call graph, which is what makes the
 content-hash cache (:mod:`repro.analysis.program.cache`) sound — a file
 whose bytes did not change contributes exactly the same facts.
@@ -16,24 +16,16 @@ pass decides it matters (``f`` is reachable from a purity root).
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 
 #: Bump when the extracted shape changes so stale cache entries are ignored.
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 #: Mutating container/obj methods: calling one on a module-level binding
 #: is a shared-state write.
 MUTATOR_METHODS = frozenset({
     "append", "extend", "insert", "add", "update", "remove", "discard",
     "pop", "popitem", "clear", "setdefault", "sort", "reverse",
-})
-
-#: ``threading`` constructors whose instances cannot cross a pickle
-#: boundary (and whose presence in a shipped type is a design smell).
-LOCK_CONSTRUCTORS = frozenset({
-    "Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore", "Event",
-    "Barrier",
 })
 
 #: Recorder methods whose first argument is a catalogue-governed name.
@@ -144,19 +136,6 @@ class UnitMix:
 
 
 @dataclass(frozen=True)
-class AttrSite:
-    """A class-body field or an ``__init__`` ``self.x = ...`` attribute."""
-
-    name: str
-    line: int
-    col: int
-    #: Pickle-hostile value shape, if any: "lambda" | "nested-function" |
-    #: "lock" | "open-handle" | "generator" | "mutable-module-ref".
-    kind: str | None = None
-    annotation: str | None = None
-
-
-@dataclass(frozen=True)
 class FunctionSummary:
     """Facts about one function or method."""
 
@@ -181,8 +160,6 @@ class ClassSummary:
     line: int
     col: int
     bases: tuple[str, ...] = ()
-    fields: tuple[AttrSite, ...] = ()
-    init_attrs: tuple[AttrSite, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -194,8 +171,6 @@ class ModuleSummary:
     #: alias -> absolute dotted target ("np" -> "numpy",
     #: "MachineConfig" -> "repro.memsim.config.MachineConfig").
     imports: dict[str, str] = field(default_factory=dict)
-    #: module-level names bound to mutable containers.
-    mutable_bindings: tuple[str, ...] = ()
     #: module-level string constants (for counter-name resolution).
     str_constants: dict[str, str] = field(default_factory=dict)
     functions: tuple[FunctionSummary, ...] = ()
@@ -208,7 +183,6 @@ class ModuleSummary:
             "module": self.module,
             "relpath": self.relpath,
             "imports": self.imports,
-            "mutable_bindings": list(self.mutable_bindings),
             "str_constants": self.str_constants,
             "functions": [_func_to_json(f) for f in self.functions],
             "classes": [_class_to_json(c) for c in self.classes],
@@ -224,7 +198,6 @@ class ModuleSummary:
                 module=data["module"],
                 relpath=data["relpath"],
                 imports=dict(data["imports"]),
-                mutable_bindings=tuple(data["mutable_bindings"]),
                 str_constants=dict(data["str_constants"]),
                 functions=tuple(_func_from_json(f) for f in data["functions"]),
                 classes=tuple(_class_from_json(c) for c in data["classes"]),
@@ -276,23 +249,13 @@ def _func_from_json(data: dict[str, object]) -> FunctionSummary:
 def _class_to_json(c: ClassSummary) -> dict[str, object]:
     return {
         "name": c.name, "line": c.line, "col": c.col, "bases": list(c.bases),
-        "fields": [[a.name, a.line, a.col, a.kind, a.annotation]
-                   for a in c.fields],
-        "init_attrs": [[a.name, a.line, a.col, a.kind, a.annotation]
-                       for a in c.init_attrs],
     }
 
 
 def _class_from_json(data: dict[str, object]) -> ClassSummary:
-    def site(raw: list[object]) -> AttrSite:
-        return AttrSite(name=raw[0], line=raw[1], col=raw[2], kind=raw[3],
-                        annotation=raw[4])
-
     return ClassSummary(
         name=data["name"], line=data["line"], col=data["col"],
         bases=tuple(data["bases"]),
-        fields=tuple(site(a) for a in data["fields"]),
-        init_attrs=tuple(site(a) for a in data["init_attrs"]),
     )
 
 
@@ -310,15 +273,6 @@ def _dotted(node: ast.expr) -> str | None:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def _is_mutable_container(node: ast.expr | None) -> bool:
-    if isinstance(node, (ast.List, ast.ListComp, ast.Dict, ast.DictComp,
-                         ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in ("list", "dict", "set", "bytearray")
-    return False
 
 
 def _package_of(module: str, relpath: str) -> str:
@@ -409,56 +363,6 @@ class _StrResolver:
                 return None  # full-segment placeholder: arity unknown
             segments.append("*" if "\x00" in segment else segment)
         return ".".join(segments)
-
-
-def _attr_value_kind(node: ast.expr | None, imports: dict[str, str],
-                     mutable_bindings: set[str]) -> str | None:
-    """Pickle-hostile value classification for a field/attribute value."""
-    if node is None:
-        return None
-    if isinstance(node, ast.Lambda):
-        return "lambda"
-    if isinstance(node, ast.GeneratorExp):
-        return "generator"
-    if isinstance(node, ast.Name) and node.id in mutable_bindings:
-        return "mutable-module-ref"
-    if isinstance(node, ast.Call):
-        dotted = _dotted(node.func)
-        if dotted is not None:
-            tail = dotted.rpartition(".")[2]
-            head = dotted.rpartition(".")[0]
-            resolved_head = imports.get(head, head)
-            if tail in LOCK_CONSTRUCTORS and (
-                resolved_head == "threading"
-                or imports.get(dotted, "").startswith("threading.")
-                or (head == "" and imports.get(tail, "").startswith("threading."))
-            ):
-                return "lock"
-            if dotted == "open":
-                return "open-handle"
-            if tail == "field":
-                for kw in node.keywords:
-                    if kw.arg == "default" and isinstance(kw.value, ast.Lambda):
-                        return "lambda"
-    return None
-
-
-#: Annotation identifiers that never survive (or should never cross) a
-#: pickle boundary.
-_UNPICKLABLE_ANNOTATIONS = frozenset({
-    "Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore", "Event",
-    "TextIO", "BinaryIO", "IO", "TextIOWrapper", "Generator", "Iterator",
-})
-
-
-def unpicklable_annotation(annotation: str | None) -> str | None:
-    """The first pickle-hostile identifier in an annotation, if any."""
-    if annotation is None:
-        return None
-    for token in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", annotation):
-        if token in _UNPICKLABLE_ANNOTATIONS:
-            return token
-    return None
 
 
 # --------------------------------------------------------------------------
@@ -894,7 +798,6 @@ class _ModuleCtx:
 
     imports: dict[str, str]
     module_bindings: set[str]
-    mutable_bindings: set[str]
     str_constants: dict[str, str]
     local_callables: set[str]
 
@@ -917,7 +820,6 @@ def summarize_module(tree: ast.Module, relpath: str) -> ModuleSummary:
     imports = _collect_imports(tree, module, relpath)
 
     module_bindings: set[str] = set()
-    mutable_bindings: list[str] = []
     str_constants: dict[str, str] = {}
     for stmt in tree.body:
         targets: list[ast.expr] = []
@@ -930,9 +832,7 @@ def summarize_module(tree: ast.Module, relpath: str) -> ModuleSummary:
             if not isinstance(target, ast.Name):
                 continue
             module_bindings.add(target.id)
-            if _is_mutable_container(value):
-                mutable_bindings.append(target.id)
-            elif isinstance(value, ast.Constant) and isinstance(value.value, str):
+            if isinstance(value, ast.Constant) and isinstance(value.value, str):
                 str_constants[target.id] = value.value
 
     local_callables = {
@@ -943,7 +843,6 @@ def summarize_module(tree: ast.Module, relpath: str) -> ModuleSummary:
     ctx = _ModuleCtx(
         imports=imports,
         module_bindings=module_bindings | local_callables,
-        mutable_bindings=set(mutable_bindings),
         str_constants=str_constants,
         local_callables=local_callables,
     )
@@ -961,7 +860,6 @@ def summarize_module(tree: ast.Module, relpath: str) -> ModuleSummary:
         module=module,
         relpath=relpath,
         imports=imports,
-        mutable_bindings=tuple(mutable_bindings),
         str_constants=str_constants,
         functions=tuple(functions),
         classes=tuple(classes),
@@ -970,43 +868,11 @@ def summarize_module(tree: ast.Module, relpath: str) -> ModuleSummary:
 
 def _summarize_class(node: ast.ClassDef, ctx: _ModuleCtx,
                      functions: list[FunctionSummary]) -> ClassSummary:
-    mutable = ctx.mutable_bindings
-    fields: list[AttrSite] = []
-    init_attrs: list[AttrSite] = []
     for stmt in node.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             functions.append(
                 _FunctionExtractor(stmt, f"{node.name}.{stmt.name}", ctx).extract()
             )
-            if stmt.name in ("__init__", "__post_init__", "__new__"):
-                for inner in ast.walk(stmt):
-                    if not isinstance(inner, ast.Assign):
-                        continue
-                    for target in inner.targets:
-                        if isinstance(target, ast.Attribute) and isinstance(
-                            target.value, ast.Name
-                        ) and target.value.id == "self":
-                            init_attrs.append(AttrSite(
-                                name=target.attr, line=inner.lineno,
-                                col=inner.col_offset,
-                                kind=_attr_value_kind(
-                                    inner.value, ctx.imports, mutable),
-                            ))
-        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            targets = (stmt.targets if isinstance(stmt, ast.Assign)
-                       else [stmt.target])
-            annotation = (
-                ast.unparse(stmt.annotation)
-                if isinstance(stmt, ast.AnnAssign) and stmt.annotation is not None
-                else None
-            )
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    fields.append(AttrSite(
-                        name=target.id, line=stmt.lineno, col=stmt.col_offset,
-                        kind=_attr_value_kind(stmt.value, ctx.imports, mutable),
-                        annotation=annotation,
-                    ))
     return ClassSummary(
         name=node.name,
         line=node.lineno,
@@ -1014,6 +880,4 @@ def _summarize_class(node: ast.ClassDef, ctx: _ModuleCtx,
         bases=tuple(
             b for b in (_dotted(base) for base in node.bases) if b is not None
         ),
-        fields=tuple(fields),
-        init_attrs=tuple(init_attrs),
     )

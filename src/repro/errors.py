@@ -77,8 +77,7 @@ class GridPointError(SweepError):
 
     ``partial`` preserves the ``ResultColumns`` batch of every point
     that completed before the failure (in ``points`` order), so callers
-    paying for a long sweep keep what was already computed. It survives
-    pickling with the exception.
+    paying for a long sweep keep what was already computed.
     """
 
     def __init__(
@@ -106,27 +105,6 @@ class GridPointError(SweepError):
         self.grid = grid
         #: ``ResultColumns`` of the points completed before the failure.
         self.partial = partial
-
-    def __reduce__(self):
-        # The default exception reduce replays ``__init__(*args)`` with
-        # the stored ``args`` — the formatted message string — which
-        # does not match this signature. Rebuild from the real fields so
-        # the error survives pickling intact.
-        return (
-            _rebuild_grid_point_error,
-            (self.index, self.original, self.label, self.grid, self.partial),
-        )
-
-
-def _rebuild_grid_point_error(
-    index: int,
-    original: Exception,
-    label: "str | None",
-    grid: "str | None",
-    partial: "object | None",
-) -> GridPointError:
-    """Unpickle helper for :class:`GridPointError` (see ``__reduce__``)."""
-    return GridPointError(index, original, label=label, grid=grid, partial=partial)
 
 
 class ServeError(ReproError):

@@ -42,14 +42,13 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, get_type_hints
 
-from repro.errors import ConfigurationError, ServeError, WorkloadError
+from repro.errors import ConfigurationError, SchemaError, ServeError, WorkloadError
 from repro.core.advisor import AccessProfile, WorkloadIntent
-from repro.memsim.address import DaxMode
 from repro.memsim.config import DirectoryState, MachineConfig, paper_config
-from repro.memsim.scheduler import PinningPolicy
-from repro.memsim.spec import Layout, MediaKind, Op, Pattern, StreamSpec
+from repro.memsim.spec import StreamSpec
+from repro.sweep.cache import decode, encode as encode_stream
 
 if TYPE_CHECKING:
     from repro.core.advisor import Recommendation
@@ -76,40 +75,8 @@ PROTOCOL = "repro.serve/1"
 
 KINDS = ("ping", "evaluate", "sweep", "advise")
 
-#: StreamSpec fields carried on the wire, with their enum type where the
-#: JSON value is the enum's ``.value`` string.
-_STREAM_ENUMS: dict[str, type] = {
-    "op": Op,
-    "media": MediaKind,
-    "pattern": Pattern,
-    "layout": Layout,
-    "pinning": PinningPolicy,
-    "dax_mode": DaxMode,
-}
-_STREAM_FIELDS = (
-    "op",
-    "threads",
-    "access_size",
-    "media",
-    "pattern",
-    "layout",
-    "pinning",
-    "issuing_socket",
-    "target_socket",
-    "region_bytes",
-    "total_bytes",
-    "dax_mode",
-    "prefaulted",
-)
-#: Stream fields that must be JSON integers on the wire.
-_STREAM_INTS = frozenset({
-    "threads",
-    "access_size",
-    "issuing_socket",
-    "target_socket",
-    "region_bytes",
-    "total_bytes",
-})
+#: StreamSpec field name -> type hint, for the typed canonical decoder.
+_STREAM_HINTS = get_type_hints(StreamSpec)
 
 
 @lru_cache(maxsize=4)
@@ -158,52 +125,30 @@ def _bad(message: str) -> ServeError:
     return ServeError("bad_request", message)
 
 
-def _is_int(value: object) -> bool:
-    """A JSON integer: ``bool`` is an ``int`` subclass but not a count."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def decode_stream(obj: object) -> StreamSpec:
     """Decode one wire stream object into a :class:`StreamSpec`.
 
-    Enums decode by their ``.value`` string; absent fields take the
-    ``StreamSpec`` defaults. Raises :class:`ServeError` (code
-    ``bad_request``) for unknown fields, bad enum values, non-integer
-    counts, sizes or sockets, or specs the workload validator rejects.
+    The inverse of :func:`encode_stream`, field by field through the
+    canonical decoder (:func:`repro.sweep.cache.decode`), except that
+    absent fields take the ``StreamSpec`` defaults. Raises
+    :class:`ServeError` (code ``bad_request``) for unknown fields, bad
+    enum values, non-integer counts, sizes or sockets, or specs the
+    workload validator rejects.
     """
     if not isinstance(obj, Mapping):
         raise _bad(f"stream must be an object, got {type(obj).__name__}")
     kwargs: dict[str, object] = {}
     for name, value in obj.items():
-        if name not in _STREAM_FIELDS:
+        if name not in _STREAM_HINTS:
             raise _bad(f"unknown stream field {name!r}")
-        if name in _STREAM_INTS and not _is_int(value):
-            raise _bad(f"stream field {name!r} must be an integer, got {value!r}")
-        enum_type = _STREAM_ENUMS.get(name)
-        if enum_type is not None:
-            try:
-                value = enum_type(value)
-            except ValueError:
-                raise _bad(
-                    f"bad {name!r} value {value!r}; expected one of "
-                    f"{sorted(member.value for member in enum_type)}"
-                ) from None
-        kwargs[name] = value
+        try:
+            kwargs[name] = decode(_STREAM_HINTS[name], value)
+        except SchemaError as exc:
+            raise _bad(f"bad {name!r} value: {exc}") from None
     try:
         return StreamSpec(**kwargs)
     except (WorkloadError, TypeError) as exc:
         raise _bad(f"invalid stream: {exc}") from exc
-
-
-def encode_stream(spec: StreamSpec) -> dict[str, object]:
-    """The wire object for ``spec`` (every field explicit, enums by value)."""
-    out: dict[str, object] = {}
-    for name in _STREAM_FIELDS:
-        value = getattr(spec, name)
-        if name in _STREAM_ENUMS:
-            value = value.value
-        out[name] = value
-    return out
 
 
 def _decode_streams(obj: object, what: str) -> tuple[StreamSpec, ...]:
@@ -215,18 +160,12 @@ def _decode_streams(obj: object, what: str) -> tuple[StreamSpec, ...]:
 def _decode_directory(obj: object) -> DirectoryState:
     if obj is None:
         return DirectoryState.cold()
-    if not isinstance(obj, list):
-        raise _bad("warm_pairs must be a list of [issuing, target] pairs")
-    pairs = set()
-    for item in obj:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(_is_int(n) for n in item)
-        ):
-            raise _bad(f"bad warm pair {item!r}; expected [issuing, target]")
-        pairs.add((item[0], item[1]))
-    return DirectoryState(frozenset(pairs))
+    try:
+        return DirectoryState(decode(frozenset[tuple[int, int]], obj))
+    except SchemaError as exc:
+        raise _bad(
+            f"bad warm pairs ({exc}); expected a list of [issuing, target] pairs"
+        ) from None
 
 
 def _decode_intent(obj: object) -> WorkloadIntent:

@@ -1,4 +1,4 @@
-"""Caches for the evaluation service: in-memory memo and on-disk store.
+"""Caches for the evaluation service, and the one canonical JSON codec.
 
 Both caches key on the *content* of an evaluation request — the
 :class:`~repro.memsim.config.MachineConfig`, the stream tuple, and the
@@ -7,6 +7,13 @@ cache uses the values' own hashes; the disk cache serializes the request
 to canonical JSON and keys by its SHA-256. Results round-trip the disk
 format bit-identically: Python's JSON encoder emits ``repr(float)``
 (shortest round-tripping form), so every ``float`` survives exactly.
+
+**One encoding.** :func:`encode` / :func:`decode` are the only
+serialization of configs, streams, directories and column blocks: the
+request digest hashes it, the disk cache stores it, and the cluster wire
+(:mod:`repro.sweep.cluster.protocol`) and the serving layer's stream
+objects speak it. Decoding walks the dataclass type hints and fails with
+:class:`~repro.errors.SchemaError` only, so no input can execute code.
 
 **Schema v2 — content-addressed column blocks.** A whole batch of
 results is stored as one :class:`~repro.memsim.kernels.ResultColumns`
@@ -24,27 +31,28 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import enum
+import functools
 import hashlib
 import json
 import os
 import threading
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 try:  # pragma: no cover - always present on POSIX
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
-from repro.errors import ConfigurationError, SchemaError
-from repro.memsim.address import DaxMode
+from repro.errors import ConfigurationError, ReproError, SchemaError
 from repro.memsim.config import DirectoryState, MachineConfig
 from repro.memsim.evaluation import BandwidthResult
 from repro.memsim.kernels import COUNTER_COLUMNS, ResultColumns
-from repro.memsim.scheduler import PinningPolicy
-from repro.memsim.spec import Layout, Op, Pattern, StreamSpec
-from repro.memsim.topology import MediaKind
+from repro.memsim.spec import StreamSpec
 
 #: One evaluation request: (config, streams, normalized directory).
 CacheKey = tuple[MachineConfig, tuple[StreamSpec, ...], DirectoryState]
@@ -115,23 +123,153 @@ class MemoCache:
 
 
 # ----------------------------------------------------------------------
-# canonical JSON encoding (disk keys and payloads)
+# canonical JSON codec (cache keys, disk blocks, cluster wire)
 # ----------------------------------------------------------------------
 
+#: JSON types each scalar hint accepts. ``bool`` is an ``int`` subclass
+#: but never a count or a measure, so the numeric hints refuse it; a
+#: ``float`` hint keeps a JSON integer as-is so it re-encodes unchanged.
+_SCALARS: dict[type, tuple[type, ...]] = {
+    bool: (bool,),
+    int: (int,),
+    float: (int, float),
+    str: (str,),
+}
 
-def _jsonable(value: object) -> object:
-    """Fallback encoder for the non-JSON types inside memsim dataclasses."""
-    if isinstance(value, (Op, Pattern, Layout, PinningPolicy, MediaKind, DaxMode)):
+
+#: Scalar types :func:`encode` passes through untouched.
+_PLAIN = frozenset({bool, int, float, str, type(None)})
+
+
+@functools.cache
+def _fields(kind: type) -> tuple[str, ...] | None:
+    """Field names of a dataclass type in declaration order, else ``None``."""
+    if not dataclasses.is_dataclass(kind):
+        return None
+    return tuple(f.name for f in dataclasses.fields(kind))
+
+
+@functools.cache
+def _hints(kind: type) -> dict[str, object]:
+    """Resolved type hints of a dataclass type's fields."""
+    hints = typing.get_type_hints(kind)
+    return {name: hints[name] for name in _fields(kind)}
+
+
+def encode(value: object) -> object:
+    """The canonical JSON value of a config, stream or directory tree.
+
+    Dataclasses become objects of their fields, enums their ``.value``,
+    tuples lists and frozensets sorted lists; scalars pass through, so
+    every ``float`` keeps its exact ``repr``.
+    """
+    if type(value) in _PLAIN:
+        return value
+    names = _fields(type(value))
+    if names is not None:
+        return {name: encode(getattr(value, name)) for name in names}
+    if isinstance(value, enum.Enum):
         return value.value
+    if isinstance(value, (tuple, list)):
+        return [encode(item) for item in value]
     if isinstance(value, frozenset):
-        return sorted(value)
-    if isinstance(value, tuple):
-        return list(value)
-    raise ConfigurationError(f"cannot serialize {type(value).__name__} for the cache")
+        return [encode(item) for item in sorted(value)]
+    return value
+
+
+def decode(hint: object, value: object) -> object:
+    """Inverse of :func:`encode`: ``value`` as an instance of ``hint``.
+
+    Walks the dataclass field hints, so a decoded config or stream is
+    ``==`` to the encoded one and re-encodes byte-identically. ``hint``
+    may also be a scalar, an enum, ``tuple[X, ...]``, a fixed tuple,
+    ``frozenset[X]``, ``X | None``, or :class:`ResultColumns` (via
+    :func:`columns_from_payload`). Any mismatch — an unknown or missing
+    field, a wrong JSON type, a bad enum value, a value the type's own
+    validation rejects — raises :class:`~repro.errors.SchemaError`.
+    """
+    return _decoder(hint)(value)
+
+
+@functools.cache
+def _decoder(hint: object) -> Callable[[object], object]:
+    """The decoding function for ``hint``, built once per hint."""
+    accepted = _SCALARS.get(hint)
+    if accepted is not None:
+        def scalar(value: object) -> object:
+            if isinstance(value, accepted) and (hint is bool or type(value) is not bool):
+                return value
+            raise SchemaError(f"expected {hint.__name__}, got {value!r:.60}")
+
+        return scalar
+    if hint is ResultColumns:
+        return columns_from_payload
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        members = {member.value: member for member in hint}
+
+        def member(value: object) -> object:
+            try:
+                return members[value]
+            except (KeyError, TypeError):
+                raise SchemaError(
+                    f"bad {hint.__name__} value {value!r:.60}; expected one of "
+                    f"{list(members)}"
+                ) from None
+
+        return member
+    if isinstance(hint, type) and _fields(hint) is not None:
+        fields = {name: _decoder(field) for name, field in _hints(hint).items()}
+
+        def record(value: object) -> object:
+            if not isinstance(value, dict):
+                raise SchemaError(f"{hint.__name__} must be an object")
+            kwargs = {}
+            for name, item in value.items():
+                field = fields.get(name)
+                if field is None:
+                    raise SchemaError(f"unknown {hint.__name__} field {name!r:.60}")
+                kwargs[name] = field(item)
+            try:
+                return hint(**kwargs)
+            except (ReproError, TypeError, ValueError) as exc:
+                raise SchemaError(f"invalid {hint.__name__}: {exc}") from exc
+
+        return record
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union or origin is types.UnionType:
+        (inner,) = [_decoder(arg) for arg in args if arg is not type(None)]
+        return lambda value: None if value is None else inner(value)
+    if origin is tuple or origin is frozenset:
+        homogeneous = origin is frozenset or (len(args) == 2 and args[1] is Ellipsis)
+        items = [_decoder(arg) for arg in args[:1 if homogeneous else None]]
+
+        def sequence(value: object) -> object:
+            if not isinstance(value, list):
+                raise SchemaError(f"expected a list, got {type(value).__name__}")
+            if homogeneous:
+                return origin(map(items[0], value))
+            if len(value) != len(items):
+                raise SchemaError(f"expected {len(items)} items, got {len(value)}")
+            return tuple(item(entry) for item, entry in zip(items, value))
+
+        return sequence
+    raise SchemaError(f"no canonical decoding for {hint!r}")
 
 
 def _canonical(payload: object) -> str:
-    return json.dumps(payload, sort_keys=True, default=_jsonable)
+    return json.dumps(payload, sort_keys=True)
+
+
+@functools.lru_cache(maxsize=64)
+def _config_hash(config: MachineConfig) -> "hashlib._Hash":
+    """SHA-256 primed with ``{"config": <canonical config>, ``, once per config.
+
+    ``sort_keys`` puts ``"config"`` first in every request's canonical
+    text, so each digest copies this state instead of re-encoding and
+    re-hashing the whole topology.
+    """
+    text = f'{{"config": {_canonical(encode(config))}, '
+    return hashlib.sha256(text.encode("utf-8"))
 
 
 def request_digest(
@@ -139,56 +277,26 @@ def request_digest(
     streams: tuple[StreamSpec, ...],
     directory: DirectoryState,
 ) -> str:
-    """SHA-256 hex digest of the canonical JSON form of a request."""
-    payload = {
-        "config": dataclasses.asdict(config),
-        "streams": [dataclasses.asdict(s) for s in streams],
-        "directory": sorted(directory.warm_pairs),
-    }
-    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
+    """SHA-256 hex digest of the canonical JSON form of a request.
 
-
-def result_to_payload(result: BandwidthResult) -> dict[str, object]:
-    """JSON-ready form of a :class:`BandwidthResult` (floats exact)."""
-    return {
-        "streams": [
-            {
-                "spec": dataclasses.asdict(s.spec),
-                "gbps": s.gbps,
-                "solo_gbps": s.solo_gbps,
-                "notes": list(s.notes),
-            }
-            for s in result.streams
-        ],
-        "counters": dataclasses.asdict(result.counters),
-        "directory_after": (
-            None
-            if result.directory_after is None
-            else sorted(result.directory_after.warm_pairs)
-        ),
-    }
-
-
-def _spec_from_payload(payload: dict[str, object]) -> StreamSpec:
-    return StreamSpec(
-        op=Op(payload["op"]),
-        threads=int(payload["threads"]),  # type: ignore[arg-type]
-        access_size=int(payload["access_size"]),  # type: ignore[arg-type]
-        media=MediaKind(payload["media"]),
-        pattern=Pattern(payload["pattern"]),
-        layout=Layout(payload["layout"]),
-        pinning=PinningPolicy(payload["pinning"]),
-        issuing_socket=int(payload["issuing_socket"]),  # type: ignore[arg-type]
-        target_socket=int(payload["target_socket"]),  # type: ignore[arg-type]
-        region_bytes=int(payload["region_bytes"]),  # type: ignore[arg-type]
-        total_bytes=int(payload["total_bytes"]),  # type: ignore[arg-type]
-        dax_mode=DaxMode(payload["dax_mode"]),
-        prefaulted=bool(payload["prefaulted"]),
+    The hashed text is ``_canonical({"config": ..., "directory": ...,
+    "streams": ...})``; the config part comes from the per-config
+    :func:`_config_hash` state.
+    """
+    digest = _config_hash(config).copy()
+    digest.update(
+        f'"directory": {json.dumps(sorted(directory.warm_pairs))}, '
+        f'"streams": {_canonical([encode(s) for s in streams])}}}'.encode("utf-8")
     )
+    return digest.hexdigest()
 
 
 #: Disk schema identifier; bumping it orphans every existing entry.
 CACHE_SCHEMA = "repro.sweep.cache/2"
+
+_FLOATS = tuple[float, ...]
+_NOTES = tuple[tuple[str, ...], ...]
+_PAIRS = tuple[frozenset[tuple[int, int]] | None, ...]
 
 
 def columns_to_payload(
@@ -206,7 +314,7 @@ def columns_to_payload(
         "schema": CACHE_SCHEMA,
         "offsets": list(columns.offsets),
         "streams": {
-            "specs": [dataclasses.asdict(spec) for spec in columns.specs],
+            "specs": [encode(spec) for spec in columns.specs],
             "gbps": list(columns.gbps),
             "solo_gbps": list(columns.solo_gbps),
             "notes": [list(notes) for notes in columns.stream_notes],
@@ -225,45 +333,50 @@ def columns_to_payload(
     return payload
 
 
-def columns_from_payload(payload: dict[str, object]) -> ResultColumns:
+def _member(obj: object, key: str, hint: object) -> object:
+    """``obj[key]`` decoded as ``hint``; :class:`SchemaError` if absent."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise SchemaError(f"missing {key!r}")
+    return decode(hint, obj[key])
+
+
+def columns_from_payload(payload: object) -> ResultColumns:
     """Inverse of :func:`columns_to_payload`, validating the shape.
 
-    Raises :class:`~repro.errors.SchemaError` (or ``KeyError``/
-    ``TypeError``/``ValueError`` from the primitive conversions) on any
-    structural inconsistency (wrong schema, ragged columns, non-monotonic offsets);
-    the disk cache maps those to a miss.
+    Raises only :class:`~repro.errors.SchemaError`: for a wrong schema,
+    a missing or mistyped member, ragged columns or non-monotonic
+    offsets. The disk cache reads it as a miss; the cluster wire drops
+    the peer that sent it.
     """
-    if payload.get("schema") != CACHE_SCHEMA:
-        raise SchemaError(f"unknown cache schema: {payload.get('schema')!r}")
-    offsets = [int(value) for value in payload["offsets"]]
+    if not isinstance(payload, dict) or payload.get("schema") != CACHE_SCHEMA:
+        raise SchemaError("not a repro.sweep.cache/2 column block")
+    offsets = list(_member(payload, "offsets", tuple[int, ...]))
     if not offsets or offsets[0] != 0:
         raise SchemaError("offsets must start at 0")
     if any(b < a for a, b in zip(offsets, offsets[1:])):
         raise SchemaError("offsets must be non-decreasing")
     n = len(offsets) - 1
     total = offsets[-1]
-    streams = payload["streams"]
-    counters = payload["counters"]
+    streams = payload.get("streams")
+    counters = payload.get("counters")
     columns = ResultColumns()
     columns.offsets = offsets
-    columns.specs = [_spec_from_payload(entry) for entry in streams["specs"]]
-    columns.gbps = list(streams["gbps"])
-    columns.solo_gbps = list(streams["solo_gbps"])
-    columns.stream_notes = [tuple(notes) for notes in streams["notes"]]
+    columns.specs = list(_member(streams, "specs", tuple[StreamSpec, ...]))
+    columns.gbps = list(_member(streams, "gbps", _FLOATS))
+    columns.solo_gbps = list(_member(streams, "solo_gbps", _FLOATS))
+    columns.stream_notes = list(_member(streams, "notes", _NOTES))
     for name in ("specs", "gbps", "solo_gbps", "stream_notes"):
         if len(getattr(columns, name)) != total:
             raise SchemaError(f"stream column {name!r} does not match offsets")
     for name in COUNTER_COLUMNS:
-        column = list(counters[name])
+        column = list(_member(counters, name, _FLOATS))
         if len(column) != n:
             raise SchemaError(f"counter column {name!r} does not match offsets")
         setattr(columns, name, column)
-    columns.counter_notes = [tuple(notes) for notes in payload["counter_notes"]]
+    columns.counter_notes = list(_member(payload, "counter_notes", _NOTES))
     columns.directory_after = [
-        None
-        if pairs is None
-        else DirectoryState(frozenset((pair[0], pair[1]) for pair in pairs))
-        for pairs in payload["directory_after"]
+        None if pairs is None else DirectoryState(pairs)
+        for pairs in _member(payload, "directory_after", _PAIRS)
     ]
     if len(columns.counter_notes) != n or len(columns.directory_after) != n:
         raise SchemaError("per-point columns do not match offsets")
@@ -278,6 +391,18 @@ def block_digest(digests: Iterable[str]) -> str:
     rewrites the same block file (which is how a corrupted block heals).
     """
     return hashlib.sha256("\n".join(digests).encode("utf-8")).hexdigest()
+
+
+def _read_shard(path: Path) -> dict[str, object]:
+    """An index shard's entries; empty if missing, corrupt or foreign."""
+    try:
+        shard = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return {}
+    if not isinstance(shard, dict) or shard.get("schema") != CACHE_SCHEMA:
+        return {}
+    entries = shard.get("entries")
+    return entries if isinstance(entries, dict) else {}
 
 
 class DiskCache:
@@ -358,8 +483,8 @@ class DiskCache:
         try:
             payload = json.loads(self._block_path(digest).read_text(encoding="utf-8"))
             columns = columns_from_payload(payload)
-            members = [str(entry) for entry in payload["digests"]]
-        except (OSError, KeyError, TypeError, ValueError, SchemaError):
+            members = list(_member(payload, "digests", tuple[str, ...]))
+        except (OSError, ValueError, SchemaError):
             return None
         if len(members) != len(columns):
             return None
@@ -374,18 +499,12 @@ class DiskCache:
         The row's recorded digest must match the request's: an index
         shard pointing into the wrong or stale block is a miss.
         """
-        try:
-            shard = json.loads(self._index_path(digest).read_text(encoding="utf-8"))
-            if shard.get("schema") != CACHE_SCHEMA:
-                return None
-            entry = shard["entries"].get(digest)
-        except (OSError, AttributeError, KeyError, TypeError, ValueError):
-            return None
+        entry = _read_shard(self._index_path(digest)).get(digest)
         if entry is None:
             return None
         try:
-            block, row = str(entry[0]), int(entry[1])
-        except (IndexError, TypeError, ValueError):
+            block, row = decode(tuple[str, int], entry)
+        except SchemaError:
             return None
         loaded = self._load_block(block)
         if loaded is None:
@@ -432,15 +551,9 @@ class DiskCache:
         for row, digest in enumerate(digests):
             by_shard.setdefault(digest[:2], {})[digest] = [block, row]
         for prefix, entries in by_shard.items():
-            path = self.root / "index" / f"{prefix}.json"
+            path = self._index_path(prefix)
             with self._shard_lock(prefix):
-                merged: dict[str, object] = {}
-                try:
-                    shard = json.loads(path.read_text(encoding="utf-8"))
-                    if shard.get("schema") == CACHE_SCHEMA:
-                        merged = dict(shard["entries"])
-                except (OSError, AttributeError, KeyError, TypeError, ValueError):
-                    merged = {}
+                merged = _read_shard(path)
                 merged.update(entries)
                 path.parent.mkdir(parents=True, exist_ok=True)
                 tmp = path.with_suffix(f".{os.getpid()}.tmp")

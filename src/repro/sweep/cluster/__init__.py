@@ -6,7 +6,8 @@ standing ``repro worker`` peers reached over TCP — while staying
 bit-identical to the in-process ``vector`` backend. The package splits along the wire:
 
 * :mod:`~repro.sweep.cluster.protocol` — newline-JSON frames (reusing
-  the :mod:`repro.serve` framing) with pickled column-block blobs.
+  the :mod:`repro.serve` framing) carrying the disk cache's canonical
+  JSON encoding of configs, streams and column blocks (no pickling).
 * :mod:`~repro.sweep.cluster.coordinator` — sharding by content hash,
   chunk dispatch, work-stealing, heartbeat timeouts and requeueing, and
   the content-addressed shared cache tier.

@@ -44,17 +44,48 @@ import time
 from collections import deque
 from typing import Awaitable, Callable, Sequence
 
+from repro import errors
 from repro.errors import GridPointError, SweepError
 from repro.memsim.config import DirectoryState, MachineConfig
 from repro.memsim.kernels import ResultColumns
-from repro.obs import Recorder, merge_snapshot
-from repro.sweep.cache import DiskCache, request_digest
+from repro.obs import CountersRecorder, Recorder, merge_snapshot
+from repro.sweep.cache import DiskCache, columns_to_payload, encode, request_digest
 from repro.sweep.cluster import protocol
 from repro.sweep.cluster.config import CHUNKS_PER_WORKER, ClusterOptions
 from repro.sweep.service import EvaluationService, request_key
 from repro.workloads.grids import SweepPoint
 
 __all__ = ["Coordinator", "SharedCache"]
+
+
+def _rebuild_error(type_name: str, message: str) -> Exception:
+    """A worker's failing exception, rebuilt from its class name and message.
+
+    The named :mod:`repro.errors` class when it can be built from the
+    message alone, else :class:`SweepError` carrying the message — so
+    ``str()`` of the surrounding :class:`GridPointError` is the same on
+    every backend.
+    """
+    kind = getattr(errors, type_name, None)
+    if isinstance(kind, type) and issubclass(kind, errors.ReproError):
+        try:
+            return kind(message)
+        except TypeError:  # a constructor that needs more than a message
+            return SweepError(message)
+    return SweepError(message)
+
+
+def _checked_snapshot(frame: dict) -> dict | None:
+    """The frame's counters ``snapshot``, validated by merging it once."""
+    snapshot = frame.get("snapshot")
+    if snapshot is None:
+        return None
+    checked = CountersRecorder()
+    try:
+        checked.merge_snapshot(snapshot)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise SweepError(f"cluster frame has a malformed 'snapshot': {exc}") from exc
+    return checked.snapshot()
 
 
 class SharedCache:
@@ -259,7 +290,7 @@ class Coordinator:
             raise GridPointError(
                 index, original, label=label, grid=grid,
                 partial=self._prefix(stop=index),
-            )
+            ) from original
         out = ResultColumns()
         for index in range(len(self._points)):
             columns, row = self._filled[index]
@@ -297,8 +328,8 @@ class Coordinator:
             await protocol.send_frame(link.writer, {
                 "kind": "hello",
                 "protocol": protocol.CLUSTER_PROTOCOL,
-                "config": protocol.encode_blob(self._config),
-                "directory": protocol.encode_blob(self._directory),
+                "config": encode(self._config),
+                "directory": sorted(self._directory.warm_pairs),
                 "grid": self._grid_name,
                 "observing": self._observing,
                 "shared_cache": self.options.shared_cache,
@@ -335,59 +366,68 @@ class Coordinator:
         elif kind == "cache_get":
             await self._answer_cache_get(link, frame)
         elif kind == "cache_put":
-            self.shared.put(
-                [str(d) for d in frame["digests"]],
-                protocol.decode_blob(frame["columns"]),
-            )
+            digests = protocol.digests(frame)
+            columns = protocol.field(frame, "columns", ResultColumns)
+            if len(digests) != len(columns):
+                raise SweepError("cluster cache_put rows do not match its digests")
+            self.shared.put(digests, columns)
         else:
             raise SweepError(f"coordinator got unknown frame kind {kind!r}")
 
+    def _indices(self, frame: dict, name: str) -> list[int]:
+        """Global point indices from ``frame[name]``, each in range."""
+        indices = list(protocol.field(frame, name, tuple[int, ...]))
+        if not all(0 <= index < len(self._points) for index in indices):
+            raise SweepError(f"cluster frame {name!r} names an unknown point")
+        return indices
+
     def _merge_result(self, link: _Link, frame: dict) -> None:
-        indices = [int(i) for i in frame["indices"]]
-        columns = protocol.decode_blob(frame["columns"])
+        indices = self._indices(frame, "indices")
+        columns = protocol.field(frame, "columns", ResultColumns)
+        if len(indices) != len(columns):
+            raise SweepError("cluster result rows do not match its indices")
+        chunk = protocol.field(frame, "chunk", int)
+        hits, misses, disk_hits = protocol.field(frame, "stats", tuple[int, int, int])
+        wall = protocol.field(frame, "wall", float)
+        snapshot = _checked_snapshot(frame)
         for row, index in enumerate(indices):
             # First result wins: a requeue after a late-but-delivered
             # result must not overwrite bit-identical rows (they are
             # identical anyway; first-wins just makes that explicit).
             self._filled.setdefault(index, (columns, row))
-        chunk = int(frame["chunk"])
         remaining = link.outstanding.get(chunk)
         if remaining is not None:
             remaining.difference_update(indices)
             if not remaining:
                 del link.outstanding[chunk]
-        snapshot = frame.get("snapshot")
         if snapshot is not None and indices:
             self._snapshots.append((min(indices), snapshot))
-        hits, misses, disk_hits = (int(n) for n in frame["stats"])
         self._service.stats.hits += hits
         self._service.stats.misses += misses
         self._service.stats.disk_hits += disk_hits
         if self._observing:
-            self._recorder.observe(
-                "cluster.worker.wall_seconds", float(frame["wall"])
-            )
+            self._recorder.observe("cluster.worker.wall_seconds", wall)
         if len(self._filled) == len(self._points):
             self._finished.set()
 
     def _on_failed(self, frame: dict) -> None:
-        partial = protocol.decode_blob(frame["partial"])
-        partial_indices = [int(i) for i in frame["partial_indices"]]
-        if isinstance(partial, ResultColumns):
-            for row, index in enumerate(partial_indices):
-                self._filled.setdefault(index, (partial, row))
+        partial = protocol.field(frame, "partial", ResultColumns)
+        partial_indices = self._indices(frame, "partial_indices")
+        if len(partial_indices) != len(partial):
+            raise SweepError("cluster failed-frame partial rows do not match")
+        index = protocol.field(frame, "index", int)
+        if index not in range(len(self._points)):
+            raise SweepError("cluster failed frame names an unknown point")
+        original = _rebuild_error(
+            protocol.field(frame, "error_type", str),
+            protocol.field(frame, "error", str),
+        )
+        label = protocol.field(frame, "label", str | None)
+        grid = protocol.field(frame, "grid", str | None)
+        for row, filled in enumerate(partial_indices):
+            self._filled.setdefault(filled, (partial, row))
         if self._failure is None:
-            original = protocol.decode_blob(frame["error"])
-            if not isinstance(original, Exception):  # defensive: blob abuse
-                original = SweepError(str(original))
-            label = frame.get("label")
-            grid = frame.get("grid")
-            self._failure = (
-                int(frame["index"]),
-                original,
-                str(label) if label is not None else None,
-                str(grid) if grid is not None else None,
-            )
+            self._failure = (index, original, label, grid)
             self._finished.set()
 
     # ------------------------------------------------------------------
@@ -405,9 +445,10 @@ class Coordinator:
             "chunk": chunk,
             "indices": indices,
             "digests": [self._digests[i] for i in indices],
-            "points": protocol.encode_blob(
-                tuple(self._points[i] for i in indices)
-            ),
+            "labels": [self._points[i].label for i in indices],
+            "streams": [
+                [encode(spec) for spec in self._points[i].streams] for i in indices
+            ],
         })
 
     async def _dispatch(self, link: _Link) -> None:
@@ -443,8 +484,8 @@ class Coordinator:
         return best
 
     async def _on_stolen(self, victim: _Link, frame: dict) -> None:
+        indices = self._indices(frame, "indices")
         victim.steal_pending = False
-        indices = [int(i) for i in frame["indices"]]
         stolen = [i for i in indices if i not in self._filled]
         for remaining in victim.outstanding.values():
             remaining.difference_update(indices)
@@ -476,7 +517,8 @@ class Coordinator:
         return None
 
     async def _answer_cache_get(self, link: _Link, frame: dict) -> None:
-        digests = [str(d) for d in frame["digests"]]
+        req = protocol.field(frame, "req", int)
+        digests = protocol.digests(frame)
         found: list[str] = []
         rows = ResultColumns()
         for digest in digests:
@@ -486,9 +528,9 @@ class Coordinator:
                 rows.append_from(ref[0], ref[1])
         await protocol.send_frame(link.writer, {
             "kind": "cache_found",
-            "req": frame["req"],
+            "req": req,
             "digests": found,
-            "columns": protocol.encode_blob(rows) if found else None,
+            "columns": columns_to_payload(rows),
         })
 
     # ------------------------------------------------------------------

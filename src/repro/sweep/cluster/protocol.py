@@ -3,14 +3,20 @@
 Frames reuse the :mod:`repro.serve` machinery — one newline-terminated
 compact-JSON object per frame (:func:`repro.serve.protocol.dump_line`) —
 so the coordinator and a ``repro worker`` peer speak the same framing as
-the bandwidth server. The payloads that are *not* naturally JSON (the
-:class:`~repro.memsim.config.MachineConfig`, ``SweepPoint`` tuples, and
-whole :class:`~repro.memsim.kernels.ResultColumns` blocks) travel as
-pickled, base64-encoded blobs inside a frame field
-(:func:`encode_blob`/:func:`decode_blob`, the pickle boundary simlint
-rule SIM202 guards), and pickling a column block is the
-structure-of-arrays move — one blob per chunk, never an object per
-point.
+the bandwidth server. Every payload travels in the canonical JSON
+encoding the disk cache already stores (:mod:`repro.sweep.cache`): the
+:class:`~repro.memsim.config.MachineConfig` and streams as
+:func:`~repro.sweep.cache.encode` values, whole
+:class:`~repro.memsim.kernels.ResultColumns` blocks as
+:func:`~repro.sweep.cache.columns_to_payload` structure-of-arrays
+payloads — one block per work item, never an object per point. Nothing
+on the wire is pickled, so a peer can send bad data but never code.
+
+Every field a peer sends is read through :func:`field`, which decodes
+it with the typed canonical decoder and raises
+:class:`~repro.errors.SweepError` for a missing or mistyped value: the
+receiving side drops the link (and the coordinator requeues its work)
+instead of crashing on a ``KeyError``.
 
 Every stream is created with an explicit ``limit`` of
 :data:`MAX_FRAME_BYTES`, which is what bounds ``readline`` against a
@@ -23,18 +29,19 @@ Frame kinds
 coordinator -> worker:
 
 ``hello``
-    Session start: protocol string, config/directory blobs, grid name,
-    ``observing`` flag, gather knobs (``points_per_item``,
-    ``heartbeat_seconds``), and whether the shared cache tier is on.
+    Session start: protocol string, the encoded ``config``, the
+    ``directory`` warm pairs, grid name, ``observing`` flag, gather
+    knobs (``points_per_item``, ``heartbeat_seconds``), and whether the
+    shared cache tier is on.
 ``chunk``
     One shard of grid points: ``chunk`` id, global ``indices``, request
-    ``digests`` (cache keys, precomputed by the coordinator), and the
-    ``points`` blob.
+    ``digests`` (cache keys, precomputed by the coordinator), point
+    ``labels`` and each point's encoded ``streams``.
 ``steal``
     Ask the worker to relinquish about half of its queued points.
 ``cache_found``
     Answer to ``cache_get``: the found ``digests`` and a ``columns``
-    blob holding one row per found digest, in that order.
+    block holding one row per found digest, in that order.
 ``bye``
     Session end; the worker drains nothing further and disconnects.
 
@@ -47,63 +54,81 @@ worker -> coordinator:
     workers parked on a long item.
 ``result``
     One work item's results: ``chunk`` id, global ``indices``, the
-    ``columns`` blob, an optional counters ``snapshot``, the cache
+    ``columns`` block, an optional counters ``snapshot``, the cache
     ``stats`` delta ``[hits, misses, disk_hits]``, and ``wall`` seconds.
 ``stolen``
     Answer to ``steal``: the global ``indices`` relinquished (may be
     empty if the queue drained first).
 ``failed``
-    A poisoned point: global ``index``, ``label``, ``grid``, the pickled
-    original exception (``error`` blob), and the item's completed-prefix
-    ``partial`` columns blob with its ``partial_indices``.
+    A poisoned point: global ``index``, ``label``, ``grid``, the
+    original exception's class name (``error_type``) and message
+    (``error``), and the item's completed-prefix ``partial`` columns
+    block with its ``partial_indices``.
 ``cache_get``
     Shared-tier lookup: request ``req`` id and the ``digests`` to probe.
 ``cache_put``
-    Publish computed rows: ``digests`` plus a ``columns`` blob.
+    Publish computed rows: ``digests`` plus a ``columns`` block.
 """
 
 from __future__ import annotations
 
-import base64
 import json
-import pickle
+import re
 from typing import Mapping
 
 import asyncio
 
 from repro import units
-from repro.errors import SweepError
+from repro.errors import SchemaError, SweepError
 from repro.serve.protocol import dump_line
+from repro.sweep.cache import decode
 
 __all__ = [
     "CLUSTER_PROTOCOL",
     "MAX_FRAME_BYTES",
-    "decode_blob",
+    "digests",
     "dump_line",
-    "encode_blob",
+    "field",
     "read_frame",
     "send_frame",
 ]
 
 #: Protocol identifier carried by ``hello`` and ``join`` frames.
-CLUSTER_PROTOCOL = "repro.sweep.cluster/1"
+CLUSTER_PROTOCOL = "repro.sweep.cluster/2"
 
 #: Stream limit for every cluster connection: bounds ``readline`` so a
 #: broken or hostile peer cannot grow an unbounded buffer. Large enough
-#: for a pickled chunk of hundreds of points.
+#: for a chunk of hundreds of encoded points.
 MAX_FRAME_BYTES = 8 * units.MIB
 
-
-def encode_blob(obj: object) -> str:
-    """Pickle ``obj`` and wrap it as base64 text for a JSON frame field."""
-    return base64.b64encode(
-        pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    ).decode("ascii")
+#: A request digest: SHA-256 hex. Digests name cache files, so a peer
+#: must not be able to smuggle a path through one.
+_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
-def decode_blob(text: str) -> object:
-    """Inverse of :func:`encode_blob`."""
-    return pickle.loads(base64.b64decode(text.encode("ascii")))
+def field(frame: Mapping[str, object], name: str, hint: object) -> object:
+    """Frame member ``name`` decoded as ``hint`` by the canonical decoder.
+
+    Raises :class:`~repro.errors.SweepError` if the member is missing or
+    does not decode (:func:`repro.sweep.cache.decode`).
+    """
+    if name not in frame:
+        raise SweepError(f"cluster {frame.get('kind')!r} frame lacks {name!r}")
+    try:
+        return decode(hint, frame[name])
+    except SchemaError as exc:
+        raise SweepError(
+            f"cluster {frame.get('kind')!r} frame has a bad {name!r}: {exc}"
+        ) from exc
+
+
+def digests(frame: Mapping[str, object]) -> list[str]:
+    """The frame's ``digests``, each a SHA-256 hex digest."""
+    found = list(field(frame, "digests", tuple[str, ...]))
+    for digest in found:
+        if not _DIGEST.fullmatch(digest):
+            raise SweepError(f"cluster frame carries a bad digest {digest!r:.80}")
+    return found
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Mapping[str, object] | None:

@@ -42,6 +42,7 @@ a killed process would.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -50,11 +51,11 @@ from typing import Awaitable, Callable, Mapping
 from repro.errors import GridPointError, SweepError
 from repro.memsim.config import DirectoryState, MachineConfig
 from repro.memsim.kernels import ResultColumns
+from repro.memsim.spec import StreamSpec
 from repro.obs import NULL_RECORDER, CountersRecorder, Recorder
-from repro.sweep.cache import DiskCache
+from repro.sweep.cache import DiskCache, columns_to_payload
 from repro.sweep.cluster import protocol
 from repro.sweep.service import EvaluationService
-from repro.workloads.grids import SweepPoint
 
 __all__ = ["ClusterWorker", "connect_worker", "serve_worker"]
 
@@ -66,7 +67,8 @@ class _Item:
     chunk: int
     indices: list[int]
     digests: list[str]
-    points: list[SweepPoint]
+    labels: list[str]
+    streams: list[tuple[StreamSpec, ...]]
 
 
 @dataclass
@@ -156,14 +158,18 @@ class ClusterWorker:
                 f"got {hello.get('kind')!r}"
             )
         self._session = _Session(
-            config=protocol.decode_blob(hello["config"]),
-            directory=protocol.decode_blob(hello["directory"]),
-            grid_name=str(hello["grid"]),
-            observing=bool(hello["observing"]),
-            shared_cache=bool(hello["shared_cache"]),
-            points_per_item=int(hello["points_per_item"]),
-            heartbeat_seconds=float(hello["heartbeat_seconds"]),
+            config=protocol.field(hello, "config", MachineConfig),
+            directory=DirectoryState(
+                protocol.field(hello, "directory", frozenset[tuple[int, int]])
+            ),
+            grid_name=protocol.field(hello, "grid", str),
+            observing=protocol.field(hello, "observing", bool),
+            shared_cache=protocol.field(hello, "shared_cache", bool),
+            points_per_item=protocol.field(hello, "points_per_item", int),
+            heartbeat_seconds=protocol.field(hello, "heartbeat_seconds", float),
         )
+        if not 0.0 < self._session.heartbeat_seconds < math.inf:
+            raise SweepError("cluster hello needs a positive heartbeat_seconds")
         tasks = [asyncio.ensure_future(self._compute_loop())]
         if self._heartbeat_enabled:
             tasks.append(asyncio.ensure_future(self._heartbeat_loop()))
@@ -199,23 +205,35 @@ class ClusterWorker:
             elif kind == "steal":
                 await self._answer_steal(frame)
             elif kind == "cache_found":
-                future = self._cache_replies.pop(int(frame["req"]), None)
+                req = protocol.field(frame, "req", int)
+                found = protocol.digests(frame)
+                columns = protocol.field(frame, "columns", ResultColumns)
+                if len(found) != len(columns):
+                    raise SweepError("cluster cache_found rows do not match digests")
+                future = self._cache_replies.pop(req, None)
                 if future is not None and not future.done():
-                    future.set_result(frame)
+                    future.set_result((found, columns))
             else:
                 raise SweepError(f"cluster worker got unknown frame kind {kind!r}")
 
     def _enqueue_chunk(self, frame: Mapping[str, object], session: _Session) -> None:
-        indices = [int(i) for i in frame["indices"]]
-        digests = [str(d) for d in frame["digests"]]
-        points = list(protocol.decode_blob(frame["points"]))
-        chunk = int(frame["chunk"])
+        chunk = protocol.field(frame, "chunk", int)
+        indices = list(protocol.field(frame, "indices", tuple[int, ...]))
+        digests = protocol.digests(frame)
+        labels = list(protocol.field(frame, "labels", tuple[str, ...]))
+        streams = list(
+            protocol.field(frame, "streams", tuple[tuple[StreamSpec, ...], ...])
+        )
+        if not len(indices) == len(digests) == len(labels) == len(streams):
+            raise SweepError("cluster chunk columns differ in length")
+        if not all(streams):
+            raise SweepError("cluster chunk holds a point with no streams")
         step = max(1, session.points_per_item)
-        for lo in range(0, len(points), step):
+        for lo in range(0, len(indices), step):
             hi = lo + step
-            self._queue.append(
-                _Item(chunk, indices[lo:hi], digests[lo:hi], points[lo:hi])
-            )
+            self._queue.append(_Item(
+                chunk, indices[lo:hi], digests[lo:hi], labels[lo:hi], streams[lo:hi]
+            ))
         self._work_ready.set()
 
     async def _answer_steal(self, frame: Mapping[str, object]) -> None:
@@ -285,10 +303,10 @@ class ClusterWorker:
         try:
             columns = self.service.evaluate_grid_columns(
                 session.config,
-                [point.streams for point in item.points],
+                item.streams,
                 session.directory,
                 recorder=sink,
-                labels=[point.label for point in item.points],
+                labels=item.labels,
                 grid_name=session.grid_name,
             )
         except GridPointError as exc:
@@ -297,12 +315,6 @@ class ClusterWorker:
                 if isinstance(exc.partial, ResultColumns)
                 else ResultColumns()
             )
-            try:
-                error_blob = protocol.encode_blob(exc.original)
-            except Exception:
-                # Unpicklable originals degrade to a text-only SweepError,
-                # mirroring how pickling drops __cause__ chains.
-                error_blob = protocol.encode_blob(SweepError(str(exc.original)))
             await protocol.send_frame(
                 self._writer,
                 {
@@ -311,9 +323,10 @@ class ClusterWorker:
                     "index": item.indices[exc.index],
                     "label": exc.label,
                     "grid": exc.grid,
-                    "error": error_blob,
+                    "error_type": type(exc.original).__name__,
+                    "error": str(exc.original),
                     "partial_indices": item.indices[: len(partial)],
-                    "partial": protocol.encode_blob(partial),
+                    "partial": columns_to_payload(partial),
                 },
             )
             return
@@ -324,11 +337,11 @@ class ClusterWorker:
                 {
                     "kind": "cache_put",
                     "digests": item.digests,
-                    "columns": protocol.encode_blob(columns),
+                    "columns": columns_to_payload(columns),
                 },
             )
         if rec is not None:
-            rec.incr("sweep.points_count", len(item.points))
+            rec.incr("sweep.points_count", len(item.indices))
             rec.observe("sweep.batch.wall_seconds", wall)
         delta = (stats.hits - hits0, stats.misses - misses0, stats.disk_hits - disk0)
         await protocol.send_frame(
@@ -337,7 +350,7 @@ class ClusterWorker:
                 "kind": "result",
                 "chunk": item.chunk,
                 "indices": item.indices,
-                "columns": protocol.encode_blob(columns),
+                "columns": columns_to_payload(columns),
                 "snapshot": rec.snapshot() if rec is not None else None,
                 "stats": list(delta),
                 "wall": wall,
@@ -356,12 +369,10 @@ class ClusterWorker:
         warm disk cache would have produced — the accounting carries
         over across tiers because the keys do.
         """
-        missing: dict[str, SweepPoint] = {}
-        for point, digest in zip(item.points, item.digests):
-            if not self.service.contains(
-                session.config, point.streams, session.directory
-            ):
-                missing[digest] = point
+        missing: dict[str, tuple[StreamSpec, ...]] = {}
+        for streams, digest in zip(item.streams, item.digests):
+            if not self.service.contains(session.config, streams, session.directory):
+                missing[digest] = streams
         if not missing:
             return
         self._next_req += 1
@@ -372,15 +383,13 @@ class ClusterWorker:
             self._writer,
             {"kind": "cache_get", "req": req, "digests": list(missing)},
         )
-        reply = await future
-        found = [str(d) for d in reply["digests"]]
-        columns = (
-            protocol.decode_blob(reply["columns"]) if found else ResultColumns()
-        )
+        found, columns = await future
         for row, digest in enumerate(found):
-            point = missing.pop(digest)
+            streams = missing.pop(digest, None)
+            if streams is None:  # not asked for (or repeated): nothing to seed
+                continue
             self.service.seed(
-                session.config, point.streams, columns, row, session.directory
+                session.config, streams, columns, row, session.directory
             )
             self.service.stats.disk_hits += 1
             if rec.enabled:

@@ -132,7 +132,7 @@ class TestRegistry:
         assert codes == {
             "SIM001", "SIM002", "SIM101", "SIM102", "SIM103", "SIM104",
             "SIM105", "SIM106", "SIM107", "SIM108", "SIM109", "SIM110",
-            "SIM201", "SIM202", "SIM203", "SIM204", "SIM301", "SIM302",
+            "SIM201", "SIM203", "SIM204", "SIM301", "SIM302",
             "SIM303", "SIM401",
         }
 

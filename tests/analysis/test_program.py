@@ -1,5 +1,5 @@
-"""The whole-program layer: SIM201-SIM204 fixture projects, the summary
-cache, and cross-module name resolution.
+"""The whole-program layer: SIM201, SIM203 and SIM204 fixture projects,
+the summary cache, and cross-module name resolution.
 
 Each fixture under ``fixtures/program/<pass>/`` is a self-contained mini
 project with its own ``pyproject.toml`` that enables exactly one
@@ -48,33 +48,6 @@ class TestPurityEscape:
         report = run_fixture("purity", select=["SIM201"])
         assert report.suppressed == 1
         assert not any("HISTORY" in f.message for f in report.findings)
-
-
-class TestPickleSafety:
-    def test_direct_lambda_field_is_found(self):
-        report = run_fixture("pickle", select=["SIM202"])
-        lambdas = [f for f in report.findings if "lambda" in f.message]
-        (finding,) = lambdas
-        assert finding.path == "proj/types.py"
-        assert "field 'key' of 'proj.types.JobSpec'" in finding.message
-
-    def test_lock_reached_through_annotation_is_found(self):
-        report = run_fixture("pickle", select=["SIM202"])
-        locks = [f for f in report.findings if "lock" in f.message]
-        (finding,) = locks
-        assert finding.path == "proj/nested.py"
-        assert "field 'guard' of 'proj.nested.Inner'" in finding.message
-        # The message explains *why* Inner is on the boundary.
-        assert "proj.types.JobSpec" in finding.message
-
-    def test_class_off_the_boundary_is_not_flagged(self):
-        report = run_fixture("pickle", select=["SIM202"])
-        assert not any("Standalone" in f.message for f in report.findings)
-
-    def test_inline_suppression_is_honoured(self):
-        report = run_fixture("pickle", select=["SIM202"])
-        assert report.suppressed == 1
-        assert not any("'quiet'" in f.message for f in report.findings)
 
 
 class TestCounterDrift:

@@ -13,6 +13,8 @@ from repro.memsim.spec import MediaKind, Op, Pattern, StreamSpec, read_stream
 from repro.serve import protocol
 from repro.sweep.service import EvaluationService
 
+from tests.jsonfuzz import json_leaves, mutated
+
 
 def decode(frame):
     return protocol.decode_request(frame)
@@ -186,19 +188,6 @@ class TestEncode:
         assert json.loads(line) == {"id": 1, "ok": True}
 
 
-_json_leaf = (
-    st.none()
-    | st.booleans()
-    | st.integers(min_value=-(2**70), max_value=2**70)
-    | st.floats()
-    | st.text(max_size=6)
-)
-_json = st.recursive(
-    _json_leaf,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
-    max_leaves=12,
-)
 _stream = st.fixed_dictionaries(
     {
         "op": st.sampled_from(["read", "write"]),
@@ -221,7 +210,7 @@ _streams = st.lists(_stream, min_size=1, max_size=3)
 _valid_frames = st.fixed_dictionaries(
     {"kind": st.sampled_from(protocol.KINDS)},
     optional={
-        "id": _json_leaf,
+        "id": json_leaves,
         "streams": _streams,
         "points": st.lists(_streams, min_size=1, max_size=3),
         "warm_pairs": st.lists(
@@ -243,34 +232,11 @@ _valid_frames = st.fixed_dictionaries(
 )
 
 
-def _paths(obj, prefix=()):
-    """Every location in a JSON value, the root included."""
-    yield prefix
-    if isinstance(obj, dict):
-        items = obj.items()
-    elif isinstance(obj, list):
-        items = enumerate(obj)
-    else:
-        return
-    for key, value in items:
-        yield from _paths(value, prefix + (key,))
-
-
-def _replaced(obj, path, value):
-    if not path:
-        return value
-    copy = dict(obj) if isinstance(obj, dict) else list(obj)
-    copy[path[0]] = _replaced(obj[path[0]], path[1:], value)
-    return copy
-
-
 class TestDecodeProperty:
-    @given(frame=_valid_frames, data=st.data())
+    @given(frame=mutated(_valid_frames))
     @settings(max_examples=400, deadline=None)
-    def test_every_frame_decodes_or_is_a_bad_request(self, frame, data):
+    def test_every_frame_decodes_or_is_a_bad_request(self, frame):
         """A well-formed frame with any one value replaced by arbitrary JSON."""
-        path = data.draw(st.sampled_from(list(_paths(frame))))
-        frame = _replaced(frame, path, data.draw(_json))
         try:
             decode(frame)
         except ServeError as exc:

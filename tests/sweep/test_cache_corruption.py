@@ -26,7 +26,7 @@ from repro.memsim.evaluation import observable_pairs
 from repro.memsim.spec import Op, StreamSpec
 from repro.obs import CountersRecorder
 from repro.sweep import DiskCache, EvaluationService
-from repro.sweep.cache import _canonical, request_digest, result_to_payload
+from repro.sweep.cache import _canonical, encode, request_digest
 
 SPEC = StreamSpec(op=Op.READ, threads=8, access_size=4096)
 
@@ -165,7 +165,16 @@ def test_legacy_v1_entry_is_a_miss(tmp_path):
     fresh = evaluation.evaluate(paper_config(), streams, normalized)
     legacy = tmp_path / digest[:2] / f"{digest}.json"
     legacy.parent.mkdir(parents=True)
-    legacy.write_text(_canonical(result_to_payload(fresh)), encoding="utf-8")
+    v1_payload = {
+        "streams": [
+            {"spec": encode(s.spec), "gbps": s.gbps, "solo_gbps": s.solo_gbps,
+             "notes": list(s.notes)}
+            for s in fresh.streams
+        ],
+        "counters": encode(fresh.counters),
+        "directory_after": None,
+    }
+    legacy.write_text(_canonical(v1_payload), encoding="utf-8")
 
     service, recomputed = evaluate_through(tmp_path)
     assert service.stats.misses == 1

@@ -1,6 +1,7 @@
 """Cluster sweep backend: protocol, bit-identity, accounting, errors."""
 
 import asyncio
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -11,18 +12,27 @@ from repro.errors import (
     ConfigurationError,
     GridPointError,
     SweepError,
+    TopologyError,
 )
 from repro.memsim import Op, StreamSpec
-from repro.memsim.config import DirectoryState, paper_config
+from repro.memsim.config import DirectoryState, MachineConfig, paper_config
 from repro.memsim.kernels import ResultColumns
 from repro.obs import NULL_RECORDER, CountersRecorder
 from repro.sweep import BACKENDS, DiskCache, EvaluationService, SweepRunner
+from repro.sweep.cache import (
+    _canonical,
+    columns_to_payload,
+    encode,
+    request_digest,
+)
 from repro.sweep.cluster import ClusterOptions, parse_endpoint
 from repro.sweep.cluster import protocol
-from repro.sweep.cluster.coordinator import Coordinator
+from repro.sweep.cluster.coordinator import Coordinator, _Link, _rebuild_error
+from repro.sweep.cluster.worker import ClusterWorker
 from repro.workloads.grids import SweepGrid, SweepPoint
 from repro.workloads.sequential import sequential_sweep
 
+from tests.jsonfuzz import mutated
 from tests.serve.conftest import run_async
 
 
@@ -66,11 +76,43 @@ def _assert_identical(serial, parallel) -> None:
 
 
 class TestProtocol:
-    def test_blob_round_trip(self):
+    def test_wire_codec_round_trip(self):
+        """Config, points and columns cross the wire as canonical JSON."""
         config = paper_config()
-        assert protocol.decode_blob(protocol.encode_blob(config)) == config
-        point = _point("x")
-        assert protocol.decode_blob(protocol.encode_blob((point,))) == (point,)
+        points = [_point("near"), _point("far", threads=8, issuing=0, target=1)]
+        columns = EvaluationService(memoize=False).evaluate_grid_columns(
+            config, [point.streams for point in points]
+        )
+        line = protocol.dump_line({
+            "kind": "chunk",
+            "config": encode(config),
+            "streams": [[encode(s) for s in point.streams] for point in points],
+            "columns": columns_to_payload(columns),
+        })
+        frame = json.loads(line)
+        decoded = protocol.field(frame, "config", MachineConfig)
+        assert decoded == config
+        assert _canonical(encode(decoded)) == _canonical(encode(config))
+        streams = protocol.field(frame, "streams", tuple[tuple[StreamSpec, ...], ...])
+        assert streams == tuple(point.streams for point in points)
+        assert protocol.field(frame, "columns", ResultColumns) == columns
+
+    def test_missing_or_mistyped_field_is_a_sweep_error(self):
+        frame = {"kind": "result", "chunk": "7"}
+        with pytest.raises(SweepError, match="lacks 'indices'"):
+            protocol.field(frame, "indices", tuple[int, ...])
+        with pytest.raises(SweepError, match="bad 'chunk'"):
+            protocol.field(frame, "chunk", int)
+        with pytest.raises(SweepError, match="bad digest"):
+            protocol.digests({"kind": "cache_get", "digests": ["../../etc/passwd"]})
+
+    def test_failed_original_is_rebuilt_by_name(self):
+        assert type(_rebuild_error("TopologyError", "m")) is TopologyError
+        # Not a repro error, or not buildable from a message alone.
+        for name in ("ValueError", "BackendError", "GridPointError", "__class__"):
+            rebuilt = _rebuild_error(name, "m")
+            assert type(rebuilt) is SweepError
+            assert str(rebuilt) == "m"
 
     def test_frame_round_trip(self):
         async def scenario():
@@ -100,6 +142,127 @@ class TestProtocol:
             reader.feed_eof()
             with pytest.raises(SweepError):
                 await protocol.read_frame(reader)
+
+        run_async(scenario())
+
+
+class _Writer:
+    """A ``StreamWriter`` stand-in that keeps every frame sent."""
+
+    def __init__(self) -> None:
+        self.sent: list[bytes] = []
+
+    def write(self, data: bytes) -> None:
+        self.sent.append(data)
+
+    async def drain(self) -> None:
+        return None
+
+    def close(self) -> None:
+        return None
+
+    async def wait_closed(self) -> None:
+        return None
+
+
+_CONFIG = paper_config()
+_POINTS = [_point(f"p{i}", threads=i + 1, target=i % 2) for i in range(4)]
+_DIGESTS = [
+    request_digest(_CONFIG, point.streams, DirectoryState.cold())
+    for point in _POINTS
+]
+_ROWS = columns_to_payload(
+    EvaluationService(memoize=False).evaluate_grid_columns(
+        _CONFIG, [point.streams for point in _POINTS[:2]]
+    )
+)
+_SNAPSHOT = CountersRecorder()
+_SNAPSHOT.incr("sweep.points_count", 2)
+_SNAPSHOT.observe("sweep.batch.wall_seconds", 0.25)
+
+#: One well-formed frame of every kind a coordinator reads.
+_COORDINATOR_FRAMES = [
+    {"kind": "heartbeat"},
+    {"kind": "result", "chunk": 1, "indices": [0, 1], "columns": _ROWS,
+     "snapshot": _SNAPSHOT.snapshot(), "stats": [0, 2, 0], "wall": 0.5},
+    {"kind": "stolen", "req": 1, "indices": [2, 3]},
+    {"kind": "failed", "chunk": 1, "index": 2, "label": "p2", "grid": "frames",
+     "error_type": "TopologyError", "error": "no such socket: 9",
+     "partial_indices": [0, 1], "partial": _ROWS},
+    {"kind": "cache_get", "req": 1, "digests": _DIGESTS},
+    {"kind": "cache_put", "digests": _DIGESTS[:2], "columns": _ROWS},
+]
+_HELLO = {
+    "kind": "hello", "protocol": protocol.CLUSTER_PROTOCOL,
+    "config": encode(_CONFIG), "directory": [[0, 1]], "grid": "frames",
+    "observing": True, "shared_cache": False, "points_per_item": 2,
+    "heartbeat_seconds": 1.0,
+}
+#: One well-formed frame of every kind a worker reads after its hello.
+_WORKER_FRAMES = [
+    {"kind": "chunk", "chunk": 1, "indices": [0, 1], "digests": _DIGESTS[:2],
+     "labels": ["p0", "p1"],
+     "streams": [[encode(s) for s in point.streams] for point in _POINTS[:2]]},
+    {"kind": "steal", "req": 3},
+    {"kind": "cache_found", "req": 1, "digests": _DIGESTS[:2], "columns": _ROWS},
+]
+
+
+class TestFrameProperty:
+    """Any one field of a peer frame replaced by arbitrary JSON.
+
+    The frame is either handled or rejected with :class:`SweepError` —
+    the one error the link loops turn into a dropped (and requeued)
+    link. Anything else would escape the link task.
+    """
+
+    @given(frame=mutated(st.sampled_from(_COORDINATOR_FRAMES)))
+    @settings(max_examples=300, deadline=None)
+    def test_coordinator_frames_decode_or_raise_sweep_error(self, frame):
+        async def scenario():
+            coordinator = Coordinator(
+                "frames", _POINTS,
+                config=_CONFIG, directory=DirectoryState.cold(),
+                service=EvaluationService(memoize=False),
+                recorder=CountersRecorder(), workers_hint=1,
+            )
+            reader = asyncio.StreamReader(limit=protocol.MAX_FRAME_BYTES)
+            reader.feed_data(protocol.dump_line(frame))
+            reader.feed_eof()
+            link = _Link(1, reader, _Writer(), now=0.0)
+            link.outstanding = {1: {0, 1}}
+            coordinator._links[link.id] = link
+            try:
+                await coordinator._handle(link, await protocol.read_frame(reader))
+            except SweepError:
+                return
+
+        run_async(scenario())
+
+    @given(
+        frames=st.one_of(
+            mutated(st.just(_HELLO)).map(lambda hello: [hello]),
+            mutated(st.sampled_from(_WORKER_FRAMES)).map(
+                lambda frame: [_HELLO, frame]
+            ),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_worker_frames_decode_or_raise_sweep_error(self, frames):
+        async def scenario():
+            reader = asyncio.StreamReader(limit=protocol.MAX_FRAME_BYTES)
+            for frame in frames:
+                reader.feed_data(protocol.dump_line(frame))
+            reader.feed_data(protocol.dump_line({"kind": "bye"}))
+            reader.feed_eof()
+            worker = ClusterWorker(
+                reader, _Writer(),
+                service=EvaluationService(memoize=False), heartbeat=False,
+            )
+            try:
+                await worker.run()
+            except SweepError:
+                return
 
         run_async(scenario())
 

@@ -247,6 +247,78 @@ class TestHeartbeatTimeout:
         assert counters["cluster.heartbeats_count"] >= 1
 
 
+class TestMalformedFrame:
+    def test_malformed_result_drops_the_link_and_requeues_at_once(self):
+        grid = _grid(16)
+        recorder = CountersRecorder()
+        options = ClusterOptions(
+            points_per_item=2,
+            heartbeat_seconds=10.0,
+            heartbeat_timeout_seconds=1e12,  # death can only come from the frame
+        )
+
+        async def rogue(host, port):
+            """Joins, takes a chunk, answers it with a field missing."""
+            reader, writer = await asyncio.open_connection(
+                host, port, limit=protocol.MAX_FRAME_BYTES
+            )
+            await protocol.send_frame(
+                writer, {"kind": "join", "protocol": protocol.CLUSTER_PROTOCOL}
+            )
+            hello = await protocol.read_frame(reader)
+            chunk = await protocol.read_frame(reader)
+            assert hello["kind"] == "hello" and chunk["kind"] == "chunk"
+            await protocol.send_frame(
+                writer, {"kind": "result", "chunk": chunk["chunk"]}
+            )
+            # Dropped at once: the coordinator closes the link.
+            assert await protocol.read_frame(reader) is None
+            writer.close()
+
+        async def scenario():
+            clock = FakeClock()
+            coordinator = Coordinator(
+                grid.name, list(grid),
+                config=CONFIG, directory=STATE,
+                service=EvaluationService(memoize=False), recorder=recorder,
+                options=options, workers_hint=2,
+                clock=clock.time, sleep=clock.sleep,
+            )
+            host, port = await coordinator.start()
+            # The healthy worker parks on the fake clock before each item,
+            # so the rogue's chunk is still unfilled when it is dropped.
+            reader, writer = await asyncio.open_connection(
+                host, port, limit=protocol.MAX_FRAME_BYTES
+            )
+            healthy = ClusterWorker(
+                reader, writer, clock=clock.time, sleep=clock.sleep,
+                item_delay_seconds=50.0,
+            )
+            worker_task = asyncio.ensure_future(healthy.run())
+            await clock.drain()
+            await rogue(host, port)
+            finish = asyncio.ensure_future(coordinator.finish())
+            try:
+                for _ in range(200):
+                    await clock.drain()
+                    if finish.done():
+                        break
+                    await clock.advance(60.0)
+                assert finish.done(), "the dropped chunk was never requeued"
+                return await finish
+            finally:
+                if not finish.done():
+                    finish.cancel()
+                worker_task.cancel()
+                await asyncio.gather(worker_task, return_exceptions=True)
+
+        labels, columns = run_async(scenario())
+        _assert_matches_serial(grid, labels, columns)
+        counters = recorder.snapshot()["counters"]
+        assert counters["cluster.chunks.requeued_count"] >= 1
+        assert counters["cluster.workers_count"] == 2
+
+
 class TestSharedCacheCorruption:
     def test_corrupt_blocks_read_as_miss_and_heal(self, tmp_path):
         grid = _grid(10)

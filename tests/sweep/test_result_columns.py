@@ -6,8 +6,9 @@ The SoA refactor's contract, pinned here with seeded random grids:
   scalar :meth:`EvaluationService.evaluate` results, on both backends
   (in-process vector and cluster);
 * recorder snapshots of a columnar run match the per-point path;
-* batches round-trip the v2 disk-cache payload and the pickle boundary
-  float-for-float (the view cache never travels);
+* batches round-trip the v2 disk-cache payload (which is also the
+  cluster wire form) and pickling float-for-float (the view cache never
+  travels), and a mutated payload decodes or raises ``SchemaError``;
 * :class:`~repro.errors.GridPointError` names the failing point and
   carries the partial batch, inline and across the cluster.
 """
@@ -17,8 +18,10 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import GridPointError
+from repro.errors import GridPointError, SchemaError
 from repro.memsim import DirectoryState, Op, StreamSpec, paper_config
 from repro.memsim.kernels import COUNTER_COLUMNS, ResultColumns
 from repro.obs import CountersRecorder
@@ -30,6 +33,8 @@ from repro.sweep.cache import (
     columns_to_payload,
 )
 from repro.workloads.grids import SweepGrid, SweepPoint
+
+from tests.jsonfuzz import mutated
 
 BACKENDS = [
     pytest.param("vector", 1, id="vector"),
@@ -196,6 +201,28 @@ class TestDiskCacheRoundTrip:
         assert block_digest(["a", "b"]) == block_digest(["a", "b"])
 
 
+class TestPayloadDecodeProperty:
+    _PAYLOAD = columns_to_payload(
+        EvaluationService(memoize=False).evaluate_grid_columns(
+            paper_config(),
+            [point.streams for point in random_grid(7, n=3)],
+            DirectoryState(frozenset({(0, 1)})),
+        ),
+        [f"{i:064x}" for i in range(3)],
+    )
+
+    @given(payload=mutated(st.just(_PAYLOAD)))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_payload_decodes_or_is_a_schema_error(self, payload):
+        """Any one value replaced by arbitrary JSON: a batch or SchemaError."""
+        try:
+            columns = columns_from_payload(payload)
+        except SchemaError:
+            return
+        assert len(columns.specs) == len(columns.gbps) == columns.offsets[-1]
+        assert len(columns.directory_after) == len(columns)
+
+
 class TestPickleBoundary:
     def test_round_trip_drops_the_view_cache(self):
         grid = random_grid(2, n=6)
@@ -302,20 +329,3 @@ class TestGridPointErrorPartial:
         for i in range(len(error.partial)):
             expected = oracle.evaluate(config, grid.points[i].streams)
             assert results_identical(error.partial.view(i), expected)
-
-    def test_error_pickles_with_attribution(self):
-        original = ValueError("socket 9 does not exist")
-        partial = ResultColumns.from_results(
-            [EvaluationService(memoize=False).evaluate(
-                paper_config(), (StreamSpec(op=Op.READ, threads=4, access_size=4096),)
-            )]
-        )
-        error = GridPointError(
-            2, original, label="bad", grid="poisoned", partial=partial
-        )
-        shipped = pickle.loads(pickle.dumps(error))
-        assert shipped.index == 2
-        assert shipped.label == "bad"
-        assert shipped.grid == "poisoned"
-        assert str(shipped) == str(error)
-        assert shipped.partial == partial

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SimulationError, SweepError
+from repro.errors import GridPointError, SimulationError, SweepError, TopologyError
 from repro.memsim import DirectoryState, MachineConfig, Op, StreamSpec, paper_config
 from repro.sweep import DiskCache, EvaluationService, SweepRunner
 from repro.workloads.grids import SweepGrid, SweepPoint
@@ -147,6 +147,13 @@ class TestPoisonedPoint:
         message = str(excinfo.value)
         assert "'poisoned'" in message
         assert "'bad-socket-9'" in message
+        # Every backend reports the same error: same text, same original
+        # type (rebuilt by name after crossing the cluster wire).
+        with pytest.raises(GridPointError) as inline:
+            SweepRunner(EvaluationService(memoize=False)).run_columns(poisoned_grid())
+        assert message == str(inline.value)
+        assert type(excinfo.value.original) is type(inline.value.original)
+        assert type(excinfo.value.original) is TopologyError
 
     def test_original_exception_is_chained(self):
         runner = SweepRunner(EvaluationService(memoize=False))
