@@ -12,6 +12,14 @@ Like :class:`~repro.ssb.hashindex.dash.DashIndex`, every operation is
 instrumented with the traffic it would cause; the cost model prices the
 two indexes with the same memsim random-access curves, so the Dash
 advantage on PMEM *emerges* from access sizes and dependent-read counts.
+
+``get`` walks the chain and is the oracle. ``bulk_probe`` uses that a
+walk's outcome is fixed once the index is built: a stored key costs its
+1-based position in its chain, a missing key the length of its bucket's
+chain. The first ``bulk_probe`` after a build resolves every stored key
+into a :class:`~repro.ssb.hashindex.dash.LookupTable` of value and cost
+code; probing is then a gather plus a count of keys per code. Any insert
+drops the table.
 """
 
 from __future__ import annotations
@@ -22,8 +30,14 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.memsim.constants import CACHE_LINE
+from repro.ssb.hashindex.dash import _PROBE_CHUNK, LookupTable
 
 _EMPTY: int = -1
+
+#: Lookup codes are ``2 * node reads + found``. A found key costs at least
+#: one read, so code 1 is free to mark a key whose miss cost (its bucket's
+#: chain length) is not resolved yet.
+_UNRESOLVED: int = 1
 
 
 @dataclass
@@ -70,6 +84,10 @@ class ChainedIndex:
         self._next = np.empty(capacity, dtype=np.int64)
         self._size = 0
         self.stats = ChainStats()
+        #: Built by the first ``bulk_probe``, dropped by any insert, with
+        #: the miss code of each bucket.
+        self._table: LookupTable | None = None
+        self._miss_codes = np.empty(0, dtype=np.uint8)
 
     def __len__(self) -> int:
         return self._size
@@ -104,6 +122,7 @@ class ChainedIndex:
 
     def insert(self, key: int, value: int) -> None:
         """Prepend a node to the key's chain (no dedup, like a join build)."""
+        self._table = None
         self._grow_pool(1)
         bucket = int(self._bucket_of(np.asarray([key], dtype=np.int64))[0])
         idx = self._size
@@ -121,6 +140,7 @@ class ChainedIndex:
         n = len(keys)
         if n == 0:
             return
+        self._table = None
         self._grow_pool(n)
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         buckets = self._bucket_of(keys)
@@ -146,7 +166,7 @@ class ChainedIndex:
         self._size += n
         self.stats.node_writes += n
 
-    def get(self, key: int, default: int | None = None) -> int:
+    def _find(self, key: int) -> tuple[bool, int]:
         """Walk the chain; each hop is one dependent 64 B read."""
         self.stats.probes += 1
         bucket = int(self._bucket_of(np.asarray([key], dtype=np.int64))[0])
@@ -154,36 +174,67 @@ class ChainedIndex:
         while node != _EMPTY:
             self.stats.node_reads += 1
             if self._keys[node] == key:
-                return int(self._values[node])
+                return True, int(self._values[node])
             node = int(self._next[node])
+        return False, 0
+
+    def get(self, key: int, default: int | None = None) -> int:
+        """Look up ``key``; raise ``KeyError`` when absent and no default."""
+        found, value = self._find(key)
+        if found:
+            return value
         if default is not None:
             return default
         raise KeyError(key)
 
     def __contains__(self, key: int) -> bool:
-        return self.get(key, default=_EMPTY - 1) != _EMPTY - 1
+        return self._find(key)[0]
+
+    def _resolve(self) -> LookupTable:
+        """Every stored node with its chain position; each bucket's miss code."""
+        size = self._size
+        buckets = self._bucket_of(self._keys[:size])
+        lengths = np.bincount(buckets, minlength=self._n_buckets)
+        # Chains are built by prepending, so a walk meets a bucket's nodes
+        # newest first; a repeated key resolves to its newest node.
+        newest_first = np.arange(size - 1, -1, -1)
+        order = newest_first[np.argsort(buckets[newest_first], kind="stable")]
+        grouped = buckets[order]
+        position = np.arange(1, size + 1) - np.searchsorted(grouped, grouped)
+        dtype = np.min_scalar_type(2 * int(lengths.max()) + 1)
+        self._miss_codes = (2 * lengths).astype(dtype)
+        codes = (2 * position + 1).astype(dtype)
+        return LookupTable(
+            self._keys[order], self._values[order], codes, _UNRESOLVED
+        )
 
     def bulk_probe(self, keys: np.ndarray, missing: int = -1) -> np.ndarray:
-        """Vectorised chain walking: one round per chain hop."""
+        """Vectorised probe of many keys; traffic charged like ``get``.
+
+        Each key is looked up in the resolved table; only keys it does not
+        hold are hashed, to charge their bucket's chain length.
+        """
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         n = len(keys)
-        out = np.full(n, missing, dtype=np.int64)
-        if n == 0:
-            return out
+        out = np.empty(n, dtype=np.int64)
+        if self._table is None:
+            self._table = self._resolve()
+        table = self._table
+        reads = 0
+        for start in range(0, n, _PROBE_CHUNK):
+            chunk = keys[start : start + _PROBE_CHUNK]
+            rows = table.rows(chunk)
+            codes = table.codes[rows]
+            unresolved = codes == _UNRESOLVED
+            if unresolved.any():
+                buckets = self._bucket_of(chunk[unresolved])
+                codes[unresolved] = self._miss_codes[buckets]
+            tally = np.bincount(codes)
+            reads += int(tally @ (np.arange(len(tally)) >> 1))
+            found = (codes & 1).astype(bool)
+            table.gather(rows, found, missing, out[start : start + len(chunk)])
         self.stats.probes += n
-        node = self._heads[self._bucket_of(keys)]
-        active = node != _EMPTY
-        while np.any(active):
-            idx = np.nonzero(active)[0]
-            current = node[idx]
-            self.stats.node_reads += int(idx.size)
-            hit = self._keys[current] == keys[idx]
-            if np.any(hit):
-                out[idx[hit]] = self._values[current[hit]]
-            advance = ~hit
-            node[idx[hit]] = _EMPTY
-            node[idx[advance]] = self._next[current[advance]]
-            active = node != _EMPTY
+        self.stats.node_reads += reads
         return out
 
     @property

@@ -17,9 +17,15 @@ oracle the bulk paths are tested against. The bulk paths used by the
 query engine produce the same layout, results and traffic statistics
 without looping them: ``bulk_insert`` hashes every key in one vectorised
 call and replays the insertion sequence (target bucket, neighbour, stash,
-split) over plain-int fill lists before writing the segments back once;
-``bulk_probe`` stacks the distinct segments into flat pools and gathers
-each probe hop for all keys at once.
+split) over plain-int fill lists before writing the segments back once.
+
+``bulk_probe`` relies on a probe's outcome being a fixed function of the
+built index: a stored key is found in its target bucket (one line read),
+its neighbour (two) or the stash (two plus a stash read), and a miss
+always costs two plus a stash read. The first ``bulk_probe`` after a
+build resolves the stored keys once into a :class:`LookupTable` of value
+and cost class per key; every probe is then a gather, and its traffic a
+count of keys per class. Any insert drops the table.
 """
 
 from __future__ import annotations
@@ -45,6 +51,14 @@ _STASH_SLOTS: int = STASH_BUCKETS * BUCKET_SLOTS
 
 #: Keys per ``bulk_probe`` gather round; bounds the probe's scratch memory.
 _PROBE_CHUNK: int = 32_768
+
+#: A lookup table addresses keys directly when their span is at most this
+#: many times the key count, and by binary search otherwise.
+_DENSE_SPAN: int = 64
+
+#: Cost classes of a Dash probe: the key is found in its target bucket,
+#: in the neighbour bucket or in the stash, or it is missing.
+_TARGET, _NEIGHBOUR, _STASH, _MISS = range(4)
 
 _EMPTY: int = -(2**62)
 
@@ -288,6 +302,57 @@ class _BulkBuild:
             self._split(self.slot_of(record))
 
 
+class LookupTable:
+    """A built index's key domain, resolved once: value and cost code per key.
+
+    :meth:`rows` maps probe keys to rows of ``values`` and ``codes``. A
+    dense domain (span at most ``_DENSE_SPAN`` times the key count) has
+    one row per key of its span, addressed by offset; a sparse one has a
+    row per stored key, found by binary search. Keys that are not stored
+    land on rows holding the miss code; the last row takes every key
+    outside the domain.
+    """
+
+    __slots__ = ("base", "domain", "values", "codes")
+
+    def __init__(
+        self, keys: np.ndarray, values: np.ndarray, codes: np.ndarray, miss: int
+    ) -> None:
+        """Records in lookup order: the first record of a repeated key wins."""
+        domain, first = np.unique(keys, return_index=True)
+        n = len(domain)
+        lo, hi = (int(domain[0]), int(domain[-1])) if n else (0, -1)
+        if hi - lo < _DENSE_SPAN * n:
+            self.base, self.domain = lo, None
+            rows, size = domain - lo, hi - lo + 1
+        else:
+            self.base, self.domain = 0, domain
+            rows, size = np.arange(n), n
+        self.values = np.zeros(size + 1, dtype=np.int64)
+        self.values[rows] = values[first]
+        self.codes = np.full(size + 1, miss, dtype=codes.dtype)
+        self.codes[rows] = codes[first]
+
+    def rows(self, keys: np.ndarray) -> np.ndarray:
+        """Row of each of the contiguous int64 ``keys``."""
+        outside = len(self.codes) - 1
+        if self.domain is None:
+            # Unsigned wrap-around puts keys below the span past its end too.
+            offset = keys.view(np.uint64) - np.uint64(self.base & _MASK64)
+            return np.minimum(offset, np.uint64(outside), out=offset).view(np.intp)
+        rows = np.searchsorted(self.domain, keys)
+        rows[self.domain.take(rows, mode="clip") != keys] = outside
+        return rows
+
+    def gather(
+        self, rows: np.ndarray, found: np.ndarray, missing: int, out: np.ndarray
+    ) -> None:
+        """Write the value of each row into ``out``, ``missing`` where not found."""
+        self.values.take(rows, out=out)
+        if not found.all():
+            out[~found] = missing
+
+
 class DashIndex:
     """Segmented extendible hash with 256 B buckets and stash overflow."""
 
@@ -299,6 +364,8 @@ class DashIndex:
         self._directory: list[_Segment] = segments
         self.stats = ProbeStats()
         self._size = 0
+        #: Built by the first ``bulk_probe``, dropped by any insert.
+        self._table: LookupTable | None = None
 
     # -- hashing -------------------------------------------------------
 
@@ -345,6 +412,7 @@ class DashIndex:
         """
         if key == _EMPTY:
             raise ConfigurationError(f"key {_EMPTY} marks empty slots")
+        self._table = None
         for _ in range(64):  # split attempts are bounded
             if self._try_insert(key, value, assume_new):
                 return
@@ -422,8 +490,8 @@ class DashIndex:
             self._split(self._segment_index(self._hash(key)))
             self._reinsert(key, value)
 
-    def get(self, key: int, default: int | None = None) -> int:
-        """Look up ``key``; raise ``KeyError`` when absent and no default."""
+    def _find(self, key: int) -> tuple[bool, int]:
+        """One charged probe: target bucket, neighbour, then the stash."""
         h = self._hash(key)
         segment = self._directory[self._segment_index(h)]
         b = self._bucket_index(h)
@@ -435,17 +503,25 @@ class DashIndex:
                 (segment.fps[bucket] == fp) & (segment.keys[bucket] == key)
             )[0]
             if candidates.size:
-                return int(segment.values[bucket, candidates[0]])
+                return True, int(segment.values[bucket, candidates[0]])
         self.stats.stash_reads += 1
         hit = np.nonzero(segment.stash_keys == key)[0]
-        if hit.size:
-            return int(segment.stash_values[hit[0]])
+        # Free stash slots hold the empty marker, which is never stored.
+        if hit.size and key != _EMPTY:
+            return True, int(segment.stash_values[hit[0]])
+        return False, 0
+
+    def get(self, key: int, default: int | None = None) -> int:
+        """Look up ``key``; raise ``KeyError`` when absent and no default."""
+        found, value = self._find(key)
+        if found:
+            return value
         if default is not None:
             return default
         raise KeyError(key)
 
     def __contains__(self, key: int) -> bool:
-        return self.get(key, default=_EMPTY) != _EMPTY
+        return self._find(key)[0]
 
     # -- bulk operations (used by the query engine) ----------------------
 
@@ -473,6 +549,7 @@ class DashIndex:
             return
         if np.any(keys == _EMPTY):
             raise ConfigurationError(f"key {_EMPTY} marks empty slots")
+        self._table = None
 
         segments, slot_rows = _distinct(self._directory)
         old_keys, old_values, replays = self._unpack(segments)
@@ -574,65 +651,55 @@ class DashIndex:
         self._directory = [segments[row] for row in slot_rows]
         self.global_depth = build.global_depth
 
+    def _resolve(self) -> LookupTable:
+        """Every stored record with the cost class ``get`` charges for it."""
+        segments, _ = _distinct(self._directory)
+        # The stash is appended to each segment as buckets 64..67.
+        lines = (-1, BUCKET_SLOTS)
+        keys = np.stack(
+            [np.concatenate((s.keys, s.stash_keys.reshape(lines))) for s in segments]
+        )
+        values = np.stack(
+            [
+                np.concatenate((s.values, s.stash_values.reshape(lines)))
+                for s in segments
+            ]
+        )
+        held = keys != _EMPTY
+        keys, values, bucket = keys[held], values[held], np.nonzero(held)[1]
+        target = (_mix(keys) >> np.uint64(8)) % np.uint64(BUCKETS_PER_SEGMENT)
+        codes = np.where(
+            bucket >= BUCKETS_PER_SEGMENT,
+            _STASH,
+            np.where(bucket == target.astype(np.intp), _TARGET, _NEIGHBOUR),
+        ).astype(np.uint8)
+        # Records are in (segment, bucket, slot) order; a stable sort by
+        # class puts each key's copies in the order ``get`` meets them.
+        order = np.argsort(codes, kind="stable")
+        return LookupTable(keys[order], values[order], codes[order], _MISS)
+
     def bulk_probe(self, keys: np.ndarray, missing: int = -1) -> np.ndarray:
         """Vectorised probe of many keys; traffic charged like singles.
 
-        Returns the value per key, ``missing`` where absent. The distinct
-        segments are stacked into flat bucket and stash pools, so each
-        hop of the probe sequence (bucket, neighbour, stash) is one
-        gather over all still-unresolved keys of a chunk; the charged
-        line reads match the scalar path.
+        Returns the value per key, ``missing`` where absent. Each key is
+        looked up in the resolved :class:`LookupTable`, and the line reads
+        charged are the per-class costs times the keys in each class.
         """
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         n = len(keys)
-        out = np.full(n, missing, dtype=np.int64)
-        if n == 0:
-            return out
-        segments, slot_rows = _distinct(self._directory)
-        lines = (len(segments) * BUCKETS_PER_SEGMENT, BUCKET_SLOTS)
-        pool_keys = np.stack([s.keys for s in segments]).reshape(lines)
-        pool_values = np.stack([s.values for s in segments]).reshape(lines)
-        stash_keys = np.stack([s.stash_keys for s in segments])
-        stash_values = np.stack([s.stash_values for s in segments])
-        slot_row = np.asarray(slot_rows, dtype=np.intp)
-
-        self.stats.probes += n
+        out = np.empty(n, dtype=np.int64)
+        if self._table is None:
+            self._table = self._resolve()
+        table = self._table
+        in_target = stashed = 0
         for start in range(0, n, _PROBE_CHUNK):
             chunk = keys[start : start + _PROBE_CHUNK]
-            h = _mix(chunk)
-            if self.global_depth == 0:
-                row = np.zeros(len(chunk), dtype=np.intp)
-            else:
-                row = slot_row[h >> np.uint64(64 - self.global_depth)]
-            bucket = ((h >> np.uint64(8)) % np.uint64(BUCKETS_PER_SEGMENT)).astype(
-                np.intp
-            )
-            pending = np.arange(len(chunk))
-            for hop in (0, 1):
-                # The target read is charged for every key; the neighbour
-                # read only for keys the target did not resolve.
-                self.stats.bucket_reads += pending.size
-                line = row[pending] * BUCKETS_PER_SEGMENT + (
-                    (bucket[pending] + hop) % BUCKETS_PER_SEGMENT
-                )
-                match = pool_keys[line] == chunk[pending, None]
-                hit_rows, hit_slots = np.nonzero(match)
-                if hit_rows.size:
-                    out[start + pending[hit_rows]] = pool_values[
-                        line[hit_rows], hit_slots
-                    ]
-                    unresolved = np.ones(pending.size, dtype=bool)
-                    unresolved[hit_rows] = False
-                    pending = pending[unresolved]
-                if not pending.size:
-                    break
-            if pending.size:
-                self.stats.stash_reads += pending.size
-                stash_row = row[pending]
-                match = stash_keys[stash_row] == chunk[pending, None]
-                hit_rows, hit_slots = np.nonzero(match)
-                if hit_rows.size:
-                    out[start + pending[hit_rows]] = stash_values[
-                        stash_row[hit_rows], hit_slots
-                    ]
+            rows = table.rows(chunk)
+            codes = table.codes[rows]
+            in_target += int(np.count_nonzero(codes == _TARGET))
+            stashed += int(np.count_nonzero(codes >= _STASH))
+            table.gather(rows, codes != _MISS, missing, out[start : start + len(chunk)])
+        self.stats.probes += n
+        self.stats.bucket_reads += 2 * n - in_target
+        self.stats.stash_reads += stashed
         return out
