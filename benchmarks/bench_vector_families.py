@@ -25,7 +25,7 @@ import timeit
 import pytest
 
 from repro.memsim import DaxMode, DirectoryState, Op, eval_context, evaluate, paper_config
-from repro.memsim.kernels import evaluate_grid_columns
+from repro.memsim.kernels import classify_point, evaluate_points_columns
 from repro.memsim.spec import Layout, StreamSpec
 from repro.workloads.mixed import mixed_grid
 from repro.workloads.random_ import random_sweep
@@ -96,8 +96,9 @@ def test_family_grid_cost(benchmark, family):
     """Batched cost of one formerly-fallback figure grid."""
     context = eval_context(paper_config())
     points = FAMILY_GRIDS[family]
+    assert all(classify_point(context, p) is None for p in points)
     state = DirectoryState.cold()
-    columns = benchmark(lambda: evaluate_grid_columns(context, points, state))
+    columns = benchmark(lambda: evaluate_points_columns(context, points, state)[0])
     assert len(columns) == len(points)
 
 
@@ -108,6 +109,7 @@ def test_family_speedup_over_scalar(family):
     context = eval_context(config)
     state = DirectoryState.cold()
     points = FAMILY_GRIDS[family]
+    assert all(classify_point(context, p) is None for p in points)
 
     def scalar():
         return [
@@ -115,11 +117,11 @@ def test_family_speedup_over_scalar(family):
         ]
 
     def batched():
-        return evaluate_grid_columns(context, points, state)
+        return evaluate_points_columns(context, points, state)[0]
 
     # Bit-identical before it may be faster.
     expected = scalar()
-    assert evaluate_grid_columns(context, points, state).views() == expected
+    assert batched().views() == expected
     assert batched().total_gbps() == [r.total_gbps for r in expected]
     if _cores() < 4:
         pytest.skip(

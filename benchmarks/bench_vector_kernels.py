@@ -2,8 +2,8 @@
 
 One speedup gate backs the vector backend:
 
-* **Columnar analytic grid >= 5x per-point.** ``evaluate_grid_columns``
-  amortizes the Python interpretation of the evaluation chain across a
+* **Columnar analytic grid >= 5x per-point.** ``evaluate_points_columns``
+  on an all-eligible grid amortizes the Python interpretation of the evaluation chain across a
   whole sweep axis *and* keeps the results structure-of-arrays: no
   per-point ``BandwidthResult`` is constructed anywhere on the batch
   path. The old object-list contract capped the win near 3.5-4.5x —
@@ -31,7 +31,7 @@ import timeit
 
 import pytest
 
-from repro.errors import TopologyError
+from repro.errors import GridPointError, TopologyError
 from repro.memsim import (
     DaxMode,
     DirectoryState,
@@ -42,12 +42,10 @@ from repro.memsim import (
     evaluate,
     paper_config,
 )
-from repro.memsim.kernels import (
-    classify_point,
-    evaluate_grid_columns,
-)
+from repro.memsim.kernels import classify_point, evaluate_points_columns
 from repro.memsim.spec import Pattern
 from repro.obs import CountersRecorder
+from repro.sweep import EvaluationService
 from repro.workloads.sequential import sequential_sweep
 
 #: Dense access-size x thread-count axis; all points are vector-eligible.
@@ -62,18 +60,21 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _dense_points():
+def _dense_points(context):
     grid = sequential_sweep(
         Op.READ, access_sizes=_DENSE_SIZES, thread_counts=_DENSE_THREADS
     )
-    return [point.streams for point in grid]
+    points = [point.streams for point in grid]
+    assert all(classify_point(context, p) is None for p in points)
+    return points
 
 
 def test_evaluate_grid_cost(benchmark):
     """Batched cost of a dense all-eligible grid (compare to hot scalar)."""
     context = eval_context(paper_config())
-    points = _dense_points()
-    columns = benchmark(lambda: evaluate_grid_columns(context, points))
+    points = _dense_points(context)
+    state = DirectoryState.cold()
+    columns = benchmark(lambda: evaluate_points_columns(context, points, state)[0])
     assert len(columns) == len(points)
 
 
@@ -82,7 +83,7 @@ def test_grid_speedup_over_scalar():
     config = paper_config()
     context = eval_context(config)
     state = DirectoryState.cold()
-    points = _dense_points()
+    points = _dense_points(context)
 
     def scalar():
         return [
@@ -90,12 +91,12 @@ def test_grid_speedup_over_scalar():
         ]
 
     def batched():
-        return evaluate_grid_columns(context, points, state)
+        return evaluate_points_columns(context, points, state)[0]
 
     expected = scalar()
     # Bit-identical before it may be faster: the batch's lazy views are
     # the scalar results, float for float.
-    assert evaluate_grid_columns(context, points, state).views() == expected
+    assert batched().views() == expected
     columns = batched()
     assert columns.total_gbps() == [r.total_gbps for r in expected]
     if _cores() < 4:
@@ -107,7 +108,7 @@ def test_grid_speedup_over_scalar():
     batched_seconds = min(timeit.repeat(batched, number=1, repeat=5))
     speedup = scalar_seconds / batched_seconds
     assert speedup >= _GRID_GATE, (
-        f"evaluate_grid_columns speedup {speedup:.2f}x < {_GRID_GATE}x over "
+        f"evaluate_points_columns speedup {speedup:.2f}x < {_GRID_GATE}x over "
         f"{len(points)} points (scalar {scalar_seconds:.3f}s, "
         f"batched {batched_seconds:.3f}s)"
     )
@@ -137,12 +138,14 @@ def test_mixed_eligibility_fallback_fraction():
     family-diverse grid and moves to exactly the poisoned point when one
     is added.
     """
-    context = eval_context(paper_config())
+    config = paper_config()
+    context = eval_context(config)
+    service = EvaluationService(memoize=False)
     points = _mixed_eligibility_points()
     assert sum(1 for p in points if classify_point(context, p) is None) == len(points)
 
     recorder = CountersRecorder()
-    columns = evaluate_grid_columns(context, points, recorder=recorder)
+    columns = service.evaluate_grid_columns(config, points, recorder=recorder)
     assert len(columns) == len(points)
     counters = recorder.snapshot()["counters"]
     assert "sweep.vector.fallback_count" not in counters
@@ -152,8 +155,10 @@ def test_mixed_eligibility_fallback_fraction():
     poisoned = points + [(StreamSpec(op=Op.READ, threads=4, target_socket=9),)]
     assert sum(1 for p in poisoned if classify_point(context, p) is not None) == 1
     recorder = CountersRecorder()
-    with pytest.raises(TopologyError):
-        evaluate_grid_columns(context, poisoned, recorder=recorder)
+    with pytest.raises(GridPointError) as excinfo:
+        service.evaluate_grid_columns(config, poisoned, recorder=recorder)
+    assert excinfo.value.index == len(points)
+    assert isinstance(excinfo.value.original, TopologyError)
     counters = recorder.snapshot()["counters"]
     assert counters["sweep.vector.fallback_count"] == 1
     assert counters["sweep.vector.fallback.socket_count"] == 1

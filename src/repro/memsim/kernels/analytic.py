@@ -72,9 +72,7 @@ if TYPE_CHECKING:
 __all__ = [
     "FALLBACK_REASONS",
     "classify_point",
-    "evaluate_grid_columns",
     "evaluate_points_columns",
-    "vector_eligible",
 ]
 
 #: The reasons :func:`classify_point` can report, in documentation order.
@@ -127,15 +125,6 @@ def classify_point(
     return None
 
 
-def vector_eligible(ctx: EvalContext, streams: tuple[StreamSpec, ...]) -> bool:
-    """Whether ``streams`` is evaluable on the batched fast path.
-
-    Thin predicate over :func:`classify_point` (the single source of
-    truth for eligibility); kept for callers that only need the boolean.
-    """
-    return classify_point(ctx, streams) is None
-
-
 def evaluate_points_columns(
     ctx: EvalContext,
     points: Sequence[tuple[StreamSpec, ...]],
@@ -143,8 +132,10 @@ def evaluate_points_columns(
 ) -> "tuple[ResultColumns, Callable[..., None]]":
     """Evaluate eligible points (any stream count) into one column batch.
 
-    Every point must satisfy :func:`vector_eligible`; callers that cannot
-    guarantee that should use :func:`evaluate_grid_columns` instead. Row
+    Every point must be eligible (:func:`classify_point` returning
+    ``None``); callers that cannot guarantee that should use
+    :meth:`repro.sweep.service.EvaluationService.evaluate_grid_columns`,
+    which routes the rest through the scalar evaluator. Row
     ``i`` of the returned batch is bit-identical to per-point
     :func:`repro.memsim.evaluation.evaluate` of ``points[i]`` against
     ``directory``.
@@ -1164,78 +1155,3 @@ def _write_cap_size_factor(access_size: int) -> float:
     if access_size > 4096:
         return (4096.0 / access_size) ** 0.02
     return 1.0
-
-
-def evaluate_grid_columns(
-    context: EvalContext,
-    points: Sequence[tuple[StreamSpec, ...] | list[StreamSpec]],
-    directory: DirectoryState | None = None,
-    *,
-    recorder: "Recorder | None" = None,
-) -> ResultColumns:
-    """Evaluate a whole sweep axis into one column batch.
-
-    Eligible points (:func:`classify_point` returning ``None`` — every
-    point family the scalar evaluator can price) run through the batched
-    structure-of-arrays kernel; the rest fall back to per-point
-    :func:`repro.memsim.evaluation.evaluate` and are folded into the
-    batch as rows. Either way row ``i`` is bit-identical to the
-    per-point call for ``points[i]``, in ``points`` order. A point the
-    scalar evaluator would reject raises the same error here, from the
-    fallback path; each fallback also emits the
-    ``sweep.vector.fallback_count`` counter family labeled with its
-    :func:`classify_point` reason, so the residual scalar set is
-    observable.
-
-    When every point is eligible — the common case now that all five
-    point families are vectorized — the kernel's own batch is returned
-    directly: no per-point Python work happens beyond the row-building
-    loop (and the interaction stage for multi-stream points).
-    """
-    state = directory if directory is not None else DirectoryState.cold()
-    normalized_points = [
-        streams if type(streams) is tuple else tuple(streams) for streams in points
-    ]
-    fallback: dict[int, str] = {}
-    batch_points: list[tuple[StreamSpec, ...]] = []
-    for i, streams in enumerate(normalized_points):
-        reason = classify_point(context, streams)
-        if reason is None:
-            batch_points.append(streams)
-        else:
-            fallback[i] = reason
-    emitting = recorder is not None and recorder.enabled
-    columns, emit = evaluate_points_columns(context, batch_points, state)
-    if not fallback:
-        # All-eligible fast path: batch order is point order, so the
-        # kernel's batch *is* the grid result — zero per-point assembly.
-        if emitting:
-            for pos in range(len(batch_points)):
-                emit(recorder, pos)
-        return columns
-    # Fallback points are evaluated — and batched points emitted — in
-    # ``points`` order: the per-point path accumulates recorder counters
-    # point by point, and float addition is order-sensitive at the last
-    # ulp, so matching its emission order is part of bit-identity.
-    if emitting:
-        from repro.obs import probes
-    config = context.config
-    out = ResultColumns()
-    pos = 0
-    for i, streams in enumerate(normalized_points):
-        reason = fallback.get(i)
-        if reason is None:
-            if emitting:
-                emit(recorder, pos)
-            out.append_from(columns, pos)
-            pos += 1
-        else:
-            if emitting:
-                probes.emit_vector_fallback(recorder, reason)
-            out.append_result(
-                evaluation.evaluate(
-                    config, streams, state, recorder=recorder, context=context
-                )
-            )
-    return out
-

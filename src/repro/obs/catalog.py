@@ -130,9 +130,9 @@ CATALOG: tuple[CounterSpec, ...] = (
     CounterSpec("serve.shed_count", "count", "requests rejected by admission control"),
     CounterSpec("serve.deadline.expired_count", "count", "requests expired while queued"),
     CounterSpec("serve.errors_count", "count", "requests whose evaluation failed"),
-    CounterSpec("serve.dedup.joined_count", "count", "duplicate requests collapsed in a window"),
+    CounterSpec("serve.dedup.joined_count", "count", "requests repeating an earlier request's key in a window"),
     CounterSpec("serve.coalesce.batches_count", "count", "coalesced batches dispatched"),
-    CounterSpec("serve.coalesce.batch_size_count", "count", "points per coalesced batch"),
+    CounterSpec("serve.coalesce.batch_size_count", "count", "requests per coalesced batch, repeats included"),
     CounterSpec("serve.queue.depth_count", "count", "gather-queue depth at admission"),
     CounterSpec("serve.latency.wall_seconds", "seconds", "request wall time, admission to answer"),
     CounterSpec("serve.protocol.drops_count", "count", "connections dropped for protocol violations"),

@@ -6,9 +6,10 @@ requests into few large columnar kernel calls:
 * :mod:`repro.serve.protocol` — newline-delimited JSON frames and the
   byte-exact result encodings;
 * :mod:`repro.serve.server` — :class:`BandwidthServer`: gather-window
-  request coalescing, in-flight dedup against the memoized
-  :class:`~repro.sweep.service.EvaluationService`, admission control
-  with load shedding, and a TCP transport;
+  request coalescing into batches of the memoized
+  :class:`~repro.sweep.service.EvaluationService` (which answers an
+  in-window repeat as a memo hit), admission control with load
+  shedding, and a TCP transport;
 * :mod:`repro.serve.client` — a pipelining TCP client and the one-shot
   :func:`request_once` helper.
 

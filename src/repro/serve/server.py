@@ -13,10 +13,10 @@ as *one* columnar call and each answer is sliced back out of the
 Design rules the tests pin down:
 
 * **Cache keys are untouched.** A coalesced request is answered from
-  exactly the rows a serial ``evaluate()`` would produce; duplicates
-  within a window are collapsed to one leader (the rest resolve through
-  the service memo afterwards), so hit/miss accounting matches the
-  serial run to the unit.
+  exactly the rows a serial ``evaluate()`` would produce; a duplicate
+  within a window rides its group's batch, where the service answers it
+  from the earlier row as a memo hit, so hit/miss accounting matches
+  the serial run to the unit.
 * **Time is injectable.** The clock and sleep used for windows, frame
   timeouts, and deadlines come from the constructor; the fault tests
   drive a fake clock and never really sleep.
@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Awaitable, Callable, Mapping
 
 from repro import units
 from repro.core.advisor import PlacementAdvisor
-from repro.errors import GridPointError, ReproError, ServeError
+from repro.errors import GridPointError, ServeError
 from repro.obs import Recorder, default_recorder
 from repro.serve import protocol
 from repro.serve.protocol import Request
@@ -88,6 +88,12 @@ class ServeStats:
     Counters are exact; latency percentiles come from a bounded ring of
     recent wall-clock samples (the obs histogram keeps only
     count/total/min/max, which cannot answer p99).
+
+    ``deduped`` counts requests whose key an earlier request of the same
+    window already carried. Such repeats stay in their ``(config,
+    directory)`` group, so ``coalesced_points`` (the requests of every
+    multi-request group) and the ``serve.coalesce.batch_size_count``
+    samples count them too.
     """
 
     admitted: int = 0
@@ -359,25 +365,20 @@ class BandwidthServer:
         if not batch:
             return
 
-        # Collapse duplicates: one leader per request key. Followers are
-        # answered through ``service.evaluate`` afterwards — by then the
-        # leader's row is in the memo, so the follower is a hit, exactly
-        # as it would have been had the requests arrived serially.
-        leaders: dict["RequestKey", _Pending] = {}
-        followers: list[_Pending] = []
+        # Group by (config, directory): ``evaluate_grid_columns`` takes
+        # one config and one input state per call. A request repeating an
+        # earlier one joins its group like any other; the service answers
+        # it from the earlier row as a memo hit, exactly as it would a
+        # serial replay of the same submissions.
+        seen: set["RequestKey"] = set()
+        groups: dict[tuple, list[_Pending]] = {}
         for pending in batch:
-            if pending.key in leaders:
-                followers.append(pending)
+            if pending.key in seen:
                 self.stats.deduped += 1
                 if rec.enabled:
                     rec.incr("serve.dedup.joined_count")
             else:
-                leaders[pending.key] = pending
-
-        # Group leaders by (config, directory): ``evaluate_grid_columns``
-        # takes one config and one input state per call.
-        groups: dict[tuple, list[_Pending]] = {}
-        for pending in leaders.values():
+                seen.add(pending.key)
             group_key = (id(pending.request.config), pending.request.directory)
             groups.setdefault(group_key, []).append(pending)
 
@@ -421,33 +422,6 @@ class BandwidthServer:
                         ),
                     )
                 )
-
-        for pending in followers:
-            if pending.future.done():
-                continue
-            request = pending.request
-            try:
-                result = self.service.evaluate(
-                    request.config, request.streams, request.directory, recorder=rec
-                )
-            except ReproError as exc:
-                self.stats.errors += 1
-                if rec.enabled:
-                    rec.incr("serve.errors_count")
-                pending.future.set_result(
-                    protocol.error_response(request.id, ServeError("evaluation", str(exc)))
-                )
-                continue
-            self.stats.completed += 1
-            pending.future.set_result(
-                protocol.ok_response(
-                    request.id,
-                    "evaluate",
-                    protocol.encode_result(
-                        result, include_counters=request.include_counters
-                    ),
-                )
-            )
 
     def _evaluate_points(
         self,

@@ -117,6 +117,16 @@ class MemoCache:
         with self._lock:
             self._results[key] = result
 
+    def setdefault(self, key: CacheKey, result: CacheValue) -> CacheValue:
+        """Store ``result`` unless ``key`` is held; return what ``key`` holds.
+
+        One hash per key: a grid evaluation stores its batch with this
+        and learns, from the returned value, which of its points repeat
+        an earlier point of the same batch.
+        """
+        with self._lock:
+            return self._results.setdefault(key, result)
+
     def clear(self) -> None:
         with self._lock:
             self._results.clear()

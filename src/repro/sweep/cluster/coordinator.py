@@ -209,8 +209,9 @@ class Coordinator:
         """Content-hash shards: same point content -> same chunk, always.
 
         The shard of a point is a pure function of its request digest,
-        so duplicate-content points co-locate on one worker and the
-        memo there serves them exactly as an in-process memo would.
+        so duplicate-content points start in one chunk. Within one work
+        item the worker's grid call answers each repeat from the earlier
+        row as a memo hit, exactly as an in-process grid would.
         """
         n_chunks = max(1, min(len(self._points), workers * CHUNKS_PER_WORKER))
         shards: list[list[int]] = [[] for _ in range(n_chunks)]

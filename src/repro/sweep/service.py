@@ -54,8 +54,8 @@ def request_key(
 
     Normalizes exactly the way :meth:`EvaluationService.evaluate` does:
     the directory is restricted to the far-read pairs the streams can
-    observe, so callers comparing keys (the serving layer dedupes
-    in-flight requests with this) agree with the cache about which
+    observe, so callers comparing keys (the serving layer counts
+    in-window repeats with this) agree with the cache about which
     requests are the same computation. The full input state still
     determines the returned ``directory_after`` — two requests may share
     a key yet receive differently-rebased results.
@@ -124,36 +124,15 @@ class EvaluationService:
         streams = tuple(streams)
         state = directory if directory is not None else DirectoryState.cold()
         key = request_key(config, streams, state)
-        normalized = key[2]
-
-        cached = self._memo.get(key) if self._memo is not None else None
-        if cached is not None:
-            self.stats.hits += 1
-            if rec.enabled:
-                rec.incr("sweep.cache.hits_count")
-                rec.event("sweep.cache_hit", source="memo", streams=len(streams))
-            return self._deliver(cached, streams, state)
-
-        digest: str | None = None
-        if self._disk is not None:
-            digest = request_digest(config, streams, normalized)
-            from_disk = self._disk.get_ref(digest)
-            if from_disk is not None:
-                self.stats.hits += 1
-                self.stats.disk_hits += 1
-                if rec.enabled:
-                    rec.incr("sweep.cache.hits_count")
-                    rec.incr("sweep.cache.disk_hits_count")
-                    rec.event("sweep.cache_hit", source="disk", streams=len(streams))
-                if self._memo is not None:
-                    self._memo.put(key, from_disk)
-                return self._deliver(from_disk, streams, state)
+        stored, digest = self._lookup(key, rec)
+        if stored is not None:
+            return self._deliver(stored, streams, state)
 
         self.stats.misses += 1
         if rec.enabled:
             rec.incr("sweep.cache.misses_count")
         result = evaluation.evaluate(
-            config, streams, normalized, recorder=rec if rec.enabled else None
+            config, streams, key[2], recorder=rec if rec.enabled else None
         )
         if self._memo is not None:
             self._memo.put(key, result)
@@ -216,7 +195,8 @@ class EvaluationService:
     ) -> "ResultColumns":
         """Cached, batched grid evaluation producing a column batch.
 
-        Points that the vectorized analytic kernel covers
+        The one batched evaluation entry point. Points that the
+        vectorized analytic kernel covers
         (:func:`repro.memsim.kernels.classify_point` returning ``None`` —
         every point family the scalar evaluator can price) and that miss
         both caches are computed in one structure-of-arrays pass
@@ -226,12 +206,22 @@ class EvaluationService:
         with each fallback tallied on the
         ``sweep.vector.fallback_count`` counter family labeled by
         reason. Rows come back in ``points`` order and are
-        **bit-identical** to the per-point path — cache keys, stored
-        entries, and hit/miss tallies included, so a grid primed through
-        this method services per-point calls (and vice versa) without
-        recomputation. No per-point result object is materialized
-        anywhere on this path: cache hits and batch computes alike move
-        between the caches and the output as column rows.
+        **bit-identical** to a loop of :meth:`evaluate` calls over
+        ``points`` — cache keys, stored entries, and hit/miss tallies
+        included, so a grid primed through this method services
+        per-point calls (and vice versa) without recomputation.
+
+        A point repeating an earlier point of the same call behaves as
+        it would in that loop: it takes the earlier row and counts a
+        memo hit (with its ``sweep.cache_hit`` event) instead of a miss,
+        and replays no evaluation probes. Repeats are found where the
+        batch is stored: a key the memo already holds for *this* batch
+        at an earlier row. A service built with ``memoize=False`` counts
+        every repeat as a miss.
+
+        No per-point result object is materialized anywhere on this
+        path: cache hits and batch computes alike move between the
+        caches and the output as column rows.
 
         A failing point raises :class:`GridPointError` carrying the input
         index (plus the point ``label`` and ``grid_name`` when given, so
@@ -284,46 +274,22 @@ class EvaluationService:
 
         stored: dict[int, CacheValue] = {}
         fallback: dict[int, str] = {}
-        batch_indices: list[int] = []
         batch_points: list[tuple[StreamSpec, ...]] = []
-        batch_keys: list[tuple[MachineConfig, tuple[StreamSpec, ...], DirectoryState]] = []
+        batch_keys: list[RequestKey] = []
         batch_digests: list[str | None] = []
-        batch_normals: list[DirectoryState] = []
         for i, streams in enumerate(normalized_points):
             reason = classify_point(ctx, streams)
             if reason is not None:
                 fallback[i] = reason
                 continue
-            normalized = normalized_for(streams)
-            key = (config, streams, normalized)
-            cached = self._memo.get(key) if self._memo is not None else None
-            if cached is not None:
-                self.stats.hits += 1
-                if rec.enabled:
-                    rec.incr("sweep.cache.hits_count")
-                    rec.event("sweep.cache_hit", source="memo", streams=len(streams))
-                stored[i] = cached
+            key = (config, streams, normalized_for(streams))
+            hit, digest = self._lookup(key, rec)
+            if hit is not None:
+                stored[i] = hit
                 continue
-            digest: str | None = None
-            if self._disk is not None:
-                digest = request_digest(config, streams, normalized)
-                from_disk = self._disk.get_ref(digest)
-                if from_disk is not None:
-                    self.stats.hits += 1
-                    self.stats.disk_hits += 1
-                    if rec.enabled:
-                        rec.incr("sweep.cache.hits_count")
-                        rec.incr("sweep.cache.disk_hits_count")
-                        rec.event("sweep.cache_hit", source="disk", streams=len(streams))
-                    if self._memo is not None:
-                        self._memo.put(key, from_disk)
-                    stored[i] = from_disk
-                    continue
-            batch_indices.append(i)
             batch_points.append(streams)
             batch_keys.append(key)
             batch_digests.append(digest)
-            batch_normals.append(normalized)
 
         computed: "ResultColumns | None" = None
         emit = None
@@ -344,29 +310,27 @@ class EvaluationService:
                 # accounting stays exact.
                 computed = None
         stored_afters: list[DirectoryState] = []
+        # Batch row -> the earlier batch row it repeats.
+        repeats: dict[int, int] = {}
         if computed is not None:
-            self.stats.misses += len(batch_points)
-            if rec.enabled:
-                rec.incr("sweep.cache.misses_count", len(batch_points))
             # Stored entries must be byte-identical to what the per-point
             # path stores: results computed against the point's
             # *normalized* state, so their ``directory_after`` is the
             # normalized state plus the point's own far traversals.
-            for pos, streams in enumerate(batch_points):
-                after = batch_normals[pos]
-                for spec in streams:
-                    if spec.far:
-                        after = after.touch(spec.issuing_socket, spec.target_socket)
-                stored_afters.append(after)
+            stored_afters = [_rebased(key[2], key[1]) for key in batch_keys]
             if self._memo is not None or self._disk is not None:
                 stored_batch = ResultColumns()
-                for pos in range(len(batch_points)):
-                    stored_batch.append_from(
-                        computed, pos, directory_after=stored_afters[pos]
-                    )
+                for pos, after in enumerate(stored_afters):
+                    stored_batch.append_from(computed, pos, directory_after=after)
                 if self._memo is not None:
+                    # A key already holding *this* batch at an earlier row
+                    # repeats that row: the per-point loop would have found
+                    # it in the memo.
                     for pos, key in enumerate(batch_keys):
-                        self._memo.put(key, (stored_batch, pos))
+                        entry = (stored_batch, pos)
+                        held = self._memo.setdefault(key, entry)
+                        if held is not entry and type(held) is tuple and held[0] is stored_batch:
+                            repeats[pos] = held[1]
                 if self._disk is not None:
                     # One block write for the whole batch — the entries the
                     # per-point path would have written, fused.
@@ -374,6 +338,10 @@ class EvaluationService:
                         [digest for digest in batch_digests if digest is not None],
                         stored_batch,
                     )
+            misses = len(batch_points) - len(repeats)
+            self.stats.misses += misses
+            if rec.enabled:
+                rec.incr("sweep.cache.misses_count", misses)
 
         # Batched points are emitted — and fallback points evaluated — in
         # ``points`` order: float addition is order-sensitive at the last
@@ -391,10 +359,7 @@ class EvaluationService:
             if hit is not None:
                 # Rebase the stored (normalized-state) row onto the
                 # caller's state, exactly as :meth:`_deliver` does.
-                after = state
-                for spec in streams:
-                    if spec.far:
-                        after = after.touch(spec.issuing_socket, spec.target_socket)
+                after = _rebased(state, streams)
                 if type(hit) is tuple:
                     columns, row = hit
                     out.append_from(columns, row, directory_after=after)
@@ -404,12 +369,15 @@ class EvaluationService:
             reason = fallback.get(i)
             if reason is None:
                 if computed is not None:
-                    if emitting and emit is not None:
+                    earlier = repeats.get(pos)
+                    if earlier is not None:
+                        self._count_hit(rec, "memo", len(streams))
+                    elif emitting and emit is not None:
                         # Probes replay against the normalized states the
                         # per-point path evaluates under, not the full
                         # input state the batch ran against.
-                        emit(rec, pos, before=batch_normals[pos], after=stored_afters[pos])
-                    out.append_from(computed, pos)
+                        emit(rec, pos, before=batch_keys[pos][2], after=stored_afters[pos])
+                    out.append_from(computed, pos if earlier is None else earlier)
                     pos += 1
                     continue
                 pos += 1  # batch failed: fall through to the scalar path
@@ -422,6 +390,45 @@ class EvaluationService:
             except Exception as exc:
                 raise fail(i, exc, out) from exc
         return out
+
+    def _lookup(
+        self, key: RequestKey, rec: Recorder
+    ) -> tuple[CacheValue | None, str | None]:
+        """The entry stored for ``key`` in the memo, else on disk.
+
+        A found entry is tallied as a hit (a disk hit is also copied
+        into the memo) and returned with no digest. On a miss of every
+        tier the entry is ``None`` and the digest is the one a computed
+        result is to be written to disk under (``None`` without a disk).
+        """
+        config, streams, normalized = key
+        if self._memo is not None:
+            cached = self._memo.get(key)
+            if cached is not None:
+                self._count_hit(rec, "memo", len(streams))
+                return cached, None
+        if self._disk is None:
+            return None, None
+        digest = request_digest(config, streams, normalized)
+        from_disk = self._disk.get_ref(digest)
+        if from_disk is None:
+            return None, digest
+        self._count_hit(rec, "disk", len(streams))
+        if self._memo is not None:
+            self._memo.put(key, from_disk)
+        return from_disk, None
+
+    def _count_hit(self, rec: Recorder, source: str, streams: int) -> None:
+        """Tally one hit from ``source`` (``"memo"`` or ``"disk"``)."""
+        disk = source == "disk"
+        self.stats.hits += 1
+        if disk:
+            self.stats.disk_hits += 1
+        if rec.enabled:
+            rec.incr("sweep.cache.hits_count")
+            if disk:
+                rec.incr("sweep.cache.disk_hits_count")
+            rec.event("sweep.cache_hit", source=source, streams=streams)
 
     @staticmethod
     def _deliver(
@@ -447,12 +454,20 @@ class EvaluationService:
             columns, row = stored
             stored = columns.view(row)
         result = stored.copy()
-        after = state
-        for stream in streams:
-            if stream.far:
-                after = after.touch(stream.issuing_socket, stream.target_socket)
-        result.directory_after = after
+        result.directory_after = _rebased(state, streams)
         return result
+
+
+def _rebased(
+    state: DirectoryState, streams: tuple[StreamSpec, ...]
+) -> DirectoryState:
+    """``state`` plus the far traversals of ``streams``: the
+    ``directory_after`` of evaluating ``streams`` against ``state``."""
+    after = state
+    for spec in streams:
+        if spec.far:
+            after = after.touch(spec.issuing_socket, spec.target_socket)
+    return after
 
 
 _DEFAULT_SERVICE: EvaluationService | None = None

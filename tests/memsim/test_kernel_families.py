@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.errors import TopologyError, WorkloadError
+from repro.errors import GridPointError, TopologyError, WorkloadError
 from repro.memsim import (
     DaxMode,
     DirectoryState,
@@ -34,13 +34,17 @@ from repro.memsim.config import MachineConfig
 from repro.memsim.kernels import (
     FALLBACK_REASONS,
     classify_point,
-    evaluate_grid_columns,
     evaluate_points_columns,
-    vector_eligible,
 )
 from repro.memsim.topology import paper_server
 from repro.obs import CountersRecorder
-from tests.memsim.test_kernels import THREADS, assert_identical, sample_grid
+from repro.sweep import EvaluationService
+from tests.memsim.test_kernels import (
+    THREADS,
+    assert_identical,
+    grid_columns,
+    sample_grid,
+)
 
 SIZES = (64, 128, 256, 512, 1024, 4096, 16384)
 REGIONS = (1 << 28, 1 << 30, 16 << 30, 70_000_000_000)
@@ -134,9 +138,9 @@ class TestFamilyBitIdentity:
         config = paper_config()
         context = eval_context(config)
         points = family_grid(family, seed=0xC0FFEE, n=48)
-        assert all(vector_eligible(context, p) for p in points)
+        assert all(classify_point(context, p) is None for p in points)
         state = DirectoryState.cold()
-        batched = evaluate_grid_columns(context, points, state).views()
+        batched = grid_columns(context, points, state).views()
         assert len(batched) == len(points)
         for streams, got in zip(points, batched):
             assert_identical(got, evaluate(config, streams, state, context=context))
@@ -149,7 +153,7 @@ class TestFamilyBitIdentity:
         context = eval_context(config)
         warm = DirectoryState.warm(config.topology)
         points = family_grid(family, seed=1879, n=32)
-        batched = evaluate_grid_columns(context, points, warm).views()
+        batched = grid_columns(context, points, warm).views()
         for streams, got in zip(points, batched):
             assert_identical(got, evaluate(config, streams, warm, context=context))
 
@@ -166,7 +170,7 @@ class TestFamilyBitIdentity:
             for family in sorted(FAMILIES):
                 points = family_grid(family, seed=52, n=8)
                 for streams, got in zip(
-                    points, evaluate_grid_columns(context, points, state).views()
+                    points, grid_columns(context, points, state).views()
                 ):
                     assert_identical(
                         got, evaluate(config, streams, state, context=context)
@@ -178,15 +182,17 @@ class TestFamilyEmissionParity:
     def test_grid_recorder_matches_scalar(self, family):
         # Deferred emission replays probes from the columns in point
         # order; counter folds are order-sensitive at the last ulp, so
-        # snapshots must be byte-identical, family by family.
+        # snapshots must be byte-identical, family by family. Both sides
+        # go through one uncached service, so they carry the same
+        # ``sweep.cache.*`` tallies too.
         config = paper_config()
-        context = eval_context(config)
+        service = EvaluationService(memoize=False)
         points = family_grid(family, seed=31337, n=24)
         state = DirectoryState.cold()
         grid_rec, scalar_rec = CountersRecorder(), CountersRecorder()
-        evaluate_grid_columns(context, points, state, recorder=grid_rec)
+        service.evaluate_grid_columns(config, points, state, recorder=grid_rec)
         for streams in points:
-            evaluate(config, streams, state, recorder=scalar_rec, context=context)
+            service.evaluate(config, streams, state, recorder=scalar_rec)
         assert grid_rec.snapshot() == scalar_rec.snapshot()
 
     def test_deferred_emit_is_callable_out_of_band(self):
@@ -207,19 +213,6 @@ class TestFamilyEmissionParity:
 
 
 class TestClassifyPoint:
-    def test_vector_eligible_is_classify_is_none(self):
-        # The boolean predicate must never drift from the classifier.
-        context = eval_context(paper_config())
-        corpus = sample_grid(seed=404, n=64)
-        for family in sorted(FAMILIES):
-            corpus += family_grid(family, seed=405, n=8)
-        corpus.append(())
-        corpus.append((StreamSpec(op=Op.READ, threads=4, target_socket=9),))
-        for point in corpus:
-            reason = classify_point(context, point)
-            assert vector_eligible(context, point) is (reason is None)
-            assert reason is None or reason in FALLBACK_REASONS
-
     def test_empty_point_is_empty(self):
         context = eval_context(paper_config())
         assert classify_point(context, ()) == "empty"
@@ -260,11 +253,14 @@ class TestClassifyPoint:
 
 class TestFallbackObservability:
     def assert_fallback_counted(self, point, reason, raises):
+        assert reason in FALLBACK_REASONS
         context = eval_context(paper_config())
         eligible = (StreamSpec(op=Op.READ, threads=4),)
         recorder = CountersRecorder()
-        with pytest.raises(raises):
-            evaluate_grid_columns(context, [eligible, point], recorder=recorder)
+        with pytest.raises(GridPointError) as excinfo:
+            grid_columns(context, [eligible, point], recorder=recorder)
+        assert excinfo.value.index == 1
+        assert isinstance(excinfo.value.original, raises)
         counters = recorder.snapshot()["counters"]
         assert counters["sweep.vector.fallback_count"] == 1
         assert counters[f"sweep.vector.fallback.{reason}_count"] == 1
@@ -281,6 +277,6 @@ class TestFallbackObservability:
         context = eval_context(paper_config())
         points = family_grid(family, seed=77, n=16)
         recorder = CountersRecorder()
-        evaluate_grid_columns(context, points, recorder=recorder)
+        grid_columns(context, points, recorder=recorder)
         counters = recorder.snapshot()["counters"]
         assert "sweep.vector.fallback_count" not in counters

@@ -1,8 +1,9 @@
 """Batched analytic kernels are bit-identical to per-point ``evaluate``.
 
 The vector backend's whole value proposition rests on exact equality:
-``evaluate_grid_columns`` may share setup across points and compute in NumPy
-arrays, but every observable of every result — bandwidth floats, stream
+the batched grid path (``EvaluationService.evaluate_grid_columns`` over
+the ``evaluate_points_columns`` kernel) may share setup across points
+and compute in NumPy arrays, but every observable of every result — bandwidth floats, stream
 notes, performance counters, the directory state — must equal the scalar
 evaluator's bit for bit, so cached entries and golden files are
 interchangeable between backends. These property tests draw seeded
@@ -27,12 +28,9 @@ from repro.memsim import (
     evaluate,
     paper_config,
 )
-from repro.memsim.kernels import (
-    evaluate_grid_columns,
-    evaluate_points_columns,
-    vector_eligible,
-)
+from repro.memsim.kernels import classify_point, evaluate_points_columns
 from repro.obs import CountersRecorder
+from repro.sweep import EvaluationService
 
 THREADS = (1, 2, 4, 8, 18, 24, 36)
 SIZES = (64, 128, 256, 1024, 4096, 16384)
@@ -71,6 +69,13 @@ def sample_grid(seed: int, n: int) -> list[tuple[StreamSpec, ...]]:
     return [sample_point(rng) for _ in range(n)]
 
 
+def grid_columns(context, points, directory=None, *, recorder=None):
+    """The batched grid path, uncached: kernel plus scalar fallback."""
+    return EvaluationService(memoize=False).evaluate_grid_columns(
+        context.config, points, directory, recorder=recorder
+    )
+
+
 def assert_identical(got, want):
     """Full bit-identity: floats by hex, counters, notes, directory."""
     assert got == want
@@ -96,7 +101,7 @@ class TestGridBitIdentity:
         context = eval_context(config)
         points = sample_grid(seed=20260807, n=96)
         state = DirectoryState.cold()
-        batched = evaluate_grid_columns(context, points, state).views()
+        batched = grid_columns(context, points, state).views()
         assert len(batched) == len(points)
         for streams, got in zip(points, batched):
             want = evaluate(config, streams, state, context=context)
@@ -114,7 +119,7 @@ class TestGridBitIdentity:
         assert any(s.pinning is PinningPolicy.NONE for s in flat)
         assert any(s.dax_mode is DaxMode.FSDAX for s in flat)
         assert any(len(p) > 1 for p in points)
-        eligible = sum(1 for p in points if vector_eligible(context, p))
+        eligible = sum(1 for p in points if classify_point(context, p) is None)
         assert eligible == len(points)
 
     def test_warm_directory_matches_scalar(self):
@@ -122,7 +127,7 @@ class TestGridBitIdentity:
         context = eval_context(config)
         warm = DirectoryState.warm(config.topology)
         points = sample_grid(seed=7, n=32)
-        batched = evaluate_grid_columns(context, points, warm).views()
+        batched = grid_columns(context, points, warm).views()
         for streams, got in zip(points, batched):
             assert_identical(got, evaluate(config, streams, warm, context=context))
 
@@ -131,7 +136,7 @@ class TestGridBitIdentity:
         context = eval_context(config)
         read = (StreamSpec(op=Op.READ, threads=4),)
         write = (StreamSpec(op=Op.WRITE, threads=4),)
-        results = evaluate_grid_columns(context, [read, write, read]).views()
+        results = grid_columns(context, [read, write, read]).views()
         assert results[0] == results[2]
         assert results[0].streams[0].spec.op is Op.READ
         assert results[1].streams[0].spec.op is Op.WRITE
@@ -143,7 +148,7 @@ class TestBatchKernel:
         context = eval_context(config)
         state = DirectoryState.cold()
         points = sample_grid(seed=99, n=96)
-        specs = [p[0] for p in points if vector_eligible(context, p)]
+        specs = [p[0] for p in points if classify_point(context, p) is None]
         assert specs
         columns, _ = evaluate_points_columns(context, [(s,) for s in specs], state)
         batched = columns.views()
@@ -154,7 +159,7 @@ class TestBatchKernel:
         context = eval_context(paper_config())
         columns, _ = evaluate_points_columns(context, [], DirectoryState.cold())
         assert len(columns) == 0
-        assert len(evaluate_grid_columns(context, [])) == 0
+        assert len(grid_columns(context, [])) == 0
 
 
 class TestObservabilityParity:
@@ -162,14 +167,16 @@ class TestObservabilityParity:
         # Counters fold float increments, so emission *order* matters at
         # the last ulp: the grid evaluator must emit in point order, not
         # batch-completion order, for snapshots to be byte-identical.
+        # Both sides go through one uncached service, so both carry the
+        # same ``sweep.cache.*`` tallies beside the evaluation probes.
         config = paper_config()
-        context = eval_context(config)
+        service = EvaluationService(memoize=False)
         points = sample_grid(seed=3, n=48)
         state = DirectoryState.cold()
         grid_rec, scalar_rec = CountersRecorder(), CountersRecorder()
-        evaluate_grid_columns(context, points, state, recorder=grid_rec)
+        service.evaluate_grid_columns(config, points, state, recorder=grid_rec)
         for streams in points:
-            evaluate(config, streams, state, recorder=scalar_rec, context=context)
+            service.evaluate(config, streams, state, recorder=scalar_rec)
         assert grid_rec.snapshot() == scalar_rec.snapshot()
 
 
@@ -179,22 +186,22 @@ class TestEligibility:
         for op in (Op.READ, Op.WRITE):
             for media in (MediaKind.PMEM, MediaKind.DRAM):
                 spec = StreamSpec(op=op, threads=8, media=media)
-                assert vector_eligible(context, (spec,))
+                assert classify_point(context, (spec,)) is None
 
     def test_former_fallback_shapes_are_now_eligible(self):
         # The families the first-generation kernel punted on — the whole
         # point of the widened fast path.
         context = eval_context(paper_config())
         base = StreamSpec(op=Op.READ, threads=8)
-        assert vector_eligible(context, (base, base))
-        assert vector_eligible(context, (base.with_(pattern=Pattern.RANDOM),))
-        assert vector_eligible(context, (base.with_(target_socket=1),))
-        assert vector_eligible(context, (base.with_(pinning=PinningPolicy.NONE),))
-        assert vector_eligible(context, (base.with_(dax_mode=DaxMode.FSDAX),))
+        assert classify_point(context, (base, base)) is None
+        assert classify_point(context, (base.with_(pattern=Pattern.RANDOM),)) is None
+        assert classify_point(context, (base.with_(target_socket=1),)) is None
+        assert classify_point(context, (base.with_(pinning=PinningPolicy.NONE),)) is None
+        assert classify_point(context, (base.with_(dax_mode=DaxMode.FSDAX),)) is None
 
     def test_points_the_scalar_evaluator_rejects_are_ineligible(self):
         # Eligibility must never claim a point the scalar path would
         # refuse: the fallback is what surfaces the real error.
         context = eval_context(paper_config())
         bad = StreamSpec(op=Op.READ, threads=8, target_socket=9, issuing_socket=9)
-        assert not vector_eligible(context, (bad,))
+        assert classify_point(context, (bad,)) is not None

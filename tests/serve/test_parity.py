@@ -25,8 +25,9 @@ STORM_SIZE = 200
 BURSTS = 10
 
 #: Cache-relevant counters that must agree between the coalesced and the
-#: serial run — the dedup-for-parity design answers in-window duplicates
-#: through the memo *after* the batch, so hit/miss tallies line up.
+#: serial run — an in-window duplicate rides its group's batch, where the
+#: service answers it from the earlier row as a memo hit, so hit/miss
+#: tallies line up.
 CACHE_COUNTERS = ("sweep.cache.hits_count", "sweep.cache.misses_count")
 
 

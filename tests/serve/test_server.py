@@ -84,7 +84,10 @@ class TestCoalescing:
         server, recorder, responses = run_async(scenario())
         assert server.stats.deduped == 2
         assert recorder.counters["serve.dedup.joined_count"] == 2
-        # One miss (the leader); the two followers are memo hits.
+        # One batch, one miss (the first request); the two repeats are
+        # memo hits inside that batch.
+        assert server.stats.batches == 1
+        assert recorder.counters["serve.coalesce.batches_count"] == 1
         assert recorder.counters["sweep.cache.misses_count"] == 1
         assert recorder.counters["sweep.cache.hits_count"] == 2
         assert responses[0]["result"] == responses[1]["result"]
@@ -149,6 +152,27 @@ class TestOtherKinds:
                 serial.evaluate(paper_config(), (read_stream(threads),))
             )
             assert payload == expected
+
+    def test_sweep_frame_repeat_is_one_miss_and_one_hit(self, fake_clock):
+        async def scenario():
+            server, recorder = make_server(fake_clock)
+            response = await server.submit({
+                "kind": "sweep", "id": 10,
+                "points": [
+                    [{"op": "read", "threads": 4}],
+                    [{"op": "read", "threads": 4}],
+                ],
+            })
+            await server.close()
+            return server, recorder, response
+
+        server, recorder, response = run_async(scenario())
+        assert response["ok"]
+        first, second = response["result"]["points"]
+        assert first == second
+        assert (server.service.stats.misses, server.service.stats.hits) == (1, 1)
+        assert recorder.counters["sweep.cache.misses_count"] == 1
+        assert recorder.counters["sweep.cache.hits_count"] == 1
 
     def test_close_fails_queued_requests_with_shutdown(self, fake_clock):
         async def scenario():

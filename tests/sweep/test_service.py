@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, GridPointError, TopologyError
 from repro.memsim import DirectoryState, Op, StreamSpec, paper_config
+from repro.obs import CountersRecorder, TraceRecorder
 from repro.sweep import DiskCache, EvaluationService, default_service, set_default_service
 from repro.sweep.cache import request_digest
+
+from tests.sweep.test_result_columns import random_grid
 
 NEAR_READ = StreamSpec(op=Op.READ, threads=18, access_size=4096)
 FAR_READ = StreamSpec(
@@ -191,3 +194,118 @@ class TestLazyDelivery:
         hit.counters.notes.append("scribble")
         assert dup.counters.notes == baseline.counters.notes
         assert "scribble" not in dup.counters.notes
+
+
+#: Grids that repeat a point: the seeded random grid repeats two of its
+#: twelve points, and ``[p, q, p]`` repeats its first.
+REPEATING_GRIDS = {
+    "random_grid_11": [point.streams for point in random_grid(11)],
+    "p_q_p": [(NEAR_READ,), (FAR_READ,), (NEAR_READ,)],
+}
+
+
+class TestGridRepeats:
+    """A grid repeating a point keeps the per-point loop's contract."""
+
+    def run(self, points, grid, recorder, disk_dir):
+        service = EvaluationService(
+            DiskCache(disk_dir) if disk_dir is not None else None
+        )
+        config = paper_config()
+        if grid:
+            rows = service.evaluate_grid_columns(
+                config, points, recorder=recorder
+            ).views()
+        else:
+            rows = [
+                service.evaluate(config, streams, recorder=recorder)
+                for streams in points
+            ]
+        return service.stats, rows
+
+    @pytest.mark.parametrize("name", sorted(REPEATING_GRIDS))
+    @pytest.mark.parametrize("disk", [False, True], ids=["memo", "memo-disk"])
+    def test_grid_equals_per_point_loop(self, name, disk, tmp_path):
+        points = REPEATING_GRIDS[name]
+        repeats = len(points) - len(set(points))
+        assert repeats > 0
+
+        def disk_dir(side):
+            return tmp_path / side if disk else None
+
+        loop_rec, grid_rec = CountersRecorder(), CountersRecorder()
+        loop_stats, loop_rows = self.run(points, False, loop_rec, disk_dir("loop"))
+        grid_stats, grid_rows = self.run(points, True, grid_rec, disk_dir("grid"))
+        assert (loop_stats.hits, loop_stats.misses) == (repeats, len(set(points)))
+        assert grid_stats == loop_stats
+        assert grid_rec.snapshot() == loop_rec.snapshot()
+        assert len(grid_rows) == len(loop_rows)
+        for got, want in zip(grid_rows, loop_rows):
+            assert results_identical(got, want)
+
+        # Each repeat is one ``sweep.cache_hit`` event from the memo.
+        loop_trace, grid_trace = TraceRecorder(), TraceRecorder()
+        self.run(points, False, loop_trace, disk_dir("loop-trace"))
+        self.run(points, True, grid_trace, disk_dir("grid-trace"))
+
+        def events(trace):
+            return [
+                (r["name"], r["fields"]) for r in trace.records if r["type"] == "event"
+            ]
+
+        assert events(grid_trace) == events(loop_trace)
+        assert [fields["source"] for _, fields in events(grid_trace)] == ["memo"] * repeats
+
+    def test_failing_point_stops_tallies_where_the_loop_stops(self):
+        # The loop raises at the poisoned point and never reaches the
+        # repeat after it; neither does the grid's tally.
+        bad = (StreamSpec(op=Op.READ, threads=4, target_socket=9),)
+        points = [(NEAR_READ,), bad, (NEAR_READ,)]
+        loop, grid = EvaluationService(), EvaluationService()
+        with pytest.raises(TopologyError):
+            for streams in points:
+                loop.evaluate(paper_config(), streams)
+        with pytest.raises(GridPointError) as excinfo:
+            grid.evaluate_grid_columns(paper_config(), points)
+        assert excinfo.value.index == 1
+        assert grid.stats == loop.stats
+
+    def test_concurrent_grids_keep_their_own_rows(self):
+        # Threads pricing the same repeating grid on one service race on
+        # the memo: a key held by another thread's batch is that
+        # thread's, not a repeat, so each call still returns its own
+        # correct rows and the memo holds one entry per distinct point.
+        import sys
+        import threading
+
+        config = paper_config()
+        points = REPEATING_GRIDS["random_grid_11"]
+        want = EvaluationService(memoize=False).evaluate_grid_columns(config, points)
+        service = EvaluationService()
+        barrier = threading.Barrier(4)
+        outputs: list[object] = []
+        lock = threading.Lock()
+
+        def price() -> None:
+            barrier.wait()
+            for _ in range(5):
+                got = service.evaluate_grid_columns(config, points)
+                with lock:
+                    outputs.append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=price) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(outputs) == 20
+        for got in outputs:
+            assert got.views() == want.views()
+        assert len(service._memo) == len(set(points))
+
