@@ -91,8 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--backend", choices=BACKENDS, default="vector",
                      help="sweep backend: 'vector' (default) batches every "
                           "grid through the NumPy kernels in-process, "
-                          "'cluster' shards it across worker processes "
-                          "with a shared cache and work-stealing "
+                          "'cluster' shards its cache misses across "
+                          "worker processes with work-stealing "
                           "(bit-identical)")
     run.add_argument("--connect", action="append", metavar="HOST:PORT",
                      default=None,

@@ -10,7 +10,7 @@ read/write experiments are lists of streams evaluated together.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.errors import WorkloadError
 from repro.memsim.address import DaxMode
@@ -90,6 +90,15 @@ class StreamSpec:
                 "StreamSpec models byte-addressable memory; use "
                 "repro.memsim.ssd for block-device bandwidth"
             )
+        # Hashed once, as MachineConfig is: every cache lookup hashes its
+        # request's streams, and hashing fourteen fields (seven of them
+        # enums) per lookup dominated the cost of a request key.
+        object.__setattr__(self, "_cached_hash", hash(tuple(
+            getattr(self, spec_field.name) for spec_field in fields(self)
+        )))
+
+    def __hash__(self) -> int:
+        return self._cached_hash  # type: ignore[attr-defined]
 
     @property
     def far(self) -> bool:

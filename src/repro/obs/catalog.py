@@ -122,8 +122,6 @@ CATALOG: tuple[CounterSpec, ...] = (
     CounterSpec("cluster.chunks.stolen_count", "count", "chunks re-formed from stolen work"),
     CounterSpec("cluster.chunks.requeued_count", "count", "chunks requeued from dead workers"),
     CounterSpec("cluster.heartbeats_count", "count", "worker heartbeat frames received"),
-    CounterSpec("cluster.shared_cache.hits_count", "count", "points served by the coordinator's shared cache"),
-    CounterSpec("cluster.shared_cache.misses_count", "count", "shared-cache lookups that missed"),
     CounterSpec("cluster.worker.wall_seconds", "seconds", "wall time per worker result frame"),
     # -- serving layer (repro.serve) -------------------------------------
     CounterSpec("serve.requests_count", "count", "request frames dispatched"),

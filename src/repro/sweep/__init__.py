@@ -8,10 +8,10 @@ Layering (see DESIGN.md §4):
   an optional on-disk cache (:class:`~repro.sweep.cache.DiskCache`);
 * :class:`SweepRunner` evaluates whole grids into one column batch,
   either in-process through the service's batched kernel path
-  (``backend="vector"``, the default) or across a worker cluster with a
-  shared cache tier and work-stealing (``backend="cluster"``,
-  :mod:`repro.sweep.cluster`) — bit-identical either way, rows in grid
-  order.
+  (``backend="vector"``, the default) or by shipping the service's
+  cache misses to a worker cluster with work-stealing
+  (``backend="cluster"``, :mod:`repro.sweep.cluster`) — bit-identical
+  either way, rows and cache tallies alike, rows in grid order.
 
 Everything above this package — experiments, the SSB cost model, the
 core advisor/optimizer — evaluates bandwidth through here.

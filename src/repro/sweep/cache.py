@@ -120,9 +120,9 @@ class MemoCache:
     def setdefault(self, key: CacheKey, result: CacheValue) -> CacheValue:
         """Store ``result`` unless ``key`` is held; return what ``key`` holds.
 
-        One hash per key: a grid evaluation stores its batch with this
-        and learns, from the returned value, which of its points repeat
-        an earlier point of the same batch.
+        One hash per key: a grid stores its computed rows with this, and
+        a disk hit fills the memo with it, learning from the returned
+        value whether an earlier point already put the key there.
         """
         with self._lock:
             return self._results.setdefault(key, result)

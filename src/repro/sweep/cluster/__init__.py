@@ -1,4 +1,4 @@
-"""Sharded cluster sweep backend with a shared cache and work-stealing.
+"""Sharded cluster sweep backend with work-stealing.
 
 ``backend="cluster"`` on :class:`~repro.sweep.SweepRunner` fans a grid
 out across worker processes — spawned locally around the coordinator, or
@@ -8,11 +8,13 @@ bit-identical to the in-process ``vector`` backend. The package splits along the
 * :mod:`~repro.sweep.cluster.protocol` — newline-JSON frames (reusing
   the :mod:`repro.serve` framing) carrying the disk cache's canonical
   JSON encoding of configs, streams and column blocks (no pickling).
-* :mod:`~repro.sweep.cluster.coordinator` — sharding by content hash,
-  chunk dispatch, work-stealing, heartbeat timeouts and requeueing, and
-  the content-addressed shared cache tier.
+* :mod:`~repro.sweep.cluster.coordinator` — resolving every point
+  through the parent service's caches (the cluster's only cache),
+  sharding the misses by content hash, chunk dispatch, work-stealing,
+  heartbeat timeouts and requeueing.
 * :mod:`~repro.sweep.cluster.worker` — per-connection evaluation through
-  a worker-local :class:`~repro.sweep.service.EvaluationService`.
+  a worker-local, non-memoizing
+  :class:`~repro.sweep.service.EvaluationService`.
 * :mod:`~repro.sweep.cluster.backend` — the synchronous entry points the
   runner dispatches to.
 * :mod:`~repro.sweep.cluster.config` — :class:`ClusterOptions` and the
@@ -26,14 +28,13 @@ from repro.sweep.cluster.config import (
     parse_endpoint,
     set_default_cluster_options,
 )
-from repro.sweep.cluster.coordinator import Coordinator, SharedCache
+from repro.sweep.cluster.coordinator import Coordinator
 from repro.sweep.cluster.worker import ClusterWorker, connect_worker, serve_worker
 
 __all__ = [
     "ClusterOptions",
     "ClusterWorker",
     "Coordinator",
-    "SharedCache",
     "connect_worker",
     "default_cluster_options",
     "parse_endpoint",

@@ -65,6 +65,9 @@ async def _run_cluster(
         options=options,
         workers_hint=workers,
     )
+    if not coordinator.misses:
+        # The parent's caches answer every point: nothing to ship.
+        return await coordinator.finish()
     procs: list[multiprocessing.process.BaseProcess] = []
     if options.connect:
         await coordinator.start("127.0.0.1", 0)
@@ -112,10 +115,12 @@ def run_grid_columns(
 
     Bit-identical to per-point evaluation: the coordinator assembles
     returned column rows by global grid index, so chunking, stealing,
-    and requeueing cannot reorder or alter anything. Worker counters and
-    cache statistics fold into ``recorder``/``service.stats`` in grid
-    order, plus the ``cluster.*`` counters for the cluster mechanics
-    themselves.
+    and requeueing cannot reorder or alter anything. Points ``service``
+    already holds are answered in this process, tallied exactly as the
+    ``vector`` backend tallies them; workers are started only when some
+    point misses. Worker counters and cache statistics fold into
+    ``recorder``/``service.stats`` in grid order, plus the ``cluster.*``
+    counters for the cluster mechanics themselves.
 
     ``jobs`` (when > 1) overrides ``options.workers`` for the local
     worker count; with ``options.connect`` set, exactly those standing

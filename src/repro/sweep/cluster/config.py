@@ -21,8 +21,9 @@ __all__ = [
     "set_default_cluster_options",
 ]
 
-#: Target chunks per worker for the initial content-hash sharding: enough
-#: to balance load, few enough to amortise per-chunk framing.
+#: Target chunks per worker for the content-hash sharding of the missed
+#: points: enough to balance load, few enough to amortise per-chunk
+#: framing.
 CHUNKS_PER_WORKER = 4
 
 
@@ -50,9 +51,6 @@ class ClusterOptions:
     heartbeat_timeout_seconds: float = 30.0
     #: Seconds to wait for the first worker to join before giving up.
     join_timeout_seconds: float = 60.0
-    #: Serve points computed by any worker to every worker through the
-    #: coordinator's content-addressed shared cache tier.
-    shared_cache: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1 and not self.connect:

@@ -1,13 +1,19 @@
-"""Cluster sweep coordinator: shards, ships, steals, requeues, merges.
+"""Cluster sweep coordinator: resolves, shards, ships, steals, requeues, merges.
 
-The coordinator owns the whole sweep: it computes every point's request
-digest up front, shards the grid into chunks **by content hash** (so a
-given point — and any duplicate of it — deterministically lands in the
-same chunk regardless of worker count), ships one chunk at a time to
-each joined worker, and assembles the returned column rows **by global
-index in grid order**, which is what makes ``backend="cluster"``
-bit-identical to in-process evaluation no matter how chunks interleave, steal, or
-requeue.
+The coordinator owns the whole sweep, and it is the cluster's only
+cache. Before it shards anything it resolves every grid point through
+the parent :class:`~repro.sweep.service.EvaluationService`
+(:meth:`~repro.sweep.service.EvaluationService._lookup_grid`): memo
+hits, disk hits and — on a memoizing service — repeats of an earlier
+missed point never leave this process. Only the misses are sharded into
+chunks **by content hash** (a point's chunk depends on its request
+digest alone), shipped one chunk at a time to each joined worker, and
+assembled **by global index in grid order**, which is what makes
+``backend="cluster"`` bit-identical to in-process evaluation no matter
+how chunks interleave, steal, or requeue. The returned rows are stored
+back through the same helper the in-process grid path stores its batch
+with, so a cluster-written cache is the cache the vector path writes.
+A grid answered entirely from the parent's caches ships nothing.
 
 Straggler and fault handling:
 
@@ -23,18 +29,12 @@ Straggler and fault handling:
   its link is closed so late frames can never double-count, and its
   unfilled outstanding points are requeued for the survivors.
 
-The shared cache tier lives here too: a content-addressed map from
-request digest to ``(columns, row)``, backed by the parent service's
-:class:`~repro.sweep.cache.DiskCache` when one is configured. A point
-computed on any worker is published back (``cache_put``) and served to
-every other worker (``cache_get``), with the same digests the local
-tiers key by — which is why hit/miss accounting carries over unchanged
-(see DESIGN.md §7).
-
-Counters and cache statistics fold into the parent: per-item snapshots are buffered and merged **in grid
-order** at the end (:func:`repro.obs.merge_snapshot`), stats deltas sum
-as they arrive, and the coordinator emits the ``cluster.*`` counters for
-its own mechanics.
+Counters and cache statistics fold into the parent: the parent-side
+hits are tallied in grid order as the rows are assembled (stopping at a
+failing point, as the in-process loop stops), worker snapshots are
+merged **in grid order** at the end (:func:`repro.obs.merge_snapshot`),
+worker stats deltas (their misses) sum as they arrive, and the
+coordinator emits the ``cluster.*`` counters for its own mechanics.
 """
 
 from __future__ import annotations
@@ -49,13 +49,13 @@ from repro.errors import GridPointError, SweepError
 from repro.memsim.config import DirectoryState, MachineConfig
 from repro.memsim.kernels import ResultColumns
 from repro.obs import CountersRecorder, Recorder, merge_snapshot
-from repro.sweep.cache import DiskCache, columns_to_payload, encode, request_digest
+from repro.sweep.cache import encode, request_digest
 from repro.sweep.cluster import protocol
 from repro.sweep.cluster.config import CHUNKS_PER_WORKER, ClusterOptions
-from repro.sweep.service import EvaluationService, request_key
+from repro.sweep.service import EvaluationService
 from repro.workloads.grids import SweepPoint
 
-__all__ = ["Coordinator", "SharedCache"]
+__all__ = ["Coordinator"]
 
 
 def _rebuild_error(type_name: str, message: str) -> Exception:
@@ -86,36 +86,6 @@ def _checked_snapshot(frame: dict) -> dict | None:
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise SweepError(f"cluster frame has a malformed 'snapshot': {exc}") from exc
     return checked.snapshot()
-
-
-class SharedCache:
-    """Content-addressed shared tier: request digest -> ``(columns, row)``.
-
-    In-memory for the duration of one sweep, optionally backed by the
-    coordinator service's :class:`DiskCache` — the *same* content
-    addressing the per-worker tiers use, so a digest means the same
-    result everywhere. Disk corruption reads as a miss (``get_ref``'s
-    contract) and the recompute's ``put`` rewrites the same
-    content-addressed block, healing it.
-    """
-
-    def __init__(self, disk: DiskCache | None = None) -> None:
-        self._memory: dict[str, tuple[ResultColumns, int]] = {}
-        self._disk = disk
-
-    def get(self, digest: str) -> tuple[ResultColumns, int] | None:
-        found = self._memory.get(digest)
-        if found is not None:
-            return found
-        if self._disk is not None:
-            return self._disk.get_ref(digest)
-        return None
-
-    def put(self, digests: Sequence[str], columns: ResultColumns) -> None:
-        for row, digest in enumerate(digests):
-            self._memory.setdefault(digest, (columns, row))
-        if self._disk is not None:
-            self._disk.put_columns(list(digests), columns)
 
 
 class _Link:
@@ -176,15 +146,13 @@ class Coordinator:
         self._observing = recorder.enabled
         self._clock = clock
         self._sleep = sleep
-        self._digests = [
-            request_digest(
-                config, point.streams, request_key(config, point.streams, directory)[2]
-            )
-            for point in self._points
-        ]
-        self.shared = SharedCache(
-            service.disk_cache if self.options.shared_cache else None
+        self._lookup = service._lookup_grid(
+            config, [tuple(point.streams) for point in self._points], directory
         )
+        #: Grid indices of the points the parent's caches miss: the only
+        #: points shipped to workers.
+        self.misses = self._lookup.misses
+        self._shippable = frozenset(self.misses)
         workers = workers_hint if workers_hint is not None else self.options.workers
         self._pending: deque[list[int]] = deque(self._shard(max(1, workers)))
         self._links: dict[int, _Link] = {}
@@ -206,16 +174,21 @@ class Coordinator:
     # ------------------------------------------------------------------
 
     def _shard(self, workers: int) -> list[list[int]]:
-        """Content-hash shards: same point content -> same chunk, always.
+        """Content-hash shards of the misses: a pure function of their content.
 
-        The shard of a point is a pure function of its request digest,
-        so duplicate-content points start in one chunk. Within one work
-        item the worker's grid call answers each repeat from the earlier
-        row as a memo hit, exactly as an in-process grid would.
+        A missed point's chunk is its request digest (the one the disk
+        lookup already computed, when the parent has a disk) modulo the
+        chunk count, so it depends on the point's content and the number
+        of misses, not on where in the grid the point sits.
         """
-        n_chunks = max(1, min(len(self._points), workers * CHUNKS_PER_WORKER))
+        n_chunks = max(1, min(len(self.misses), workers * CHUNKS_PER_WORKER))
         shards: list[list[int]] = [[] for _ in range(n_chunks)]
-        for index, digest in enumerate(self._digests):
+        keys, digests = self._lookup.keys, self._lookup.digests
+        for index in self.misses:
+            digest = digests.get(index)
+            if digest is None:
+                config, streams, normalized = keys[index]
+                digest = request_digest(config, streams, normalized)
             shards[int(digest[:8], 16) % n_chunks].append(index)
         return [shard for shard in shards if shard]
 
@@ -262,7 +235,7 @@ class Coordinator:
 
     async def finish(self) -> tuple[list[str], ResultColumns]:
         """Wait for the sweep, tear down, and assemble in grid order."""
-        if not self._points:
+        if not self.misses:
             self._finished.set()
         await self._finished.wait()
         if self._monitor_task is not None:
@@ -286,26 +259,36 @@ class Coordinator:
         if self._observing:
             for _, snapshot in sorted(self._snapshots, key=lambda item: item[0]):
                 merge_snapshot(self._recorder, snapshot)
+        stop = self._failure[0] if self._failure is not None else len(self._points)
+        out = self._assemble(stop)
         if self._failure is not None:
             index, original, label, grid = self._failure
             raise GridPointError(
-                index, original, label=label, grid=grid,
-                partial=self._prefix(stop=index),
+                index, original, label=label, grid=grid, partial=out
             ) from original
-        out = ResultColumns()
-        for index in range(len(self._points)):
-            columns, row = self._filled[index]
-            out.append_from(columns, row)
+        if self._observing:
+            self._recorder.incr("sweep.points_count", len(self._points))
         return [point.label for point in self._points], out
 
-    def _prefix(self, stop: int) -> ResultColumns:
-        """The contiguous completed grid prefix, capped at ``stop``."""
+    def _assemble(self, stop: int) -> ResultColumns:
+        """The contiguous completed grid prefix, capped at ``stop``.
+
+        Walks the grid in order as the in-process grid loop does: the
+        parent's hits are tallied as they are reached, and the computed
+        rows reached are stored back into the parent's caches. A missed
+        point no worker answered (only after a failure) ends the walk.
+        """
         out = ResultColumns()
+        stored: list[int] = []
         for index in range(stop):
+            if self._lookup.append_hit(index, out, self._directory, self._recorder):
+                continue
             ref = self._filled.get(index)
             if ref is None:
                 break
             out.append_from(ref[0], ref[1])
+            stored.append(index)
+        self._lookup.store(stored, (self._filled[index] for index in stored))
         return out
 
     # ------------------------------------------------------------------
@@ -333,7 +316,6 @@ class Coordinator:
                 "directory": sorted(self._directory.warm_pairs),
                 "grid": self._grid_name,
                 "observing": self._observing,
-                "shared_cache": self.options.shared_cache,
                 "points_per_item": self.options.points_per_item,
                 "heartbeat_seconds": self.options.heartbeat_seconds,
             })
@@ -364,21 +346,13 @@ class Coordinator:
             await self._on_stolen(link, frame)
         elif kind == "failed":
             self._on_failed(frame)
-        elif kind == "cache_get":
-            await self._answer_cache_get(link, frame)
-        elif kind == "cache_put":
-            digests = protocol.digests(frame)
-            columns = protocol.field(frame, "columns", ResultColumns)
-            if len(digests) != len(columns):
-                raise SweepError("cluster cache_put rows do not match its digests")
-            self.shared.put(digests, columns)
         else:
             raise SweepError(f"coordinator got unknown frame kind {kind!r}")
 
     def _indices(self, frame: dict, name: str) -> list[int]:
-        """Global point indices from ``frame[name]``, each in range."""
+        """Global point indices from ``frame[name]``, each a shipped miss."""
         indices = list(protocol.field(frame, name, tuple[int, ...]))
-        if not all(0 <= index < len(self._points) for index in indices):
+        if not self._shippable.issuperset(indices):
             raise SweepError(f"cluster frame {name!r} names an unknown point")
         return indices
 
@@ -408,7 +382,7 @@ class Coordinator:
         self._service.stats.disk_hits += disk_hits
         if self._observing:
             self._recorder.observe("cluster.worker.wall_seconds", wall)
-        if len(self._filled) == len(self._points):
+        if len(self._filled) == len(self.misses):
             self._finished.set()
 
     def _on_failed(self, frame: dict) -> None:
@@ -417,7 +391,7 @@ class Coordinator:
         if len(partial_indices) != len(partial):
             raise SweepError("cluster failed-frame partial rows do not match")
         index = protocol.field(frame, "index", int)
-        if index not in range(len(self._points)):
+        if index not in self._shippable:
             raise SweepError("cluster failed frame names an unknown point")
         original = _rebuild_error(
             protocol.field(frame, "error_type", str),
@@ -445,7 +419,6 @@ class Coordinator:
             "kind": "chunk",
             "chunk": chunk,
             "indices": indices,
-            "digests": [self._digests[i] for i in indices],
             "labels": [self._points[i].label for i in indices],
             "streams": [
                 [encode(spec) for spec in self._points[i].streams] for i in indices
@@ -516,23 +489,6 @@ class Coordinator:
             if link.alive and not link.outstanding:
                 return link
         return None
-
-    async def _answer_cache_get(self, link: _Link, frame: dict) -> None:
-        req = protocol.field(frame, "req", int)
-        digests = protocol.digests(frame)
-        found: list[str] = []
-        rows = ResultColumns()
-        for digest in digests:
-            ref = self.shared.get(digest)
-            if ref is not None:
-                found.append(digest)
-                rows.append_from(ref[0], ref[1])
-        await protocol.send_frame(link.writer, {
-            "kind": "cache_found",
-            "req": req,
-            "digests": found,
-            "columns": columns_to_payload(rows),
-        })
 
     # ------------------------------------------------------------------
     # death and requeue

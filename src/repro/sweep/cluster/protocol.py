@@ -30,18 +30,14 @@ coordinator -> worker:
 
 ``hello``
     Session start: protocol string, the encoded ``config``, the
-    ``directory`` warm pairs, grid name, ``observing`` flag, gather
-    knobs (``points_per_item``, ``heartbeat_seconds``), and whether the
-    shared cache tier is on.
+    ``directory`` warm pairs, grid name, ``observing`` flag, and gather
+    knobs (``points_per_item``, ``heartbeat_seconds``).
 ``chunk``
-    One shard of grid points: ``chunk`` id, global ``indices``, request
-    ``digests`` (cache keys, precomputed by the coordinator), point
-    ``labels`` and each point's encoded ``streams``.
+    One shard of the points the coordinator's caches missed: ``chunk``
+    id, global ``indices``, point ``labels`` and each point's encoded
+    ``streams``.
 ``steal``
     Ask the worker to relinquish about half of its queued points.
-``cache_found``
-    Answer to ``cache_get``: the found ``digests`` and a ``columns``
-    block holding one row per found digest, in that order.
 ``bye``
     Session end; the worker drains nothing further and disconnects.
 
@@ -64,16 +60,15 @@ worker -> coordinator:
     original exception's class name (``error_type``) and message
     (``error``), and the item's completed-prefix ``partial`` columns
     block with its ``partial_indices``.
-``cache_get``
-    Shared-tier lookup: request ``req`` id and the ``digests`` to probe.
-``cache_put``
-    Publish computed rows: ``digests`` plus a ``columns`` block.
+
+No frame carries a cache lookup: the coordinator answers every point
+its caches hold before it ships anything, and stores the returned rows
+itself.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from typing import Mapping
 
 import asyncio
@@ -86,7 +81,6 @@ from repro.sweep.cache import decode
 __all__ = [
     "CLUSTER_PROTOCOL",
     "MAX_FRAME_BYTES",
-    "digests",
     "dump_line",
     "field",
     "read_frame",
@@ -94,16 +88,12 @@ __all__ = [
 ]
 
 #: Protocol identifier carried by ``hello`` and ``join`` frames.
-CLUSTER_PROTOCOL = "repro.sweep.cluster/2"
+CLUSTER_PROTOCOL = "repro.sweep.cluster/3"
 
 #: Stream limit for every cluster connection: bounds ``readline`` so a
 #: broken or hostile peer cannot grow an unbounded buffer. Large enough
 #: for a chunk of hundreds of encoded points.
 MAX_FRAME_BYTES = 8 * units.MIB
-
-#: A request digest: SHA-256 hex. Digests name cache files, so a peer
-#: must not be able to smuggle a path through one.
-_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
 def field(frame: Mapping[str, object], name: str, hint: object) -> object:
@@ -120,15 +110,6 @@ def field(frame: Mapping[str, object], name: str, hint: object) -> object:
         raise SweepError(
             f"cluster {frame.get('kind')!r} frame has a bad {name!r}: {exc}"
         ) from exc
-
-
-def digests(frame: Mapping[str, object]) -> list[str]:
-    """The frame's ``digests``, each a SHA-256 hex digest."""
-    found = list(field(frame, "digests", tuple[str, ...]))
-    for digest in found:
-        if not _DIGEST.fullmatch(digest):
-            raise SweepError(f"cluster frame carries a bad digest {digest!r:.80}")
-    return found
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Mapping[str, object] | None:

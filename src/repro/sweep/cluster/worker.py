@@ -3,12 +3,13 @@
 One :class:`ClusterWorker` serves one coordinator session over one
 connection. The session is fully coordinator-driven: the worker joins,
 receives a ``hello`` pinning the machine config and directory state,
-then evaluates ``chunk`` frames through its own memoizing
-:class:`~repro.sweep.service.EvaluationService`, so all the
-determinism and accounting arguments of the in-process service carry
-over unchanged.
+then evaluates ``chunk`` frames through its own
+:class:`~repro.sweep.service.EvaluationService`. A worker is plain
+compute: the coordinator has already answered every point its own
+caches hold, so the worker's service does not memoize, and it has a
+disk only when a standing ``repro worker --cache-dir`` gives it one.
 
-Three design points keep the worker responsive and the results exact:
+Two design points keep the worker responsive and the results exact:
 
 * **Items, not chunks, are the unit of execution.** A received chunk is
   split into small *items* (``points_per_item`` points) on a deque; the
@@ -18,14 +19,6 @@ Three design points keep the worker responsive and the results exact:
   queued items are popped off the *tail* of the deque and relinquished,
   so no point is ever evaluated twice (revoke-style stealing, no
   speculative duplication).
-* **Shared-cache pre-pass.** Before evaluating an item, the worker asks
-  the coordinator for any point it cannot answer locally
-  (:meth:`EvaluationService.contains` peeks without touching stats).
-  Found rows are seeded into the memo (:meth:`EvaluationService.seed`)
-  and counted as disk hits — a shared-tier hit is a remote disk hit —
-  after which the normal grid evaluation memo-hits them, so the
-  ``sweep.cache.*`` tallies carry over exactly as if the point had been
-  served from a local cache tier.
 * **Per-item accounting.** Each item gets a fresh
   :class:`~repro.obs.CountersRecorder` and a cache-stats delta, shipped
   with the item's ``result`` frame; the coordinator merges snapshots in
@@ -66,7 +59,6 @@ class _Item:
 
     chunk: int
     indices: list[int]
-    digests: list[str]
     labels: list[str]
     streams: list[tuple[StreamSpec, ...]]
 
@@ -79,7 +71,6 @@ class _Session:
     directory: DirectoryState
     grid_name: str
     observing: bool
-    shared_cache: bool
     points_per_item: int
     heartbeat_seconds: float
 
@@ -92,8 +83,8 @@ class ClusterWorker:
     reader, writer:
         The connection (created with an explicit ``limit``).
     service:
-        Evaluation service to route points through; a fresh memoizing
-        one (optionally disk-backed via ``cache_dir``) by default.
+        Evaluation service to route points through; by default a fresh
+        non-memoizing one, disk-backed when ``cache_dir`` is given.
     clock, sleep:
         Injectable time source and async sleep — the fault tests drive
         both with a fake clock.
@@ -122,7 +113,7 @@ class ClusterWorker:
     ) -> None:
         if service is None:
             disk = DiskCache(cache_dir) if cache_dir is not None else None
-            service = EvaluationService(disk_cache=disk)
+            service = EvaluationService(disk_cache=disk, memoize=False)
         self.service = service
         self._reader = reader
         self._writer = writer
@@ -135,8 +126,6 @@ class ClusterWorker:
         self._work_ready = asyncio.Event()
         self._done = asyncio.Event()
         self._session: _Session | None = None
-        self._cache_replies: dict[int, asyncio.Future] = {}
-        self._next_req = 0
         self._items_completed = 0
         self._crashed = False
 
@@ -164,7 +153,6 @@ class ClusterWorker:
             ),
             grid_name=protocol.field(hello, "grid", str),
             observing=protocol.field(hello, "observing", bool),
-            shared_cache=protocol.field(hello, "shared_cache", bool),
             points_per_item=protocol.field(hello, "points_per_item", int),
             heartbeat_seconds=protocol.field(hello, "heartbeat_seconds", float),
         )
@@ -204,27 +192,17 @@ class ClusterWorker:
                 self._enqueue_chunk(frame, session)
             elif kind == "steal":
                 await self._answer_steal(frame)
-            elif kind == "cache_found":
-                req = protocol.field(frame, "req", int)
-                found = protocol.digests(frame)
-                columns = protocol.field(frame, "columns", ResultColumns)
-                if len(found) != len(columns):
-                    raise SweepError("cluster cache_found rows do not match digests")
-                future = self._cache_replies.pop(req, None)
-                if future is not None and not future.done():
-                    future.set_result((found, columns))
             else:
                 raise SweepError(f"cluster worker got unknown frame kind {kind!r}")
 
     def _enqueue_chunk(self, frame: Mapping[str, object], session: _Session) -> None:
         chunk = protocol.field(frame, "chunk", int)
         indices = list(protocol.field(frame, "indices", tuple[int, ...]))
-        digests = protocol.digests(frame)
         labels = list(protocol.field(frame, "labels", tuple[str, ...]))
         streams = list(
             protocol.field(frame, "streams", tuple[tuple[StreamSpec, ...], ...])
         )
-        if not len(indices) == len(digests) == len(labels) == len(streams):
+        if not len(indices) == len(labels) == len(streams):
             raise SweepError("cluster chunk columns differ in length")
         if not all(streams):
             raise SweepError("cluster chunk holds a point with no streams")
@@ -232,7 +210,7 @@ class ClusterWorker:
         for lo in range(0, len(indices), step):
             hi = lo + step
             self._queue.append(_Item(
-                chunk, indices[lo:hi], digests[lo:hi], labels[lo:hi], streams[lo:hi]
+                chunk, indices[lo:hi], labels[lo:hi], streams[lo:hi]
             ))
         self._work_ready.set()
 
@@ -289,7 +267,7 @@ class ClusterWorker:
                 self._writer.transport.abort()
                 self._done.set()
                 return
-            # Yield so steal/cache frames interleave between items.
+            # Yield so steal frames interleave between items.
             await asyncio.sleep(0)
 
     async def _run_item(self, item: _Item, session: _Session) -> None:
@@ -298,8 +276,6 @@ class ClusterWorker:
         stats = self.service.stats
         hits0, misses0, disk0 = stats.hits, stats.misses, stats.disk_hits
         started = time.perf_counter()
-        if session.shared_cache:
-            await self._shared_prepass(item, session, sink)
         try:
             columns = self.service.evaluate_grid_columns(
                 session.config,
@@ -331,17 +307,7 @@ class ClusterWorker:
             )
             return
         wall = time.perf_counter() - started
-        if session.shared_cache:
-            await protocol.send_frame(
-                self._writer,
-                {
-                    "kind": "cache_put",
-                    "digests": item.digests,
-                    "columns": columns_to_payload(columns),
-                },
-            )
         if rec is not None:
-            rec.incr("sweep.points_count", len(item.indices))
             rec.observe("sweep.batch.wall_seconds", wall)
         delta = (stats.hits - hits0, stats.misses - misses0, stats.disk_hits - disk0)
         await protocol.send_frame(
@@ -356,47 +322,6 @@ class ClusterWorker:
                 "wall": wall,
             },
         )
-
-    async def _shared_prepass(
-        self, item: _Item, session: _Session, rec: Recorder
-    ) -> None:
-        """Fetch locally-unanswerable points from the coordinator's tier.
-
-        A found row is seeded into the memo and counted as a disk hit
-        (the shared tier *is* a remote disk): the subsequent grid
-        evaluation then memo-hits it, producing exactly the
-        ``sweep.cache.hits_count`` + ``disk_hits_count`` pair a local
-        warm disk cache would have produced — the accounting carries
-        over across tiers because the keys do.
-        """
-        missing: dict[str, tuple[StreamSpec, ...]] = {}
-        for streams, digest in zip(item.streams, item.digests):
-            if not self.service.contains(session.config, streams, session.directory):
-                missing[digest] = streams
-        if not missing:
-            return
-        self._next_req += 1
-        req = self._next_req
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._cache_replies[req] = future
-        await protocol.send_frame(
-            self._writer,
-            {"kind": "cache_get", "req": req, "digests": list(missing)},
-        )
-        found, columns = await future
-        for row, digest in enumerate(found):
-            streams = missing.pop(digest, None)
-            if streams is None:  # not asked for (or repeated): nothing to seed
-                continue
-            self.service.seed(
-                session.config, streams, columns, row, session.directory
-            )
-            self.service.stats.disk_hits += 1
-            if rec.enabled:
-                rec.incr("sweep.cache.disk_hits_count")
-                rec.incr("cluster.shared_cache.hits_count")
-        if rec.enabled and missing:
-            rec.incr("cluster.shared_cache.misses_count", len(missing))
 
 
 async def connect_worker(

@@ -15,12 +15,12 @@ Two backends:
   which computes cache-missing points in one batched NumPy pass
   (:mod:`repro.memsim.kernels`), in this process.
 * ``"cluster"`` — a :mod:`repro.sweep.cluster` coordinator/worker
-  cluster: grid points are sharded by content hash across worker
-  processes (``jobs`` of them spawned locally, or remote ``repro
-  worker`` peers), with a content-addressed shared cache tier above each
-  worker's local tiers, work-stealing for stragglers, and
-  heartbeat-timeout requeueing for dead workers. Rows are assembled by
-  global grid index.
+  cluster: the coordinator answers every point the service's caches
+  hold, exactly as the vector backend does, and shards only the misses
+  by content hash across worker processes (``jobs`` of them spawned
+  locally, or remote ``repro worker`` peers), with work-stealing for
+  stragglers and heartbeat-timeout requeueing for dead workers. Rows
+  are assembled by global grid index.
 
 ``jobs`` is the cluster's local worker count only; the vector backend
 runs on one core, so ``jobs > 1`` without ``backend="cluster"`` raises

@@ -16,12 +16,21 @@ restricted to those pairs before keying. All near-only sweeps therefore
 share one entry regardless of the caller's directory state, while the
 full input state still determines the returned
 :attr:`~repro.memsim.evaluation.BandwidthResult.directory_after`.
+
+One cache story for every grid: :meth:`EvaluationService.evaluate_grid_columns`
+and the cluster coordinator (:mod:`repro.sweep.cluster.coordinator`)
+both resolve a grid through :meth:`EvaluationService._lookup_grid`,
+tally its hits as they walk the grid in order
+(:meth:`GridLookup.append_hit`), and store the rows they computed — in
+process or on workers — through one helper
+(:meth:`GridLookup.store`), so either backend leaves the same cache
+behind and reports the same hit/miss tallies.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import GridPointError
 from repro.memsim import evaluation
@@ -75,8 +84,9 @@ class EvaluationService:
         misses and populated on computes, making results reusable across
         processes.
     memoize:
-        Keep results in memory (default). Disabling is only useful for
-        measuring the uncached baseline in benchmarks.
+        Keep results in memory (default). Disabled for measuring the
+        uncached baseline in benchmarks, and in cluster workers, whose
+        coordinator has already answered every point its caches hold.
     """
 
     def __init__(
@@ -88,16 +98,6 @@ class EvaluationService:
         self._memo = MemoCache() if memoize else None
         self._disk = disk_cache
         self.stats = CacheStats()
-
-    @property
-    def disk_cache(self) -> DiskCache | None:
-        """The backing :class:`DiskCache`, if any.
-
-        Exposed so the cluster coordinator can back its shared cache
-        tier with the same directory (the disk format is atomic-write,
-        so concurrent readers and writers are safe).
-        """
-        return self._disk
 
     def evaluate(
         self,
@@ -140,49 +140,6 @@ class EvaluationService:
             self._disk.put(digest, result)
         return self._deliver(result, streams, state)
 
-    def contains(
-        self,
-        config: MachineConfig,
-        streams: "list[StreamSpec] | tuple[StreamSpec, ...]",
-        directory: DirectoryState | None = None,
-    ) -> bool:
-        """Whether this request is already answerable from a local cache.
-
-        A silent peek: neither :attr:`stats` nor any recorder is touched,
-        so a cache *tier above this service* (the cluster backend's
-        shared cache) can decide which points to fetch remotely without
-        perturbing the hit/miss accounting the real lookups produce.
-        """
-        streams = tuple(streams)
-        key = request_key(config, streams, directory)
-        if self._memo is not None and self._memo.get(key) is not None:
-            return True
-        if self._disk is not None:
-            digest = request_digest(config, streams, key[2])
-            return self._disk.get_ref(digest) is not None
-        return False
-
-    def seed(
-        self,
-        config: MachineConfig,
-        streams: "list[StreamSpec] | tuple[StreamSpec, ...]",
-        columns: "ResultColumns",
-        row: int,
-        directory: DirectoryState | None = None,
-    ) -> None:
-        """Install row ``row`` of ``columns`` as this request's memo entry.
-
-        Used by the cluster backend to pre-load results another worker
-        computed: the subsequent :meth:`evaluate` /
-        :meth:`evaluate_grid_columns` lookup then counts a normal memo
-        hit, which is exactly how shared-tier accounting "carries over"
-        into ``sweep.cache.*``. Seeding itself is silent (no stats).
-        """
-        if self._memo is None:
-            return
-        key = request_key(config, tuple(streams), directory)
-        self._memo.put(key, (columns, row))
-
     def evaluate_grid_columns(
         self,
         config: MachineConfig,
@@ -211,13 +168,15 @@ class EvaluationService:
         included, so a grid primed through this method services
         per-point calls (and vice versa) without recomputation.
 
-        A point repeating an earlier point of the same call behaves as
-        it would in that loop: it takes the earlier row and counts a
-        memo hit (with its ``sweep.cache_hit`` event) instead of a miss,
-        and replays no evaluation probes. Repeats are found where the
-        batch is stored: a key the memo already holds for *this* batch
-        at an earlier row. A service built with ``memoize=False`` counts
-        every repeat as a miss.
+        The caches are searched first without tallying anything
+        (:meth:`_lookup_grid`); hits are then tallied, and computed rows
+        stored, only as the output loop reaches them, so a failing point
+        stops both exactly where the per-point loop stops. A point
+        repeating an earlier missed point of the same call takes the
+        earlier row and counts a memo hit (with its ``sweep.cache_hit``
+        event) instead of a miss, and replays no evaluation probes. A
+        service built with ``memoize=False`` counts every repeat as a
+        miss.
 
         No per-point result object is materialized anywhere on this
         path: cache hits and batch computes alike move between the
@@ -256,51 +215,21 @@ class EvaluationService:
             # A config the core rejects fails every point; blame the first.
             raise fail(0, exc, ResultColumns()) from exc
 
-        # Each point is keyed under the directory restricted to *its*
-        # observable far-read pairs, exactly as :meth:`evaluate` keys it;
-        # points sharing a pair set share the restricted state object.
-        # Cache hits are held as (columns, row) references — or plain
-        # results when the per-point path stored them — until the output
-        # assembly loop copies their rows out.
-        restricted: dict[frozenset, DirectoryState] = {}
-
-        def normalized_for(streams: tuple[StreamSpec, ...]) -> DirectoryState:
-            pairs = observable_pairs(streams)
-            norm = restricted.get(pairs)
-            if norm is None:
-                norm = state.restrict(pairs)
-                restricted[pairs] = norm
-            return norm
-
-        stored: dict[int, CacheValue] = {}
-        fallback: dict[int, str] = {}
-        batch_points: list[tuple[StreamSpec, ...]] = []
-        batch_keys: list[RequestKey] = []
-        batch_digests: list[str | None] = []
-        for i, streams in enumerate(normalized_points):
-            reason = classify_point(ctx, streams)
-            if reason is not None:
-                fallback[i] = reason
-                continue
-            key = (config, streams, normalized_for(streams))
-            hit, digest = self._lookup(key, rec)
-            if hit is not None:
-                stored[i] = hit
-                continue
-            batch_points.append(streams)
-            batch_keys.append(key)
-            batch_digests.append(digest)
-
+        reasons = [classify_point(ctx, streams) for streams in normalized_points]
+        lookup = self._lookup_grid(config, normalized_points, state)
+        batch = [i for i in lookup.misses if reasons[i] is None]
         computed: "ResultColumns | None" = None
         emit = None
-        if batch_points:
+        if batch:
             try:
                 # Computed against the caller's *full* state: a point can
                 # only observe the warmth of its own far-read pairs, which
                 # the restricted key state preserves by construction, so
                 # the rows (and their ``directory_after``) are exactly
                 # what per-point evaluation against ``state`` produces.
-                computed, emit = evaluate_points_columns(ctx, batch_points, state)
+                computed, emit = evaluate_points_columns(
+                    ctx, [normalized_points[i] for i in batch], state
+                )
             except Exception:
                 # The batch kernel failed wholesale. The loop below
                 # re-runs the misses through the scalar path, which
@@ -309,41 +238,9 @@ class EvaluationService:
                 # tallied yet, so the scalar calls' own hit/miss
                 # accounting stays exact.
                 computed = None
-        stored_afters: list[DirectoryState] = []
-        # Batch row -> the earlier batch row it repeats.
-        repeats: dict[int, int] = {}
-        if computed is not None:
-            # Stored entries must be byte-identical to what the per-point
-            # path stores: results computed against the point's
-            # *normalized* state, so their ``directory_after`` is the
-            # normalized state plus the point's own far traversals.
-            stored_afters = [_rebased(key[2], key[1]) for key in batch_keys]
-            if self._memo is not None or self._disk is not None:
-                stored_batch = ResultColumns()
-                for pos, after in enumerate(stored_afters):
-                    stored_batch.append_from(computed, pos, directory_after=after)
-                if self._memo is not None:
-                    # A key already holding *this* batch at an earlier row
-                    # repeats that row: the per-point loop would have found
-                    # it in the memo.
-                    for pos, key in enumerate(batch_keys):
-                        entry = (stored_batch, pos)
-                        held = self._memo.setdefault(key, entry)
-                        if held is not entry and type(held) is tuple and held[0] is stored_batch:
-                            repeats[pos] = held[1]
-                if self._disk is not None:
-                    # One block write for the whole batch — the entries the
-                    # per-point path would have written, fused.
-                    self._disk.put_columns(
-                        [digest for digest in batch_digests if digest is not None],
-                        stored_batch,
-                    )
-            misses = len(batch_points) - len(repeats)
-            self.stats.misses += misses
-            if rec.enabled:
-                rec.incr("sweep.cache.misses_count", misses)
+                batch = []
 
-        # Batched points are emitted — and fallback points evaluated — in
+        # Points are delivered — and fallback points evaluated — in
         # ``points`` order: float addition is order-sensitive at the last
         # ulp, so recorder counters must accumulate exactly as the
         # per-point path would. The output batch is assembled fresh (rows
@@ -353,70 +250,134 @@ class EvaluationService:
         if emitting:
             from repro.obs import probes
         out = ResultColumns()
+        # Batch rows delivered so far: the misses to tally and store.
         pos = 0
-        for i, streams in enumerate(normalized_points):
-            hit = stored.get(i)
-            if hit is not None:
-                # Rebase the stored (normalized-state) row onto the
-                # caller's state, exactly as :meth:`_deliver` does.
-                after = _rebased(state, streams)
-                if type(hit) is tuple:
-                    columns, row = hit
-                    out.append_from(columns, row, directory_after=after)
-                else:
-                    out.append_result(hit, directory_after=after)
-                continue
-            reason = fallback.get(i)
-            if reason is None:
-                if computed is not None:
-                    earlier = repeats.get(pos)
-                    if earlier is not None:
-                        self._count_hit(rec, "memo", len(streams))
-                    elif emitting and emit is not None:
+        try:
+            for i, streams in enumerate(normalized_points):
+                reason = reasons[i]
+                if emitting and reason is not None:
+                    probes.emit_vector_fallback(rec, reason)
+                if lookup.append_hit(i, out, state, rec):
+                    continue
+                if pos < len(batch) and batch[pos] == i:
+                    if emitting and emit is not None:
                         # Probes replay against the normalized states the
                         # per-point path evaluates under, not the full
                         # input state the batch ran against.
-                        emit(rec, pos, before=batch_keys[pos][2], after=stored_afters[pos])
-                    out.append_from(computed, pos if earlier is None else earlier)
+                        key = lookup.keys[i]
+                        emit(rec, pos, before=key[2], after=_rebased(key[2], streams))
+                    out.append_from(computed, pos)
                     pos += 1
                     continue
-                pos += 1  # batch failed: fall through to the scalar path
-            elif emitting:
-                probes.emit_vector_fallback(rec, reason)
-            try:
-                out.append_result(
-                    self.evaluate(config, streams, state, recorder=rec)
-                )
-            except Exception as exc:
-                raise fail(i, exc, out) from exc
+                try:
+                    out.append_result(
+                        self.evaluate(config, streams, state, recorder=rec)
+                    )
+                except Exception as exc:
+                    raise fail(i, exc, out) from exc
+        finally:
+            if pos:
+                self.stats.misses += pos
+                if emitting:
+                    rec.incr("sweep.cache.misses_count", pos)
+                lookup.store(batch[:pos], ((computed, row) for row in range(pos)))
         return out
 
-    def _lookup(
-        self, key: RequestKey, rec: Recorder
-    ) -> tuple[CacheValue | None, str | None]:
-        """The entry stored for ``key`` in the memo, else on disk.
+    def _lookup_grid(
+        self,
+        config: MachineConfig,
+        points: Sequence[tuple[StreamSpec, ...]],
+        directory: DirectoryState,
+    ) -> GridLookup:
+        """What this service's caches hold for ``points``, tallying nothing.
 
-        A found entry is tallied as a hit (a disk hit is also copied
-        into the memo) and returned with no digest. On a miss of every
-        tier the entry is ``None`` and the digest is the one a computed
-        result is to be written to disk under (``None`` without a disk).
+        Each point is keyed exactly as :meth:`evaluate` keys it and
+        looked up in the memo, then on disk. On a memoizing service, a
+        point missing both whose key an earlier missed point of the grid
+        already has is a *repeat* of that point. Both grid paths start
+        here: :meth:`evaluate_grid_columns` computes the misses in
+        process, the cluster coordinator ships them to workers.
+        """
+        # Each point is keyed under the directory restricted to *its*
+        # observable far-read pairs; points sharing a pair set share the
+        # restricted state object.
+        restricted: dict[frozenset, DirectoryState] = {}
+        lookup = GridLookup(self)
+        first: dict[RequestKey, int] | None = {} if self._memo is not None else None
+        for i, streams in enumerate(points):
+            pairs = observable_pairs(streams)
+            normalized = restricted.get(pairs)
+            if normalized is None:
+                normalized = directory.restrict(pairs)
+                restricted[pairs] = normalized
+            key = (config, streams, normalized)
+            lookup.keys.append(key)
+            entry, source, digest = self._find(key)
+            if entry is not None:
+                lookup.found[i] = (entry, source)
+                continue
+            if first is not None:
+                earlier = first.setdefault(key, i)
+                if earlier != i:
+                    lookup.repeats[i] = earlier
+                    continue
+            lookup.misses.append(i)
+            if digest is not None:
+                lookup.digests[i] = digest
+        return lookup
+
+    def _find(
+        self, key: RequestKey
+    ) -> tuple[CacheValue | None, str | None, str | None]:
+        """``(entry, source, digest)`` for ``key``, tallying nothing.
+
+        ``source`` names the tier that holds the entry (``"memo"`` or
+        ``"disk"``). On a miss of every tier the entry is ``None`` and the
+        digest is the one a computed result is to be written to disk
+        under (``None`` without a disk).
         """
         config, streams, normalized = key
         if self._memo is not None:
             cached = self._memo.get(key)
             if cached is not None:
-                self._count_hit(rec, "memo", len(streams))
-                return cached, None
+                return cached, "memo", None
         if self._disk is None:
-            return None, None
+            return None, None, None
         digest = request_digest(config, streams, normalized)
         from_disk = self._disk.get_ref(digest)
         if from_disk is None:
+            return None, None, digest
+        return from_disk, "disk", None
+
+    def _take(
+        self, key: RequestKey, entry: CacheValue, source: str, rec: Recorder
+    ) -> CacheValue:
+        """Tally the hit :meth:`_find` found; returns the entry to deliver.
+
+        A disk hit is copied into the memo. If an earlier point already
+        put the key there, the per-point path would have met it in the
+        memo, so it counts as a memo hit.
+        """
+        if source == "disk" and self._memo is not None:
+            held = self._memo.setdefault(key, entry)
+            if held is not entry:
+                entry, source = held, "memo"
+        self._count_hit(rec, source, len(key[1]))
+        return entry
+
+    def _lookup(
+        self, key: RequestKey, rec: Recorder
+    ) -> tuple[CacheValue | None, str | None]:
+        """The entry stored for ``key``, tallied as a hit, else a miss.
+
+        On a miss of every tier the entry is ``None`` and the digest is
+        the one a computed result is to be written to disk under
+        (``None`` without a disk).
+        """
+        entry, source, digest = self._find(key)
+        if entry is None:
             return None, digest
-        self._count_hit(rec, "disk", len(streams))
-        if self._memo is not None:
-            self._memo.put(key, from_disk)
-        return from_disk, None
+        return self._take(key, entry, source, rec), None
 
     def _count_hit(self, rec: Recorder, source: str, streams: int) -> None:
         """Tally one hit from ``source`` (``"memo"`` or ``"disk"``)."""
@@ -457,6 +418,89 @@ class EvaluationService:
         result.directory_after = _rebased(state, streams)
         return result
 
+
+class GridLookup:
+    """One grid resolved against a service's caches, nothing tallied yet.
+
+    Built by :meth:`EvaluationService._lookup_grid`. Point ``i`` has the
+    request key ``keys[i]`` and is either found (``found[i]`` holds the
+    entry and the tier, ``"memo"`` or ``"disk"``), a repeat of the
+    earlier missed point ``repeats[i]``, or listed in ``misses`` (grid
+    order) with the disk digest ``digests[i]`` when the service has a
+    disk. The grid's consumer — the service's own grid loop or the
+    cluster coordinator — walks the points in grid order, tallying each
+    hit with :meth:`append_hit`, and hands the computed misses to
+    :meth:`store`; a walk that stops early therefore tallies and stores
+    nothing past where it stopped.
+    """
+
+    def __init__(self, service: EvaluationService) -> None:
+        self.service = service
+        self.keys: list[RequestKey] = []
+        self.found: dict[int, tuple[CacheValue, str]] = {}
+        self.repeats: dict[int, int] = {}
+        self.misses: list[int] = []
+        self.digests: dict[int, str] = {}
+
+    def append_hit(
+        self,
+        index: int,
+        out: "ResultColumns",
+        state: DirectoryState,
+        rec: Recorder,
+    ) -> bool:
+        """Tally point ``index``'s hit and append its row to ``out``.
+
+        ``out`` holds the rows of every earlier point in grid order. A
+        found row is rebased onto ``state`` exactly as
+        :meth:`EvaluationService._deliver` rebases it; a repeat copies
+        the earlier point's row and counts a memo hit. Returns ``False``
+        (and does nothing) for a miss.
+        """
+        found = self.found.get(index)
+        if found is not None:
+            key = self.keys[index]
+            entry = self.service._take(key, found[0], found[1], rec)
+            after = _rebased(state, key[1])
+            if type(entry) is tuple:
+                out.append_from(entry[0], entry[1], directory_after=after)
+            else:
+                out.append_result(entry, directory_after=after)
+            return True
+        earlier = self.repeats.get(index)
+        if earlier is None:
+            return False
+        self.service._count_hit(rec, "memo", len(self.keys[index][1]))
+        out.append_from(out, earlier)
+        return True
+
+    def store(
+        self,
+        indices: Sequence[int],
+        rows: "Iterable[tuple[ResultColumns, int]]",
+    ) -> None:
+        """Store the computed rows of the missed points ``indices``.
+
+        ``rows`` holds one ``(columns, row)`` reference per index,
+        computed against the caller's full directory state. The stored
+        entries are what the per-point path stores: rebased onto each
+        key's normalized state, memoized with one ``setdefault`` per key,
+        and written to disk as one block.
+        """
+        memo, disk = self.service._memo, self.service._disk
+        if memo is None and disk is None:
+            return
+        from repro.memsim.kernels import ResultColumns
+
+        keys = [self.keys[i] for i in indices]
+        stored = ResultColumns()
+        for key, (columns, row) in zip(keys, rows):
+            stored.append_from(columns, row, directory_after=_rebased(key[2], key[1]))
+        if memo is not None:
+            for row, key in enumerate(keys):
+                memo.setdefault(key, (stored, row))
+        if disk is not None:
+            disk.put_columns([self.digests[i] for i in indices], stored)
 
 def _rebased(
     state: DirectoryState, streams: tuple[StreamSpec, ...]

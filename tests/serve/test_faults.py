@@ -82,6 +82,28 @@ class TestPoisonedBatch:
         assert response["error"]["code"] == "evaluation"
         assert "grid[1]" in response["error"]["message"]
 
+    def test_poisoned_first_point_counts_the_next_point_once(self, fake_clock):
+        async def scenario():
+            server, recorder = make_server(fake_clock)
+            response = await server.submit({
+                "kind": "sweep", "id": "grid",
+                "points": [POISON_STREAMS, [{"op": "read", "threads": 2}]],
+            })
+            await server.close()
+            return server, recorder, response
+
+        server, recorder, response = run_async(scenario())
+        assert not response["ok"]
+        assert "grid[0]" in response["error"]["message"]
+        # The poisoned point counts its miss; the failing grid call never
+        # reached the next point, so resuming past the failure counts that
+        # point once, as a miss, and finds nothing stored for it.
+        stats = server.service.stats
+        assert (stats.hits, stats.misses) == (0, 2)
+        counters = recorder.snapshot()["counters"]
+        assert counters["sweep.cache.misses_count"] == 2
+        assert "sweep.cache.hits_count" not in counters
+
     def test_mid_window_cancellation_spares_batch_mates(self, fake_clock):
         """An in-process caller vanishing (task cancelled) mid-window."""
         async def scenario():

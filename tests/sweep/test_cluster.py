@@ -19,12 +19,7 @@ from repro.memsim.config import DirectoryState, MachineConfig, paper_config
 from repro.memsim.kernels import ResultColumns
 from repro.obs import NULL_RECORDER, CountersRecorder
 from repro.sweep import BACKENDS, DiskCache, EvaluationService, SweepRunner
-from repro.sweep.cache import (
-    _canonical,
-    columns_to_payload,
-    encode,
-    request_digest,
-)
+from repro.sweep.cache import _canonical, columns_to_payload, encode
 from repro.sweep.cluster import ClusterOptions, parse_endpoint
 from repro.sweep.cluster import protocol
 from repro.sweep.cluster.coordinator import Coordinator, _Link, _rebuild_error
@@ -103,8 +98,6 @@ class TestProtocol:
             protocol.field(frame, "indices", tuple[int, ...])
         with pytest.raises(SweepError, match="bad 'chunk'"):
             protocol.field(frame, "chunk", int)
-        with pytest.raises(SweepError, match="bad digest"):
-            protocol.digests({"kind": "cache_get", "digests": ["../../etc/passwd"]})
 
     def test_failed_original_is_rebuilt_by_name(self):
         assert type(_rebuild_error("TopologyError", "m")) is TopologyError
@@ -167,10 +160,6 @@ class _Writer:
 
 _CONFIG = paper_config()
 _POINTS = [_point(f"p{i}", threads=i + 1, target=i % 2) for i in range(4)]
-_DIGESTS = [
-    request_digest(_CONFIG, point.streams, DirectoryState.cold())
-    for point in _POINTS
-]
 _ROWS = columns_to_payload(
     EvaluationService(memoize=False).evaluate_grid_columns(
         _CONFIG, [point.streams for point in _POINTS[:2]]
@@ -189,22 +178,18 @@ _COORDINATOR_FRAMES = [
     {"kind": "failed", "chunk": 1, "index": 2, "label": "p2", "grid": "frames",
      "error_type": "TopologyError", "error": "no such socket: 9",
      "partial_indices": [0, 1], "partial": _ROWS},
-    {"kind": "cache_get", "req": 1, "digests": _DIGESTS},
-    {"kind": "cache_put", "digests": _DIGESTS[:2], "columns": _ROWS},
 ]
 _HELLO = {
     "kind": "hello", "protocol": protocol.CLUSTER_PROTOCOL,
     "config": encode(_CONFIG), "directory": [[0, 1]], "grid": "frames",
-    "observing": True, "shared_cache": False, "points_per_item": 2,
+    "observing": True, "points_per_item": 2,
     "heartbeat_seconds": 1.0,
 }
 #: One well-formed frame of every kind a worker reads after its hello.
 _WORKER_FRAMES = [
-    {"kind": "chunk", "chunk": 1, "indices": [0, 1], "digests": _DIGESTS[:2],
-     "labels": ["p0", "p1"],
+    {"kind": "chunk", "chunk": 1, "indices": [0, 1], "labels": ["p0", "p1"],
      "streams": [[encode(s) for s in point.streams] for point in _POINTS[:2]]},
     {"kind": "steal", "req": 3},
-    {"kind": "cache_found", "req": 1, "digests": _DIGESTS[:2], "columns": _ROWS},
 ]
 
 
@@ -268,12 +253,12 @@ class TestFrameProperty:
 
 
 class TestSharding:
-    def _coordinator(self, points, workers=2):
+    def _coordinator(self, points, workers=2, service=None):
         return Coordinator(
             "shards", points,
             config=paper_config(), directory=DirectoryState.cold(),
-            service=EvaluationService(), recorder=NULL_RECORDER,
-            workers_hint=workers,
+            service=service if service is not None else EvaluationService(),
+            recorder=NULL_RECORDER, workers_hint=workers,
         )
 
     def test_shards_cover_every_index_exactly_once(self):
@@ -291,19 +276,38 @@ class TestSharding:
 
     def test_duplicate_content_points_co_locate(self):
         # Same streams, different labels: the request digest ignores the
-        # label, so both land in the same content-hash shard.
+        # label, so on a service that does not memoize (where repeats are
+        # shipped) both land in the same content-hash shard.
         points = [_point(f"p{i}", threads=i + 1) for i in range(16)]
         points.append(_point("dup-a", threads=1))
         points.append(_point("dup-b", threads=1))
 
         async def scenario():
-            coordinator = self._coordinator(points, workers=4)
+            coordinator = self._coordinator(
+                points, workers=4, service=EvaluationService(memoize=False)
+            )
             placed = {
                 i: n
                 for n, chunk in enumerate(coordinator._pending)
                 for i in chunk
             }
             assert placed[0] == placed[16] == placed[17]
+
+        run_async(scenario())
+
+    def test_only_misses_are_shipped(self):
+        # A memoizing service answers repeats and memo hits itself: only
+        # the first copy of each missed point reaches a chunk.
+        config = paper_config()
+        service = EvaluationService()
+        primed = _point("primed", threads=5)
+        service.evaluate(config, primed.streams)
+        points = [_point("p0", threads=1), primed, _point("dup", threads=1)]
+
+        async def scenario():
+            coordinator = self._coordinator(points, service=service)
+            assert coordinator.misses == [0]
+            assert [chunk for chunk in coordinator._pending] == [[0]]
 
         run_async(scenario())
 
@@ -373,15 +377,175 @@ class TestAccounting:
         _assert_identical(serial, cold)
         _assert_identical(serial, warm)
         n = len(serial)
-        # Every warm point is a shared-tier hit seeded into the worker
-        # memo: the same hits=1 + disk_hits=1 pair a local warm disk
-        # cache produces, carried across the wire.
+        # Every warm point is a disk hit of the coordinator's own service,
+        # exactly as on the vector backend: nothing reaches a worker.
         assert warm_svc.stats.disk_hits == n
         assert warm_svc.stats.hits == n
+        assert warm_svc.stats.misses == 0
         counters = warm_rec.snapshot()["counters"]
         assert counters["sweep.cache.disk_hits_count"] == n
         assert counters["sweep.cache.hits_count"] == n
-        assert counters["cluster.shared_cache.hits_count"] == n
+        assert "cluster.chunks.shipped_count" not in counters
+
+
+def _tallies(service: EvaluationService, recorder: CountersRecorder):
+    """Cache statistics, ``sweep.cache.*`` counters and hit events."""
+    snapshot = recorder.snapshot()
+    return (
+        service.stats,
+        {
+            name: value
+            for name, value in snapshot["counters"].items()
+            if name.startswith("sweep.cache.")
+        },
+        snapshot["events"].get("sweep.cache_hit", 0),
+    )
+
+
+def _repeating_grid() -> SweepGrid:
+    """Twelve distinct points, each repeated later under another label."""
+    points = [_point(f"p{i}", threads=i + 1, target=i % 2) for i in range(12)]
+    points += [_point(f"again{i}", threads=i + 1, target=i % 2) for i in range(0, 12, 2)]
+    return SweepGrid(name="repeats", points=tuple(points))
+
+
+class TestBackendParity:
+    """``cluster`` and ``vector`` agree in rows and in every cache tally.
+
+    Each scenario runs the same steps on two services, one per backend,
+    and compares the rows, the :class:`CacheStats`, the integer
+    ``sweep.cache.*`` counters and the ``sweep.cache_hit`` events.
+    """
+
+    def _run(self, backend, service, grid, recorder):
+        jobs = 2 if backend == "cluster" else 1
+        return SweepRunner(
+            service, jobs=jobs, backend=backend, recorder=recorder
+        ).run_columns(grid)
+
+    def _compare(self, steps, *, memoize=True):
+        """Apply ``steps(run, service)`` per backend; compare everything."""
+        outcomes = {}
+        for backend in ("vector", "cluster"):
+            service = EvaluationService(memoize=memoize)
+            recorder = CountersRecorder()
+
+            def run(grid, svc=service, backend=backend, recorder=recorder):
+                return self._run(backend, svc, grid, recorder)
+
+            rows = steps(run, service)
+            outcomes[backend] = (rows, _tallies(service, recorder))
+        (v_rows, v_tallies), (c_rows, c_tallies) = (
+            outcomes["vector"], outcomes["cluster"],
+        )
+        assert c_rows == v_rows
+        assert c_tallies == v_tallies
+        return v_tallies
+
+    def test_same_grid_twice_on_one_service(self):
+        grid = fig3_grid()
+        stats, counters, events = self._compare(
+            lambda run, service: [run(grid), run(grid)]
+        )
+        n = len(grid)
+        assert (stats.hits, stats.misses) == (n, n)
+        assert counters["sweep.cache.hits_count"] == events == n
+
+    def test_memo_primed_by_per_point_evaluate(self):
+        grid = fig3_grid()
+        primed = list(grid)[:10]
+
+        def steps(run, service):
+            for point in primed:
+                service.evaluate(paper_config(), point.streams)
+            return run(grid)
+
+        stats, _, _ = self._compare(steps)
+        assert (stats.hits, stats.misses) == (10, len(grid))
+
+    def test_disk_written_by_one_backend_read_by_the_other(self, tmp_path):
+        grid = fig3_grid()
+        for backend in ("vector", "cluster"):
+            service = EvaluationService(disk_cache=DiskCache(tmp_path / backend))
+            self._run(backend, service, grid, NULL_RECORDER)
+
+        def files(root):
+            return {
+                path.relative_to(root): path.read_bytes()
+                for path in sorted(root.rglob("*.json"))
+            }
+
+        # Both backends write the same blocks and index shards.
+        assert files(tmp_path / "vector") == files(tmp_path / "cluster")
+        # Each backend reads the other's directory twice on one service:
+        # the first read is all disk hits, and each disk hit fills the
+        # memo, so the second read is all memo hits.
+        outcomes = {}
+        for backend, writer in (("vector", "cluster"), ("cluster", "vector")):
+            service = EvaluationService(disk_cache=DiskCache(tmp_path / writer))
+            recorder = CountersRecorder()
+            rows = [self._run(backend, service, grid, recorder) for _ in range(2)]
+            outcomes[backend] = (rows, _tallies(service, recorder))
+        assert outcomes["cluster"] == outcomes["vector"]
+        stats = outcomes["cluster"][1][0]
+        assert (stats.hits, stats.disk_hits, stats.misses) == (2 * len(grid), len(grid), 0)
+
+    def test_repeats_under_other_labels_with_a_steal(self):
+        from tests.sweep.test_cluster_faults import _run_scenario
+
+        # Every point repeats once, later in the grid: a steal takes the
+        # tail of a straggler's queue, so repeats and their first copies
+        # would end up on different workers if repeats were shipped.
+        grid = SweepGrid(
+            name="steal",
+            points=tuple(_point(f"p{i}", threads=i + 1) for i in range(36))
+            + tuple(_point(f"again{i}", threads=i + 1) for i in range(36)),
+        )
+        options = ClusterOptions(
+            points_per_item=1,
+            heartbeat_seconds=10.0,
+            heartbeat_timeout_seconds=1e12,
+        )
+        vector_service, vector_rec = EvaluationService(), CountersRecorder()
+        want = self._run("vector", vector_service, grid, vector_rec)
+        service, recorder = EvaluationService(), CountersRecorder()
+        labels, columns, _ = run_async(_run_scenario(
+            grid, [dict(), dict(item_delay_seconds=50.0)], options,
+            recorder=recorder, service=service,
+        ))
+        assert (labels, columns) == want
+        assert recorder.snapshot()["counters"]["cluster.chunks.stolen_count"] >= 1
+        assert _tallies(service, recorder) == _tallies(vector_service, vector_rec)
+        assert (service.stats.hits, service.stats.misses) == (36, 36)
+
+    def test_repeats_on_services_that_do_not_memoize(self):
+        grid = _repeating_grid()
+        stats, counters, events = self._compare(
+            lambda run, service: run(grid), memoize=False
+        )
+        assert (stats.hits, stats.misses) == (0, len(grid))
+        assert events == 0
+
+    def test_warm_grid_ships_nothing_and_forks_no_worker(self, monkeypatch):
+        from repro.sweep.cluster import backend
+
+        grid = _repeating_grid()
+        service = EvaluationService()
+        self._run("vector", service, grid, NULL_RECORDER)
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a fully cached grid forked a worker")
+
+        monkeypatch.setattr(backend.multiprocessing, "get_context", no_fork)
+        recorder = CountersRecorder()
+        labels, columns = self._run("cluster", service, grid, recorder)
+        assert labels == [point.label for point in grid]
+        assert columns == self._run("vector", EvaluationService(), grid, NULL_RECORDER)[1]
+        counters = recorder.snapshot()["counters"]
+        assert "cluster.chunks.shipped_count" not in counters
+        assert "cluster.workers_count" not in counters
+        assert counters["sweep.cache.hits_count"] == len(grid)
+        assert counters["sweep.points_count"] == len(grid)
 
 
 class TestErrorPropagation:
@@ -440,7 +604,6 @@ class TestOptions:
     def test_defaults_validate(self):
         options = ClusterOptions()
         assert options.workers == 2
-        assert options.shared_cache is True
 
     def test_bad_workers_rejected(self):
         with pytest.raises(ConfigurationError, match="workers"):

@@ -341,18 +341,22 @@ class TestSharedCacheCorruption:
         assert blocks
         for path in blocks:
             path.write_text("not json {")
-        # Corrupt blocks must read as misses: the second run recomputes
-        # everything and republishes — healing the same content-addressed
-        # block files in place.
+        # Corrupt blocks must read as misses of the coordinator's disk
+        # lookup: the second run ships and recomputes everything, and the
+        # coordinator stores the rows back — healing the same
+        # content-addressed block files in place.
         rec2 = CountersRecorder()
         labels2, columns2, service2 = cluster_run(rec2)
         _assert_matches_serial(grid, labels2, columns2)
         assert service2.stats.misses == len(list(grid))
         assert service2.stats.disk_hits == 0
         counters = rec2.snapshot()["counters"]
-        assert counters["cluster.shared_cache.misses_count"] == len(list(grid))
-        # Healed: a third run over the same root is all shared-tier hits.
-        labels3, columns3, service3 = cluster_run()
+        assert counters["sweep.cache.misses_count"] == len(list(grid))
+        assert "sweep.cache.hits_count" not in counters
+        # Healed: a third run over the same root is all disk hits.
+        rec3 = CountersRecorder()
+        labels3, columns3, service3 = cluster_run(rec3)
         _assert_matches_serial(grid, labels3, columns3)
         assert service3.stats.disk_hits == len(list(grid))
         assert service3.stats.misses == 0
+        assert "cluster.chunks.shipped_count" not in rec3.snapshot()["counters"]

@@ -5,7 +5,13 @@ import pytest
 from repro.errors import ConfigurationError, GridPointError, TopologyError
 from repro.memsim import DirectoryState, Op, StreamSpec, paper_config
 from repro.obs import CountersRecorder, TraceRecorder
-from repro.sweep import DiskCache, EvaluationService, default_service, set_default_service
+from repro.sweep import (
+    CacheStats,
+    DiskCache,
+    EvaluationService,
+    default_service,
+    set_default_service,
+)
 from repro.sweep.cache import request_digest
 
 from tests.sweep.test_result_columns import random_grid
@@ -269,6 +275,37 @@ class TestGridRepeats:
             grid.evaluate_grid_columns(paper_config(), points)
         assert excinfo.value.index == 1
         assert grid.stats == loop.stats
+
+    @pytest.mark.parametrize(
+        "primed, want",
+        [(False, (0, 1)), (True, (0, 1))],
+        ids=["bad-then-miss", "bad-then-memo-hit"],
+    )
+    def test_no_tally_or_store_after_a_failing_point(self, primed, want):
+        # ``[bad, p]`` and ``[bad, h]`` (``h`` primed in the memo): the
+        # loop stops at ``bad``, which counts its own miss, and never
+        # reaches the point after it.
+        bad = (StreamSpec(op=Op.READ, threads=4, target_socket=9),)
+        after = (NEAR_READ,)
+        config = paper_config()
+        services = []
+        for _ in ("loop", "grid"):
+            service = EvaluationService()
+            if primed:
+                service.evaluate(config, after)
+                service.stats = CacheStats()
+            services.append(service)
+        loop, grid = services
+        with pytest.raises(TopologyError):
+            for streams in (bad, after):
+                loop.evaluate(config, streams)
+        with pytest.raises(GridPointError) as excinfo:
+            grid.evaluate_grid_columns(config, [bad, after])
+        assert excinfo.value.index == 0
+        assert (grid.stats.hits, grid.stats.misses) == want
+        assert grid.stats == loop.stats
+        # Nothing past the failure was stored either.
+        assert len(grid._memo) == len(loop._memo) == (1 if primed else 0)
 
     def test_concurrent_grids_keep_their_own_rows(self):
         # Threads pricing the same repeating grid on one service race on
