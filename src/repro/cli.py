@@ -246,7 +246,8 @@ def _cmd_run(
 ) -> int:
     import contextlib
 
-    from repro.experiments.registry import run_experiment
+    from repro.errors import ExperimentError
+    from repro.experiments.registry import get_experiment, run_experiment
     from repro.obs import CountersRecorder, using_recorder
     from repro.sweep import (
         DiskCache,
@@ -255,6 +256,13 @@ def _cmd_run(
         set_default_service,
     )
 
+    try:
+        # Every id is checked before any experiment runs.
+        for exp_id in experiment_ids:
+            get_experiment(exp_id)
+    except ExperimentError as exc:
+        print(f"run: {exc}", file=sys.stderr)
+        return 2
     recorder = CountersRecorder() if metrics else None
     scope = (
         using_recorder(recorder) if recorder is not None

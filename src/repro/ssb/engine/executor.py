@@ -9,6 +9,14 @@ Execution strategy (matching the paper's handcrafted implementation):
    dimension predicates on them;
 3. group-aggregate, materialising the (keys, measure) intermediate.
 
+That is the traffic each query records. The numpy work is leaner and
+computes the same results: a join is a semi-join
+(:func:`~repro.ssb.engine.operators.probe_dimension`) that evaluates the
+predicates and attributes once per dimension row and keeps each fact
+row by the row its key hit. Without fact filters, the first join probes
+the fact column as stored, and the measure reads only the aggregate's
+columns of the surviving rows.
+
 Profiles differ in the index implementation (Dash with packed attribute
 values vs. a chained index requiring positional gathers), the tuple
 layout, and — for the PMEM-unaware profile — per-operator position-list
@@ -18,7 +26,10 @@ like the load phase of a real deployment. Chained indexes model Hyrise's
 per-query join hash tables, so their build cost lands in every query that
 uses them. An executor still builds each index once and reuses it by
 (table, packed attributes); a reused chained index charges exactly the
-traffic of a fresh build.
+traffic of a fresh build. A Dash build for another attribute set of a
+table already built writes its values into the first build's layout
+instead of replaying the insertions, and charges the fresh build's
+traffic too.
 """
 
 from __future__ import annotations
@@ -115,8 +126,15 @@ class SsbExecutor:
         key = (join.table, _join_attrs(join) if dash else ())
         built = self._index_cache.get(key)
         if built is None:
+            like = None
+            if dash:
+                # Replay the table's layout once; later attribute sets reuse it.
+                like = next(
+                    (b for (t, _), b in self._index_cache.items() if t == join.table),
+                    None,
+                )
             built = operators.build_dimension_index(
-                self.db.table(join.table), join.dim_key, key[1], self.profile
+                self.db.table(join.table), join.dim_key, key[1], self.profile, like=like
             )
             self._index_cache[key] = built
             if dash:
@@ -144,19 +162,23 @@ class SsbExecutor:
                 fact, self._fact_columns_used(query), self.profile
             )
         )
-        candidate_mask = operators.filter_mask(fact, query.fact_filters)
-        candidates = np.nonzero(candidate_mask)[0]
-        if unaware and query.fact_filters:
-            traffic.add(operators.materialize_positions(len(candidates), "fact-filter"))
+        # Surviving fact rows; None while every row survives (no fact
+        # filter), so the first join probes the fact column as stored.
+        candidates: np.ndarray | None = None
+        if query.fact_filters:
+            candidates = np.flatnonzero(
+                operators.filter_mask(fact, query.fact_filters)
+            )
+            if unaware:
+                traffic.add(
+                    operators.materialize_positions(len(candidates), "fact-filter")
+                )
 
         # Payload columns gathered along the join pipeline.
         payload_values: dict[str, np.ndarray] = {}
 
         for position, join in enumerate(query.joins):
-            dim = self.db.table(join.table)
-            attrs = _join_attrs(join)
             join_index = self._dimension_index(join, traffic)
-
             if unaware and position > 0:
                 # Operator-at-a-time: the next join's key column is
                 # re-fetched by row id from the materialised intermediate.
@@ -167,29 +189,30 @@ class SsbExecutor:
                         join.fact_key,
                     )
                 )
-            fact_keys = fact[join.fact_key][candidates]
-            hit, attr_values, probe_records = operators.probe_dimension(
-                join_index, fact_keys, dim, attrs
+            fact_keys = fact[join.fact_key]
+            if candidates is not None:
+                fact_keys = fact_keys[candidates]
+            selection, values, probe_records = operators.probe_dimension(
+                join_index,
+                fact_keys,
+                self.db.table(join.table),
+                _join_attrs(join),
+                join.filters,
+                join.payload,
             )
             for record in probe_records:
                 traffic.add(record)
 
-            keep_mask, filter_traffic = operators.apply_attr_filters(
-                attr_values, join.filters
-            )
-            if filter_traffic is not None:
-                traffic.add(filter_traffic)
-
-            candidates = candidates[hit][keep_mask]
+            candidates = selection if candidates is None else candidates[selection]
             for name in payload_values:
-                payload_values[name] = payload_values[name][hit][keep_mask]
-            for column in join.payload:
-                payload_values[column] = attr_values[column][keep_mask]
+                payload_values[name] = payload_values[name][selection]
+            payload_values.update(values)
             if unaware:
                 traffic.add(
                     operators.materialize_positions(len(candidates), join.table)
                 )
 
+        rows = fact.n_rows if candidates is None else len(candidates)
         group_columns = []
         for column in query.group_by:
             if column not in payload_values:
@@ -203,11 +226,14 @@ class SsbExecutor:
             # The measure columns are fetched by row id at the end.
             for column in query.aggregate.fact_columns:
                 traffic.add(
-                    operators.fact_gather(
-                        len(candidates), float(fact[column].nbytes), column
-                    )
+                    operators.fact_gather(rows, float(fact[column].nbytes), column)
                 )
-        measure = query.aggregate.compute(fact.take(candidates))
+        measure = query.aggregate.compute(
+            {
+                column: fact[column] if candidates is None else fact[column][candidates]
+                for column in query.aggregate.fact_columns
+            }
+        )
         intermediate_width = 8 + 4 * len(group_columns)
         grouped, agg_traffic = operators.group_aggregate(
             group_columns, measure, intermediate_width
@@ -221,7 +247,7 @@ class SsbExecutor:
         return QueryResult(
             query=query.name,
             groups=grouped.as_dict(),
-            qualifying_rows=int(len(candidates)),
+            qualifying_rows=rows,
             traffic=traffic,
         )
 

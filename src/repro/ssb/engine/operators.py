@@ -16,6 +16,12 @@ per candidate fact row followed by a predicate on the unpacked
 attributes. The PMEM-unaware profile (Hyrise) instead stores only the
 row position and must gather dimension attributes by position — extra
 random reads — and materialises a position list between operators.
+
+The traffic records charge that per-fact-row work; the numpy work is
+done once per dimension row instead. A probe resolves each fact key to
+a dimension row, and a join's predicates and attributes depend only on
+that row, so :func:`probe_dimension` evaluates them over the dimension
+and keeps or drops each fact row with one gather (a semi-join).
 """
 
 from __future__ import annotations
@@ -125,19 +131,35 @@ def build_dimension_index(
     key_column: str,
     attrs: tuple[str, ...],
     profile: SystemProfile,
+    *,
+    like: JoinIndex | None = None,
 ) -> JoinIndex:
     """Build the per-dimension hash index over *all* rows.
 
     DASH packs the given attributes into the value (probe-then-filter
     needs no second access); CHAINED stores only the position, modeling
     an index that must be followed by positional gathers.
+
+    ``like`` is an index built earlier over the same keys, possibly with
+    other attributes. A Dash build then writes its values into that
+    index's layout instead of replaying the insertions: the result, its
+    stats and its traffic are those of a fresh build.
     """
     keys = dim[key_column].astype(np.int64)
     positions = np.arange(len(keys), dtype=np.int64)
     if profile.index_kind is IndexKind.DASH:
+        if len(keys) >= 1 << POSITION_BITS:
+            # The probe's miss sentinel takes the position after the last.
+            raise QueryError("row position exceeds the 24-bit packed range")
         values = pack_values(positions, [dim[a] for a in attrs])
-        index: DashIndex | ChainedIndex = DashIndex()
-        index.bulk_insert(keys, values, assume_unique=True)
+        layout = like.index.layout if like is not None and isinstance(
+            like.index, DashIndex
+        ) else None
+        if layout is not None and layout.holds(keys):
+            index: DashIndex | ChainedIndex = DashIndex.from_layout(layout, values)
+        else:
+            index = DashIndex()
+            index.bulk_insert(keys, values, assume_unique=True)
         write_bytes = float(index.stats.write_bytes)
         read_bytes = float(index.stats.build_read_bytes)
         access = index.stats.access_size
@@ -171,19 +193,27 @@ def probe_dimension(
     fact_keys: np.ndarray,
     dim: Table,
     needed_attrs: tuple[str, ...],
+    predicates: tuple[Predicate, ...] = (),
+    payload: tuple[str, ...] = (),
 ) -> tuple[np.ndarray, dict[str, np.ndarray], list[OperatorTraffic]]:
-    """Probe the index and produce the needed dimension attributes.
+    """Semi-join the fact keys with the dimension under the join's predicates.
 
-    Returns ``(hit_mask, {attr: values for hits}, traffic records)``.
-    With packed attributes (DASH) the probe alone suffices; otherwise the
-    attributes are gathered by row position — random reads into the
-    dimension's column storage.
+    Returns ``(selection, {payload attr: value per survivor}, traffic
+    records)``, where ``selection`` indexes the fact keys that hit a
+    dimension row satisfying every predicate. ``needed_attrs`` are the
+    attributes the join reads (predicate columns and payload). With
+    packed attributes (DASH) the probe alone delivers them; otherwise
+    they are gathered by row position — random reads into the
+    dimension's column storage. Either way they are charged per hit,
+    and the predicates per hit and predicate, though the predicates are
+    evaluated once per dimension row.
     """
     index = join_index.index
     before_probes = index.stats.probes
     before_bytes = index.stats.read_bytes
-    raw = index.bulk_probe(fact_keys.astype(np.int64), missing=-1)
-    hit = raw >= 0
+    # A miss resolves to the row after the last, which no predicate keeps.
+    sentinel = dim.n_rows
+    rows = index.bulk_probe(fact_keys, missing=sentinel)
     reads = (index.stats.read_bytes - before_bytes) / index.stats.access_size
     probe_weight = (
         CPU_HASH_PROBE if isinstance(index, DashIndex) else CPU_CHAIN_PROBE
@@ -199,54 +229,46 @@ def probe_dimension(
             region_table=join_index.table,
         )
     ]
-
-    attrs: dict[str, np.ndarray] = {}
-    hits = raw[hit]
     if join_index.packed_attrs:
-        _, unpacked = unpack_values(hits, len(join_index.packed_attrs))
-        for name, values in zip(join_index.packed_attrs, unpacked):
-            attrs[name] = values
-        missing = [a for a in needed_attrs if a not in attrs]
+        missing = [a for a in needed_attrs if a not in join_index.packed_attrs]
         if missing:
             raise QueryError(
                 f"index on {join_index.table} lacks packed attrs {missing}"
             )
-    elif needed_attrs:
-        positions = hits
-        for name in needed_attrs:
-            attrs[name] = dim[name][positions].astype(np.int64)
+        # The packed value's low bits are the row position.
+        np.bitwise_and(rows, (1 << POSITION_BITS) - 1, out=rows)
+
+    gathered = bool(needed_attrs) and not join_index.packed_attrs
+    hits = 0
+    if predicates or gathered:
+        hits = len(rows) - int(np.count_nonzero(rows == sentinel))
+    keep = np.zeros(sentinel + 1, dtype=bool)
+    keep[:sentinel] = filter_mask(dim, predicates)
+    selection = np.flatnonzero(keep[rows])
+    survivors = rows[selection]
+    values = {name: dim[name].astype(np.int64).take(survivors) for name in payload}
+
+    if gathered:
         records.append(
             OperatorTraffic(
                 name=f"gather({join_index.table})",
-                random_reads=float(len(positions) * len(needed_attrs)),
+                random_reads=float(hits * len(needed_attrs)),
                 random_read_size=64,
-                cpu_tuples=float(len(positions)),
+                cpu_tuples=float(hits),
                 cpu_weight=CPU_COMPARE,
                 random_region_bytes=float(dim.column_bytes()),
                 region_table=join_index.table,
             )
         )
-    return hit, attrs, records
-
-
-def apply_attr_filters(
-    attrs: dict[str, np.ndarray], predicates: tuple[Predicate, ...]
-) -> tuple[np.ndarray, OperatorTraffic | None]:
-    """Apply the join's dimension predicates on the fetched attributes."""
-    if not predicates:
-        return (
-            np.ones(len(next(iter(attrs.values()))) if attrs else 0, dtype=bool),
-            None,
+    if predicates:
+        records.append(
+            OperatorTraffic(
+                name="dim-filter",
+                cpu_tuples=float(hits) * len(predicates),
+                cpu_weight=CPU_COMPARE,
+            )
         )
-    mask = predicates[0].evaluate(attrs[predicates[0].column])
-    for predicate in predicates[1:]:
-        mask &= predicate.evaluate(attrs[predicate.column])
-    traffic = OperatorTraffic(
-        name="dim-filter",
-        cpu_tuples=float(len(mask)) * len(predicates),
-        cpu_weight=CPU_COMPARE,
-    )
-    return mask, traffic
+    return selection, values, records
 
 
 def fact_gather(rows: int, column_bytes: float, label: str) -> OperatorTraffic:
@@ -317,12 +339,20 @@ def group_aggregate(
         empty = GroupedResult(keys=[], sums=np.empty(0, dtype=np.int64))
         return empty, OperatorTraffic(name="aggregate", cpu_tuples=0.0)
     if group_columns:
-        stacked = np.stack([c.astype(np.int64) for c in group_columns], axis=1)
-        uniques, inverse = np.unique(stacked, axis=0, return_inverse=True)
-        sums = np.zeros(len(uniques), dtype=np.int64)
-        np.add.at(sums, inverse, measure.astype(np.int64))
+        # Sort rows by their key tuples (``lexsort`` takes the primary
+        # key last), then sum each run of equal keys.
+        columns = [c.astype(np.int64) for c in group_columns]
+        order = np.lexsort(columns[::-1])
+        columns = [column[order] for column in columns]
+        starts = np.zeros(n, dtype=bool)
+        starts[0] = True
+        for column in columns:
+            starts[1:] |= column[1:] != column[:-1]
+        first = np.flatnonzero(starts)
+        sums = np.add.reduceat(measure.astype(np.int64)[order], first)
         result = GroupedResult(
-            keys=[tuple(int(x) for x in row) for row in uniques], sums=sums
+            keys=list(zip(*(column[first].tolist() for column in columns))),
+            sums=sums,
         )
     else:
         result = GroupedResult(

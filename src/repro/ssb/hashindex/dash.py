@@ -19,6 +19,13 @@ without looping them: ``bulk_insert`` hashes every key in one vectorised
 call and replays the insertion sequence (target bucket, neighbour, stash,
 split) over plain-int fill lists before writing the segments back once.
 
+A bulk build into an empty index keeps its :class:`DashLayout`: the cell
+each record landed in, after every split. :meth:`DashIndex.from_layout`
+builds an index over the same keys with other values by writing them into
+those cells, with the same segments, directory and ``ProbeStats`` as a
+fresh ``bulk_insert`` and no replay. The layout is a function of the key
+sequence alone, so one replay serves every value set of a key set.
+
 ``bulk_probe`` relies on a probe's outcome being a fixed function of the
 built index: a stored key is found in its target bucket (one line read),
 its neighbour (two) or the stash (two plus a stash read), and a miss
@@ -48,6 +55,11 @@ BUCKETS_PER_SEGMENT: int = 64
 STASH_BUCKETS: int = 4
 
 _STASH_SLOTS: int = STASH_BUCKETS * BUCKET_SLOTS
+
+_LINE_SLOTS: int = BUCKETS_PER_SEGMENT * BUCKET_SLOTS
+
+#: Cells of one segment in a layout: its bucket slots, then its stash.
+_SEGMENT_CELLS: int = _LINE_SLOTS + _STASH_SLOTS
 
 #: Keys per ``bulk_probe`` gather round; bounds the probe's scratch memory.
 _PROBE_CHUNK: int = 32_768
@@ -197,10 +209,12 @@ class _ReplaySegment:
 class _BulkBuild:
     """Replays :meth:`DashIndex.insert` over precomputed hashes.
 
-    Records are ids into the ``keys``/``values``/``hashes`` lists; the
-    replay moves ids between plain-int fill lists exactly as the
-    single-key path moves records between segment slots, and tallies the
-    same ``build_reads``/``bucket_writes``.
+    Records are ids into the ``keys``/``hashes`` lists; the replay moves
+    ids between plain-int fill lists exactly as the single-key path moves
+    records between segment slots, and tallies the same
+    ``build_reads``/``bucket_writes``. An overwrite does not move a value:
+    it points the held record's ``sources`` entry at the overwriting
+    record, whose value the held slot then takes.
     """
 
     def __init__(
@@ -208,20 +222,18 @@ class _BulkBuild:
         global_depth: int,
         directory: list[_ReplaySegment],
         keys: list[int],
-        values: list[int],
         hashes: np.ndarray,
     ) -> None:
         self.global_depth = global_depth
         self.directory = directory
         self.keys = keys
-        self.values = values
+        self.sources: list[int] = list(range(len(keys)))
         self.hashes: list[int] = hashes.tolist()
         self.buckets: list[int] = (
             (hashes >> np.uint64(8)) % np.uint64(BUCKETS_PER_SEGMENT)
         ).tolist()
         self.build_reads = 0
         self.bucket_writes = 0
-        self.inserted = 0
 
     def slot_of(self, record: int) -> int:
         """Directory slot of a record (``_segment_index`` of its hash)."""
@@ -233,7 +245,6 @@ class _BulkBuild:
             if not assume_new and self._overwrite(record):
                 return
             if self._place(record):
-                self.inserted += 1
                 return
             self._split(self.slot_of(record))
         raise SimulationError("DashIndex: unbounded split loop")
@@ -248,13 +259,13 @@ class _BulkBuild:
             self.build_reads += 1
             for held in segment.buckets[bucket]:
                 if keys[held] == key:
-                    self.values[held] = self.values[record]
+                    self.sources[held] = record
                     self.bucket_writes += 1
                     return True
         for held in segment.stash:
             if keys[held] == key:
                 self.build_reads += 1
-                self.values[held] = self.values[record]
+                self.sources[held] = record
                 self.bucket_writes += 1
                 return True
         return False
@@ -300,6 +311,62 @@ class _BulkBuild:
     def _reinsert(self, record: int) -> None:
         while not self._place(record):
             self._split(self.slot_of(record))
+
+
+class DashLayout:
+    """Where a bulk build put each record: the replay's outcome, values aside.
+
+    ``cells`` are flat positions in a ``(segments, _SEGMENT_CELLS)`` grid
+    (a segment's bucket slots, then its stash slots), and ``records`` the
+    record whose key, fingerprint and value each cell holds. A repeated
+    key that overwrote an earlier one points that key's cell at the
+    overwriting record, so values written through ``records`` land
+    exactly where the replay put them, however keys repeat.
+    """
+
+    __slots__ = (
+        "keys",
+        "fps",
+        "cells",
+        "records",
+        "global_depth",
+        "local_depths",
+        "slot_rows",
+        "build_reads",
+        "bucket_writes",
+    )
+
+    def __init__(self, build: _BulkBuild, keys: np.ndarray, hashes: np.ndarray) -> None:
+        """Capture a finished replay of ``keys`` (hashed to ``hashes``)."""
+        replays, slot_rows = _distinct(build.directory)
+        cells: list[int] = []
+        held: list[int] = []
+        for row, replay in enumerate(replays):
+            base = row * _SEGMENT_CELLS
+            for b, bucket in enumerate(replay.buckets):
+                if bucket:
+                    first = base + b * BUCKET_SLOTS
+                    cells.extend(range(first, first + len(bucket)))
+                    held += bucket
+            if replay.stash:
+                first = base + _LINE_SLOTS
+                cells.extend(range(first, first + len(replay.stash)))
+                held += replay.stash
+        fps = (hashes & np.uint64(0xFF)).astype(np.uint8)
+        fps[fps == 0] = 1
+        self.keys = keys
+        self.fps = fps
+        self.cells = np.asarray(cells, dtype=np.intp)
+        self.records = np.asarray(build.sources, dtype=np.intp)[held]
+        self.global_depth = build.global_depth
+        self.local_depths = [replay.local_depth for replay in replays]
+        self.slot_rows = slot_rows
+        self.build_reads = build.build_reads
+        self.bucket_writes = build.bucket_writes
+
+    def holds(self, keys: np.ndarray) -> bool:
+        """Whether this layout was replayed for exactly ``keys``, in order."""
+        return np.array_equal(self.keys, keys)
 
 
 class LookupTable:
@@ -366,6 +433,28 @@ class DashIndex:
         self._size = 0
         #: Built by the first ``bulk_probe``, dropped by any insert.
         self._table: LookupTable | None = None
+        #: Kept by a ``bulk_insert`` into an empty index, dropped by any
+        #: later insert.
+        self.layout: DashLayout | None = None
+
+    @classmethod
+    def from_layout(cls, layout: DashLayout, values: np.ndarray) -> "DashIndex":
+        """The index a fresh ``bulk_insert`` of the layout's keys with ``values``
+        would build, without replaying it.
+
+        Segments, directory, depths and ``ProbeStats`` equal the fresh
+        build's; each cell takes the value of the record the layout
+        assigns it.
+        """
+        values = np.asarray(values).astype(np.int64)
+        if len(values) != len(layout.keys):
+            raise ConfigurationError("values must align with the layout's keys")
+        index = cls(initial_depth=0)
+        index._adopt(layout, values)
+        index.stats.build_reads = layout.build_reads
+        index.stats.bucket_writes = layout.bucket_writes
+        index.layout = layout
+        return index
 
     # -- hashing -------------------------------------------------------
 
@@ -413,6 +502,7 @@ class DashIndex:
         if key == _EMPTY:
             raise ConfigurationError(f"key {_EMPTY} marks empty slots")
         self._table = None
+        self.layout = None
         for _ in range(64):  # split attempts are bounded
             if self._try_insert(key, value, assume_new):
                 return
@@ -539,7 +629,8 @@ class DashIndex:
         neighbour, then stash, then a split that may double the
         directory and reinserts the old segment's records in
         ``_Segment.records`` order) is replayed over plain-int fill
-        lists, and the final segments are written back once.
+        lists, and the final segments are written back once. A build
+        into an empty index keeps its :class:`DashLayout` in ``layout``.
         """
         if len(keys) != len(values):
             raise ConfigurationError("keys and values must align")
@@ -559,16 +650,16 @@ class DashIndex:
             self.global_depth,
             [replays[row] for row in slot_rows],
             all_keys.tolist(),
-            np.concatenate((old_values, values)).tolist(),
             hashes,
         )
         for record in range(len(old_keys), len(all_keys)):
             build.insert(record, assume_unique)
 
-        self._pack(build, hashes)
+        layout = DashLayout(build, all_keys, hashes)
+        self._adopt(layout, np.concatenate((old_values, values)))
         self.stats.build_reads += build.build_reads
         self.stats.bucket_writes += build.bucket_writes
-        self._size += build.inserted
+        self.layout = layout if len(old_keys) == 0 else None
 
     @staticmethod
     def _unpack(
@@ -600,56 +691,31 @@ class DashIndex:
             ]
         return np.concatenate(out_keys), np.concatenate(out_values), replays
 
-    def _pack(self, build: _BulkBuild, hashes: np.ndarray) -> None:
-        """Write the replayed segments back as ``_Segment`` arrays."""
-        replays, slot_rows = _distinct(build.directory)
-        n_seg = len(replays)
-        line_slots = BUCKETS_PER_SEGMENT * BUCKET_SLOTS
-        rows: list[int] = []
-        cells: list[int] = []
-        ids: list[int] = []
-        stash_rows: list[int] = []
-        stash_cells: list[int] = []
-        stash_ids: list[int] = []
-        for row, replay in enumerate(replays):
-            for b, bucket in enumerate(replay.buckets):
-                if bucket:
-                    first = b * BUCKET_SLOTS
-                    rows += [row] * len(bucket)
-                    cells.extend(range(first, first + len(bucket)))
-                    ids += bucket
-            if replay.stash:
-                stash_rows += [row] * len(replay.stash)
-                stash_cells.extend(range(len(replay.stash)))
-                stash_ids += replay.stash
-        all_keys = np.asarray(build.keys, dtype=np.int64)
-        all_values = np.asarray(build.values, dtype=np.int64)
-        fps = (hashes & np.uint64(0xFF)).astype(np.uint8)
-        fps[fps == 0] = 1
-
-        keys = np.full((n_seg, line_slots), _EMPTY, dtype=np.int64)
-        vals = np.zeros((n_seg, line_slots), dtype=np.int64)
-        fp = np.zeros((n_seg, line_slots), dtype=np.uint8)
-        keys[rows, cells] = all_keys[ids]
-        vals[rows, cells] = all_values[ids]
-        fp[rows, cells] = fps[ids]
-        stash_keys = np.full((n_seg, _STASH_SLOTS), _EMPTY, dtype=np.int64)
-        stash_vals = np.zeros((n_seg, _STASH_SLOTS), dtype=np.int64)
-        stash_keys[stash_rows, stash_cells] = all_keys[stash_ids]
-        stash_vals[stash_rows, stash_cells] = all_values[stash_ids]
+    def _adopt(self, layout: DashLayout, values: np.ndarray) -> None:
+        """Become the layout's segments, each cell holding its record's value."""
+        n_seg = len(layout.local_depths)
+        cells, records = layout.cells, layout.records
+        keys = np.full(n_seg * _SEGMENT_CELLS, _EMPTY, dtype=np.int64)
+        vals = np.zeros(n_seg * _SEGMENT_CELLS, dtype=np.int64)
+        fp = np.zeros(n_seg * _SEGMENT_CELLS, dtype=np.uint8)
+        keys[cells] = layout.keys[records]
+        vals[cells] = values[records]
+        fp[cells] = layout.fps[records]
+        keys, vals, fp = (a.reshape(n_seg, _SEGMENT_CELLS) for a in (keys, vals, fp))
 
         shape = (BUCKETS_PER_SEGMENT, BUCKET_SLOTS)
         segments: list[_Segment] = []
-        for row, replay in enumerate(replays):
-            segment = _Segment(replay.local_depth)
-            segment.keys = keys[row].reshape(shape)
-            segment.values = vals[row].reshape(shape)
-            segment.fps = fp[row].reshape(shape)
-            segment.stash_keys = stash_keys[row]
-            segment.stash_values = stash_vals[row]
+        for row, depth in enumerate(layout.local_depths):
+            segment = _Segment(depth)
+            segment.keys = keys[row, :_LINE_SLOTS].reshape(shape)
+            segment.values = vals[row, :_LINE_SLOTS].reshape(shape)
+            segment.fps = fp[row, :_LINE_SLOTS].reshape(shape)
+            segment.stash_keys = keys[row, _LINE_SLOTS:]
+            segment.stash_values = vals[row, _LINE_SLOTS:]
             segments.append(segment)
-        self._directory = [segments[row] for row in slot_rows]
-        self.global_depth = build.global_depth
+        self._directory = [segments[row] for row in layout.slot_rows]
+        self.global_depth = layout.global_depth
+        self._size = len(cells)
 
     def _resolve(self) -> LookupTable:
         """Every stored record with the cost class ``get`` charges for it."""

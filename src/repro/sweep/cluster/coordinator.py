@@ -33,8 +33,14 @@ Counters and cache statistics fold into the parent: the parent-side
 hits are tallied in grid order as the rows are assembled (stopping at a
 failing point, as the in-process loop stops), worker snapshots are
 merged **in grid order** at the end (:func:`repro.obs.merge_snapshot`),
-worker stats deltas (their misses) sum as they arrive, and the
-coordinator emits the ``cluster.*`` counters for its own mechanics.
+and the coordinator emits the ``cluster.*`` counters for its own
+mechanics. A sweep that succeeds adds the workers' stats deltas (their
+misses). A failing point does not end the sweep at once: the sweep runs
+on until every missed point before the *first* failing index is merged,
+recomputing any its failing item never reached, and then tallies one
+miss per missed point it reached plus the failing point's own, exactly
+the count the in-process loop stops at — so a failing grid's
+``CacheStats`` do not depend on which frames were in flight.
 """
 
 from __future__ import annotations
@@ -159,6 +165,8 @@ class Coordinator:
         self._waiting: deque[_Link] = deque()
         self._filled: dict[int, tuple[ResultColumns, int]] = {}
         self._snapshots: list[tuple[int, dict]] = []
+        #: Summed worker stats deltas: hits, misses, disk hits.
+        self._worker_stats = [0, 0, 0]
         self._failure: tuple[int, Exception, str | None, str | None] | None = None
         self._fatal: SweepError | None = None
         self._finished = asyncio.Event()
@@ -252,6 +260,12 @@ class Coordinator:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+        stats = self._service.stats
+        if self._fatal is not None or self._failure is None:
+            hits, misses, disk_hits = self._worker_stats
+            stats.hits += hits
+            stats.misses += misses
+            stats.disk_hits += disk_hits
         if self._fatal is not None:
             raise self._fatal  # simlint: ignore[foreign-raise] -- _fatal is only ever a SweepError
         # Counters merge in grid order — deterministic for a given
@@ -260,8 +274,10 @@ class Coordinator:
             for _, snapshot in sorted(self._snapshots, key=lambda item: item[0]):
                 merge_snapshot(self._recorder, snapshot)
         stop = self._failure[0] if self._failure is not None else len(self._points)
-        out = self._assemble(stop)
+        out, computed = self._assemble(stop)
         if self._failure is not None:
+            # The failing point counted a miss before it raised.
+            stats.misses += computed + 1
             index, original, label, grid = self._failure
             raise GridPointError(
                 index, original, label=label, grid=grid, partial=out
@@ -270,13 +286,13 @@ class Coordinator:
             self._recorder.incr("sweep.points_count", len(self._points))
         return [point.label for point in self._points], out
 
-    def _assemble(self, stop: int) -> ResultColumns:
-        """The contiguous completed grid prefix, capped at ``stop``.
+    def _assemble(self, stop: int) -> tuple[ResultColumns, int]:
+        """The grid prefix before ``stop``, and how many of its rows were computed.
 
         Walks the grid in order as the in-process grid loop does: the
         parent's hits are tallied as they are reached, and the computed
-        rows reached are stored back into the parent's caches. A missed
-        point no worker answered (only after a failure) ends the walk.
+        rows reached are stored back into the parent's caches. Every
+        missed point before ``stop`` has been answered by then.
         """
         out = ResultColumns()
         stored: list[int] = []
@@ -289,7 +305,7 @@ class Coordinator:
             out.append_from(ref[0], ref[1])
             stored.append(index)
         self._lookup.store(stored, (self._filled[index] for index in stored))
-        return out
+        return out, len(stored)
 
     # ------------------------------------------------------------------
     # per-link protocol
@@ -345,7 +361,10 @@ class Coordinator:
         elif kind == "stolen":
             await self._on_stolen(link, frame)
         elif kind == "failed":
-            self._on_failed(frame)
+            self._on_failed(link, frame)
+            if not link.outstanding:
+                await self._dispatch(link)
+            await self._feed_waiting()
         else:
             raise SweepError(f"coordinator got unknown frame kind {kind!r}")
 
@@ -365,7 +384,21 @@ class Coordinator:
         hits, misses, disk_hits = protocol.field(frame, "stats", tuple[int, int, int])
         wall = protocol.field(frame, "wall", float)
         snapshot = _checked_snapshot(frame)
-        for row, index in enumerate(indices):
+        self._fill(link, chunk, indices, columns)
+        if snapshot is not None and indices:
+            self._snapshots.append((min(indices), snapshot))
+        self._worker_stats[0] += hits
+        self._worker_stats[1] += misses
+        self._worker_stats[2] += disk_hits
+        if self._observing:
+            self._recorder.observe("cluster.worker.wall_seconds", wall)
+        self._settle()
+
+    def _fill(
+        self, link: _Link, chunk: int, indices: list[int], columns: ResultColumns
+    ) -> None:
+        """Record the rows of an answered item; the item leaves the link's work."""
+        for row, index in enumerate(indices[: len(columns)]):
             # First result wins: a requeue after a late-but-delivered
             # result must not overwrite bit-identical rows (they are
             # identical anyway; first-wins just makes that explicit).
@@ -375,34 +408,41 @@ class Coordinator:
             remaining.difference_update(indices)
             if not remaining:
                 del link.outstanding[chunk]
-        if snapshot is not None and indices:
-            self._snapshots.append((min(indices), snapshot))
-        self._service.stats.hits += hits
-        self._service.stats.misses += misses
-        self._service.stats.disk_hits += disk_hits
-        if self._observing:
-            self._recorder.observe("cluster.worker.wall_seconds", wall)
-        if len(self._filled) == len(self.misses):
-            self._finished.set()
 
-    def _on_failed(self, frame: dict) -> None:
+    def _on_failed(self, link: _Link, frame: dict) -> None:
+        indices = self._indices(frame, "indices")
         partial = protocol.field(frame, "partial", ResultColumns)
-        partial_indices = self._indices(frame, "partial_indices")
-        if len(partial_indices) != len(partial):
-            raise SweepError("cluster failed-frame partial rows do not match")
         index = protocol.field(frame, "index", int)
-        if index not in self._shippable:
-            raise SweepError("cluster failed frame names an unknown point")
+        if len(partial) >= len(indices) or indices[len(partial)] != index:
+            raise SweepError("cluster failed frame does not match its item")
         original = _rebuild_error(
             protocol.field(frame, "error_type", str),
             protocol.field(frame, "error", str),
         )
         label = protocol.field(frame, "label", str | None)
         grid = protocol.field(frame, "grid", str | None)
-        for row, filled in enumerate(partial_indices):
-            self._filled.setdefault(filled, (partial, row))
-        if self._failure is None:
+        self._fill(link, protocol.field(frame, "chunk", int), indices, partial)
+        if self._failure is None or index < self._failure[0]:
             self._failure = (index, original, label, grid)
+        # The item stopped at the failing point; the points it never
+        # reached are computed elsewhere when they precede the failure.
+        skipped = [
+            i
+            for i in indices[len(partial) + 1 :]
+            if i < self._failure[0] and i not in self._filled
+        ]
+        if skipped:
+            self._pending.append(skipped)
+        self._settle()
+
+    def _settle(self) -> None:
+        """Finish once every missed point the assembly will reach is answered."""
+        if self._failure is None:
+            done = len(self._filled) == len(self.misses)
+        else:
+            stop = self._failure[0]
+            done = all(i in self._filled for i in self.misses if i < stop)
+        if done:
             self._finished.set()
 
     # ------------------------------------------------------------------
@@ -426,11 +466,19 @@ class Coordinator:
         })
 
     async def _dispatch(self, link: _Link) -> None:
-        """Give an out-of-work worker its next chunk, or arrange a steal."""
-        if self._finished.is_set() or self._failure is not None:
+        """Give an out-of-work worker its next chunk, or arrange a steal.
+
+        After a failure only points before the first failing index are
+        still worth computing, and nothing is stolen.
+        """
+        if self._finished.is_set():
             return
-        if self._pending:
-            await self._ship(link, self._pending.popleft())
+        chunk = self._next_pending()
+        if chunk is not None:
+            await self._ship(link, chunk)
+            return
+        if self._failure is not None:
+            self._waiting.append(link)
             return
         victim = self._steal_victim()
         if victim is not None:
@@ -441,6 +489,17 @@ class Coordinator:
             )
             return
         self._waiting.append(link)
+
+    def _next_pending(self) -> list[int] | None:
+        """The next queued chunk; after a failure, only its points before
+        the first failing index (a chunk left empty is dropped)."""
+        while self._pending:
+            chunk = self._pending.popleft()
+            if self._failure is not None:
+                chunk = [i for i in chunk if i < self._failure[0]]
+            if chunk:
+                return chunk
+        return None
 
     def _steal_victim(self) -> _Link | None:
         """The live worker with the most unfilled points worth splitting."""
@@ -525,12 +584,16 @@ class Coordinator:
             asyncio.ensure_future(self._feed_waiting())
 
     async def _feed_waiting(self) -> None:
-        while self._pending:
+        while not self._finished.is_set():
+            chunk = self._next_pending()
+            if chunk is None:
+                return
             link = self._next_waiting()
             if link is None:
+                self._pending.appendleft(chunk)
                 return
             try:
-                await self._ship(link, self._pending.popleft())
+                await self._ship(link, chunk)
             except (ConnectionError, OSError):
                 # _ship registered the chunk in link.outstanding before
                 # writing, so declaring the link dead requeues it.

@@ -56,10 +56,12 @@ worker -> coordinator:
     Answer to ``steal``: the global ``indices`` relinquished (may be
     empty if the queue drained first).
 ``failed``
-    A poisoned point: global ``index``, ``label``, ``grid``, the
+    A poisoned point: its ``chunk`` id, the item's global ``indices``,
+    the poisoned point's global ``index``, ``label``, ``grid``, the
     original exception's class name (``error_type``) and message
-    (``error``), and the item's completed-prefix ``partial`` columns
-    block with its ``partial_indices``.
+    (``error``), and the ``partial`` columns block of the item's points
+    before it (so ``index`` is ``indices[len(partial)]``). The item's
+    points after it were never evaluated.
 
 No frame carries a cache lookup: the coordinator answers every point
 its caches hold before it ships anything, and stores the returned rows
@@ -88,7 +90,7 @@ __all__ = [
 ]
 
 #: Protocol identifier carried by ``hello`` and ``join`` frames.
-CLUSTER_PROTOCOL = "repro.sweep.cluster/3"
+CLUSTER_PROTOCOL = "repro.sweep.cluster/4"
 
 #: Stream limit for every cluster connection: bounds ``readline`` so a
 #: broken or hostile peer cannot grow an unbounded buffer. Large enough

@@ -296,12 +296,12 @@ class ClusterWorker:
                 {
                     "kind": "failed",
                     "chunk": item.chunk,
+                    "indices": item.indices,
                     "index": item.indices[exc.index],
                     "label": exc.label,
                     "grid": exc.grid,
                     "error_type": type(exc.original).__name__,
                     "error": str(exc.original),
-                    "partial_indices": item.indices[: len(partial)],
                     "partial": columns_to_payload(partial),
                 },
             )

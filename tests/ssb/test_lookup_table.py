@@ -185,9 +185,9 @@ class TestExecutorReusesIndexes:
         calls = []
         real = operators.build_dimension_index
 
-        def counting(dim, key_column, attrs, profile):
+        def counting(dim, key_column, attrs, profile, **kwargs):
             calls.append((dim.spec.name, key_column, attrs, profile.index_kind))
-            return real(dim, key_column, attrs, profile)
+            return real(dim, key_column, attrs, profile, **kwargs)
 
         monkeypatch.setattr(operators, "build_dimension_index", counting)
         return calls

@@ -80,11 +80,11 @@ class TestProbeDimension:
             db.supplier, "s_suppkey", ("s_region",), HANDCRAFTED_PMEM
         )
         keys = db.lineorder["lo_suppkey"][:1000]
-        hit, attrs, records = operators.probe_dimension(
-            join_index, keys, db.supplier, ("s_region",)
+        selection, values, records = operators.probe_dimension(
+            join_index, keys, db.supplier, ("s_region",), payload=("s_region",)
         )
-        assert hit.all()  # all FKs resolve
-        assert "s_region" in attrs
+        assert np.array_equal(selection, np.arange(1000))  # all FKs resolve
+        assert "s_region" in values
         assert len(records) == 1  # probe only, no gather
 
     def test_unpacked_probe_gathers(self, db):
@@ -92,34 +92,56 @@ class TestProbeDimension:
             db.supplier, "s_suppkey", (), HYRISE_PMEM
         )
         keys = db.lineorder["lo_suppkey"][:1000]
-        hit, attrs, records = operators.probe_dimension(
+        selection, _, records = operators.probe_dimension(
             join_index, keys, db.supplier, ("s_region",)
         )
-        assert hit.all()
-        names = [r.name for r in records]
-        assert any(n.startswith("gather(") for n in names)
+        assert len(selection) == 1000
+        gathers = [r for r in records if r.name.startswith("gather(")]
+        assert len(gathers) == 1
+        assert gathers[0].random_reads == 1000  # hits x attrs
 
     def test_gathered_values_correct(self, db):
         join_index = operators.build_dimension_index(
             db.supplier, "s_suppkey", (), HYRISE_PMEM
         )
         keys = db.lineorder["lo_suppkey"][:500]
-        _, attrs, _ = operators.probe_dimension(
-            join_index, keys, db.supplier, ("s_region",)
+        _, values, _ = operators.probe_dimension(
+            join_index, keys, db.supplier, ("s_region",), payload=("s_region",)
         )
         expected = db.supplier["s_region"][keys - 1]  # keys are 1-based/dense
-        assert np.array_equal(attrs["s_region"], expected)
+        assert np.array_equal(values["s_region"], expected)
 
     def test_packed_values_match_gathered(self, db):
         packed_index = operators.build_dimension_index(
             db.supplier, "s_suppkey", ("s_region",), HANDCRAFTED_PMEM
         )
         keys = db.lineorder["lo_suppkey"][:500]
-        _, packed_attrs, _ = operators.probe_dimension(
-            packed_index, keys, db.supplier, ("s_region",)
+        _, values, _ = operators.probe_dimension(
+            packed_index, keys, db.supplier, ("s_region",), payload=("s_region",)
         )
         expected = db.supplier["s_region"][keys - 1].astype(np.int64)
-        assert np.array_equal(packed_attrs["s_region"], expected)
+        assert np.array_equal(values["s_region"], expected)
+
+    def test_predicates_select_and_charge_per_hit(self, db):
+        region = Predicate("s_region", PredicateOp.EQ, 2)
+        join_index = operators.build_dimension_index(
+            db.supplier, "s_suppkey", ("s_region", "s_city"), HANDCRAFTED_PMEM
+        )
+        keys = db.lineorder["lo_suppkey"][:2000]
+        selection, values, records = operators.probe_dimension(
+            join_index,
+            keys,
+            db.supplier,
+            ("s_region", "s_city"),
+            (region,),
+            ("s_city",),
+        )
+        rows = keys - 1
+        expected = np.flatnonzero(db.supplier["s_region"][rows] == 2)
+        assert np.array_equal(selection, expected)
+        assert np.array_equal(values["s_city"], db.supplier["s_city"][rows[expected]])
+        assert [r.name for r in records] == ["probe(supplier)", "dim-filter"]
+        assert records[1].cpu_tuples == 2000  # hits x predicates
 
     def test_missing_packed_attr_rejected(self, db):
         join_index = operators.build_dimension_index(
@@ -130,6 +152,56 @@ class TestProbeDimension:
             operators.probe_dimension(
                 join_index, keys, db.supplier, ("s_nation",)
             )
+
+
+class TestProbeAbsentKeys:
+    """Fact keys absent from the dimension resolve to the miss sentinel,
+    one row past the last; it must never alias a dimension row."""
+
+    @pytest.mark.parametrize("profile", [HANDCRAFTED_PMEM, HYRISE_PMEM])
+    @pytest.mark.parametrize("with_predicate", [False, True])
+    def test_absent_keys_never_survive(self, db, profile, with_predicate):
+        dim = db.supplier
+        n = dim.n_rows
+        attrs = ("s_region", "s_nation")
+        join_index = operators.build_dimension_index(
+            dim, "s_suppkey", attrs, profile
+        )
+        # Every row, then keys just outside the span (including the key
+        # the sentinel position would carry), zero, negatives and a huge key.
+        present = np.arange(1, n + 1, dtype=np.int64)
+        absent = np.array([0, n + 1, n + 2, -1, -n, 2**40], dtype=np.int64)
+        keys = np.concatenate([present, absent, present[::-1]])
+        predicates = (
+            (Predicate("s_region", PredicateOp.LE, 4),) if with_predicate else ()
+        )
+        selection, values, records = operators.probe_dimension(
+            join_index, keys, dim, attrs, predicates, ("s_nation",)
+        )
+        expected = np.concatenate(
+            [np.arange(n), np.arange(n + len(absent), len(keys))]
+        )
+        assert np.array_equal(selection, expected)
+        rows = keys[expected] - 1
+        assert np.array_equal(values["s_nation"], dim["s_nation"][rows])
+        hits = 2 * n
+        for record in records:
+            if record.name == "dim-filter":
+                assert record.cpu_tuples == hits
+            if record.name.startswith("gather("):
+                assert record.random_reads == hits * len(attrs)
+        assert any(r.name == "dim-filter" for r in records) == with_predicate
+
+    @pytest.mark.parametrize("profile", [HANDCRAFTED_PMEM, HYRISE_PMEM])
+    def test_only_absent_keys_select_nothing(self, db, profile):
+        join_index = operators.build_dimension_index(
+            db.supplier, "s_suppkey", ("s_region",), profile
+        )
+        keys = np.array([0, db.supplier.n_rows + 1], dtype=np.int64)
+        selection, values, _ = operators.probe_dimension(
+            join_index, keys, db.supplier, ("s_region",), payload=("s_region",)
+        )
+        assert selection.size == 0 and values["s_region"].size == 0
 
 
 class TestGroupAggregate:
@@ -163,6 +235,47 @@ class TestGroupAggregate:
             operators.group_aggregate(
                 [np.arange(3)], np.ones(4, dtype=np.int64), intermediate_width=8
             )
+
+
+def _reference_group_aggregate(group_columns, measure):
+    """The grouping the engine used before: ``np.unique`` rows + ``np.add.at``."""
+    stacked = np.stack([c.astype(np.int64) for c in group_columns], axis=1)
+    uniques, inverse = np.unique(stacked, axis=0, return_inverse=True)
+    sums = np.zeros(len(uniques), dtype=np.int64)
+    np.add.at(sums, inverse.ravel(), measure.astype(np.int64))
+    return [tuple(int(x) for x in row) for row in uniques], sums.tolist()
+
+
+class TestGroupAggregateMatchesReference:
+    @pytest.mark.parametrize("n_columns", [1, 2, 3])
+    @pytest.mark.parametrize("cardinality", [3, 50, 10**6])
+    def test_random_int64_columns(self, n_columns, cardinality):
+        rng = np.random.default_rng(cardinality + n_columns)
+        n = 5_000
+        # Negative values and values past 20 bits (and past 32) included.
+        scale = np.array([1, 2**21 + 1, 2**40 + 3])
+        columns = [
+            rng.integers(-cardinality, cardinality, size=n) * scale[i % 3]
+            for i in range(n_columns)
+        ]
+        columns[0][:3] = [-(2**63), 2**63 - 1, 0]
+        measure = rng.integers(-(2**40), 2**40, size=n)
+        result, _ = operators.group_aggregate(columns, measure, intermediate_width=8)
+        keys, sums = _reference_group_aggregate(columns, measure)
+        assert result.keys == keys
+        assert result.sums.tolist() == sums
+
+    def test_narrow_dtypes(self):
+        rng = np.random.default_rng(1)
+        columns = [
+            rng.integers(-100, 100, size=1_000).astype(np.int8),
+            rng.integers(0, 3, size=1_000).astype(np.int16),
+        ]
+        measure = rng.integers(0, 10**6, size=1_000).astype(np.int32)
+        result, _ = operators.group_aggregate(columns, measure, intermediate_width=8)
+        keys, sums = _reference_group_aggregate(columns, measure)
+        assert result.keys == keys
+        assert result.sums.tolist() == sums
 
 
 class TestMaterializeAndGather:

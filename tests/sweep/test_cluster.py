@@ -139,6 +139,11 @@ class TestProtocol:
         run_async(scenario())
 
 
+def _wire(frame: dict) -> dict:
+    """``frame`` as a peer receives it: through its JSON line."""
+    return json.loads(protocol.dump_line(frame))
+
+
 class _Writer:
     """A ``StreamWriter`` stand-in that keeps every frame sent."""
 
@@ -175,9 +180,9 @@ _COORDINATOR_FRAMES = [
     {"kind": "result", "chunk": 1, "indices": [0, 1], "columns": _ROWS,
      "snapshot": _SNAPSHOT.snapshot(), "stats": [0, 2, 0], "wall": 0.5},
     {"kind": "stolen", "req": 1, "indices": [2, 3]},
-    {"kind": "failed", "chunk": 1, "index": 2, "label": "p2", "grid": "frames",
-     "error_type": "TopologyError", "error": "no such socket: 9",
-     "partial_indices": [0, 1], "partial": _ROWS},
+    {"kind": "failed", "chunk": 1, "indices": [0, 1, 2, 3], "index": 2,
+     "label": "p2", "grid": "frames", "error_type": "TopologyError",
+     "error": "no such socket: 9", "partial": _ROWS},
 ]
 _HELLO = {
     "kind": "hello", "protocol": protocol.CLUSTER_PROTOCOL,
@@ -490,6 +495,28 @@ class TestBackendParity:
         stats = outcomes["cluster"][1][0]
         assert (stats.hits, stats.disk_hits, stats.misses) == (2 * len(grid), len(grid), 0)
 
+    @pytest.mark.parametrize("primed", [0, 5])
+    def test_failing_grid_merges_every_row_before_the_failure(self, primed):
+        # Points before the poisoned one may sit in any worker's chunk;
+        # the cluster must merge all of them, and tally what the
+        # in-process loop tallies, however the frames interleave.
+        points = [_point(f"p{i}", threads=i + 1, target=i % 2) for i in range(32)]
+        points[2] = _point("bad", issuing=7)
+        grid = SweepGrid(name="poisoned", points=tuple(points))
+        outcomes = {}
+        for backend in ("vector", "cluster"):
+            service = EvaluationService()
+            for point in points[3 : 3 + primed]:
+                service.evaluate(paper_config(), point.streams)
+            with pytest.raises(GridPointError) as excinfo:
+                self._run(backend, service, grid, NULL_RECORDER)
+            exc = excinfo.value
+            outcomes[backend] = (exc.index, exc.label, exc.partial, service.stats)
+        assert outcomes["cluster"] == outcomes["vector"]
+        index, label, partial, stats = outcomes["vector"]
+        assert (index, label, len(partial)) == (2, "bad", 2)
+        assert (stats.hits, stats.misses) == (0, 3 + primed)
+
     def test_repeats_under_other_labels_with_a_steal(self):
         from tests.sweep.test_cluster_faults import _run_scenario
 
@@ -574,6 +601,45 @@ class TestErrorPropagation:
             )
             for row, label in enumerate(list(serial)):
                 assert exc.partial.view(row).counters == serial[label].counters
+
+
+    def test_points_a_failed_item_skipped_before_the_failure_are_recomputed(self):
+        # An item that fails at grid index 2 never reaches its later
+        # points 0 and 1: they precede the failure, so the coordinator
+        # ships them again and merges them before it raises.
+        async def scenario():
+            coordinator = Coordinator(
+                "frames", _POINTS[:3],
+                config=_CONFIG, directory=DirectoryState.cold(),
+                service=EvaluationService(memoize=False),
+                recorder=NULL_RECORDER, workers_hint=1,
+            )
+            coordinator._pending.clear()
+            writer = _Writer()
+            link = _Link(1, asyncio.StreamReader(), writer, now=0.0)
+            link.outstanding = {1: {2, 0, 1}}
+            coordinator._links[link.id] = link
+            await coordinator._handle(link, _wire({
+                "kind": "failed", "chunk": 1, "indices": [2, 0, 1], "index": 2,
+                "label": "p2", "grid": "frames", "error_type": "TopologyError",
+                "error": "no such socket: 9",
+                "partial": columns_to_payload(ResultColumns()),
+            }))
+            shipped = json.loads(writer.sent[-1])
+            assert (shipped["kind"], shipped["indices"]) == ("chunk", [0, 1])
+            assert not coordinator._finished.is_set()
+            await coordinator._handle(link, _wire({
+                "kind": "result", "chunk": shipped["chunk"], "indices": [0, 1],
+                "columns": _ROWS, "snapshot": None, "stats": [0, 2, 0],
+                "wall": 0.1,
+            }))
+            assert coordinator._finished.is_set()
+            with pytest.raises(GridPointError) as excinfo:
+                await coordinator.finish()
+            assert (excinfo.value.index, len(excinfo.value.partial)) == (2, 2)
+            assert coordinator._service.stats.misses == 3
+
+        run_async(scenario())
 
 
 class TestBackendValidation:

@@ -197,6 +197,48 @@ class TestWorkerCrash:
         run_async(scenario())
 
 
+class TestFailingGrid:
+    """A poisoned point under steals and crashes: every row before it is
+    merged, and the tallies are the in-process loop's."""
+
+    @pytest.mark.parametrize(
+        "slow",
+        [dict(item_delay_seconds=50.0), dict(crash_after_items=1)],
+        ids=["straggler", "crash"],
+    )
+    def test_failure_matches_vector(self, slow):
+        from repro.errors import GridPointError
+        from repro.sweep import SweepRunner
+
+        points = list(_grid(48))
+        bad = StreamSpec(
+            op=Op.READ, threads=4, access_size=4096,
+            issuing_socket=7, target_socket=0,
+        )
+        points[30] = SweepPoint(label="bad", params={}, streams=(bad,))
+        grid = SweepGrid(name="faults", points=tuple(points))
+        options = ClusterOptions(
+            points_per_item=3,
+            heartbeat_seconds=10.0,
+            heartbeat_timeout_seconds=1e12,
+        )
+        vector_service = EvaluationService()
+        with pytest.raises(GridPointError) as want:
+            SweepRunner(vector_service).run_columns(grid)
+        service = EvaluationService()
+
+        async def scenario():
+            with pytest.raises(GridPointError) as got:
+                await _run_scenario(grid, [dict(), slow], options, service=service)
+            return got.value
+
+        got = run_async(scenario())
+        assert (got.index, got.label) == (want.value.index, want.value.label) == (30, "bad")
+        assert got.partial == want.value.partial
+        assert service.stats == vector_service.stats
+        assert (service.stats.hits, service.stats.misses) == (0, 31)
+
+
 class TestHeartbeatTimeout:
     def test_silent_worker_declared_dead_and_requeued(self):
         grid = _grid(12)

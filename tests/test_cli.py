@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.experiments.registry import REGISTRY
 
 
 class TestList:
@@ -20,11 +21,14 @@ class TestRun:
         assert "fig4" in out
         assert "paper" in out
 
-    def test_unknown_experiment_raises(self):
-        from repro.errors import ExperimentError
-
-        with pytest.raises(ExperimentError):
-            main(["run", "fig99"])
+    def test_unknown_experiment_exits_two_before_running_anything(self, capsys):
+        assert main(["run", "fig3", "nosuch"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # fig3 did not run
+        assert captured.err == (
+            "run: unknown experiment 'nosuch'; available: "
+            f"{sorted(REGISTRY)}\n"
+        )
 
 
 class TestBandwidth:
