@@ -86,8 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="experiment ids, e.g. fig7 table1")
     run.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                      help="with --backend cluster: local worker processes "
-                          "to spawn (default 1 leaves the cluster default "
-                          "of 2)")
+                          "to spawn (default 1 spawns 2)")
     run.add_argument("--backend", choices=BACKENDS, default="vector",
                      help="sweep backend: 'vector' (default) batches every "
                           "grid through the NumPy kernels in-process, "
@@ -221,9 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--port", type=int, default=0,
                         help="TCP port (default 0: pick an ephemeral port "
                              "and print it)")
-    worker.add_argument("--cache-dir", metavar="PATH", default=None,
-                        help="persist this worker's evaluation results "
-                             "under PATH across sweeps")
     return parser
 
 
@@ -517,6 +513,7 @@ def _cmd_request(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
+    from repro.errors import ServeError
     from repro.serve.client import request_once
 
     text = args.frame if args.frame is not None else sys.stdin.readline()
@@ -525,7 +522,11 @@ def _cmd_request(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"request: frame is not JSON: {exc}", file=sys.stderr)
         return 2
-    response = asyncio.run(request_once(args.host, args.port, frame))
+    try:
+        response = asyncio.run(request_once(args.host, args.port, frame))
+    except ServeError as exc:
+        print(f"request: {exc}", file=sys.stderr)
+        return 1
     try:
         print(json.dumps(response, indent=2, sort_keys=True))
     except BrokenPipeError:
@@ -541,9 +542,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.sweep.cluster import serve_worker
 
     async def run() -> int:
-        host, port, server = await serve_worker(
-            args.host, args.port, cache_dir=args.cache_dir
-        )
+        host, port, server = await serve_worker(args.host, args.port)
         print(f"cluster worker listening on {host}:{port}", flush=True)
         async with server:
             await server.serve_forever()

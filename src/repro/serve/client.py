@@ -59,7 +59,8 @@ class ServeClient:
 
         A missing ``id`` is filled in with a connection-unique integer.
         Raises :class:`ServeError` (code ``protocol``) if the server
-        closes the connection before answering.
+        closes the connection before answering, or answers with a line
+        that overruns the stream limit or is not a JSON object.
         """
         frame = dict(payload)
         if frame.get("id") is None:
@@ -79,10 +80,20 @@ class ServeClient:
                 parked = self._parked.pop(request_id, None)
                 if parked is not None:
                     return parked
-                line = await self._reader.readline()
+                try:
+                    line = await self._reader.readline()
+                except ValueError as exc:  # limit overrun
+                    raise ServeError(
+                        "protocol", "response frame exceeds the stream limit"
+                    ) from exc
             if not line:
                 raise ServeError("protocol", "connection closed before response")
-            response = json.loads(line)
+            try:
+                response = json.loads(line)
+            except ValueError as exc:
+                raise ServeError("protocol", f"response is not JSON: {exc}") from exc
+            if not isinstance(response, dict):
+                raise ServeError("protocol", "response is not a JSON object")
             if response.get("id") == request_id:
                 return response
             self._parked[response.get("id")] = response

@@ -11,10 +11,12 @@ bit-identical to the in-process ``vector`` backend. The package splits along the
 * :mod:`~repro.sweep.cluster.coordinator` — resolving every point
   through the parent service's caches (the cluster's only cache),
   sharding the misses by content hash, chunk dispatch, work-stealing,
-  heartbeat timeouts and requeueing.
-* :mod:`~repro.sweep.cluster.worker` — per-connection evaluation through
-  a worker-local, non-memoizing
-  :class:`~repro.sweep.service.EvaluationService`.
+  heartbeat timeouts and requeueing, and re-running a grid with a
+  failing point in process, the ``vector`` way.
+* :mod:`~repro.sweep.cluster.worker` — stateless per-connection
+  evaluation through a worker-local, non-memoizing
+  :class:`~repro.sweep.service.EvaluationService`; a worker keeps no
+  cache.
 * :mod:`~repro.sweep.cluster.backend` — the synchronous entry points the
   runner dispatches to.
 * :mod:`~repro.sweep.cluster.config` — :class:`ClusterOptions` and the

@@ -120,20 +120,20 @@ def run_grid_columns(
     ``vector`` backend tallies them; workers are started only when some
     point misses. Worker counters and cache statistics fold into
     ``recorder``/``service.stats`` in grid order, plus the ``cluster.*``
-    counters for the cluster mechanics themselves.
+    counters for the cluster mechanics themselves. A grid with a failing
+    point is re-run in this process and fails exactly as the ``vector``
+    backend fails.
 
-    ``jobs`` (when > 1) overrides ``options.workers`` for the local
-    worker count; with ``options.connect`` set, exactly those standing
-    peers are used instead and nothing is spawned.
+    ``jobs`` local workers are spawned, and at least two: ``jobs=1``,
+    the runner's default, spawns two. With ``options.connect`` set,
+    exactly those standing peers are used instead and nothing is
+    spawned.
     """
     if options is None:
         options = default_cluster_options()
     if not points:
         return [], ResultColumns()
-    if options.connect:
-        workers = len(options.connect)
-    else:
-        workers = jobs if jobs > 1 else options.workers
+    workers = len(options.connect) if options.connect else max(2, jobs)
     return asyncio.run(
         _run_cluster(
             grid,

@@ -31,14 +31,13 @@ CHUNKS_PER_WORKER = 4
 class ClusterOptions:
     """Configuration of one cluster sweep.
 
-    ``workers`` local worker processes are spawned unless ``connect``
-    names remote ``repro worker`` endpoints, in which case exactly those
-    peers are used. The remaining knobs shape granularity and fault
-    detection; none of them can change results, only wall time.
+    Local worker processes are spawned (the runner's ``jobs``, at least
+    two) unless ``connect`` names remote ``repro worker`` endpoints, in
+    which case exactly those peers are used. The remaining knobs shape
+    granularity and fault detection; none of them can change results,
+    only wall time.
     """
 
-    #: Local worker processes to spawn (ignored when ``connect`` is set).
-    workers: int = 2
     #: Remote ``(host, port)`` worker endpoints the coordinator dials.
     connect: tuple[tuple[str, int], ...] = ()
     #: Points per work item — the steal/response granularity inside a
@@ -53,10 +52,6 @@ class ClusterOptions:
     join_timeout_seconds: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.workers < 1 and not self.connect:
-            raise ConfigurationError(
-                f"cluster workers must be >= 1, got {self.workers}"
-            )
         if self.points_per_item < 1:
             raise ConfigurationError(
                 f"points_per_item must be >= 1, got {self.points_per_item}"

@@ -28,19 +28,26 @@ Straggler and fault handling:
   silent past the timeout (or whose connection drops) is declared dead,
   its link is closed so late frames can never double-count, and its
   unfilled outstanding points are requeued for the survivors.
+* **Answers are checked against their link** — a ``result``,
+  ``failed`` or ``stolen`` frame may name only points outstanding on
+  the link it arrives on (for ``result`` and ``failed``, under the
+  frame's own chunk). Anything else drops the link and requeues its
+  points, so no peer can answer another worker's points.
 
 Counters and cache statistics fold into the parent: the parent-side
-hits are tallied in grid order as the rows are assembled (stopping at a
-failing point, as the in-process loop stops), worker snapshots are
-merged **in grid order** at the end (:func:`repro.obs.merge_snapshot`),
-and the coordinator emits the ``cluster.*`` counters for its own
-mechanics. A sweep that succeeds adds the workers' stats deltas (their
-misses). A failing point does not end the sweep at once: the sweep runs
-on until every missed point before the *first* failing index is merged,
-recomputing any its failing item never reached, and then tallies one
-miss per missed point it reached plus the failing point's own, exactly
-the count the in-process loop stops at — so a failing grid's
-``CacheStats`` do not depend on which frames were in flight.
+hits are tallied in grid order as the rows are assembled, one miss is
+counted per computed row merged, worker snapshots are merged **in grid
+order** at the end (:func:`repro.obs.merge_snapshot`), and the
+coordinator emits the ``cluster.*`` counters for its own mechanics.
+
+A failing point is not assembled at all. The first ``failed`` frame
+stops the sweep, nothing the workers returned is merged, and the grid
+is re-run in this process through
+:meth:`~repro.sweep.service.EvaluationService.evaluate_grid_columns` —
+the ``vector`` path — so a failing grid's
+:class:`~repro.errors.GridPointError`, partial rows, cache statistics
+and ``sweep.*`` counters are the ``vector`` backend's by construction.
+A point that fails only on a worker is then simply computed here.
 """
 
 from __future__ import annotations
@@ -50,8 +57,7 @@ import time
 from collections import deque
 from typing import Awaitable, Callable, Sequence
 
-from repro import errors
-from repro.errors import GridPointError, SweepError
+from repro.errors import SweepError
 from repro.memsim.config import DirectoryState, MachineConfig
 from repro.memsim.kernels import ResultColumns
 from repro.obs import CountersRecorder, Recorder, merge_snapshot
@@ -62,23 +68,6 @@ from repro.sweep.service import EvaluationService
 from repro.workloads.grids import SweepPoint
 
 __all__ = ["Coordinator"]
-
-
-def _rebuild_error(type_name: str, message: str) -> Exception:
-    """A worker's failing exception, rebuilt from its class name and message.
-
-    The named :mod:`repro.errors` class when it can be built from the
-    message alone, else :class:`SweepError` carrying the message — so
-    ``str()`` of the surrounding :class:`GridPointError` is the same on
-    every backend.
-    """
-    kind = getattr(errors, type_name, None)
-    if isinstance(kind, type) and issubclass(kind, errors.ReproError):
-        try:
-            return kind(message)
-        except TypeError:  # a constructor that needs more than a message
-            return SweepError(message)
-    return SweepError(message)
 
 
 def _checked_snapshot(frame: dict) -> dict | None:
@@ -123,8 +112,9 @@ class Coordinator:
 
     Use :meth:`start` (optionally :meth:`dial` for remote peers), then
     :meth:`finish` — or spawn local workers around it via
-    :func:`repro.sweep.cluster.backend.run_grid_columns`. ``clock`` and
-    ``sleep`` are injectable so the fault tests advance heartbeat
+    :func:`repro.sweep.cluster.backend.run_grid_columns`. The misses are
+    sharded for ``workers_hint`` workers. ``clock`` and ``sleep`` are
+    injectable so the fault tests advance heartbeat
     timeouts on a fake clock in zero wall time.
     """
 
@@ -137,8 +127,8 @@ class Coordinator:
         directory: DirectoryState,
         service: EvaluationService,
         recorder: Recorder,
+        workers_hint: int,
         options: ClusterOptions | None = None,
-        workers_hint: int | None = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], Awaitable[None]] = asyncio.sleep,
     ) -> None:
@@ -158,16 +148,13 @@ class Coordinator:
         #: Grid indices of the points the parent's caches miss: the only
         #: points shipped to workers.
         self.misses = self._lookup.misses
-        self._shippable = frozenset(self.misses)
-        workers = workers_hint if workers_hint is not None else self.options.workers
-        self._pending: deque[list[int]] = deque(self._shard(max(1, workers)))
+        self._pending: deque[list[int]] = deque(self._shard(max(1, workers_hint)))
         self._links: dict[int, _Link] = {}
         self._waiting: deque[_Link] = deque()
         self._filled: dict[int, tuple[ResultColumns, int]] = {}
         self._snapshots: list[tuple[int, dict]] = []
-        #: Summed worker stats deltas: hits, misses, disk hits.
-        self._worker_stats = [0, 0, 0]
-        self._failure: tuple[int, Exception, str | None, str | None] | None = None
+        #: Set by the first ``failed`` frame: the grid re-runs in process.
+        self._failed = False
         self._fatal: SweepError | None = None
         self._finished = asyncio.Event()
         self._next_chunk = 0
@@ -260,52 +247,45 @@ class Coordinator:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        stats = self._service.stats
-        if self._fatal is not None or self._failure is None:
-            hits, misses, disk_hits = self._worker_stats
-            stats.hits += hits
-            stats.misses += misses
-            stats.disk_hits += disk_hits
         if self._fatal is not None:
             raise self._fatal  # simlint: ignore[foreign-raise] -- _fatal is only ever a SweepError
-        # Counters merge in grid order — deterministic for a given
-        # partitioning.
-        if self._observing:
-            for _, snapshot in sorted(self._snapshots, key=lambda item: item[0]):
-                merge_snapshot(self._recorder, snapshot)
-        stop = self._failure[0] if self._failure is not None else len(self._points)
-        out, computed = self._assemble(stop)
-        if self._failure is not None:
-            # The failing point counted a miss before it raised.
-            stats.misses += computed + 1
-            index, original, label, grid = self._failure
-            raise GridPointError(
-                index, original, label=label, grid=grid, partial=out
-            ) from original
+        labels = [point.label for point in self._points]
+        if self._failed:
+            # Raises the vector backend's GridPointError — or, when the
+            # point failed only on a worker, returns the vector rows.
+            out = self._service.evaluate_grid_columns(
+                self._config,
+                [point.streams for point in self._points],
+                self._directory,
+                recorder=self._recorder,
+                labels=labels,
+                grid_name=self._grid_name,
+            )
+        else:
+            # Counters merge in grid order — deterministic for a given
+            # partitioning.
+            if self._observing:
+                for _, snapshot in sorted(self._snapshots, key=lambda item: item[0]):
+                    merge_snapshot(self._recorder, snapshot)
+            out = self._assemble()
         if self._observing:
             self._recorder.incr("sweep.points_count", len(self._points))
-        return [point.label for point in self._points], out
+        return labels, out
 
-    def _assemble(self, stop: int) -> tuple[ResultColumns, int]:
-        """The grid prefix before ``stop``, and how many of its rows were computed.
+    def _assemble(self) -> ResultColumns:
+        """The grid's rows in grid order, once every missed point is answered.
 
-        Walks the grid in order as the in-process grid loop does: the
-        parent's hits are tallied as they are reached, and the computed
-        rows reached are stored back into the parent's caches. Every
-        missed point before ``stop`` has been answered by then.
+        Walks the grid as the in-process grid loop does: the parent's
+        hits are tallied as they are reached, and the computed rows are
+        stored back into the parent's caches, one miss each.
         """
         out = ResultColumns()
-        stored: list[int] = []
-        for index in range(stop):
-            if self._lookup.append_hit(index, out, self._directory, self._recorder):
-                continue
-            ref = self._filled.get(index)
-            if ref is None:
-                break
-            out.append_from(ref[0], ref[1])
-            stored.append(index)
-        self._lookup.store(stored, (self._filled[index] for index in stored))
-        return out, len(stored)
+        for index in range(len(self._points)):
+            if not self._lookup.append_hit(index, out, self._directory, self._recorder):
+                out.append_from(*self._filled[index])
+        self._lookup.store(self.misses, (self._filled[index] for index in self.misses))
+        self._service.stats.misses += len(self.misses)
+        return out
 
     # ------------------------------------------------------------------
     # per-link protocol
@@ -361,88 +341,55 @@ class Coordinator:
         elif kind == "stolen":
             await self._on_stolen(link, frame)
         elif kind == "failed":
-            self._on_failed(link, frame)
-            if not link.outstanding:
-                await self._dispatch(link)
-            await self._feed_waiting()
+            # The grid re-runs in process; nothing is merged.
+            self._take(link, frame)
+            self._failed = True
+            self._finished.set()
         else:
             raise SweepError(f"coordinator got unknown frame kind {kind!r}")
 
-    def _indices(self, frame: dict, name: str) -> list[int]:
-        """Global point indices from ``frame[name]``, each a shipped miss."""
-        indices = list(protocol.field(frame, name, tuple[int, ...]))
-        if not self._shippable.issuperset(indices):
-            raise SweepError(f"cluster frame {name!r} names an unknown point")
+    @staticmethod
+    def _indices(frame: dict, outstanding: set[int]) -> list[int]:
+        """The frame's distinct ``indices``, all of them in ``outstanding``.
+
+        A worker only ever answers the points the coordinator shipped to
+        it, so anything else drops the link.
+        """
+        indices = list(protocol.field(frame, "indices", tuple[int, ...]))
+        if len(set(indices)) != len(indices) or not outstanding.issuperset(indices):
+            raise SweepError("cluster frame names a point not outstanding on its link")
+        return indices
+
+    def _take(self, link: _Link, frame: dict, rows: int | None = None) -> list[int]:
+        """Settle the item a ``result`` (of ``rows`` rows) or ``failed`` frame answers.
+
+        Its indices must be outstanding under the frame's own ``chunk``;
+        they leave the link's work only once the frame checks out.
+        """
+        chunk = protocol.field(frame, "chunk", int)
+        remaining = link.outstanding.get(chunk, set())
+        indices = self._indices(frame, remaining)
+        if not indices:
+            raise SweepError("cluster frame answers no point")
+        if rows is not None and rows != len(indices):
+            raise SweepError("cluster result rows do not match its indices")
+        remaining.difference_update(indices)
+        if not remaining:
+            del link.outstanding[chunk]
         return indices
 
     def _merge_result(self, link: _Link, frame: dict) -> None:
-        indices = self._indices(frame, "indices")
         columns = protocol.field(frame, "columns", ResultColumns)
-        if len(indices) != len(columns):
-            raise SweepError("cluster result rows do not match its indices")
-        chunk = protocol.field(frame, "chunk", int)
-        hits, misses, disk_hits = protocol.field(frame, "stats", tuple[int, int, int])
         wall = protocol.field(frame, "wall", float)
         snapshot = _checked_snapshot(frame)
-        self._fill(link, chunk, indices, columns)
-        if snapshot is not None and indices:
+        indices = self._take(link, frame, rows=len(columns))
+        for row, index in enumerate(indices):
+            self._filled[index] = (columns, row)
+        if snapshot is not None:
             self._snapshots.append((min(indices), snapshot))
-        self._worker_stats[0] += hits
-        self._worker_stats[1] += misses
-        self._worker_stats[2] += disk_hits
         if self._observing:
             self._recorder.observe("cluster.worker.wall_seconds", wall)
-        self._settle()
-
-    def _fill(
-        self, link: _Link, chunk: int, indices: list[int], columns: ResultColumns
-    ) -> None:
-        """Record the rows of an answered item; the item leaves the link's work."""
-        for row, index in enumerate(indices[: len(columns)]):
-            # First result wins: a requeue after a late-but-delivered
-            # result must not overwrite bit-identical rows (they are
-            # identical anyway; first-wins just makes that explicit).
-            self._filled.setdefault(index, (columns, row))
-        remaining = link.outstanding.get(chunk)
-        if remaining is not None:
-            remaining.difference_update(indices)
-            if not remaining:
-                del link.outstanding[chunk]
-
-    def _on_failed(self, link: _Link, frame: dict) -> None:
-        indices = self._indices(frame, "indices")
-        partial = protocol.field(frame, "partial", ResultColumns)
-        index = protocol.field(frame, "index", int)
-        if len(partial) >= len(indices) or indices[len(partial)] != index:
-            raise SweepError("cluster failed frame does not match its item")
-        original = _rebuild_error(
-            protocol.field(frame, "error_type", str),
-            protocol.field(frame, "error", str),
-        )
-        label = protocol.field(frame, "label", str | None)
-        grid = protocol.field(frame, "grid", str | None)
-        self._fill(link, protocol.field(frame, "chunk", int), indices, partial)
-        if self._failure is None or index < self._failure[0]:
-            self._failure = (index, original, label, grid)
-        # The item stopped at the failing point; the points it never
-        # reached are computed elsewhere when they precede the failure.
-        skipped = [
-            i
-            for i in indices[len(partial) + 1 :]
-            if i < self._failure[0] and i not in self._filled
-        ]
-        if skipped:
-            self._pending.append(skipped)
-        self._settle()
-
-    def _settle(self) -> None:
-        """Finish once every missed point the assembly will reach is answered."""
-        if self._failure is None:
-            done = len(self._filled) == len(self.misses)
-        else:
-            stop = self._failure[0]
-            done = all(i in self._filled for i in self.misses if i < stop)
-        if done:
+        if len(self._filled) == len(self.misses):
             self._finished.set()
 
     # ------------------------------------------------------------------
@@ -466,19 +413,11 @@ class Coordinator:
         })
 
     async def _dispatch(self, link: _Link) -> None:
-        """Give an out-of-work worker its next chunk, or arrange a steal.
-
-        After a failure only points before the first failing index are
-        still worth computing, and nothing is stolen.
-        """
+        """Give an out-of-work worker its next chunk, or arrange a steal."""
         if self._finished.is_set():
             return
-        chunk = self._next_pending()
-        if chunk is not None:
-            await self._ship(link, chunk)
-            return
-        if self._failure is not None:
-            self._waiting.append(link)
+        if self._pending:
+            await self._ship(link, self._pending.popleft())
             return
         victim = self._steal_victim()
         if victim is not None:
@@ -489,17 +428,6 @@ class Coordinator:
             )
             return
         self._waiting.append(link)
-
-    def _next_pending(self) -> list[int] | None:
-        """The next queued chunk; after a failure, only its points before
-        the first failing index (a chunk left empty is dropped)."""
-        while self._pending:
-            chunk = self._pending.popleft()
-            if self._failure is not None:
-                chunk = [i for i in chunk if i < self._failure[0]]
-            if chunk:
-                return chunk
-        return None
 
     def _steal_victim(self) -> _Link | None:
         """The live worker with the most unfilled points worth splitting."""
@@ -517,11 +445,10 @@ class Coordinator:
         return best
 
     async def _on_stolen(self, victim: _Link, frame: dict) -> None:
-        indices = self._indices(frame, "indices")
+        stolen = self._indices(frame, set().union(*victim.outstanding.values()))
         victim.steal_pending = False
-        stolen = [i for i in indices if i not in self._filled]
         for remaining in victim.outstanding.values():
-            remaining.difference_update(indices)
+            remaining.difference_update(stolen)
         victim.outstanding = {
             chunk: remaining
             for chunk, remaining in victim.outstanding.items()
@@ -562,11 +489,7 @@ class Coordinator:
         link.writer.close()
         if link.task is not None and link.task is not asyncio.current_task():
             link.task.cancel()
-        requeued = [
-            [index for index in sorted(indices) if index not in self._filled]
-            for indices in link.outstanding.values()
-        ]
-        requeued = [chunk for chunk in requeued if chunk]
+        requeued = [sorted(indices) for indices in link.outstanding.values()]
         link.outstanding = {}
         if requeued:
             self._pending.extend(requeued)
@@ -584,16 +507,12 @@ class Coordinator:
             asyncio.ensure_future(self._feed_waiting())
 
     async def _feed_waiting(self) -> None:
-        while not self._finished.is_set():
-            chunk = self._next_pending()
-            if chunk is None:
-                return
+        while self._pending and not self._finished.is_set():
             link = self._next_waiting()
             if link is None:
-                self._pending.appendleft(chunk)
                 return
             try:
-                await self._ship(link, chunk)
+                await self._ship(link, self._pending.popleft())
             except (ConnectionError, OSError):
                 # _ship registered the chunk in link.outstanding before
                 # writing, so declaring the link dead requeues it.

@@ -50,22 +50,22 @@ worker -> coordinator:
     workers parked on a long item.
 ``result``
     One work item's results: ``chunk`` id, global ``indices``, the
-    ``columns`` block, an optional counters ``snapshot``, the cache
-    ``stats`` delta ``[hits, misses, disk_hits]``, and ``wall`` seconds.
+    ``columns`` block, an optional counters ``snapshot``, and ``wall``
+    seconds. Every row is a computed miss.
 ``stolen``
     Answer to ``steal``: the global ``indices`` relinquished (may be
     empty if the queue drained first).
 ``failed``
-    A poisoned point: its ``chunk`` id, the item's global ``indices``,
-    the poisoned point's global ``index``, ``label``, ``grid``, the
-    original exception's class name (``error_type``) and message
-    (``error``), and the ``partial`` columns block of the item's points
-    before it (so ``index`` is ``indices[len(partial)]``). The item's
-    points after it were never evaluated.
+    A work item with a failing point: its ``chunk`` id and global
+    ``indices``, nothing else. The coordinator stops the sweep and
+    re-runs the grid in process, which names the failing point itself.
 
-No frame carries a cache lookup: the coordinator answers every point
-its caches hold before it ships anything, and stores the returned rows
-itself.
+Every index a ``result``, ``stolen`` or ``failed`` frame names must be
+outstanding on the link it arrives on (for ``result`` and ``failed``,
+under the frame's own ``chunk``); otherwise the coordinator drops the
+link. No frame carries a cache lookup or a cache tally: the coordinator
+answers every point its caches hold before it ships anything, and
+stores and counts the returned rows itself.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ __all__ = [
 ]
 
 #: Protocol identifier carried by ``hello`` and ``join`` frames.
-CLUSTER_PROTOCOL = "repro.sweep.cluster/4"
+CLUSTER_PROTOCOL = "repro.sweep.cluster/5"
 
 #: Stream limit for every cluster connection: bounds ``readline`` so a
 #: broken or hostile peer cannot grow an unbounded buffer. Large enough

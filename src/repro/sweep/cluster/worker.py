@@ -3,11 +3,11 @@
 One :class:`ClusterWorker` serves one coordinator session over one
 connection. The session is fully coordinator-driven: the worker joins,
 receives a ``hello`` pinning the machine config and directory state,
-then evaluates ``chunk`` frames through its own
-:class:`~repro.sweep.service.EvaluationService`. A worker is plain
+then evaluates ``chunk`` frames through its own non-memoizing
+:class:`~repro.sweep.service.EvaluationService`. A worker is stateless
 compute: the coordinator has already answered every point its own
-caches hold, so the worker's service does not memoize, and it has a
-disk only when a standing ``repro worker --cache-dir`` gives it one.
+caches hold and stores the rows the worker returns, so the worker keeps
+no cache of any kind, in memory or on disk.
 
 Two design points keep the worker responsive and the results exact:
 
@@ -20,10 +20,13 @@ Two design points keep the worker responsive and the results exact:
   so no point is ever evaluated twice (revoke-style stealing, no
   speculative duplication).
 * **Per-item accounting.** Each item gets a fresh
-  :class:`~repro.obs.CountersRecorder` and a cache-stats delta, shipped
-  with the item's ``result`` frame; the coordinator merges snapshots in
-  grid order. The item's wall time is one ``sweep.batch.wall_seconds``
-  observation.
+  :class:`~repro.obs.CountersRecorder`, shipped as a snapshot with the
+  item's ``result`` frame; the coordinator merges snapshots in grid
+  order and counts the item's rows as misses. The item's wall time is
+  one ``sweep.batch.wall_seconds`` observation. An item with a failing
+  point answers with a bare ``failed`` frame: the coordinator then
+  re-runs the whole grid in process, so nothing about the failure
+  needs to cross the wire.
 
 Fault injection (``item_delay_seconds``, ``crash_after_items``,
 ``heartbeat``) exists for the deterministic fault tests: the delay parks
@@ -43,10 +46,9 @@ from typing import Awaitable, Callable, Mapping
 
 from repro.errors import GridPointError, SweepError
 from repro.memsim.config import DirectoryState, MachineConfig
-from repro.memsim.kernels import ResultColumns
 from repro.memsim.spec import StreamSpec
 from repro.obs import NULL_RECORDER, CountersRecorder, Recorder
-from repro.sweep.cache import DiskCache, columns_to_payload
+from repro.sweep.cache import columns_to_payload
 from repro.sweep.cluster import protocol
 from repro.sweep.service import EvaluationService
 
@@ -82,9 +84,6 @@ class ClusterWorker:
     ----------
     reader, writer:
         The connection (created with an explicit ``limit``).
-    service:
-        Evaluation service to route points through; by default a fresh
-        non-memoizing one, disk-backed when ``cache_dir`` is given.
     clock, sleep:
         Injectable time source and async sleep — the fault tests drive
         both with a fake clock.
@@ -103,18 +102,13 @@ class ClusterWorker:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         *,
-        service: EvaluationService | None = None,
-        cache_dir: str | None = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], Awaitable[None]] = asyncio.sleep,
         item_delay_seconds: float = 0.0,
         crash_after_items: int | None = None,
         heartbeat: bool = True,
     ) -> None:
-        if service is None:
-            disk = DiskCache(cache_dir) if cache_dir is not None else None
-            service = EvaluationService(disk_cache=disk, memoize=False)
-        self.service = service
+        self._service = EvaluationService(memoize=False)
         self._reader = reader
         self._writer = writer
         self._clock = clock
@@ -273,11 +267,9 @@ class ClusterWorker:
     async def _run_item(self, item: _Item, session: _Session) -> None:
         rec = CountersRecorder() if session.observing else None
         sink: Recorder = rec if rec is not None else NULL_RECORDER
-        stats = self.service.stats
-        hits0, misses0, disk0 = stats.hits, stats.misses, stats.disk_hits
         started = time.perf_counter()
         try:
-            columns = self.service.evaluate_grid_columns(
+            columns = self._service.evaluate_grid_columns(
                 session.config,
                 item.streams,
                 session.directory,
@@ -285,31 +277,15 @@ class ClusterWorker:
                 labels=item.labels,
                 grid_name=session.grid_name,
             )
-        except GridPointError as exc:
-            partial = (
-                exc.partial
-                if isinstance(exc.partial, ResultColumns)
-                else ResultColumns()
-            )
+        except GridPointError:
             await protocol.send_frame(
                 self._writer,
-                {
-                    "kind": "failed",
-                    "chunk": item.chunk,
-                    "indices": item.indices,
-                    "index": item.indices[exc.index],
-                    "label": exc.label,
-                    "grid": exc.grid,
-                    "error_type": type(exc.original).__name__,
-                    "error": str(exc.original),
-                    "partial": columns_to_payload(partial),
-                },
+                {"kind": "failed", "chunk": item.chunk, "indices": item.indices},
             )
             return
         wall = time.perf_counter() - started
         if rec is not None:
             rec.observe("sweep.batch.wall_seconds", wall)
-        delta = (stats.hits - hits0, stats.misses - misses0, stats.disk_hits - disk0)
         await protocol.send_frame(
             self._writer,
             {
@@ -318,45 +294,36 @@ class ClusterWorker:
                 "indices": item.indices,
                 "columns": columns_to_payload(columns),
                 "snapshot": rec.snapshot() if rec is not None else None,
-                "stats": list(delta),
                 "wall": wall,
             },
         )
 
 
-async def connect_worker(
-    host: str,
-    port: int,
-    *,
-    cache_dir: str | None = None,
-    **kwargs: object,
-) -> None:
+async def connect_worker(host: str, port: int) -> None:
     """Dial a coordinator and serve one session (spawned-local mode)."""
     reader, writer = await asyncio.open_connection(
         host, port, limit=protocol.MAX_FRAME_BYTES
     )
-    worker = ClusterWorker(reader, writer, cache_dir=cache_dir, **kwargs)
-    await worker.run()
+    await ClusterWorker(reader, writer).run()
 
 
 async def serve_worker(
-    host: str,
-    port: int = 0,
-    *,
-    cache_dir: str | None = None,
+    host: str, port: int = 0
 ) -> tuple[str, int, asyncio.AbstractServer]:
     """Listen for coordinators (``repro worker`` standalone mode).
 
     Each inbound connection is one coordinator session; the worker keeps
     listening after a session ends, so one standing ``repro worker`` can
-    serve many sweeps. Returns the bound address and the server object.
+    serve many sweeps. Sessions share nothing: a standing worker keeps
+    no cache between them. Returns the bound address and the server
+    object.
     """
 
     async def handle(
         reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            await ClusterWorker(reader, writer, cache_dir=cache_dir).run()
+            await ClusterWorker(reader, writer).run()
         except (SweepError, ConnectionError, asyncio.IncompleteReadError):  # simlint: ignore[silent-except] -- a broken coordinator session must not kill the listener
             pass
 

@@ -57,9 +57,8 @@ class SweepRunner:
         Evaluation service to route points through; defaults to the
         process-wide shared service.
     jobs:
-        Local cluster workers to spawn; ``1`` (default) leaves the count
-        to the cluster options. Only ``backend="cluster"`` accepts
-        ``jobs > 1``.
+        Local cluster workers to spawn; ``1`` (default) spawns two. Only
+        ``backend="cluster"`` accepts ``jobs > 1``.
     backend:
         One of :data:`BACKENDS` (``"vector"`` is the default) — see the
         module docstring. Both produce bit-identical results; anything

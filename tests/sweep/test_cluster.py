@@ -22,7 +22,7 @@ from repro.sweep import BACKENDS, DiskCache, EvaluationService, SweepRunner
 from repro.sweep.cache import _canonical, columns_to_payload, encode
 from repro.sweep.cluster import ClusterOptions, parse_endpoint
 from repro.sweep.cluster import protocol
-from repro.sweep.cluster.coordinator import Coordinator, _Link, _rebuild_error
+from repro.sweep.cluster.coordinator import Coordinator, _Link
 from repro.sweep.cluster.worker import ClusterWorker
 from repro.workloads.grids import SweepGrid, SweepPoint
 from repro.workloads.sequential import sequential_sweep
@@ -99,14 +99,6 @@ class TestProtocol:
         with pytest.raises(SweepError, match="bad 'chunk'"):
             protocol.field(frame, "chunk", int)
 
-    def test_failed_original_is_rebuilt_by_name(self):
-        assert type(_rebuild_error("TopologyError", "m")) is TopologyError
-        # Not a repro error, or not buildable from a message alone.
-        for name in ("ValueError", "BackendError", "GridPointError", "__class__"):
-            rebuilt = _rebuild_error(name, "m")
-            assert type(rebuilt) is SweepError
-            assert str(rebuilt) == "m"
-
     def test_frame_round_trip(self):
         async def scenario():
             reader = asyncio.StreamReader(limit=protocol.MAX_FRAME_BYTES)
@@ -178,11 +170,9 @@ _SNAPSHOT.observe("sweep.batch.wall_seconds", 0.25)
 _COORDINATOR_FRAMES = [
     {"kind": "heartbeat"},
     {"kind": "result", "chunk": 1, "indices": [0, 1], "columns": _ROWS,
-     "snapshot": _SNAPSHOT.snapshot(), "stats": [0, 2, 0], "wall": 0.5},
-    {"kind": "stolen", "req": 1, "indices": [2, 3]},
-    {"kind": "failed", "chunk": 1, "indices": [0, 1, 2, 3], "index": 2,
-     "label": "p2", "grid": "frames", "error_type": "TopologyError",
-     "error": "no such socket: 9", "partial": _ROWS},
+     "snapshot": _SNAPSHOT.snapshot(), "wall": 0.5},
+    {"kind": "stolen", "req": 1, "indices": [1]},
+    {"kind": "failed", "chunk": 1, "indices": [0, 1]},
 ]
 _HELLO = {
     "kind": "hello", "protocol": protocol.CLUSTER_PROTOCOL,
@@ -245,16 +235,91 @@ class TestFrameProperty:
                 reader.feed_data(protocol.dump_line(frame))
             reader.feed_data(protocol.dump_line({"kind": "bye"}))
             reader.feed_eof()
-            worker = ClusterWorker(
-                reader, _Writer(),
-                service=EvaluationService(memoize=False), heartbeat=False,
-            )
+            worker = ClusterWorker(reader, _Writer(), heartbeat=False)
             try:
                 await worker.run()
             except SweepError:
                 return
 
         run_async(scenario())
+
+
+_ROW = columns_to_payload(
+    EvaluationService(memoize=False).evaluate_grid_columns(
+        _CONFIG, [_POINTS[0].streams]
+    )
+)
+_EMPTY_ROWS = columns_to_payload(ResultColumns())
+
+
+class TestAnswersMustBeOutstanding:
+    """A frame answers only points outstanding on the link it came on.
+
+    Link 1 holds chunk 1 (points 0, 1) and chunk 2 (point 2); link 2
+    holds chunk 3 (point 3). Any other answer drops link 1 — the frame
+    raises :class:`SweepError` — and settles nothing.
+    """
+
+    def _handle(self, frame):
+        async def scenario():
+            coordinator = Coordinator(
+                "frames", _POINTS,
+                config=_CONFIG, directory=DirectoryState.cold(),
+                service=EvaluationService(memoize=False),
+                recorder=NULL_RECORDER, workers_hint=2,
+            )
+            mine = _Link(1, asyncio.StreamReader(), _Writer(), now=0.0)
+            other = _Link(2, asyncio.StreamReader(), _Writer(), now=0.0)
+            mine.outstanding = {1: {0, 1}, 2: {2}}
+            other.outstanding = {3: {3}}
+            coordinator._links.update({1: mine, 2: other})
+            try:
+                await coordinator._handle(mine, _wire(frame))
+            except SweepError:
+                return coordinator, mine, True
+            return coordinator, mine, False
+
+        return run_async(scenario())
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            {"kind": "result", "chunk": 3, "indices": [3], "columns": _ROW,
+             "snapshot": None, "wall": 0.1},
+            {"kind": "result", "chunk": 1, "indices": [2], "columns": _ROW,
+             "snapshot": None, "wall": 0.1},
+            {"kind": "result", "chunk": 1, "indices": [0, 0], "columns": _ROWS,
+             "snapshot": None, "wall": 0.1},
+            {"kind": "result", "chunk": 1, "indices": [], "columns": _EMPTY_ROWS,
+             "snapshot": None, "wall": 0.1},
+            {"kind": "failed", "chunk": 3, "indices": [3]},
+            {"kind": "failed", "chunk": 1, "indices": [2]},
+            {"kind": "failed", "chunk": 1, "indices": []},
+            {"kind": "stolen", "req": 2, "indices": [1, 3]},
+            {"kind": "stolen", "req": 2, "indices": [2, 2]},
+        ],
+        ids=[
+            "result-foreign-chunk", "result-own-point-other-chunk",
+            "result-duplicate", "result-empty", "failed-foreign-chunk",
+            "failed-own-point-other-chunk", "failed-empty",
+            "stolen-foreign-point", "stolen-duplicate",
+        ],
+    )
+    def test_other_answers_drop_the_link_and_settle_nothing(self, frame):
+        coordinator, mine, dropped = self._handle(frame)
+        assert dropped
+        assert mine.outstanding == {1: {0, 1}, 2: {2}}
+        assert not coordinator._filled
+        assert not coordinator._failed
+
+    def test_an_answer_under_its_own_chunk_settles_its_points(self):
+        coordinator, mine, dropped = self._handle(
+            {"kind": "result", "chunk": 1, "indices": [1, 0], "columns": _ROWS,
+             "snapshot": None, "wall": 0.1}
+        )
+        assert not dropped
+        assert mine.outstanding == {2: {2}}
+        assert sorted(coordinator._filled) == [0, 1]
 
 
 class TestSharding:
@@ -407,6 +472,25 @@ def _tallies(service: EvaluationService, recorder: CountersRecorder):
     )
 
 
+def sweep_counters(recorder: CountersRecorder) -> dict:
+    """The ``sweep.*`` counters of ``recorder``."""
+    counters = recorder.snapshot()["counters"]
+    return {name: value for name, value in counters.items() if name.startswith("sweep.")}
+
+
+def failure_outcome(exc: GridPointError, service, recorder: CountersRecorder):
+    """Everything a failing grid leaves behind.
+
+    The error's index, label, grid, message, cause type and partial
+    rows; the :class:`CacheStats`; and the ``sweep.*`` counters.
+    """
+    return (
+        (exc.index, exc.label, exc.grid, str(exc), type(exc.__cause__), exc.partial),
+        service.stats,
+        sweep_counters(recorder),
+    )
+
+
 def _repeating_grid() -> SweepGrid:
     """Twelve distinct points, each repeated later under another label."""
     points = [_point(f"p{i}", threads=i + 1, target=i % 2) for i in range(12)]
@@ -497,25 +581,27 @@ class TestBackendParity:
 
     @pytest.mark.parametrize("primed", [0, 5])
     def test_failing_grid_merges_every_row_before_the_failure(self, primed):
-        # Points before the poisoned one may sit in any worker's chunk;
-        # the cluster must merge all of them, and tally what the
-        # in-process loop tallies, however the frames interleave.
+        # Points before the poisoned one may sit in any worker's chunk,
+        # and workers may run past it; the cluster must still raise what
+        # the in-process loop raises and tally what it tallies, however
+        # the frames interleave.
         points = [_point(f"p{i}", threads=i + 1, target=i % 2) for i in range(32)]
         points[2] = _point("bad", issuing=7)
         grid = SweepGrid(name="poisoned", points=tuple(points))
         outcomes = {}
         for backend in ("vector", "cluster"):
-            service = EvaluationService()
+            service, recorder = EvaluationService(), CountersRecorder()
             for point in points[3 : 3 + primed]:
                 service.evaluate(paper_config(), point.streams)
             with pytest.raises(GridPointError) as excinfo:
-                self._run(backend, service, grid, NULL_RECORDER)
-            exc = excinfo.value
-            outcomes[backend] = (exc.index, exc.label, exc.partial, service.stats)
+                self._run(backend, service, grid, recorder)
+            outcomes[backend] = failure_outcome(excinfo.value, service, recorder)
         assert outcomes["cluster"] == outcomes["vector"]
-        index, label, partial, stats = outcomes["vector"]
-        assert (index, label, len(partial)) == (2, "bad", 2)
+        (index, label, grid_name, _, cause, partial), stats, counters = outcomes["vector"]
+        assert (index, label, grid_name, len(partial)) == (2, "bad", "poisoned", 2)
+        assert cause is TopologyError
         assert (stats.hits, stats.misses) == (0, 3 + primed)
+        assert counters["sweep.cache.misses_count"] == 3
 
     def test_repeats_under_other_labels_with_a_steal(self):
         from tests.sweep.test_cluster_faults import _run_scenario
@@ -603,45 +689,6 @@ class TestErrorPropagation:
                 assert exc.partial.view(row).counters == serial[label].counters
 
 
-    def test_points_a_failed_item_skipped_before_the_failure_are_recomputed(self):
-        # An item that fails at grid index 2 never reaches its later
-        # points 0 and 1: they precede the failure, so the coordinator
-        # ships them again and merges them before it raises.
-        async def scenario():
-            coordinator = Coordinator(
-                "frames", _POINTS[:3],
-                config=_CONFIG, directory=DirectoryState.cold(),
-                service=EvaluationService(memoize=False),
-                recorder=NULL_RECORDER, workers_hint=1,
-            )
-            coordinator._pending.clear()
-            writer = _Writer()
-            link = _Link(1, asyncio.StreamReader(), writer, now=0.0)
-            link.outstanding = {1: {2, 0, 1}}
-            coordinator._links[link.id] = link
-            await coordinator._handle(link, _wire({
-                "kind": "failed", "chunk": 1, "indices": [2, 0, 1], "index": 2,
-                "label": "p2", "grid": "frames", "error_type": "TopologyError",
-                "error": "no such socket: 9",
-                "partial": columns_to_payload(ResultColumns()),
-            }))
-            shipped = json.loads(writer.sent[-1])
-            assert (shipped["kind"], shipped["indices"]) == ("chunk", [0, 1])
-            assert not coordinator._finished.is_set()
-            await coordinator._handle(link, _wire({
-                "kind": "result", "chunk": shipped["chunk"], "indices": [0, 1],
-                "columns": _ROWS, "snapshot": None, "stats": [0, 2, 0],
-                "wall": 0.1,
-            }))
-            assert coordinator._finished.is_set()
-            with pytest.raises(GridPointError) as excinfo:
-                await coordinator.finish()
-            assert (excinfo.value.index, len(excinfo.value.partial)) == (2, 2)
-            assert coordinator._service.stats.misses == 3
-
-        run_async(scenario())
-
-
 class TestBackendValidation:
     def test_unknown_backend_raises_typed_error_naming_valid_set(self):
         with pytest.raises(BackendError) as excinfo:
@@ -669,13 +716,33 @@ class TestBackendValidation:
 class TestOptions:
     def test_defaults_validate(self):
         options = ClusterOptions()
-        assert options.workers == 2
+        assert options.connect == ()
+        assert options.points_per_item == 8
 
     def test_bad_workers_rejected(self):
-        with pytest.raises(ConfigurationError, match="workers"):
-            ClusterOptions(workers=0)
-        # ...unless remote endpoints are supplied instead.
-        ClusterOptions(workers=0, connect=(("h", 1),))
+        # The runner's ``jobs`` is the one local worker count.
+        with pytest.raises(ConfigurationError, match="jobs"):
+            SweepRunner(EvaluationService(), jobs=0, backend="cluster")
+
+    def test_one_job_spawns_two_local_workers(self, monkeypatch):
+        from repro.sweep.cluster import backend
+
+        seen = []
+
+        async def record_workers(grid, points, *, workers, **kwargs):
+            seen.append(workers)
+            return [], ResultColumns()
+
+        monkeypatch.setattr(backend, "_run_cluster", record_workers)
+        peers = ClusterOptions(connect=(("h", 1), ("h", 2), ("h", 3)))
+        for jobs, options in ((1, None), (2, None), (3, None), (1, peers)):
+            backend.run_grid_columns(
+                SweepGrid(name="jobs", points=tuple(_POINTS)), _POINTS,
+                config=_CONFIG, directory=DirectoryState.cold(), jobs=jobs,
+                service=EvaluationService(), recorder=NULL_RECORDER,
+                options=options if options is not None else ClusterOptions(),
+            )
+        assert seen == [2, 2, 3, 3]
 
     def test_bad_points_per_item_rejected(self):
         with pytest.raises(ConfigurationError, match="points_per_item"):

@@ -15,13 +15,15 @@ import pytest
 from repro.memsim import Op, StreamSpec
 from repro.memsim.config import DirectoryState, paper_config
 from repro.obs import NULL_RECORDER, CountersRecorder
-from repro.sweep import DiskCache, EvaluationService
+from repro.sweep import DiskCache, EvaluationService, SweepRunner
+from repro.sweep.cache import columns_to_payload
 from repro.sweep.cluster import ClusterOptions, protocol
 from repro.sweep.cluster.coordinator import Coordinator
 from repro.sweep.cluster.worker import ClusterWorker
 from repro.workloads.grids import SweepGrid, SweepPoint
 
 from tests.serve.conftest import FakeClock, run_async
+from tests.sweep.test_cluster import failure_outcome, sweep_counters
 
 CONFIG = paper_config()
 STATE = DirectoryState.cold()
@@ -198,8 +200,8 @@ class TestWorkerCrash:
 
 
 class TestFailingGrid:
-    """A poisoned point under steals and crashes: every row before it is
-    merged, and the tallies are the in-process loop's."""
+    """A poisoned point under steals and crashes: the error, its partial
+    rows and the tallies are the in-process loop's."""
 
     @pytest.mark.parametrize(
         "slow",
@@ -208,7 +210,6 @@ class TestFailingGrid:
     )
     def test_failure_matches_vector(self, slow):
         from repro.errors import GridPointError
-        from repro.sweep import SweepRunner
 
         points = list(_grid(48))
         bad = StreamSpec(
@@ -222,21 +223,25 @@ class TestFailingGrid:
             heartbeat_seconds=10.0,
             heartbeat_timeout_seconds=1e12,
         )
-        vector_service = EvaluationService()
+        vector_service, vector_rec = EvaluationService(), CountersRecorder()
         with pytest.raises(GridPointError) as want:
-            SweepRunner(vector_service).run_columns(grid)
-        service = EvaluationService()
+            SweepRunner(vector_service, recorder=vector_rec).run_columns(grid)
+        service, recorder = EvaluationService(), CountersRecorder()
 
         async def scenario():
             with pytest.raises(GridPointError) as got:
-                await _run_scenario(grid, [dict(), slow], options, service=service)
+                await _run_scenario(
+                    grid, [dict(), slow], options,
+                    recorder=recorder, service=service,
+                )
             return got.value
 
         got = run_async(scenario())
-        assert (got.index, got.label) == (want.value.index, want.value.label) == (30, "bad")
-        assert got.partial == want.value.partial
-        assert service.stats == vector_service.stats
+        outcome = failure_outcome(got, service, recorder)
+        assert outcome == failure_outcome(want.value, vector_service, vector_rec)
+        assert (got.index, got.label) == (30, "bad")
         assert (service.stats.hits, service.stats.misses) == (0, 31)
+        assert outcome[2]["sweep.cache.misses_count"] == 31
 
 
 class TestHeartbeatTimeout:
@@ -289,76 +294,146 @@ class TestHeartbeatTimeout:
         assert counters["cluster.heartbeats_count"] >= 1
 
 
+async def _with_rogue(grid, rogue, *, recorder, service=None):
+    """Sweep ``grid`` with one slow healthy worker and a ``rogue`` peer.
+
+    The healthy worker joins first and parks on the fake clock before
+    each item, so its chunk is still unfilled while
+    ``rogue(coordinator, host, port)`` runs. Returns ``finish()``'s
+    result.
+    """
+    clock = FakeClock()
+    coordinator = Coordinator(
+        grid.name, list(grid),
+        config=CONFIG, directory=STATE,
+        service=service if service is not None else EvaluationService(memoize=False),
+        recorder=recorder, workers_hint=2,
+        options=ClusterOptions(
+            points_per_item=2,
+            heartbeat_seconds=10.0,
+            heartbeat_timeout_seconds=1e12,  # death can only come from a frame
+        ),
+        clock=clock.time, sleep=clock.sleep,
+    )
+    host, port = await coordinator.start()
+    reader, writer = await asyncio.open_connection(
+        host, port, limit=protocol.MAX_FRAME_BYTES
+    )
+    healthy = ClusterWorker(
+        reader, writer, clock=clock.time, sleep=clock.sleep,
+        item_delay_seconds=50.0,
+    )
+    worker_task = asyncio.ensure_future(healthy.run())
+    await clock.drain()
+    await rogue(coordinator, host, port)
+    finish = asyncio.ensure_future(coordinator.finish())
+    try:
+        for _ in range(200):
+            await clock.drain()
+            if finish.done():
+                break
+            await clock.advance(60.0)
+        assert finish.done(), "the sweep never finished"
+        return await finish
+    finally:
+        if not finish.done():
+            finish.cancel()
+        worker_task.cancel()
+        await asyncio.gather(worker_task, return_exceptions=True)
+
+
+async def _join(host, port):
+    """Connect and join as a worker; returns the link and its first chunk."""
+    reader, writer = await asyncio.open_connection(
+        host, port, limit=protocol.MAX_FRAME_BYTES
+    )
+    await protocol.send_frame(
+        writer, {"kind": "join", "protocol": protocol.CLUSTER_PROTOCOL}
+    )
+    hello = await protocol.read_frame(reader)
+    chunk = await protocol.read_frame(reader)
+    assert hello["kind"] == "hello" and chunk["kind"] == "chunk"
+    return reader, writer, chunk
+
+
+async def _dropped(reader) -> bool:
+    """Whether the coordinator has closed the link (within a few seconds)."""
+    return await asyncio.wait_for(protocol.read_frame(reader), 5.0) is None
+
+
 class TestMalformedFrame:
     def test_malformed_result_drops_the_link_and_requeues_at_once(self):
         grid = _grid(16)
         recorder = CountersRecorder()
-        options = ClusterOptions(
-            points_per_item=2,
-            heartbeat_seconds=10.0,
-            heartbeat_timeout_seconds=1e12,  # death can only come from the frame
-        )
 
-        async def rogue(host, port):
-            """Joins, takes a chunk, answers it with a field missing."""
-            reader, writer = await asyncio.open_connection(
-                host, port, limit=protocol.MAX_FRAME_BYTES
-            )
-            await protocol.send_frame(
-                writer, {"kind": "join", "protocol": protocol.CLUSTER_PROTOCOL}
-            )
-            hello = await protocol.read_frame(reader)
-            chunk = await protocol.read_frame(reader)
-            assert hello["kind"] == "hello" and chunk["kind"] == "chunk"
+        async def rogue(coordinator, host, port):
+            """Takes a chunk, answers it with a field missing."""
+            reader, writer, chunk = await _join(host, port)
             await protocol.send_frame(
                 writer, {"kind": "result", "chunk": chunk["chunk"]}
             )
-            # Dropped at once: the coordinator closes the link.
-            assert await protocol.read_frame(reader) is None
+            assert await _dropped(reader)
             writer.close()
 
-        async def scenario():
-            clock = FakeClock()
-            coordinator = Coordinator(
-                grid.name, list(grid),
-                config=CONFIG, directory=STATE,
-                service=EvaluationService(memoize=False), recorder=recorder,
-                options=options, workers_hint=2,
-                clock=clock.time, sleep=clock.sleep,
-            )
-            host, port = await coordinator.start()
-            # The healthy worker parks on the fake clock before each item,
-            # so the rogue's chunk is still unfilled when it is dropped.
-            reader, writer = await asyncio.open_connection(
-                host, port, limit=protocol.MAX_FRAME_BYTES
-            )
-            healthy = ClusterWorker(
-                reader, writer, clock=clock.time, sleep=clock.sleep,
-                item_delay_seconds=50.0,
-            )
-            worker_task = asyncio.ensure_future(healthy.run())
-            await clock.drain()
-            await rogue(host, port)
-            finish = asyncio.ensure_future(coordinator.finish())
-            try:
-                for _ in range(200):
-                    await clock.drain()
-                    if finish.done():
-                        break
-                    await clock.advance(60.0)
-                assert finish.done(), "the dropped chunk was never requeued"
-                return await finish
-            finally:
-                if not finish.done():
-                    finish.cancel()
-                worker_task.cancel()
-                await asyncio.gather(worker_task, return_exceptions=True)
-
-        labels, columns = run_async(scenario())
+        labels, columns = run_async(_with_rogue(grid, rogue, recorder=recorder))
         _assert_matches_serial(grid, labels, columns)
         counters = recorder.snapshot()["counters"]
         assert counters["cluster.chunks.requeued_count"] >= 1
         assert counters["cluster.workers_count"] == 2
+
+
+class TestRoguePeer:
+    def test_answering_another_workers_chunk_drops_the_peer(self):
+        # The rogue answers the healthy worker's chunk with doubled
+        # bandwidths. Kept, those rows would be the sweep's result.
+        grid = _grid(16)
+        recorder = CountersRecorder()
+
+        async def rogue(coordinator, host, port):
+            reader, writer, _ = await _join(host, port)
+            healthy = coordinator._links[1]
+            chunk, indices = next(iter(healthy.outstanding.items()))
+            indices = sorted(indices)
+            payload = columns_to_payload(
+                EvaluationService(memoize=False).evaluate_grid_columns(
+                    CONFIG, [grid.points[i].streams for i in indices]
+                )
+            )
+            payload["streams"]["gbps"] = [2 * g for g in payload["streams"]["gbps"]]
+            await protocol.send_frame(writer, {
+                "kind": "result", "chunk": chunk, "indices": indices,
+                "columns": payload, "snapshot": None, "wall": 0.1,
+                # Ignored; present so that only the chunk check rejects it.
+                "stats": [0, len(indices), 0],
+            })
+            assert await _dropped(reader)
+            writer.close()
+
+        labels, columns = run_async(_with_rogue(grid, rogue, recorder=recorder))
+        assert (labels, columns) == SweepRunner(EvaluationService()).run_columns(grid)
+        counters = recorder.snapshot()["counters"]
+        assert counters["cluster.chunks.requeued_count"] >= 1
+
+    def test_failed_frame_for_a_good_point_completes_in_process(self):
+        # The rogue claims its chunk holds a failing point. Nothing in
+        # the grid fails, so the in-process re-run completes it.
+        grid = _grid(16)
+        service, recorder = EvaluationService(), CountersRecorder()
+
+        async def rogue(coordinator, host, port):
+            reader, writer, chunk = await _join(host, port)
+            await protocol.send_frame(writer, {
+                "kind": "failed", "chunk": chunk["chunk"],
+                "indices": chunk["indices"],
+            })
+            writer.close()
+
+        got = run_async(_with_rogue(grid, rogue, recorder=recorder, service=service))
+        vector_service, vector_rec = EvaluationService(), CountersRecorder()
+        want = SweepRunner(vector_service, recorder=vector_rec).run_columns(grid)
+        assert got == want
+        assert service.stats == vector_service.stats
+        assert sweep_counters(recorder) == sweep_counters(vector_rec)
 
 
 class TestSharedCacheCorruption:

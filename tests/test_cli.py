@@ -152,8 +152,9 @@ class TestClusterCli:
             ["run", "fig4", "--backend", "cluster", "--workers", "2"],
             ["bench", "--smoke", "--jobs", "2"],
             ["bench", "--smoke", "--backend", "vector"],
+            ["worker", "--cache-dir", "x"],
         ],
-        ids=["run-workers", "bench-jobs", "bench-backend"],
+        ids=["run-workers", "bench-jobs", "bench-backend", "worker-cache-dir"],
     )
     def test_removed_flags_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
