@@ -22,7 +22,7 @@ Two rules guard the hot paths, confined to the configured
   inside a loop body. Each view constructs a ``BandwidthResult`` — the
   ~4.7 µs/point floor the columnar refactor removed. Read the columns
   (``gbps``, ``total_gbps()``, ``point_total_gbps()``) or move rows
-  with ``append_from``/``extend`` instead; a single ``.views()`` at an
+  with ``take``/``append_from``/``extend`` instead; a single ``.views()`` at an
   API boundary (outside any loop) is the sanctioned escape hatch.
 
 Array-ness and batch-ness are inferred locally and conservatively: a
@@ -272,7 +272,7 @@ def check_point_materialization(
                     POINT_MATERIALIZATION, node,
                     f"loop iterates column batch '{it.id}' row-by-row; "
                     "read the columns (total_gbps(), gbps) or move rows "
-                    "with append_from/extend instead",
+                    "with take/append_from/extend instead",
                 )
             elif (
                 isinstance(it, ast.Call)

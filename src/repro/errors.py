@@ -131,6 +131,9 @@ class ServeError(ReproError):
         :class:`GridPointError` attribution (grid and point label).
     ``shutdown``
         The server is closing and will not answer queued work.
+    ``connect``
+        Raised by the client, never sent by a server: the connection
+        could not be opened (refused, unreachable, or an unknown host).
     """
 
     def __init__(

@@ -39,6 +39,15 @@ class DirectoryState:
 
     warm_pairs: frozenset[tuple[int, int]] = frozenset()
 
+    def __post_init__(self) -> None:
+        # Hashed once, as MachineConfig and StreamSpec are: every cache
+        # key holds a state, and the sweep service hashes each grid
+        # point's key several times.
+        object.__setattr__(self, "_cached_hash", hash(self.warm_pairs))
+
+    def __hash__(self) -> int:
+        return self._cached_hash  # type: ignore[attr-defined]
+
     @classmethod
     def cold(cls) -> "DirectoryState":
         """The state before any far traversal (first runs pay remapping)."""

@@ -90,6 +90,10 @@ class EvalContext:
     #: that kind exist (the evaluator raises the same WorkloadError inline
     #: code would).
     interleave_maps: Mapping[tuple[int, MediaKind], InterleaveMap | None]
+    #: Sockets with PMEM DIMMs, and sockets with at least one physical
+    #: core: the two topology facts point classification checks.
+    pmem_sockets: frozenset[int]
+    cored_sockets: frozenset[int]
     #: Mixed read/write interference coefficients per media kind.
     mixed_params: Mapping[MediaKind, mixed.MediaInterferenceParams]
     #: Random-access rate denominators and peak ceilings.
@@ -133,6 +137,10 @@ def _build_context(config: MachineConfig) -> EvalContext:
         physical_core_count=MappingProxyType(physical),
         interleave_ways=MappingProxyType(ways),
         interleave_maps=MappingProxyType(maps),
+        pmem_sockets=frozenset(
+            sid for sid in socket_ids if maps[(sid, MediaKind.PMEM)] is not None
+        ),
+        cored_sockets=frozenset(sid for sid in socket_ids if physical[sid] >= 1),
         mixed_params=MappingProxyType(mixed_params),
         random_tables=random_access.tables_for(cal),
         upi_data_cap=upi.data_cap_per_direction,

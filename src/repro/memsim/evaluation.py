@@ -279,11 +279,11 @@ def observable_pairs(
     these pairs therefore preserves the evaluation result exactly. The
     sweep service uses this to normalize cache keys.
     """
-    return frozenset(
+    return frozenset([
         (s.issuing_socket, s.target_socket)
         for s in streams
-        if s.far and s.is_read
-    )
+        if s.issuing_socket != s.target_socket and s.op is Op.READ
+    ])
 
 
 class _Evaluator:

@@ -58,7 +58,7 @@ from repro.memsim.address import DaxMode, MappedRegion, fsdax_bandwidth_factor
 from repro.memsim.config import DirectoryState
 from repro.memsim.constants import INTERLEAVE_SIZE, OPTANE_LINE
 from repro.memsim.context import EvalContext
-from repro.memsim.kernels.columns import ResultColumns
+from repro.memsim.kernels.columns import ResultColumns, _pick
 from repro.memsim.scheduler import HT_YIELD, PinningPolicy
 from repro.memsim.spec import Layout, Op, Pattern, StreamSpec
 from repro.memsim.topology import MediaKind
@@ -107,22 +107,23 @@ def classify_point(
     if not streams:
         return "empty"
     socket_ids = ctx.socket_ids
-    maps = ctx.interleave_maps
-    cores = ctx.physical_core_count
     for spec in streams:
-        if (
-            spec.issuing_socket not in socket_ids
-            or spec.target_socket not in socket_ids
-        ):
+        issuing = spec.issuing_socket
+        target = spec.target_socket
+        if issuing not in socket_ids or target not in socket_ids:
             return "socket"
-        if spec.media is MediaKind.PMEM:
-            if maps[(spec.target_socket, MediaKind.PMEM)] is None:
+        media = spec.media
+        if media is _PMEM:
+            if target not in ctx.pmem_sockets:
                 return "media"
-        elif spec.media is not MediaKind.DRAM:
+        elif media is not _DRAM:
             return "media"
-        if spec.pattern is not Pattern.RANDOM and cores[spec.issuing_socket] < 1:
+        if spec.pattern is not _RANDOM and issuing not in ctx.cored_sockets:
             return "socket"
     return None
+
+
+_PMEM, _DRAM, _RANDOM = MediaKind.PMEM, MediaKind.DRAM, Pattern.RANDOM
 
 
 def evaluate_points_columns(
@@ -142,11 +143,13 @@ def evaluate_points_columns(
 
     Per-stream *solo* bandwidths are always computed in one vectorized
     pass, family by family (sequential vs. random chains under masks).
-    When every point is single-stream, the cross-stream stage is
-    vectorized too (the only interaction a single stream can trigger is
-    its own UPI-direction clamp); otherwise each point's interactions run
+    The cross-stream stage is vectorized for the single-stream points
+    (the only interaction a single stream can trigger is its own
+    UPI-direction clamp); each multi-stream point's interactions run
     through the exact scalar ``_Evaluator`` methods over the vectorized
-    solos, which is bit-identical by construction.
+    solos, which is bit-identical by construction. A batch holding both
+    kinds prices each kind over its own subset of the solos and scatters
+    the rows back into point order.
 
     Observability emission is left to the caller: the second element is
     ``emit(recorder, i, *, before=None, after=None)``, which replays
@@ -161,21 +164,18 @@ def evaluate_points_columns(
     """
     specs: list[StreamSpec] = []
     offsets: list[int] = [0]
-    multi = False
-    for streams in points:
+    multi: list[int] = []
+    for p, streams in enumerate(points):
         specs.extend(streams)
         offsets.append(len(specs))
         if len(streams) != 1:
-            multi = True
+            multi.append(p)
     config = ctx.config
     if not specs:
         return ResultColumns(), lambda recorder, i, **kw: None
 
     flat = _solo_columns(ctx, specs, directory)
-    if multi:
-        out = _assemble_general(ctx, specs, offsets, flat, directory)
-    else:
-        out = _assemble_single(ctx, specs, flat, directory)
+    out = _assemble(ctx, specs, offsets, multi, flat, directory)
     read_amp = flat.read_amp
     write_amp = flat.write_amp
 
@@ -222,7 +222,7 @@ class _FlatSolos:
         "pages", "fault_seconds", "any_far",
     )
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int = 0) -> None:
         self.gbps = np.empty(n, dtype=np.float64)
         self.solo = np.empty(n, dtype=np.float64)
         self.issue = np.empty(n, dtype=np.float64)
@@ -237,6 +237,17 @@ class _FlatSolos:
         self.pages: list[int] = [0] * n
         self.fault_seconds: list[float] = [0.0] * n
         self.any_far = False
+
+    def subset(self, streams: list[int]) -> "_FlatSolos":
+        """The solos of the flat positions ``streams``, in that order."""
+        index = np.array(streams, dtype=np.intp)
+        sub = _FlatSolos()
+        for name in ("gbps", "solo", "issue", "cap", "volume", "is_read", "is_pmem", "far"):
+            setattr(sub, name, getattr(self, name)[index])
+        for name in ("read_amp", "write_amp", "notes", "pages", "fault_seconds"):
+            setattr(sub, name, _pick(getattr(self, name), streams))
+        sub.any_far = bool(sub.far.any())
+        return sub
 
 
 def _solo_columns(
@@ -888,9 +899,10 @@ def _assemble_general(
     flat: _FlatSolos,
     directory: DirectoryState,
 ) -> ResultColumns:
-    """Cross-stream stage for batches containing multi-stream points.
+    """Cross-stream stage for multi-stream points, one point at a time.
 
-    Rebuilds a point's :class:`_Solo` objects from the vectorized arrays
+    Every point has two or more streams (:func:`_assemble` routes
+    single-stream points to :func:`_assemble_single`). Rebuilds a point's :class:`_Solo` objects from the vectorized arrays
     (bit-identical to the scalar solos by construction) and runs them
     through the *actual* scalar ``_Evaluator`` interaction methods — the
     one place the vector path reuses scalar code instead of mirroring
@@ -901,8 +913,8 @@ def _assemble_general(
     read straight off the flat arrays.
 
     Counters are likewise assembled from per-stream component columns
-    computed once per batch (the same mask selections as the
-    all-single-stream path — interactions change only ``gbps`` and
+    computed once per batch (the same mask selections as
+    :func:`_assemble_single` — interactions change only ``gbps`` and
     notes, never the issue/cap terms or amplifications those columns
     depend on), accumulated per point in stream order so every float
     fold matches the scalar collector's. Only points containing a far
@@ -961,33 +973,29 @@ def _assemble_general(
             if far_l[j]:
                 point_far = True
                 break
-        if hi - lo == 1:
-            interact = point_far
-            mixed_only = False
-        else:
-            seq_reads = 0
-            far_reads = 0
-            has_read = has_write = False
-            first_sock = sock_l[lo]
-            multi_issuer = False
-            for j in range(lo, hi):
-                if is_read_l[j]:
-                    has_read = True
-                    if seq_l[j]:
-                        seq_reads += 1
-                    if far_l[j]:
-                        far_reads += 1
-                else:
-                    has_write = True
-                if sock_l[j] != first_sock:
-                    multi_issuer = True
-            prefetch = seq_reads > 1
-            mixed = has_read and has_write
-            far_far = far_reads > 1
-            interact = prefetch or mixed or multi_issuer or far_far or point_far
-            mixed_only = mixed and not (
-                prefetch or multi_issuer or far_far or point_far
-            )
+        seq_reads = 0
+        far_reads = 0
+        has_read = has_write = False
+        first_sock = sock_l[lo]
+        multi_issuer = False
+        for j in range(lo, hi):
+            if is_read_l[j]:
+                has_read = True
+                if seq_l[j]:
+                    seq_reads += 1
+                if far_l[j]:
+                    far_reads += 1
+            else:
+                has_write = True
+            if sock_l[j] != first_sock:
+                multi_issuer = True
+        prefetch = seq_reads > 1
+        mixed = has_read and has_write
+        far_far = far_reads > 1
+        interact = prefetch or mixed or multi_issuer or far_far or point_far
+        mixed_only = mixed and not (
+            prefetch or multi_issuer or far_far or point_far
+        )
         row_base = len(out_specs)
         if mixed_only and hi - lo == 2:
             # The dominant mixed shape (Fig. 11): one near read + one
@@ -1055,21 +1063,18 @@ def _assemble_general(
                 )
                 for j in range(lo, hi)
             ]
-            if hi - lo == 1:
+            if prefetch:
+                ev._apply_multi_stream_prefetch(solos)
+            if mixed:
+                ev._apply_mixed_interference(solos)
+            if multi_issuer:
+                ev._apply_shared_target(solos)
+            if far_far:
+                ev._apply_far_far_pollution(solos)
+            if point_far:
                 ev._apply_upi_capacity(solos)
-            else:
-                if prefetch:
-                    ev._apply_multi_stream_prefetch(solos)
-                if mixed:
-                    ev._apply_mixed_interference(solos)
-                if multi_issuer:
-                    ev._apply_shared_target(solos)
-                if far_far:
-                    ev._apply_far_far_pollution(solos)
-                if point_far:
-                    ev._apply_upi_capacity(solos)
-                if multi_issuer:
-                    ev._apply_dram_package_efficiency(solos)
+            if multi_issuer:
+                ev._apply_dram_package_efficiency(solos)
             for solo in solos:
                 out_specs.append(solo.spec)
                 out_gbps.append(solo.gbps)
@@ -1140,6 +1145,64 @@ def _assemble_general(
         out.offsets.append(len(out_specs))
         out._views.append(None)
     return out
+
+
+def _assemble(
+    ctx: EvalContext,
+    specs: Sequence[StreamSpec],
+    offsets: list[int],
+    multi: list[int],
+    flat: _FlatSolos,
+    directory: DirectoryState,
+) -> ResultColumns:
+    """The cross-stream stage, routed by each point's stream count.
+
+    Single-stream points go through :func:`_assemble_single` and only
+    the ``multi`` points (indices, ascending) through
+    :func:`_assemble_general`. A row is a function of its own point's
+    solos alone, so each kind prices identically whatever else shares
+    its batch. A batch holding both kinds prices each over its own
+    subset of the flat solos, and one column-wise
+    :meth:`ResultColumns.take` puts the rows back into point order,
+    which also restores the flat stream order the caller's ``emit``
+    indexes by.
+    """
+    n = len(offsets) - 1
+    if not multi:
+        return _assemble_single(ctx, specs, flat, directory)
+    if len(multi) == n:
+        return _assemble_general(ctx, specs, offsets, flat, directory)
+    is_multi = np.zeros(n, dtype=bool)
+    is_multi[multi] = True
+    singles = np.flatnonzero(~is_multi)
+    single_streams = np.asarray(offsets[:-1], dtype=np.intp)[singles].tolist()
+    multi_streams: list[int] = []
+    multi_offsets = [0]
+    for p in multi:
+        multi_streams.extend(range(offsets[p], offsets[p + 1]))
+        multi_offsets.append(len(multi_streams))
+
+    out = _assemble_single(
+        ctx,
+        [specs[j] for j in single_streams],
+        flat.subset(single_streams),
+        directory,
+    )
+    out.extend(
+        _assemble_general(
+            ctx,
+            [specs[j] for j in multi_streams],
+            multi_offsets,
+            flat.subset(multi_streams),
+            directory,
+        )
+    )
+    # ``out`` holds the single-stream rows, then the multi-stream rows;
+    # ``order[p]`` is point ``p``'s row in it.
+    order = np.empty(n, dtype=np.intp)
+    order[singles] = np.arange(len(singles))
+    order[multi] = np.arange(len(singles), n)
+    return out.take(order.tolist())
 
 
 def _write_cap_size_factor(access_size: int) -> float:

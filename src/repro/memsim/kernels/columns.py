@@ -18,13 +18,16 @@ to the scalar evaluator's — via the same ``__new__`` fast path
 callers that never ask for objects never pay for them.
 
 Row data is immutable (floats, ints, tuples, frozen dataclasses), which
-makes :meth:`append_from` and :meth:`extend` safe structural sharing:
-the sweep service assembles output batches from cached blocks and fresh
-kernel batches without copying row contents. The view cache itself is
-*never* shared between batches (views hold a mutable
-:class:`~repro.memsim.counters.PerfCounters` a caller may annotate) and
-is dropped on pickling, so column blocks cross the cluster wire and
-the disk-cache boundary as pure data.
+makes :meth:`take`, :meth:`append_from` and :meth:`extend` safe
+structural sharing: the sweep service stores a cold grid's kernel batch
+with one column-wise :meth:`take`, and assembles mixed hit/miss output
+from cached blocks and fresh kernel batches, without copying row
+contents. The view cache itself is *never* shared between batches
+(views hold a mutable :class:`~repro.memsim.counters.PerfCounters` a
+caller may annotate) and never leaves the process: the cluster wire and
+the disk cache carry column blocks as canonical JSON
+(:func:`repro.sweep.cache.columns_to_payload`), and pickling drops it
+too.
 
 This module deliberately imports no NumPy: consumers that only ship or
 store column blocks (the sweep cache, the cluster wire) stay off the
@@ -33,8 +36,10 @@ kernel import path.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterable, Sequence
 
+from repro.errors import SchemaError
 from repro.memsim.counters import PerfCounters
 from repro.memsim.evaluation import BandwidthResult, StreamResult
 
@@ -60,9 +65,24 @@ COUNTER_COLUMNS: tuple[str, ...] = (
     "wpq_occupancy",
 )
 
+#: The per-stream columns (point ``i`` owns ``offsets[i]:offsets[i+1]``)
+#: and the per-point columns other than ``directory_after``.
+_STREAM_COLUMNS: tuple[str, ...] = ("specs", "gbps", "solo_gbps", "stream_notes")
+_POINT_COLUMNS: tuple[str, ...] = (*COUNTER_COLUMNS, "counter_notes")
+
 #: Sentinel distinguishing "use the source row's directory" from an
 #: explicit ``None`` override in :meth:`ResultColumns.append_from`.
 _KEEP = object()
+
+
+def _pick(column: list, where: "slice | list[int]") -> list:
+    """``column[where]`` for a slice, else the entries at the positions
+    ``where`` lists, gathered in C by ``itemgetter``."""
+    if type(where) is slice:
+        return column[where]
+    if len(where) > 1:
+        return list(itemgetter(*where)(column))
+    return [column[i] for i in where]
 
 
 class ResultColumns:
@@ -167,6 +187,59 @@ class ResultColumns:
             else directory_after
         )
         self._views.append(None)
+
+    def take(
+        self,
+        rows: Sequence[int],
+        *,
+        directory_after: "Sequence[DirectoryState | None] | None" = None,
+    ) -> "ResultColumns":
+        """A new batch of rows ``rows`` of this one, built column by column.
+
+        Equal to a loop of :meth:`append_from` over ``rows`` (repeats and
+        any order allowed), at one slice per column when ``rows`` is a
+        step-1 ``range`` and one gather per column otherwise.
+        ``directory_after``, when given, holds the new batch's directory
+        states, one per taken row. Row contents are shared, never the
+        view cache: the new batch starts with none.
+        """
+        out = ResultColumns()
+        offsets = self.offsets
+        if type(rows) is range and rows.step == 1 and rows:
+            first, stop = rows.start, rows.stop
+            if not 0 <= first <= stop <= len(offsets) - 1:
+                raise IndexError(f"rows {rows!r} outside a batch of {len(self)}")
+            lo, hi = offsets[first], offsets[stop]
+            out.offsets = [offset - lo for offset in offsets[first : stop + 1]]
+            streams: "slice | list[int]" = slice(lo, hi)
+            points: "slice | list[int]" = slice(first, stop)
+        else:
+            points = list(rows)
+            # The flat stream positions of the taken rows, in row order.
+            streams = []
+            new_offsets = out.offsets
+            for row in points:
+                lo, hi = offsets[row], offsets[row + 1]
+                if hi - lo == 1:
+                    streams.append(lo)
+                else:
+                    streams.extend(range(lo, hi))
+                new_offsets.append(len(streams))
+        for name in _STREAM_COLUMNS:
+            setattr(out, name, _pick(getattr(self, name), streams))
+        for name in _POINT_COLUMNS:
+            setattr(out, name, _pick(getattr(self, name), points))
+        n = len(out.offsets) - 1
+        if directory_after is not None:
+            if len(directory_after) != n:
+                raise SchemaError(
+                    f"{len(directory_after)} directory states for {n} rows"
+                )
+            out.directory_after = list(directory_after)
+        else:
+            out.directory_after = _pick(self.directory_after, points)
+        out._views = [None] * n
+        return out
 
     def extend(self, other: "ResultColumns") -> None:
         """Append every row of ``other`` in order (bulk, column-wise)."""

@@ -43,15 +43,22 @@ class ServeClient:
 
         ``max_frame_bytes`` bounds response frames (the stream's
         ``limit``); it defaults to the server's own default so a
-        legitimate full batch response always fits.
+        legitimate full batch response always fits. Raises
+        :class:`ServeError` (code ``connect``) if the connection cannot
+        be opened.
         """
         if max_frame_bytes is None:
             from repro.serve.server import ServeConfig
 
             max_frame_bytes = ServeConfig.max_frame_bytes
-        reader, writer = await asyncio.open_connection(
-            host, port, limit=max_frame_bytes
-        )
+        try:
+            reader, writer = await asyncio.open_connection(
+                host, port, limit=max_frame_bytes
+            )
+        except OSError as exc:
+            raise ServeError(
+                "connect", f"cannot connect to {host}:{port}: {exc}"
+            ) from exc
         return cls(reader, writer)
 
     async def request(self, payload: Mapping[str, object]) -> dict:

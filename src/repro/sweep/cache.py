@@ -120,12 +120,32 @@ class MemoCache:
     def setdefault(self, key: CacheKey, result: CacheValue) -> CacheValue:
         """Store ``result`` unless ``key`` is held; return what ``key`` holds.
 
-        One hash per key: a grid stores its computed rows with this, and
-        a disk hit fills the memo with it, learning from the returned
-        value whether an earlier point already put the key there.
+        One hash per key: a disk hit fills the memo with it, learning
+        from the returned value whether an earlier point already put the
+        key there.
         """
         with self._lock:
             return self._results.setdefault(key, result)
+
+    def get_many(self, keys: Sequence[CacheKey]) -> list[CacheValue | None]:
+        """What each of ``keys`` holds (``None`` if nothing), under one lock.
+
+        A grid looks up all its points at once with this.
+        """
+        with self._lock:
+            return list(map(self._results.get, keys))
+
+    def setdefault_many(
+        self, items: Iterable[tuple[CacheKey, CacheValue]]
+    ) -> None:
+        """:meth:`setdefault` each ``(key, value)`` pair, under one lock.
+
+        A grid stores its computed rows with this.
+        """
+        with self._lock:
+            setdefault = self._results.setdefault
+            for key, value in items:
+                setdefault(key, value)
 
     def clear(self) -> None:
         with self._lock:

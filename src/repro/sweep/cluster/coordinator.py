@@ -283,7 +283,8 @@ class Coordinator:
         for index in range(len(self._points)):
             if not self._lookup.append_hit(index, out, self._directory, self._recorder):
                 out.append_from(*self._filled[index])
-        self._lookup.store(self.misses, (self._filled[index] for index in self.misses))
+        # ``out`` is in grid order, so a miss's row is its grid index.
+        self._lookup.store(self.misses, out, self.misses)
         self._service.stats.misses += len(self.misses)
         return out
 

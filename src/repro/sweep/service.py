@@ -21,16 +21,16 @@ One cache story for every grid: :meth:`EvaluationService.evaluate_grid_columns`
 and the cluster coordinator (:mod:`repro.sweep.cluster.coordinator`)
 both resolve a grid through :meth:`EvaluationService._lookup_grid`,
 tally its hits as they walk the grid in order
-(:meth:`GridLookup.append_hit`), and store the rows they computed — in
-process or on workers — through one helper
-(:meth:`GridLookup.store`), so either backend leaves the same cache
-behind and reports the same hit/miss tallies.
+(:meth:`GridLookup.append_hit`), and hand the batch they computed — in
+process or on workers — to one helper (:meth:`GridLookup.store`), so
+either backend leaves the same cache behind and reports the same
+hit/miss tallies.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import GridPointError
 from repro.memsim import evaluation
@@ -180,7 +180,10 @@ class EvaluationService:
 
         No per-point result object is materialized anywhere on this
         path: cache hits and batch computes alike move between the
-        caches and the output as column rows.
+        caches and the output as column rows. On a cold grid (every
+        point a batch miss) the kernel batch itself is returned, and
+        the memo stores one column-wise ``take`` of it, so each row is
+        copied once.
 
         A failing point raises :class:`GridPointError` carrying the input
         index (plus the point ``label`` and ``grid_name`` when given, so
@@ -243,9 +246,10 @@ class EvaluationService:
         # Points are delivered — and fallback points evaluated — in
         # ``points`` order: float addition is order-sensitive at the last
         # ulp, so recorder counters must accumulate exactly as the
-        # per-point path would. The output batch is assembled fresh (rows
-        # copied out of cached batches), so annotating a view of the
-        # returned columns can never corrupt a stored entry.
+        # per-point path would. The returned batch never shares a view
+        # cache with a stored one (``take`` and ``append_from`` start
+        # fresh ones), so annotating a view of the returned columns can
+        # never corrupt a stored entry.
         emitting = rec.enabled
         if emitting:
             from repro.obs import probes
@@ -253,6 +257,16 @@ class EvaluationService:
         # Batch rows delivered so far: the misses to tally and store.
         pos = 0
         try:
+            if batch and len(batch) == len(normalized_points):
+                # The cold grid: every point is a batch miss, so the
+                # kernel batch is the output, rows and order alike.
+                if emitting:
+                    for pos, key in enumerate(lookup.keys):
+                        emit(rec, pos, before=key[2], after=_rebased(key[2], key[1]))
+                pos = len(batch)
+                return computed
+            # A mixed grid: hits, repeats and fallbacks interleave with
+            # the batch rows, copied into the output one at a time.
             for i, streams in enumerate(normalized_points):
                 reason = reasons[i]
                 if emitting and reason is not None:
@@ -280,7 +294,7 @@ class EvaluationService:
                 self.stats.misses += pos
                 if emitting:
                     rec.incr("sweep.cache.misses_count", pos)
-                lookup.store(batch[:pos], ((computed, row) for row in range(pos)))
+                lookup.store(batch[:pos], computed)
         return out
 
     def _lookup_grid(
@@ -302,22 +316,33 @@ class EvaluationService:
         # observable far-read pairs; points sharing a pair set share the
         # restricted state object.
         restricted: dict[frozenset, DirectoryState] = {}
-        lookup = GridLookup(self)
-        first: dict[RequestKey, int] | None = {} if self._memo is not None else None
-        for i, streams in enumerate(points):
+        lookup = GridLookup(self, directory)
+        keys = lookup.keys
+        for streams in points:
             pairs = observable_pairs(streams)
             normalized = restricted.get(pairs)
             if normalized is None:
                 normalized = directory.restrict(pairs)
                 restricted[pairs] = normalized
-            key = (config, streams, normalized)
-            lookup.keys.append(key)
-            entry, source, digest = self._find(key)
+            keys.append((config, streams, normalized))
+        memo, disk = self._memo, self._disk
+        held = memo.get_many(keys) if memo is not None else [None] * len(keys)
+        # Within one grid the config and the full state are fixed, so a
+        # key is a function of its streams: repeats are found by those.
+        first: dict[tuple[StreamSpec, ...], int] = {}
+        digest = None
+        for i, key in enumerate(keys):
+            entry = held[i]
             if entry is not None:
-                lookup.found[i] = (entry, source)
+                lookup.found[i] = (entry, "memo")
                 continue
-            if first is not None:
-                earlier = first.setdefault(key, i)
+            if disk is not None:
+                entry, digest = self._find_on_disk(key)
+                if entry is not None:
+                    lookup.found[i] = (entry, "disk")
+                    continue
+            if memo is not None:
+                earlier = first.setdefault(key[1], i)
                 if earlier != i:
                     lookup.repeats[i] = earlier
                     continue
@@ -336,18 +361,28 @@ class EvaluationService:
         digest is the one a computed result is to be written to disk
         under (``None`` without a disk).
         """
-        config, streams, normalized = key
         if self._memo is not None:
             cached = self._memo.get(key)
             if cached is not None:
                 return cached, "memo", None
+        entry, digest = self._find_on_disk(key)
+        return entry, None if entry is None else "disk", digest
+
+    def _find_on_disk(
+        self, key: RequestKey
+    ) -> tuple[CacheValue | None, str | None]:
+        """``(entry, digest)`` for ``key`` on disk, tallying nothing.
+
+        The digest is the one a computed result is to be written under
+        when the disk misses; both are ``None`` without a disk.
+        """
         if self._disk is None:
-            return None, None, None
-        digest = request_digest(config, streams, normalized)
+            return None, None
+        digest = request_digest(*key)
         from_disk = self._disk.get_ref(digest)
         if from_disk is None:
-            return None, None, digest
-        return from_disk, "disk", None
+            return None, digest
+        return from_disk, None
 
     def _take(
         self, key: RequestKey, entry: CacheValue, source: str, rec: Recorder
@@ -434,8 +469,10 @@ class GridLookup:
     nothing past where it stopped.
     """
 
-    def __init__(self, service: EvaluationService) -> None:
+    def __init__(self, service: EvaluationService, directory: DirectoryState) -> None:
         self.service = service
+        #: The full input state the grid's misses are computed against.
+        self.directory = directory
         self.keys: list[RequestKey] = []
         self.found: dict[int, tuple[CacheValue, str]] = {}
         self.repeats: dict[int, int] = {}
@@ -477,30 +514,40 @@ class GridLookup:
     def store(
         self,
         indices: Sequence[int],
-        rows: "Iterable[tuple[ResultColumns, int]]",
+        computed: "ResultColumns",
+        rows: Sequence[int] | None = None,
     ) -> None:
         """Store the computed rows of the missed points ``indices``.
 
-        ``rows`` holds one ``(columns, row)`` reference per index,
-        computed against the caller's full directory state. The stored
-        entries are what the per-point path stores: rebased onto each
-        key's normalized state, memoized with one ``setdefault`` per key,
-        and written to disk as one block.
+        Row ``rows[k]`` of ``computed`` (row ``k`` when ``rows`` is
+        ``None``) is point ``indices[k]``'s, computed against the full
+        state :attr:`directory`. The stored entries are what the
+        per-point path stores: one :meth:`ResultColumns.take` of those
+        rows, with each key's ``directory_after`` rebased onto its
+        normalized state, memoized as ``(stored, row)`` with one
+        ``setdefault`` per key and written to disk as one block.
         """
         memo, disk = self.service._memo, self.service._disk
         if memo is None and disk is None:
             return
-        from repro.memsim.kernels import ResultColumns
-
         keys = [self.keys[i] for i in indices]
-        stored = ResultColumns()
-        for key, (columns, row) in zip(keys, rows):
-            stored.append_from(columns, row, directory_after=_rebased(key[2], key[1]))
+        rows = range(len(keys)) if rows is None else rows
+        # A key whose normalized state *is* the full state (every key,
+        # under a cold input state) already has its rebase in the
+        # computed row.
+        full, afters = self.directory, computed.directory_after
+        stored = computed.take(
+            rows,
+            directory_after=[
+                afters[row] if key[2] is full else _rebased(key[2], key[1])
+                for row, key in zip(rows, keys)
+            ],
+        )
         if memo is not None:
-            for row, key in enumerate(keys):
-                memo.setdefault(key, (stored, row))
+            memo.setdefault_many((key, (stored, row)) for row, key in enumerate(keys))
         if disk is not None:
             disk.put_columns([self.digests[i] for i in indices], stored)
+
 
 def _rebased(
     state: DirectoryState, streams: tuple[StreamSpec, ...]
@@ -509,7 +556,7 @@ def _rebased(
     ``directory_after`` of evaluating ``streams`` against ``state``."""
     after = state
     for spec in streams:
-        if spec.far:
+        if spec.issuing_socket != spec.target_socket:
             after = after.touch(spec.issuing_socket, spec.target_socket)
     return after
 

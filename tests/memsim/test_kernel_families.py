@@ -212,6 +212,115 @@ class TestFamilyEmissionParity:
         assert deferred.snapshot() == inline.snapshot()
 
 
+def narrow_upi_config() -> MachineConfig:
+    """The paper machine with a UPI narrow enough for one stream to fill."""
+    cal = paper_config().calibration
+    return MachineConfig(calibration=dataclasses.replace(
+        cal, upi=dataclasses.replace(cal.upi, raw_per_direction=12.0)
+    ))
+
+
+def single_points() -> list[tuple[StreamSpec, ...]]:
+    """Single-stream points: near and far, DRAM and PMEM, read and write."""
+    points = []
+    for media in (MediaKind.DRAM, MediaKind.PMEM):
+        for op in (Op.READ, Op.WRITE):
+            for target in (0, 1):
+                for threads in (4, 18):
+                    points.append((StreamSpec(
+                        op=op, threads=threads, access_size=4096, media=media,
+                        issuing_socket=0, target_socket=target,
+                    ),))
+    points.append((points[0][0].with_(pattern=Pattern.RANDOM, target_socket=1),))
+    return points
+
+
+def row_repr(columns, row: int) -> str:
+    """Row ``row`` of ``columns`` as exact text: ``repr`` round-trips
+    every float, so equal text means bit-equal rows."""
+    lo, hi = columns.offsets[row], columns.offsets[row + 1]
+    return repr((
+        columns.specs[lo:hi],
+        columns.gbps[lo:hi],
+        columns.solo_gbps[lo:hi],
+        columns.stream_notes[lo:hi],
+        columns.point_counters(row),
+        columns.counter_notes[row],
+    ))
+
+
+class TestMixedBatch:
+    """Single-stream rows price the same alone or beside multi-stream points."""
+
+    CONFIGS = {"paper": paper_config, "narrow-upi": narrow_upi_config}
+
+    def mixed(self):
+        singles = single_points()
+        multis = family_grid("multi", seed=4242, n=len(singles) + 1)
+        # multi, single, multi, single, ..., multi: every single sits
+        # between two multi-stream points.
+        points = [multis[0]]
+        for single, multi in zip(singles, multis[1:]):
+            points += [single, multi]
+        return singles, points
+
+    @pytest.mark.parametrize("config_name", sorted(CONFIGS))
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_single_rows_are_byte_identical(self, config_name, warm):
+        config = self.CONFIGS[config_name]()
+        context = eval_context(config)
+        state = DirectoryState.warm(config.topology) if warm else DirectoryState.cold()
+        singles, points = self.mixed()
+        alone, alone_emit = evaluate_points_columns(context, singles, state)
+        mixed, mixed_emit = evaluate_points_columns(context, points, state)
+        if config_name == "narrow-upi":
+            assert any(
+                "UPI direction saturated" in notes for notes in alone.stream_notes
+            )
+        for k in range(len(singles)):
+            row = 2 * k + 1
+            assert mixed.specs[mixed.offsets[row]] is singles[k][0]
+            assert row_repr(mixed, row) == row_repr(alone, k), singles[k]
+            assert mixed.directory_after[row] == alone.directory_after[k]
+            one, other = CountersRecorder(), CountersRecorder()
+            alone_emit(one, k)
+            mixed_emit(other, row)
+            assert one.snapshot() == other.snapshot(), singles[k]
+        for i, streams in enumerate(points):
+            assert_identical(
+                mixed.view(i), evaluate(config, streams, state, context=context)
+            )
+
+    def test_emit_replays_in_point_order(self):
+        config = narrow_upi_config()
+        context = eval_context(config)
+        state = DirectoryState.warm(config.topology)
+        _, points = self.mixed()
+        _, emit = evaluate_points_columns(context, points, state)
+        replayed, inline = CountersRecorder(), CountersRecorder()
+        for i in range(len(points)):
+            emit(replayed, i)
+        for streams in points:
+            evaluate(config, streams, state, recorder=inline, context=context)
+        assert replayed.snapshot() == inline.snapshot()
+
+    def test_only_multi_stream_points_take_the_scalar_stage(self, monkeypatch):
+        from repro.memsim.kernels import analytic
+
+        seen: list[int] = []
+        general = analytic._assemble_general
+
+        def spy(ctx, specs, offsets, flat, directory):
+            seen.append(len(offsets) - 1)
+            assert all(hi - lo > 1 for lo, hi in zip(offsets, offsets[1:]))
+            return general(ctx, specs, offsets, flat, directory)
+
+        monkeypatch.setattr(analytic, "_assemble_general", spy)
+        singles, points = self.mixed()
+        evaluate_points_columns(eval_context(paper_config()), points, DirectoryState.cold())
+        assert seen == [len(points) - len(singles)]
+
+
 class TestClassifyPoint:
     def test_empty_point_is_empty(self):
         context = eval_context(paper_config())

@@ -4,6 +4,7 @@ The fake server answers one request with one raw line. A line that is
 not JSON, not a JSON object, or longer than the client's stream limit
 must raise ``ServeError("protocol", ...)`` from the client, and make
 ``repro request`` exit 1 with a one-line message instead of a traceback.
+So must a port nothing listens on, as ``ServeError("connect", ...)``.
 """
 
 import contextlib
@@ -74,4 +75,29 @@ def test_request_command_reports_a_bad_response(case, capsys):
     assert captured.out == ""
     assert captured.err.startswith("request: ")
     assert fragment in captured.err
+    assert "Traceback" not in captured.err
+
+
+def closed_port() -> int:
+    """A port that was bound and then closed: nothing listens on it."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        return listener.getsockname()[1]
+
+
+def test_refused_connection_is_a_connect_error():
+    port = closed_port()
+    with pytest.raises(ServeError) as excinfo:
+        run_async(request_once("127.0.0.1", port, {"kind": "ping"}))
+    assert excinfo.value.code == "connect"
+    assert f"127.0.0.1:{port}" in str(excinfo.value)
+    assert isinstance(excinfo.value.__cause__, ConnectionRefusedError)
+
+
+def test_request_command_reports_a_refused_connection(capsys):
+    port = closed_port()
+    code = main(["request", "--port", str(port), '{"kind": "ping"}'])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"request: cannot connect to 127.0.0.1:{port}")
     assert "Traceback" not in captured.err

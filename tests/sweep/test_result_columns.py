@@ -295,6 +295,96 @@ class TestBatchAssembly:
         assert "scribbled by a consumer" not in fresh.view(0).counters.notes
 
 
+def mixed_batch() -> ResultColumns:
+    """Seven rows with one, two and three streams, cold and warm far."""
+    read = StreamSpec(op=Op.READ, threads=8, access_size=4096)
+    write = StreamSpec(op=Op.WRITE, threads=4, access_size=256)
+    far = read.with_(target_socket=1, threads=18)
+    config = paper_config()
+    warm = DirectoryState.warm(config.topology)
+    service = EvaluationService(memoize=False)
+    return ResultColumns.from_results([
+        service.evaluate(config, (read,)),
+        service.evaluate(config, (read, write)),
+        service.evaluate(config, (far,)),
+        service.evaluate(config, (far, write, read.with_(issuing_socket=1))),
+        service.evaluate(config, (write,)),
+        service.evaluate(config, (far,), warm),
+        service.evaluate(config, (write.with_(target_socket=1), read)),
+    ])
+
+
+def appended(source: ResultColumns, rows, directory_after=None) -> ResultColumns:
+    """The oracle for ``take``: a loop of ``append_from``."""
+    out = ResultColumns()
+    for k, row in enumerate(rows):
+        if directory_after is None:
+            out.append_from(source, row)
+        else:
+            out.append_from(source, row, directory_after=directory_after[k])
+    return out
+
+
+class TestTake:
+    @pytest.mark.parametrize("rows", [
+        range(7), range(0), range(2, 5), range(3, 4), range(6, 7),
+    ], ids=repr)
+    def test_contiguous_range_equals_append_from(self, rows):
+        source = mixed_batch()
+        taken = source.take(rows)
+        assert taken == appended(source, rows)
+        assert len(taken) == len(rows)
+        assert taken.offsets[0] == 0
+
+    @pytest.mark.parametrize("rows", [
+        [6, 0, 3], [3, 3, 1, 3], [1], [], [5, 4, 3, 2, 1, 0], range(6, 0, -2),
+    ], ids=repr)
+    def test_any_order_with_repeats_equals_append_from(self, rows):
+        source = mixed_batch()
+        assert source.take(rows) == appended(source, rows)
+
+    def test_views_match_the_source_rows(self):
+        source = mixed_batch()
+        rows = [3, 1, 3, 6]
+        taken = source.take(rows)
+        for k, row in enumerate(rows):
+            assert results_identical(taken.view(k), source.view(row))
+
+    @pytest.mark.parametrize("rows", [range(1, 4), [3, 1, 3]], ids=repr)
+    def test_directory_after_override(self, rows):
+        source = mixed_batch()
+        warm = DirectoryState.warm(paper_config().topology)
+        states = [warm, None, DirectoryState.cold()]
+        taken = source.take(rows, directory_after=states)
+        assert taken == appended(source, rows, states)
+        assert taken.directory_after == states
+        # The source keeps its own states.
+        assert source.directory_after == mixed_batch().directory_after
+
+    def test_directory_after_must_match_the_rows(self):
+        with pytest.raises(SchemaError):
+            mixed_batch().take([0, 1], directory_after=[None])
+
+    def test_range_past_the_end_is_rejected(self):
+        with pytest.raises(IndexError):
+            mixed_batch().take(range(5, 9))
+
+    @pytest.mark.parametrize("rows", [range(7), [2, 0, 2]], ids=repr)
+    def test_view_caches_are_independent(self, rows):
+        source = mixed_batch()
+        before = source.view(2)
+        taken = source.take(rows)
+        assert taken._views == [None] * len(taken)
+        view = taken.view(1)
+        assert view is not source.view(rows[1])
+        view.counters.note("scribbled on the taken batch")
+        assert "scribbled on the taken batch" not in source.view(rows[1]).counters.notes
+        source.view(2).counters.note("scribbled on the source")
+        assert source.view(2) is before
+        fresh = taken.view(list(rows).index(2))
+        assert "scribbled on the source" not in fresh.counters.notes
+
+
 class TestGridPointErrorPartial:
     def _poisoned(self) -> SweepGrid:
         good = StreamSpec(op=Op.READ, threads=4, access_size=4096)

@@ -346,3 +346,126 @@ class TestGridRepeats:
             assert got.views() == want.views()
         assert len(service._memo) == len(set(points))
 
+
+
+#: Distinct, kernel-eligible points: near, far read both ways, far write,
+#: and multi-stream points. Under a warm input directory the near points
+#: key under an empty state and the far reads under their own pair, so
+#: every normalized key state but one differs from the full input state;
+#: the point reading both ways keys under the full state itself.
+COLD_GRID = [
+    (NEAR_READ,),
+    (NEAR_READ.with_(op=Op.WRITE, access_size=256),),
+    (FAR_READ,),
+    (FAR_READ.with_(issuing_socket=1, target_socket=0),),
+    (FAR_WRITE,),
+    (FAR_READ.with_(threads=36),),
+    (FAR_READ, NEAR_READ.with_(op=Op.WRITE)),
+    (FAR_READ, FAR_READ.with_(issuing_socket=1, target_socket=0)),
+    (NEAR_READ, NEAR_READ.with_(threads=4)),
+]
+
+
+class TestColdGrid:
+    """Every point a batch miss: the kernel batch is the output."""
+
+    def warm(self) -> DirectoryState:
+        return DirectoryState.warm(paper_config().topology)
+
+    def per_point(self, recorder=None) -> tuple[EvaluationService, list]:
+        service = EvaluationService()
+        rows = [
+            service.evaluate(paper_config(), streams, self.warm(), recorder=recorder)
+            for streams in COLD_GRID
+        ]
+        return service, rows
+
+    def test_normalized_states_differ_from_the_full_state(self):
+        service = EvaluationService()
+        lookup = service._lookup_grid(paper_config(), COLD_GRID, self.warm())
+        assert lookup.misses == list(range(len(COLD_GRID)))
+        full = [i for i, key in enumerate(lookup.keys) if key[2] == self.warm()]
+        assert full == [COLD_GRID.index((FAR_READ, FAR_READ.with_(
+            issuing_socket=1, target_socket=0
+        )))]
+
+    def test_rows_and_memo_equal_the_per_point_path(self, monkeypatch):
+        from repro.memsim.kernels import ResultColumns
+
+        def no_row_copies(*args, **kwargs):
+            raise AssertionError("the cold grid copied a row")
+
+        service = EvaluationService()
+        with monkeypatch.context() as patch:
+            patch.setattr(ResultColumns, "append_from", no_row_copies)
+            out = service.evaluate_grid_columns(paper_config(), COLD_GRID, self.warm())
+        loop, rows = self.per_point()
+        assert [out.directory_after[i] for i in range(len(out))] == [
+            row.directory_after for row in rows
+        ]
+        for i, row in enumerate(rows):
+            assert results_identical(out.view(i), row)
+        assert service.stats == loop.stats == CacheStats(hits=0, misses=len(COLD_GRID))
+        stored, expected = service._memo._results, loop._memo._results
+        assert stored.keys() == expected.keys()
+        for key, entry in stored.items():
+            columns, row = entry
+            assert results_identical(columns.view(row), expected[key])
+
+    @pytest.mark.parametrize("backend,jobs", [("vector", 1), ("cluster", 2)])
+    def test_tallies_equal_the_per_point_path(self, backend, jobs):
+        from repro.sweep import SweepRunner
+        from repro.workloads.grids import SweepGrid, SweepPoint
+
+        grid = SweepGrid(name="cold", points=tuple(
+            SweepPoint(label=f"p{i}", params={}, streams=streams)
+            for i, streams in enumerate(COLD_GRID)
+        ))
+        loop_rec = CountersRecorder()
+        loop, rows = self.per_point(loop_rec)
+        for streams in COLD_GRID:  # second pass: memo hits
+            loop.evaluate(paper_config(), streams, self.warm(), recorder=loop_rec)
+
+        rec = CountersRecorder()
+        service = EvaluationService()
+        runner = SweepRunner(service, backend=backend, jobs=jobs, recorder=rec)
+        for _ in range(2):
+            _, out = runner.run_columns(grid, directory=self.warm())
+            for i, row in enumerate(rows):
+                assert results_identical(out.view(i), row)
+        assert service.stats == loop.stats
+
+        def cache_counters(recorder):
+            snapshot = recorder.snapshot()
+            return (
+                {k: v for k, v in snapshot["counters"].items() if k.startswith("sweep.cache.")},
+                {k: v for k, v in snapshot["events"].items() if k.startswith("sweep.cache")},
+            )
+
+        assert cache_counters(rec) == cache_counters(loop_rec)
+
+    def test_recorder_replays_the_per_point_probes(self):
+        rec = CountersRecorder()
+        EvaluationService().evaluate_grid_columns(
+            paper_config(), COLD_GRID, self.warm(), recorder=rec
+        )
+        loop_rec = CountersRecorder()
+        self.per_point(loop_rec)
+        assert rec.snapshot() == loop_rec.snapshot()
+
+    def test_annotating_the_output_cannot_change_a_later_hit(self):
+        service = EvaluationService()
+        config = paper_config()
+        out = service.evaluate_grid_columns(config, COLD_GRID, self.warm())
+        _, rows = self.per_point()
+        for i in range(len(out)):
+            view = out.view(i)
+            view.counters.note("scribbled by a consumer")
+            view.counters.media_bytes_read += 999
+        again = service.evaluate_grid_columns(config, COLD_GRID, self.warm())
+        assert service.stats.hits == len(COLD_GRID)
+        for i, row in enumerate(rows):
+            hit = service.evaluate(config, COLD_GRID[i], self.warm())
+            assert results_identical(hit, row)
+            assert results_identical(again.view(i), row)
+            assert "scribbled by a consumer" not in hit.counters.notes
