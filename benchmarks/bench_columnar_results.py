@@ -10,10 +10,11 @@ time the three legs that claim rides on, on the shared Figure 3 grid:
 * the v2 disk-cache round trip — one content-addressed block write for
   the whole grid, then per-digest ``get_ref`` lookups resolving into
   the shared in-memory block;
-* the wire codec — the cost the cluster wire pays to ship a work item's
-  results back to the coordinator as one canonical-JSON column block
-  (:func:`repro.sweep.cache.columns_to_payload` out,
-  :func:`repro.sweep.cluster.protocol.field` back in).
+* the wire codec — the cost the cluster wire pays to ship 1000 rows of
+  results back to the coordinator as one canonical-JSON rows payload:
+  the worker's encode (:func:`repro.sweep.cache.columns_to_payload`
+  without the spec column) and the coordinator's decode with the specs
+  it shipped (:func:`repro.sweep.cluster.protocol.rows`).
 
 Each bench asserts the columnar values against the materialized views
 (same floats), so the smoke run doubles as an identity check.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import json
 
-from repro.memsim import paper_config
+from repro.memsim import Op, StreamSpec, paper_config
 from repro.memsim.kernels import ResultColumns
 from repro.sweep import DiskCache, EvaluationService, SweepRunner
 from repro.sweep.cache import columns_to_payload, request_digest
@@ -68,19 +69,43 @@ def test_disk_cache_block_round_trip(benchmark, fig3_grid, tmp_path):
     benchmark.extra_info["points"] = len(points)
 
 
+#: Rows in the wire codec bench: one cluster workload grid's worth.
+WIRE_ROWS = 1000
+
+
+def _shipped_points() -> list[tuple[StreamSpec, ...]]:
+    """WIRE_ROWS distinct single-stream points, near and far, read and write."""
+    return [
+        (StreamSpec(
+            op=Op.READ if i % 4 else Op.WRITE,
+            threads=1 + i % 36,
+            access_size=64 * (1 + i // 36),
+            target_socket=i % 2,
+        ),)
+        for i in range(WIRE_ROWS)
+    ]
+
+
 def _result_frame(columns: ResultColumns) -> bytes:
-    return protocol.dump_line({"kind": "result", "columns": columns_to_payload(columns)})
+    """The worker's side: a ``result`` frame's line with the rows payload."""
+    return protocol.dump_line(
+        {"kind": "result", "rows": columns_to_payload(columns, specs=False)}
+    )
 
 
-def test_column_block_wire_codec(benchmark, fig3_grid):
-    """Ship a grid's results across the cluster wire as JSON and back."""
-    _, columns = _columns_for(fig3_grid)
+def test_column_block_wire_codec(benchmark):
+    """Ship 1000 rows across the cluster wire as JSON and back."""
+    points = _shipped_points()
+    columns = EvaluationService(memoize=False).evaluate_grid_columns(
+        paper_config(), points
+    )
 
     def ship() -> ResultColumns:
         frame = json.loads(_result_frame(columns))
-        return protocol.field(frame, "columns", ResultColumns)
+        return protocol.rows(frame, points)
 
     shipped = benchmark(ship)
     assert shipped == columns
     assert shipped.total_gbps() == columns.total_gbps()
-    benchmark.extra_info["block_bytes"] = len(_result_frame(columns))
+    benchmark.extra_info["rows"] = len(columns)
+    benchmark.extra_info["frame_bytes"] = len(_result_frame(columns))

@@ -21,13 +21,15 @@ Row data is immutable (floats, ints, tuples, frozen dataclasses), which
 makes :meth:`take`, :meth:`append_from` and :meth:`extend` safe
 structural sharing: the sweep service stores a cold grid's kernel batch
 with one column-wise :meth:`take`, and assembles mixed hit/miss output
-from cached blocks and fresh kernel batches, without copying row
-contents. The view cache itself is *never* shared between batches
+from cached blocks and fresh kernel batches with one :meth:`take` per
+source batch (:class:`repro.sweep.service.GridRows`), without copying
+row contents. The view cache itself is *never* shared between batches
 (views hold a mutable :class:`~repro.memsim.counters.PerfCounters` a
-caller may annotate) and never leaves the process: the cluster wire and
-the disk cache carry column blocks as canonical JSON
-(:func:`repro.sweep.cache.columns_to_payload`), and pickling drops it
-too.
+caller may annotate) and never leaves the process: the disk cache
+carries column blocks as canonical JSON
+(:func:`repro.sweep.cache.columns_to_payload`), the cluster wire the
+same blocks without their ``specs`` column (rows payloads, whose
+receiver re-attaches the specs it shipped), and pickling drops it too.
 
 This module deliberately imports no NumPy: consumers that only ship or
 store column blocks (the sweep cache, the cluster wire) stay off the

@@ -34,6 +34,7 @@ import dataclasses
 import enum
 import functools
 import hashlib
+import itertools
 import json
 import os
 import threading
@@ -56,11 +57,6 @@ from repro.memsim.spec import StreamSpec
 
 #: One evaluation request: (config, streams, normalized directory).
 CacheKey = tuple[MachineConfig, tuple[StreamSpec, ...], DirectoryState]
-
-#: A cached result: either a standalone object or a row reference into a
-#: shared column batch (materialized lazily via ``columns.view(row)``).
-CacheValue = BandwidthResult | tuple[ResultColumns, int]
-
 
 @dataclass
 class CacheStats:
@@ -92,14 +88,36 @@ class CacheStats:
         return line
 
 
+class Slot(list):
+    """A memo place a grid reserved for a key no entry answered yet.
+
+    :meth:`MemoCache.reserve_many` leaves one in the memo for each such
+    key, and the grid fills it in place with the key's ``[columns, row]``
+    reference (:meth:`MemoCache.fill_many`) once the row is computed, so
+    the key is hashed once per grid. A filled slot *is* the memo entry;
+    an empty one reads as a miss. A grid that stops early leaves its
+    later slots empty, and whoever computes those keys next fills them.
+    """
+
+    __slots__ = ()
+
+
+#: A cached result: either a standalone object or a row reference into a
+#: shared column batch (materialized lazily via ``columns.view(row)``) —
+#: a ``(columns, row)`` pair or a filled :class:`Slot`.
+CacheValue = BandwidthResult | tuple[ResultColumns, int] | Slot
+
+
 class MemoCache:
     """Thread-safe in-memory result store keyed by request content.
 
     Values are :data:`CacheValue`: a grid evaluation memoizes
-    ``(columns, row)`` references into its shared batch so that priming
+    ``[columns, row]`` references into its shared batch so that priming
     a thousand-point sweep costs zero per-point object construction; the
     per-point path still stores plain results. The service materializes
     a reference to a view only when the entry is actually delivered.
+    A key a grid has reserved and not yet filled holds an empty
+    :class:`Slot`, which every read treats as a miss.
     """
 
     def __init__(self) -> None:
@@ -107,11 +125,13 @@ class MemoCache:
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._results)
+        """The number of keys an entry answers (empty slots excluded)."""
+        with self._lock:
+            return sum(map(bool, self._results.values()))
 
     def get(self, key: CacheKey) -> CacheValue | None:
         with self._lock:
-            return self._results.get(key)
+            return self._results.get(key) or None
 
     def put(self, key: CacheKey, result: CacheValue) -> None:
         with self._lock:
@@ -122,30 +142,41 @@ class MemoCache:
 
         One hash per key: a disk hit fills the memo with it, learning
         from the returned value whether an earlier point already put the
-        key there.
+        key there. An empty slot holds nothing, so ``result`` replaces it.
         """
         with self._lock:
-            return self._results.setdefault(key, result)
+            held = self._results.setdefault(key, result)
+            if not held:
+                self._results[key] = held = result
+            return held
 
-    def get_many(self, keys: Sequence[CacheKey]) -> list[CacheValue | None]:
-        """What each of ``keys`` holds (``None`` if nothing), under one lock.
+    def reserve_many(self, keys: Sequence[CacheKey]) -> list[CacheValue]:
+        """What each of ``keys`` holds, under one lock, one hash per key.
 
-        A grid looks up all its points at once with this.
+        A key no entry answers holds an empty :class:`Slot` afterwards (a
+        new one, or the one it already held), returned in its place: the
+        same slot object for every copy of the key, so the caller can
+        tell a repeat from its first copy by identity. A grid looks up
+        all its points at once with this, and fills the slots of the keys
+        it computes with :meth:`fill_many`.
         """
         with self._lock:
-            return list(map(self._results.get, keys))
+            reserve = self._results.setdefault
+            return [reserve(key, Slot()) for key in keys]
 
-    def setdefault_many(
-        self, items: Iterable[tuple[CacheKey, CacheValue]]
+    def fill_many(
+        self, items: Iterable[tuple[Slot, tuple[ResultColumns, int]]]
     ) -> None:
-        """:meth:`setdefault` each ``(key, value)`` pair, under one lock.
+        """Fill each still-empty slot with its ``(columns, row)``, under one lock.
 
-        A grid stores its computed rows with this.
+        A slot filled meanwhile (another thread's grid computed the key
+        first) keeps its reference, as :meth:`setdefault` would. Hashes
+        nothing: a grid stores its computed rows with this.
         """
         with self._lock:
-            setdefault = self._results.setdefault
-            for key, value in items:
-                setdefault(key, value)
+            for slot, ref in items:
+                if not slot:
+                    slot.extend(ref)
 
     def clear(self) -> None:
         with self._lock:
@@ -332,6 +363,8 @@ _PAIRS = tuple[frozenset[tuple[int, int]] | None, ...]
 def columns_to_payload(
     columns: ResultColumns,
     digests: Sequence[str] | None = None,
+    *,
+    specs: bool = True,
 ) -> dict[str, object]:
     """JSON-ready structure-of-arrays form of a column batch.
 
@@ -339,16 +372,22 @@ def columns_to_payload(
     records which request digest each row answers — the load path
     cross-checks it so an index shard pointing at the wrong block (or a
     stale block) reads as a miss, never as a wrong result.
+
+    ``specs=False`` leaves out the ``streams.specs`` column: the rows
+    payload of a cluster ``result`` frame, whose receiver already holds
+    the specs it shipped (:func:`columns_from_payload` with ``streams``).
     """
+    streams: dict[str, object] = {
+        "gbps": list(columns.gbps),
+        "solo_gbps": list(columns.solo_gbps),
+        "notes": [list(notes) for notes in columns.stream_notes],
+    }
+    if specs:
+        streams["specs"] = [encode(spec) for spec in columns.specs]
     payload: dict[str, object] = {
         "schema": CACHE_SCHEMA,
         "offsets": list(columns.offsets),
-        "streams": {
-            "specs": [encode(spec) for spec in columns.specs],
-            "gbps": list(columns.gbps),
-            "solo_gbps": list(columns.solo_gbps),
-            "notes": [list(notes) for notes in columns.stream_notes],
-        },
+        "streams": streams,
         "counters": {
             name: list(getattr(columns, name)) for name in COUNTER_COLUMNS
         },
@@ -370,13 +409,23 @@ def _member(obj: object, key: str, hint: object) -> object:
     return decode(hint, obj[key])
 
 
-def columns_from_payload(payload: object) -> ResultColumns:
+def columns_from_payload(
+    payload: object,
+    streams: Sequence[tuple[StreamSpec, ...]] | None = None,
+) -> ResultColumns:
     """Inverse of :func:`columns_to_payload`, validating the shape.
 
+    With ``streams`` — each row's stream specs, which the receiver
+    already holds — the payload is a rows payload
+    (``columns_to_payload(..., specs=False)``): it must not carry
+    ``streams.specs``, its offsets must give row ``k`` exactly
+    ``len(streams[k])`` streams, and the spec column is built from
+    ``streams``. Every other member is checked the same either way.
+
     Raises only :class:`~repro.errors.SchemaError`: for a wrong schema,
-    a missing or mistyped member, ragged columns or non-monotonic
-    offsets. The disk cache reads it as a miss; the cluster wire drops
-    the peer that sent it.
+    a missing, extra or mistyped member, ragged columns, non-monotonic
+    offsets, or offsets that disagree with ``streams``. The disk cache
+    reads it as a miss; the cluster wire drops the peer that sent it.
     """
     if not isinstance(payload, dict) or payload.get("schema") != CACHE_SCHEMA:
         raise SchemaError("not a repro.sweep.cache/2 column block")
@@ -385,16 +434,23 @@ def columns_from_payload(payload: object) -> ResultColumns:
         raise SchemaError("offsets must start at 0")
     if any(b < a for a, b in zip(offsets, offsets[1:])):
         raise SchemaError("offsets must be non-decreasing")
-    n = len(offsets) - 1
-    total = offsets[-1]
-    streams = payload.get("streams")
+    stream_columns = payload.get("streams")
     counters = payload.get("counters")
     columns = ResultColumns()
     columns.offsets = offsets
-    columns.specs = list(_member(streams, "specs", tuple[StreamSpec, ...]))
-    columns.gbps = list(_member(streams, "gbps", _FLOATS))
-    columns.solo_gbps = list(_member(streams, "solo_gbps", _FLOATS))
-    columns.stream_notes = list(_member(streams, "notes", _NOTES))
+    if streams is None:
+        columns.specs = list(_member(stream_columns, "specs", tuple[StreamSpec, ...]))
+    else:
+        if isinstance(stream_columns, dict) and "specs" in stream_columns:
+            raise SchemaError("a rows payload carries no 'specs'")
+        if offsets != [0, *itertools.accumulate(map(len, streams))]:
+            raise SchemaError("offsets do not match the rows' stream counts")
+        columns.specs = [spec for row in streams for spec in row]
+    n = len(offsets) - 1
+    total = offsets[-1]
+    columns.gbps = list(_member(stream_columns, "gbps", _FLOATS))
+    columns.solo_gbps = list(_member(stream_columns, "solo_gbps", _FLOATS))
+    columns.stream_notes = list(_member(stream_columns, "notes", _NOTES))
     for name in ("specs", "gbps", "solo_gbps", "stream_notes"):
         if len(getattr(columns, name)) != total:
             raise SchemaError(f"stream column {name!r} does not match offsets")

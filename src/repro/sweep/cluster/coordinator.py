@@ -64,7 +64,7 @@ from repro.obs import CountersRecorder, Recorder, merge_snapshot
 from repro.sweep.cache import encode, request_digest
 from repro.sweep.cluster import protocol
 from repro.sweep.cluster.config import CHUNKS_PER_WORKER, ClusterOptions
-from repro.sweep.service import EvaluationService
+from repro.sweep.service import EvaluationService, GridRows
 from repro.workloads.grids import SweepPoint
 
 __all__ = ["Coordinator"]
@@ -277,14 +277,20 @@ class Coordinator:
 
         Walks the grid as the in-process grid loop does: the parent's
         hits are tallied as they are reached, and the computed rows are
-        stored back into the parent's caches, one miss each.
+        stored back into the parent's caches, one miss each. The rows
+        are copied column-wise once the walk is done: on a grid every
+        point of which missed, the received blocks are concatenated once
+        and taken into grid order with one ``take``.
         """
-        out = ResultColumns()
+        rows = GridRows()
+        lookup, filled = self._lookup, self._filled
         for index in range(len(self._points)):
-            if not self._lookup.append_hit(index, out, self._directory, self._recorder):
-                out.append_from(*self._filled[index])
+            if not lookup.append_hit(index, rows, self._directory, self._recorder):
+                columns, row = filled[index]
+                rows.add(columns, row, columns.directory_after[row])
+        out = rows.columns()
         # ``out`` is in grid order, so a miss's row is its grid index.
-        self._lookup.store(self.misses, out, self.misses)
+        lookup.store(self.misses, out, self.misses)
         self._service.stats.misses += len(self.misses)
         return out
 
@@ -343,7 +349,7 @@ class Coordinator:
             await self._on_stolen(link, frame)
         elif kind == "failed":
             # The grid re-runs in process; nothing is merged.
-            self._take(link, frame)
+            self._settle(link, *self._answered(link, frame))
             self._failed = True
             self._finished.set()
         else:
@@ -361,31 +367,42 @@ class Coordinator:
             raise SweepError("cluster frame names a point not outstanding on its link")
         return indices
 
-    def _take(self, link: _Link, frame: dict, rows: int | None = None) -> list[int]:
-        """Settle the item a ``result`` (of ``rows`` rows) or ``failed`` frame answers.
+    def _answered(self, link: _Link, frame: dict) -> tuple[int, list[int]]:
+        """The ``chunk`` and ``indices`` a ``result`` or ``failed`` frame answers.
 
-        Its indices must be outstanding under the frame's own ``chunk``;
-        they leave the link's work only once the frame checks out.
+        The indices must be outstanding under the frame's own chunk.
+        Nothing is settled yet: see :meth:`_settle`.
         """
         chunk = protocol.field(frame, "chunk", int)
-        remaining = link.outstanding.get(chunk, set())
-        indices = self._indices(frame, remaining)
+        indices = self._indices(frame, link.outstanding.get(chunk, set()))
         if not indices:
             raise SweepError("cluster frame answers no point")
-        if rows is not None and rows != len(indices):
-            raise SweepError("cluster result rows do not match its indices")
+        return chunk, indices
+
+    @staticmethod
+    def _settle(link: _Link, chunk: int, indices: list[int]) -> None:
+        """Take answered points off the link's work, once the frame checks out."""
+        remaining = link.outstanding[chunk]
         remaining.difference_update(indices)
         if not remaining:
             del link.outstanding[chunk]
-        return indices
 
     def _merge_result(self, link: _Link, frame: dict) -> None:
-        columns = protocol.field(frame, "columns", ResultColumns)
+        """Merge a ``result`` frame: the rows of the points it names.
+
+        The frame carries no stream specs; the rows take the specs of
+        the points shipped under its indices, and its offsets must give
+        each point the stream count it was shipped with.
+        """
+        chunk, indices = self._answered(link, frame)
+        points = self._points
+        columns = protocol.rows(frame, [points[i].streams for i in indices])
         wall = protocol.field(frame, "wall", float)
         snapshot = _checked_snapshot(frame)
-        indices = self._take(link, frame, rows=len(columns))
+        self._settle(link, chunk, indices)
+        filled = self._filled
         for row, index in enumerate(indices):
-            self._filled[index] = (columns, row)
+            filled[index] = (columns, row)
         if snapshot is not None:
             self._snapshots.append((min(indices), snapshot))
         if self._observing:

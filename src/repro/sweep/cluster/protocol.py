@@ -6,17 +6,19 @@ so the coordinator and a ``repro worker`` peer speak the same framing as
 the bandwidth server. Every payload travels in the canonical JSON
 encoding the disk cache already stores (:mod:`repro.sweep.cache`): the
 :class:`~repro.memsim.config.MachineConfig` and streams as
-:func:`~repro.sweep.cache.encode` values, whole
-:class:`~repro.memsim.kernels.ResultColumns` blocks as
-:func:`~repro.sweep.cache.columns_to_payload` structure-of-arrays
-payloads — one block per work item, never an object per point. Nothing
-on the wire is pickled, so a peer can send bad data but never code.
+:func:`~repro.sweep.cache.encode` values, and a work item's results as
+one *rows* payload — the structure-of-arrays column block of
+:func:`~repro.sweep.cache.columns_to_payload` without its stream-spec
+column (``specs=False``), never an object per point. Results carry only
+what the worker computed: the coordinator already holds the specs it
+shipped and re-attaches them. Nothing on the wire is pickled, so a peer
+can send bad data but never code.
 
-Every field a peer sends is read through :func:`field`, which decodes
-it with the typed canonical decoder and raises
-:class:`~repro.errors.SweepError` for a missing or mistyped value: the
-receiving side drops the link (and the coordinator requeues its work)
-instead of crashing on a ``KeyError``.
+Every field a peer sends is read through :func:`field` (or, for a
+``result`` frame's rows, :func:`rows`), which decodes it with the typed
+canonical decoder and raises :class:`~repro.errors.SweepError` for a
+missing or mistyped value: the receiving side drops the link (and the
+coordinator requeues its work) instead of crashing on a ``KeyError``.
 
 Every stream is created with an explicit ``limit`` of
 :data:`MAX_FRAME_BYTES`, which is what bounds ``readline`` against a
@@ -50,8 +52,12 @@ worker -> coordinator:
     workers parked on a long item.
 ``result``
     One work item's results: ``chunk`` id, global ``indices``, the
-    ``columns`` block, an optional counters ``snapshot``, and ``wall``
-    seconds. Every row is a computed miss.
+    ``rows`` payload (``offsets``; ``streams`` ``gbps``, ``solo_gbps``
+    and ``notes``; ``counters``; ``counter_notes``; ``directory_after``
+    — no ``specs``), an optional counters ``snapshot``, and ``wall``
+    seconds. Row ``k`` answers point ``indices[k]``, and its offsets
+    must give it exactly the streams that point was shipped with. Every
+    row is a computed miss.
 ``stolen``
     Answer to ``steal``: the global ``indices`` relinquished (may be
     empty if the queue drained first).
@@ -71,14 +77,16 @@ stores and counts the returned rows itself.
 from __future__ import annotations
 
 import json
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 import asyncio
 
 from repro import units
 from repro.errors import SchemaError, SweepError
+from repro.memsim.kernels import ResultColumns
+from repro.memsim.spec import StreamSpec
 from repro.serve.protocol import dump_line
-from repro.sweep.cache import decode
+from repro.sweep.cache import columns_from_payload, decode
 
 __all__ = [
     "CLUSTER_PROTOCOL",
@@ -86,16 +94,32 @@ __all__ = [
     "dump_line",
     "field",
     "read_frame",
+    "rows",
     "send_frame",
 ]
 
 #: Protocol identifier carried by ``hello`` and ``join`` frames.
-CLUSTER_PROTOCOL = "repro.sweep.cluster/5"
+CLUSTER_PROTOCOL = "repro.sweep.cluster/6"
 
 #: Stream limit for every cluster connection: bounds ``readline`` so a
 #: broken or hostile peer cannot grow an unbounded buffer. Large enough
 #: for a chunk of hundreds of encoded points.
 MAX_FRAME_BYTES = 8 * units.MIB
+
+
+def _read(
+    frame: Mapping[str, object], name: str, decoder: Callable[[object], object]
+) -> object:
+    """Frame member ``name`` through ``decoder``; a :class:`SweepError` if
+    it is missing or the decoder raises :class:`SchemaError`."""
+    if name not in frame:
+        raise SweepError(f"cluster {frame.get('kind')!r} frame lacks {name!r}")
+    try:
+        return decoder(frame[name])
+    except SchemaError as exc:
+        raise SweepError(
+            f"cluster {frame.get('kind')!r} frame has a bad {name!r}: {exc}"
+        ) from exc
 
 
 def field(frame: Mapping[str, object], name: str, hint: object) -> object:
@@ -104,14 +128,20 @@ def field(frame: Mapping[str, object], name: str, hint: object) -> object:
     Raises :class:`~repro.errors.SweepError` if the member is missing or
     does not decode (:func:`repro.sweep.cache.decode`).
     """
-    if name not in frame:
-        raise SweepError(f"cluster {frame.get('kind')!r} frame lacks {name!r}")
-    try:
-        return decode(hint, frame[name])
-    except SchemaError as exc:
-        raise SweepError(
-            f"cluster {frame.get('kind')!r} frame has a bad {name!r}: {exc}"
-        ) from exc
+    return _read(frame, name, lambda value: decode(hint, value))
+
+
+def rows(
+    frame: Mapping[str, object], streams: Sequence[tuple[StreamSpec, ...]]
+) -> ResultColumns:
+    """A ``result`` frame's ``rows``, its row ``k`` holding ``streams[k]``.
+
+    Every member is checked by the typed canonical decoder
+    (:func:`repro.sweep.cache.columns_from_payload` with ``streams``);
+    a payload carrying specs, or offsets giving a row a stream count
+    other than ``len(streams[k])``, raises :class:`SweepError` too.
+    """
+    return _read(frame, "rows", lambda value: columns_from_payload(value, streams))
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Mapping[str, object] | None:

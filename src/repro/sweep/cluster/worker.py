@@ -292,7 +292,7 @@ class ClusterWorker:
                 "kind": "result",
                 "chunk": item.chunk,
                 "indices": item.indices,
-                "columns": columns_to_payload(columns),
+                "rows": columns_to_payload(columns, specs=False),
                 "snapshot": rec.snapshot() if rec is not None else None,
                 "wall": wall,
             },

@@ -247,13 +247,13 @@ class EvaluationService:
         # ``points`` order: float addition is order-sensitive at the last
         # ulp, so recorder counters must accumulate exactly as the
         # per-point path would. The returned batch never shares a view
-        # cache with a stored one (``take`` and ``append_from`` start
-        # fresh ones), so annotating a view of the returned columns can
-        # never corrupt a stored entry.
+        # cache with a stored one (``take`` starts a fresh one), so
+        # annotating a view of the returned columns can never corrupt a
+        # stored entry.
         emitting = rec.enabled
         if emitting:
             from repro.obs import probes
-        out = ResultColumns()
+        out = GridRows()
         # Batch rows delivered so far: the misses to tally and store.
         pos = 0
         try:
@@ -266,7 +266,7 @@ class EvaluationService:
                 pos = len(batch)
                 return computed
             # A mixed grid: hits, repeats and fallbacks interleave with
-            # the batch rows, copied into the output one at a time.
+            # the batch rows; each source batch is copied from once.
             for i, streams in enumerate(normalized_points):
                 reason = reasons[i]
                 if emitting and reason is not None:
@@ -280,22 +280,21 @@ class EvaluationService:
                         # input state the batch ran against.
                         key = lookup.keys[i]
                         emit(rec, pos, before=key[2], after=_rebased(key[2], streams))
-                    out.append_from(computed, pos)
+                    out.add(computed, pos, computed.directory_after[pos])
                     pos += 1
                     continue
                 try:
-                    out.append_result(
-                        self.evaluate(config, streams, state, recorder=rec)
-                    )
+                    result = self.evaluate(config, streams, state, recorder=rec)
+                    out.add_result(result, result.directory_after)
                 except Exception as exc:
-                    raise fail(i, exc, out) from exc
+                    raise fail(i, exc, out.columns()) from exc
         finally:
             if pos:
                 self.stats.misses += pos
                 if emitting:
                     rec.incr("sweep.cache.misses_count", pos)
                 lookup.store(batch[:pos], computed)
-        return out
+        return out.columns()
 
     def _lookup_grid(
         self,
@@ -326,23 +325,27 @@ class EvaluationService:
                 restricted[pairs] = normalized
             keys.append((config, streams, normalized))
         memo, disk = self._memo, self._disk
-        held = memo.get_many(keys) if memo is not None else [None] * len(keys)
-        # Within one grid the config and the full state are fixed, so a
-        # key is a function of its streams: repeats are found by those.
-        first: dict[tuple[StreamSpec, ...], int] = {}
+        # One hash per key: the memo answers each key with its entry or
+        # with the slot it reserved, which the grid's store fills.
+        held = lookup.held = (
+            memo.reserve_many(keys) if memo is not None else [None] * len(keys)
+        )
+        # Every copy of a key gets the key's one slot: repeats are found
+        # by its identity.
+        first: dict[int, int] = {}
         digest = None
         for i, key in enumerate(keys):
-            entry = held[i]
-            if entry is not None:
-                lookup.found[i] = (entry, "memo")
+            slot = held[i]
+            if slot:  # an entry; an empty slot (and no memo) is falsy
+                lookup.found[i] = (slot, "memo")
                 continue
             if disk is not None:
                 entry, digest = self._find_on_disk(key)
                 if entry is not None:
                     lookup.found[i] = (entry, "disk")
                     continue
-            if memo is not None:
-                earlier = first.setdefault(key[1], i)
+            if slot is not None:
+                earlier = first.setdefault(id(slot), i)
                 if earlier != i:
                     lookup.repeats[i] = earlier
                     continue
@@ -446,7 +449,7 @@ class EvaluationService:
         directory rebase and nothing else, and annotating a delivered
         result's counters can never corrupt the stored entry.
         """
-        if type(stored) is tuple:
+        if not isinstance(stored, BandwidthResult):
             columns, row = stored
             stored = columns.view(row)
         result = stored.copy()
@@ -474,6 +477,9 @@ class GridLookup:
         #: The full input state the grid's misses are computed against.
         self.directory = directory
         self.keys: list[RequestKey] = []
+        #: What the memo held for ``keys[i]``: its entry or its empty
+        #: :class:`~repro.sweep.cache.Slot` (``None`` without a memo).
+        self.held: list[CacheValue | None] = []
         self.found: dict[int, tuple[CacheValue, str]] = {}
         self.repeats: dict[int, int] = {}
         self.misses: list[int] = []
@@ -482,15 +488,15 @@ class GridLookup:
     def append_hit(
         self,
         index: int,
-        out: "ResultColumns",
+        out: "GridRows",
         state: DirectoryState,
         rec: Recorder,
     ) -> bool:
-        """Tally point ``index``'s hit and append its row to ``out``.
+        """Tally point ``index``'s hit and add its row to ``out``.
 
         ``out`` holds the rows of every earlier point in grid order. A
         found row is rebased onto ``state`` exactly as
-        :meth:`EvaluationService._deliver` rebases it; a repeat copies
+        :meth:`EvaluationService._deliver` rebases it; a repeat takes
         the earlier point's row and counts a memo hit. Returns ``False``
         (and does nothing) for a miss.
         """
@@ -499,16 +505,16 @@ class GridLookup:
             key = self.keys[index]
             entry = self.service._take(key, found[0], found[1], rec)
             after = _rebased(state, key[1])
-            if type(entry) is tuple:
-                out.append_from(entry[0], entry[1], directory_after=after)
+            if isinstance(entry, BandwidthResult):
+                out.add_result(entry, after)
             else:
-                out.append_result(entry, directory_after=after)
+                out.add(entry[0], entry[1], after)
             return True
         earlier = self.repeats.get(index)
         if earlier is None:
             return False
         self.service._count_hit(rec, "memo", len(self.keys[index][1]))
-        out.append_from(out, earlier)
+        out.repeat(earlier)
         return True
 
     def store(
@@ -524,8 +530,9 @@ class GridLookup:
         state :attr:`directory`. The stored entries are what the
         per-point path stores: one :meth:`ResultColumns.take` of those
         rows, with each key's ``directory_after`` rebased onto its
-        normalized state, memoized as ``(stored, row)`` with one
-        ``setdefault`` per key and written to disk as one block.
+        normalized state, memoized as ``(stored, row)`` into the slot
+        each key reserved at lookup (no key is hashed again) and written
+        to disk as one block.
         """
         memo, disk = self.service._memo, self.service._disk
         if memo is None and disk is None:
@@ -544,9 +551,83 @@ class GridLookup:
             ],
         )
         if memo is not None:
-            memo.setdefault_many((key, (stored, row)) for row, key in enumerate(keys))
+            held = self.held
+            memo.fill_many(
+                (held[i], (stored, row)) for row, i in enumerate(indices)
+            )
         if disk is not None:
             disk.put_columns([self.digests[i] for i in indices], stored)
+
+
+class GridRows:
+    """A grid's output rows in grid order, copied column-wise at the end.
+
+    Each row is a reference — row ``row`` of a source batch, with its
+    own ``directory_after`` — until :meth:`columns` builds the batch
+    with one :meth:`ResultColumns.take` per source batch (a source used
+    whole and in order is not copied at all), one concatenation, and
+    one ``take`` into grid order. The result equals a loop of
+    :meth:`ResultColumns.append_from` over the rows.
+    """
+
+    def __init__(self) -> None:
+        #: id(source) -> (source, the rows taken from it, in first-use order).
+        self._sources: dict[int, tuple["ResultColumns", list[int]]] = {}
+        #: Per output row: (id of its source, its position among that
+        #: source's taken rows).
+        self._where: list[tuple[int, int]] = []
+        self._afters: list[DirectoryState | None] = []
+        #: Rows added from result objects.
+        self._results: "ResultColumns | None" = None
+
+    def add(
+        self, source: "ResultColumns", row: int, after: DirectoryState | None
+    ) -> None:
+        """Add row ``row`` of ``source`` with ``after`` as its
+        ``directory_after``. ``source`` must not change until
+        :meth:`columns`."""
+        taken = self._sources.get(id(source))
+        if taken is None:
+            taken = self._sources[id(source)] = (source, [])
+        self._where.append((id(source), len(taken[1])))
+        taken[1].append(row)
+        self._afters.append(after)
+
+    def add_result(
+        self, result: BandwidthResult, after: DirectoryState | None
+    ) -> None:
+        """Add a result object's row with ``after`` as its ``directory_after``."""
+        if self._results is None:
+            from repro.memsim.kernels import ResultColumns
+
+            self._results = ResultColumns()
+        self._results.append_result(result)
+        self.add(self._results, len(self._results) - 1, after)
+
+    def repeat(self, earlier: int) -> None:
+        """Add output row ``earlier`` again."""
+        self._where.append(self._where[earlier])
+        self._afters.append(self._afters[earlier])
+
+    def columns(self) -> "ResultColumns":
+        """The rows added so far as one new batch (no shared view cache)."""
+        from repro.memsim.kernels import ResultColumns
+
+        if len(self._sources) == 1:
+            ((source, rows),) = self._sources.values()
+            return source.take(
+                [rows[pos] for _, pos in self._where], directory_after=self._afters
+            )
+        parts = ResultColumns()
+        base: dict[int, int] = {}
+        for key, (source, rows) in self._sources.items():
+            base[key] = len(parts)
+            whole = len(rows) == len(source) and rows == list(range(len(rows)))
+            parts.extend(source if whole else source.take(rows))
+        return parts.take(
+            [base[key] + pos for key, pos in self._where],
+            directory_after=self._afters,
+        )
 
 
 def _rebased(

@@ -19,7 +19,12 @@ from repro.memsim.config import DirectoryState, MachineConfig, paper_config
 from repro.memsim.kernels import ResultColumns
 from repro.obs import NULL_RECORDER, CountersRecorder
 from repro.sweep import BACKENDS, DiskCache, EvaluationService, SweepRunner
-from repro.sweep.cache import _canonical, columns_to_payload, encode
+from repro.sweep.cache import (
+    _canonical,
+    columns_from_payload,
+    columns_to_payload,
+    encode,
+)
 from repro.sweep.cluster import ClusterOptions, parse_endpoint
 from repro.sweep.cluster import protocol
 from repro.sweep.cluster.coordinator import Coordinator, _Link
@@ -72,7 +77,11 @@ def _assert_identical(serial, parallel) -> None:
 
 class TestProtocol:
     def test_wire_codec_round_trip(self):
-        """Config, points and columns cross the wire as canonical JSON."""
+        """Config, points and rows cross the wire as canonical JSON.
+
+        The rows carry no stream specs: the receiver re-attaches the
+        ones it shipped, and the batch comes back equal.
+        """
         config = paper_config()
         points = [_point("near"), _point("far", threads=8, issuing=0, target=1)]
         columns = EvaluationService(memoize=False).evaluate_grid_columns(
@@ -82,15 +91,36 @@ class TestProtocol:
             "kind": "chunk",
             "config": encode(config),
             "streams": [[encode(s) for s in point.streams] for point in points],
-            "columns": columns_to_payload(columns),
+            "rows": columns_to_payload(columns, specs=False),
         })
         frame = json.loads(line)
+        assert "specs" not in frame["rows"]["streams"]
         decoded = protocol.field(frame, "config", MachineConfig)
         assert decoded == config
         assert _canonical(encode(decoded)) == _canonical(encode(config))
         streams = protocol.field(frame, "streams", tuple[tuple[StreamSpec, ...], ...])
         assert streams == tuple(point.streams for point in points)
-        assert protocol.field(frame, "columns", ResultColumns) == columns
+        assert protocol.rows(frame, streams) == columns
+
+    def test_rows_must_match_the_shipped_stream_counts(self):
+        config = paper_config()
+        pair = (_point("a").streams[0], _point("b", threads=8).streams[0])
+        shipped = [_point("one").streams, pair]
+        columns = EvaluationService(memoize=False).evaluate_grid_columns(
+            config, shipped
+        )
+        payload = columns_to_payload(columns, specs=False)
+        assert protocol.rows({"kind": "result", "rows": payload}, shipped) == columns
+        moved = dict(payload, offsets=[0, 2, 3])  # same total, other counts
+        with pytest.raises(SweepError, match="stream counts"):
+            protocol.rows({"kind": "result", "rows": moved}, shipped)
+        with pytest.raises(SweepError, match="stream counts"):
+            protocol.rows({"kind": "result", "rows": payload}, shipped[:1])
+        # The spec-carrying block shape is not a rows payload.
+        with pytest.raises(SweepError, match="no 'specs'"):
+            protocol.rows(
+                {"kind": "result", "rows": columns_to_payload(columns)}, shipped
+            )
 
     def test_missing_or_mistyped_field_is_a_sweep_error(self):
         frame = {"kind": "result", "chunk": "7"}
@@ -160,7 +190,8 @@ _POINTS = [_point(f"p{i}", threads=i + 1, target=i % 2) for i in range(4)]
 _ROWS = columns_to_payload(
     EvaluationService(memoize=False).evaluate_grid_columns(
         _CONFIG, [point.streams for point in _POINTS[:2]]
-    )
+    ),
+    specs=False,
 )
 _SNAPSHOT = CountersRecorder()
 _SNAPSHOT.incr("sweep.points_count", 2)
@@ -169,7 +200,7 @@ _SNAPSHOT.observe("sweep.batch.wall_seconds", 0.25)
 #: One well-formed frame of every kind a coordinator reads.
 _COORDINATOR_FRAMES = [
     {"kind": "heartbeat"},
-    {"kind": "result", "chunk": 1, "indices": [0, 1], "columns": _ROWS,
+    {"kind": "result", "chunk": 1, "indices": [0, 1], "rows": _ROWS,
      "snapshot": _SNAPSHOT.snapshot(), "wall": 0.5},
     {"kind": "stolen", "req": 1, "indices": [1]},
     {"kind": "failed", "chunk": 1, "indices": [0, 1]},
@@ -247,9 +278,10 @@ class TestFrameProperty:
 _ROW = columns_to_payload(
     EvaluationService(memoize=False).evaluate_grid_columns(
         _CONFIG, [_POINTS[0].streams]
-    )
+    ),
+    specs=False,
 )
-_EMPTY_ROWS = columns_to_payload(ResultColumns())
+_EMPTY_ROWS = columns_to_payload(ResultColumns(), specs=False)
 
 
 class TestAnswersMustBeOutstanding:
@@ -284,13 +316,13 @@ class TestAnswersMustBeOutstanding:
     @pytest.mark.parametrize(
         "frame",
         [
-            {"kind": "result", "chunk": 3, "indices": [3], "columns": _ROW,
+            {"kind": "result", "chunk": 3, "indices": [3], "rows": _ROW,
              "snapshot": None, "wall": 0.1},
-            {"kind": "result", "chunk": 1, "indices": [2], "columns": _ROW,
+            {"kind": "result", "chunk": 1, "indices": [2], "rows": _ROW,
              "snapshot": None, "wall": 0.1},
-            {"kind": "result", "chunk": 1, "indices": [0, 0], "columns": _ROWS,
+            {"kind": "result", "chunk": 1, "indices": [0, 0], "rows": _ROWS,
              "snapshot": None, "wall": 0.1},
-            {"kind": "result", "chunk": 1, "indices": [], "columns": _EMPTY_ROWS,
+            {"kind": "result", "chunk": 1, "indices": [], "rows": _EMPTY_ROWS,
              "snapshot": None, "wall": 0.1},
             {"kind": "failed", "chunk": 3, "indices": [3]},
             {"kind": "failed", "chunk": 1, "indices": [2]},
@@ -314,12 +346,61 @@ class TestAnswersMustBeOutstanding:
 
     def test_an_answer_under_its_own_chunk_settles_its_points(self):
         coordinator, mine, dropped = self._handle(
-            {"kind": "result", "chunk": 1, "indices": [1, 0], "columns": _ROWS,
+            {"kind": "result", "chunk": 1, "indices": [1, 0], "rows": _ROWS,
              "snapshot": None, "wall": 0.1}
         )
         assert not dropped
         assert mine.outstanding == {2: {2}}
         assert sorted(coordinator._filled) == [0, 1]
+
+
+class TestResultFrames:
+    """``result`` frames carry rows only; the coordinator re-attaches specs."""
+
+    def test_merging_a_1000_point_grid_constructs_no_stream_spec(self, monkeypatch):
+        points = [
+            _point(f"p{i}", threads=1 + i % 36, size=64 * (1 + i // 36), target=i % 2)
+            for i in range(1000)
+        ]
+        columns = EvaluationService(memoize=False).evaluate_grid_columns(
+            _CONFIG, [point.streams for point in points]
+        )
+        frame = _wire({
+            "kind": "result", "chunk": 1, "indices": list(range(1000)),
+            "rows": columns_to_payload(columns, specs=False),
+            "snapshot": None, "wall": 0.1,
+        })
+        made = []
+        post_init = StreamSpec.__post_init__
+
+        def counted(spec):
+            made.append(spec)
+            post_init(spec)
+
+        async def scenario():
+            coordinator = Coordinator(
+                "frames", points,
+                config=_CONFIG, directory=DirectoryState.cold(),
+                service=EvaluationService(memoize=False),
+                recorder=NULL_RECORDER, workers_hint=2,
+            )
+            link = _Link(1, asyncio.StreamReader(), _Writer(), now=0.0)
+            link.outstanding = {1: set(range(1000))}
+            coordinator._links[link.id] = link
+            with monkeypatch.context() as patch:
+                patch.setattr(StreamSpec, "__post_init__", counted)
+                coordinator._merge_result(link, frame)
+                merged = len(made)
+                # The counter sees specs the decoder builds: a block that
+                # carries its specs builds one per stream.
+                columns_from_payload(_wire(columns_to_payload(columns)))
+            assert coordinator._finished.is_set()
+            return merged, coordinator._assemble()
+
+        merged, out = run_async(scenario())
+        assert merged == 0
+        assert len(made) == 1000
+        assert out == columns
 
 
 class TestSharding:
@@ -717,7 +798,7 @@ class TestOptions:
     def test_defaults_validate(self):
         options = ClusterOptions()
         assert options.connect == ()
-        assert options.points_per_item == 8
+        assert options.points_per_item == 32
 
     def test_bad_workers_rejected(self):
         # The runner's ``jobs`` is the one local worker count.

@@ -151,6 +151,33 @@ class TestSlowWorkerSteal:
         assert counters["sweep.points_count"] == len(list(grid))
 
 
+    def test_steal_moves_points_at_the_default_item_size(self):
+        # The default work item is a kernel-sized batch; a straggler's
+        # first chunk of a 1000-point grid still queues several of them,
+        # so an idle worker steals some.
+        grid = _grid(1000)
+        recorder = CountersRecorder()
+        options = ClusterOptions(
+            heartbeat_seconds=10.0,
+            heartbeat_timeout_seconds=1e12,
+        )
+        assert options.points_per_item == ClusterOptions().points_per_item
+
+        async def scenario():
+            return await _run_scenario(
+                grid,
+                [dict(), dict(item_delay_seconds=50.0)],
+                options,
+                recorder=recorder,
+            )
+
+        labels, columns, _ = run_async(scenario())
+        assert (labels, columns) == SweepRunner(EvaluationService()).run_columns(grid)
+        counters = recorder.snapshot()["counters"]
+        assert counters["cluster.chunks.stolen_count"] >= 1
+        assert counters.get("cluster.chunks.requeued_count", 0) == 0
+
+
 class TestWorkerCrash:
     def test_crashed_worker_chunk_requeued_bit_identical(self):
         # The crashing worker's chunk holds 6 points = 3 items of 2: it
@@ -382,6 +409,37 @@ class TestMalformedFrame:
         assert counters["cluster.workers_count"] == 2
 
 
+    def test_result_with_other_stream_counts_drops_the_link(self):
+        # A self-consistent rows payload whose first point has twice the
+        # streams it was shipped with: the coordinator re-attaches the
+        # shipped specs, so the offsets must give each point its own count.
+        grid = _grid(16)
+        recorder = CountersRecorder()
+
+        async def rogue(coordinator, host, port):
+            reader, writer, chunk = await _join(host, port)
+            shipped = [grid.points[i].streams for i in chunk["indices"]]
+            answered = [shipped[0] * 2, *shipped[1:]]
+            payload = columns_to_payload(
+                EvaluationService(memoize=False).evaluate_grid_columns(
+                    CONFIG, answered
+                ),
+                specs=False,
+            )
+            await protocol.send_frame(writer, {
+                "kind": "result", "chunk": chunk["chunk"],
+                "indices": chunk["indices"], "rows": payload,
+                "snapshot": None, "wall": 0.1,
+            })
+            assert await _dropped(reader)
+            writer.close()
+
+        labels, columns = run_async(_with_rogue(grid, rogue, recorder=recorder))
+        assert (labels, columns) == SweepRunner(EvaluationService()).run_columns(grid)
+        counters = recorder.snapshot()["counters"]
+        assert counters["cluster.chunks.requeued_count"] >= 1
+
+
 class TestRoguePeer:
     def test_answering_another_workers_chunk_drops_the_peer(self):
         # The rogue answers the healthy worker's chunk with doubled
@@ -397,12 +455,13 @@ class TestRoguePeer:
             payload = columns_to_payload(
                 EvaluationService(memoize=False).evaluate_grid_columns(
                     CONFIG, [grid.points[i].streams for i in indices]
-                )
+                ),
+                specs=False,
             )
             payload["streams"]["gbps"] = [2 * g for g in payload["streams"]["gbps"]]
             await protocol.send_frame(writer, {
                 "kind": "result", "chunk": chunk, "indices": indices,
-                "columns": payload, "snapshot": None, "wall": 0.1,
+                "rows": payload, "snapshot": None, "wall": 0.1,
                 # Ignored; present so that only the chunk check rejects it.
                 "stats": [0, len(indices), 0],
             })
