@@ -35,9 +35,9 @@ Commands
 ``request``
     Send one JSON request frame to a running server and print the
     response.
-``worker``
-    Run a standing cluster sweep worker (``repro.sweep.cluster``) that
-    coordinators reach with ``repro run --backend cluster --connect``.
+
+A command given bad input (a typed :class:`~repro.errors.ReproError`)
+prints ``<command>: <message>`` on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ import os
 import sys
 from collections.abc import Sequence
 
+from repro.errors import ReproError
 from repro.memsim import (
     DirectoryState,
     Layout,
@@ -85,19 +86,14 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiments", nargs="+", metavar="EXP",
                      help="experiment ids, e.g. fig7 table1")
     run.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                     help="with --backend cluster: local worker processes "
-                          "to spawn (default 1 spawns 2)")
+                     help="with --backend cluster: worker processes to "
+                          "fork (default 1 forks 2)")
     run.add_argument("--backend", choices=BACKENDS, default="vector",
                      help="sweep backend: 'vector' (default) batches every "
                           "grid through the NumPy kernels in-process, "
                           "'cluster' shards its cache misses across "
                           "worker processes with work-stealing "
                           "(bit-identical)")
-    run.add_argument("--connect", action="append", metavar="HOST:PORT",
-                     default=None,
-                     help="with --backend cluster: dial a standing 'repro "
-                          "worker' peer instead of spawning locally "
-                          "(repeatable)")
     run.add_argument("--cache-dir", metavar="PATH", default=None,
                      help="persist evaluation results under PATH and reuse "
                           "them across runs")
@@ -212,14 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
     request.add_argument("frame", nargs="?", default=None,
                          help="request frame as a JSON object (default: "
                               "read one line from stdin)")
-
-    worker = sub.add_parser(
-        "worker", help="run a standing cluster sweep worker"
-    )
-    worker.add_argument("--host", default="127.0.0.1")
-    worker.add_argument("--port", type=int, default=0,
-                        help="TCP port (default 0: pick an ephemeral port "
-                             "and print it)")
     return parser
 
 
@@ -238,11 +226,9 @@ def _cmd_run(
     cache_dir: str | None = None,
     metrics: bool = False,
     output: str | None = None,
-    connect: Sequence[str] | None = None,
 ) -> int:
     import contextlib
 
-    from repro.errors import ExperimentError
     from repro.experiments.registry import get_experiment, run_experiment
     from repro.obs import CountersRecorder, using_recorder
     from repro.sweep import (
@@ -252,13 +238,9 @@ def _cmd_run(
         set_default_service,
     )
 
-    try:
-        # Every id is checked before any experiment runs.
-        for exp_id in experiment_ids:
-            get_experiment(exp_id)
-    except ExperimentError as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return 2
+    # Every id is checked before any experiment runs.
+    for exp_id in experiment_ids:
+        get_experiment(exp_id)
     recorder = CountersRecorder() if metrics else None
     scope = (
         using_recorder(recorder) if recorder is not None
@@ -271,21 +253,6 @@ def _cmd_run(
         previous = set_default_service(
             EvaluationService(disk_cache=DiskCache(cache_dir))
         )
-    previous_cluster = None
-    installed_cluster = False
-    if backend == "cluster" and connect:
-        from repro.sweep.cluster import (
-            ClusterOptions,
-            parse_endpoint,
-            set_default_cluster_options,
-        )
-
-        previous_cluster = set_default_cluster_options(
-            ClusterOptions(
-                connect=tuple(parse_endpoint(text) for text in connect),
-            )
-        )
-        installed_cluster = True
     try:
         with scope:
             for exp_id in experiment_ids:
@@ -295,10 +262,6 @@ def _cmd_run(
     finally:
         if cache_dir is not None:
             set_default_service(previous)
-        if installed_cluster:
-            from repro.sweep.cluster import set_default_cluster_options
-
-            set_default_cluster_options(previous_cluster)
     if recorder is not None:
         from repro.obs.report import render_recorder
 
@@ -536,24 +499,6 @@ def _cmd_request(args: argparse.Namespace) -> int:
     return 0 if response.get("ok") else 1
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.sweep.cluster import serve_worker
-
-    async def run() -> int:
-        host, port, server = await serve_worker(args.host, args.port)
-        print(f"cluster worker listening on {host}:{port}", flush=True)
-        async with server:
-            await server.serve_forever()
-        return 0
-
-    try:
-        return asyncio.run(run())
-    except KeyboardInterrupt:
-        return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -567,6 +512,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run" and args.jobs > 1 and args.backend != "cluster":
         parser.error("--jobs N > 1 requires --backend cluster")
+    try:
+        return _dispatch(args)
+    except ReproError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":
@@ -577,7 +530,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             cache_dir=args.cache_dir,
             metrics=args.metrics,
             output=args.output,
-            connect=args.connect,
         )
     if args.command == "trace":
         return _cmd_trace(args.experiment, args.output, args.timestamps)
@@ -603,8 +555,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_serve(args)
     if args.command == "request":
         return _cmd_request(args)
-    if args.command == "worker":
-        return _cmd_worker(args)
     raise AssertionError("unreachable")
 
 

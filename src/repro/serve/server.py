@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Awaitable, Callable, Mapping
 
 from repro import units
 from repro.core.advisor import PlacementAdvisor
-from repro.errors import GridPointError, ServeError
+from repro.errors import ConfigurationError, GridPointError, ServeError
 from repro.obs import Recorder, default_recorder
 from repro.serve import protocol
 from repro.serve.protocol import Request
@@ -73,6 +74,21 @@ class ServeConfig:
     #: ``retry_after_seconds`` hint on shed responses; defaults to two
     #: gather windows (one to drain, one to re-arrive).
     shed_retry_after_seconds: "float | None" = None
+
+    def __post_init__(self) -> None:
+        for name in ("gather_window_seconds", "shed_retry_after_seconds"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be >= 0 and finite, got {value}"
+                )
+        for name in (
+            "frame_timeout_seconds", "max_frame_bytes",
+            "max_batch_points", "max_queue_depth",
+        ):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigurationError(f"{name} must be positive, got {value}")
 
     def retry_after(self) -> float:
         """The shed retry hint in seconds (resolved default)."""

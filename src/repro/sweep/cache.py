@@ -425,7 +425,7 @@ def columns_from_payload(
     Raises only :class:`~repro.errors.SchemaError`: for a wrong schema,
     a missing, extra or mistyped member, ragged columns, non-monotonic
     offsets, or offsets that disagree with ``streams``. The disk cache
-    reads it as a miss; the cluster wire drops the peer that sent it.
+    reads it as a miss; the cluster wire drops the worker that sent it.
     """
     if not isinstance(payload, dict) or payload.get("schema") != CACHE_SCHEMA:
         raise SchemaError("not a repro.sweep.cache/2 column block")

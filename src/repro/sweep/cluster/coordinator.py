@@ -7,7 +7,9 @@ the parent :class:`~repro.sweep.service.EvaluationService`
 hits, disk hits and — on a memoizing service — repeats of an earlier
 missed point never leave this process. Only the misses are sharded into
 chunks **by content hash** (a point's chunk depends on its request
-digest alone), shipped one chunk at a time to each joined worker, and
+digest alone), shipped one chunk at a time to each attached worker — a
+child forked for this sweep, which already holds the grid's points, so
+a chunk names grid indices and nothing else — and
 assembled **by global index in grid order**, which is what makes
 ``backend="cluster"`` bit-identical to in-process evaluation no matter
 how chunks interleave, steal, or requeue. The returned rows are stored
@@ -25,14 +27,14 @@ Straggler and fault handling:
   Revoked points move, they are never duplicated — per-point cache
   accounting stays exact.
 * **Heartbeats** — any frame refreshes a worker's deadline; a worker
-  silent past the timeout (or whose connection drops) is declared dead,
+  silent past the timeout (or whose socket reaches EOF) is declared dead,
   its link is closed so late frames can never double-count, and its
   unfilled outstanding points are requeued for the survivors.
 * **Answers are checked against their link** — a ``result``,
   ``failed`` or ``stolen`` frame may name only points outstanding on
   the link it arrives on (for ``result`` and ``failed``, under the
   frame's own chunk). Anything else drops the link and requeues its
-  points, so no peer can answer another worker's points.
+  points, so no worker can answer another worker's points.
 
 Counters and cache statistics fold into the parent: the parent-side
 hits are tallied in grid order as the rows are assembled, one miss is
@@ -61,7 +63,7 @@ from repro.errors import SweepError
 from repro.memsim.config import DirectoryState, MachineConfig
 from repro.memsim.kernels import ResultColumns
 from repro.obs import CountersRecorder, Recorder, merge_snapshot
-from repro.sweep.cache import encode, request_digest
+from repro.sweep.cache import request_digest
 from repro.sweep.cluster import protocol
 from repro.sweep.cluster.config import CHUNKS_PER_WORKER, ClusterOptions
 from repro.sweep.service import EvaluationService, GridRows
@@ -84,7 +86,7 @@ def _checked_snapshot(frame: dict) -> dict | None:
 
 
 class _Link:
-    """One connected worker."""
+    """One attached worker."""
 
     def __init__(
         self,
@@ -108,14 +110,14 @@ class _Link:
 
 
 class Coordinator:
-    """Drives one grid sweep across connected workers.
+    """Drives one grid sweep across attached workers.
 
-    Use :meth:`start` (optionally :meth:`dial` for remote peers), then
-    :meth:`finish` — or spawn local workers around it via
-    :func:`repro.sweep.cluster.backend.run_grid_columns`. The misses are
-    sharded for ``workers_hint`` workers. ``clock`` and ``sleep`` are
-    injectable so the fault tests advance heartbeat
-    timeouts on a fake clock in zero wall time.
+    :meth:`attach` each worker's end of its socketpair, then await
+    :meth:`finish`; :func:`repro.sweep.cluster.backend.run_grid_columns`
+    forks the workers around it. The misses are sharded for
+    ``workers_hint`` workers. ``clock`` and ``sleep`` are injectable so
+    the fault tests advance heartbeat timeouts on a fake clock in zero
+    wall time.
     """
 
     def __init__(
@@ -159,10 +161,7 @@ class Coordinator:
         self._finished = asyncio.Event()
         self._next_chunk = 0
         self._next_link = 0
-        self._server: asyncio.AbstractServer | None = None
         self._monitor_task: asyncio.Task | None = None
-        self._started_at = 0.0
-        self._joined = 0
 
     # ------------------------------------------------------------------
     # sharding
@@ -191,47 +190,23 @@ class Coordinator:
     # lifecycle
     # ------------------------------------------------------------------
 
-    async def start(
-        self, host: str = "127.0.0.1", port: int = 0, sock=None
-    ) -> tuple[str, int]:
-        """Begin accepting workers; returns the bound address."""
-        if sock is not None:
-            self._server = await asyncio.start_server(
-                self._on_connection, sock=sock, limit=protocol.MAX_FRAME_BYTES
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._on_connection, host, port, limit=protocol.MAX_FRAME_BYTES
-            )
-        self._started_at = self._clock()
-        self._monitor_task = asyncio.ensure_future(self._monitor())
-        bound = self._server.sockets[0].getsockname()
-        return bound[0], bound[1]
-
-    async def dial(self, host: str, port: int) -> None:
-        """Connect out to a standing ``repro worker`` peer."""
-        reader, writer = await asyncio.open_connection(
-            host, port, limit=protocol.MAX_FRAME_BYTES
-        )
-        self._attach(reader, writer)
-
-    def _on_connection(
+    def attach(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._attach(reader, writer)
-
-    def _attach(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+        """Serve one worker's link: dispatch it work, read its frames."""
         self._next_link += 1
         link = _Link(self._next_link, reader, writer, self._clock())
         self._links[link.id] = link
+        if self._observing:
+            self._recorder.incr("cluster.workers_count")
         link.task = asyncio.ensure_future(self._serve_link(link))
 
     async def finish(self) -> tuple[list[str], ResultColumns]:
         """Wait for the sweep, tear down, and assemble in grid order."""
         if not self.misses:
             self._finished.set()
+        else:
+            self._monitor_task = asyncio.ensure_future(self._monitor())
         await self._finished.wait()
         if self._monitor_task is not None:
             self._monitor_task.cancel()
@@ -244,9 +219,6 @@ class Coordinator:
             link.writer.close()
             if link.task is not None:
                 link.task.cancel()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
         if self._fatal is not None:
             raise self._fatal  # simlint: ignore[foreign-raise] -- _fatal is only ever a SweepError
         labels = [point.label for point in self._points]
@@ -300,28 +272,6 @@ class Coordinator:
 
     async def _serve_link(self, link: _Link) -> None:
         try:
-            join = await protocol.read_frame(link.reader)
-            if join is None or join.get("kind") != "join":
-                raise SweepError("cluster worker did not join")
-            if join.get("protocol") != protocol.CLUSTER_PROTOCOL:
-                raise SweepError(
-                    f"cluster worker speaks {join.get('protocol')!r}, "
-                    f"expected {protocol.CLUSTER_PROTOCOL!r}"
-                )
-            link.last_seen = self._clock()
-            self._joined += 1
-            if self._observing:
-                self._recorder.incr("cluster.workers_count")
-            await protocol.send_frame(link.writer, {
-                "kind": "hello",
-                "protocol": protocol.CLUSTER_PROTOCOL,
-                "config": encode(self._config),
-                "directory": sorted(self._directory.warm_pairs),
-                "grid": self._grid_name,
-                "observing": self._observing,
-                "points_per_item": self.options.points_per_item,
-                "heartbeat_seconds": self.options.heartbeat_seconds,
-            })
             await self._dispatch(link)
             while link.alive:
                 frame = await protocol.read_frame(link.reader)
@@ -424,10 +374,6 @@ class Coordinator:
             "kind": "chunk",
             "chunk": chunk,
             "indices": indices,
-            "labels": [self._points[i].label for i in indices],
-            "streams": [
-                [encode(spec) for spec in self._points[i].streams] for i in indices
-            ],
         })
 
     async def _dispatch(self, link: _Link) -> None:
@@ -543,17 +489,6 @@ class Coordinator:
         while not self._finished.is_set():
             await self._sleep(interval)
             now = self._clock()
-            if (
-                not self._links
-                and self._joined == 0
-                and now - self._started_at > self.options.join_timeout_seconds
-            ):
-                self._fatal = SweepError(
-                    f"sweep {self._grid_name!r} failed: no cluster worker "
-                    f"joined within {self.options.join_timeout_seconds:.0f}s"
-                )
-                self._finished.set()
-                return
             for link in list(self._links.values()):
                 if now - link.last_seen > timeout:
                     self._on_dead(link)

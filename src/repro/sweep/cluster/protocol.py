@@ -1,52 +1,48 @@
-"""Wire protocol for the cluster sweep backend.
+"""Wire protocol between the cluster coordinator and its forked workers.
+
+Each worker is a child process the coordinator forks for one sweep,
+joined to it by one ``socket.socketpair()``. Everything a worker needs
+up front — its session (machine config, directory state, grid name and
+gather knobs) and the grid's points — is given at fork, so the wire
+carries only work: grid indices one way, computed rows the other.
 
 Frames reuse the :mod:`repro.serve` machinery — one newline-terminated
-compact-JSON object per frame (:func:`repro.serve.protocol.dump_line`) —
-so the coordinator and a ``repro worker`` peer speak the same framing as
-the bandwidth server. Every payload travels in the canonical JSON
-encoding the disk cache already stores (:mod:`repro.sweep.cache`): the
-:class:`~repro.memsim.config.MachineConfig` and streams as
-:func:`~repro.sweep.cache.encode` values, and a work item's results as
-one *rows* payload — the structure-of-arrays column block of
+compact-JSON object per frame (:func:`repro.serve.protocol.dump_line`).
+A work item's results travel as one *rows* payload — the
+structure-of-arrays column block of
 :func:`~repro.sweep.cache.columns_to_payload` without its stream-spec
-column (``specs=False``), never an object per point. Results carry only
-what the worker computed: the coordinator already holds the specs it
-shipped and re-attaches them. Nothing on the wire is pickled, so a peer
-can send bad data but never code.
+column (``specs=False``), never an object per point: the coordinator
+holds the specs of the points it shipped and re-attaches them. Nothing
+on the wire is pickled, so a worker that goes wrong can send bad data
+back to the coordinator but never code.
 
-Every field a peer sends is read through :func:`field` (or, for a
+Every field a worker sends is read through :func:`field` (or, for a
 ``result`` frame's rows, :func:`rows`), which decodes it with the typed
 canonical decoder and raises :class:`~repro.errors.SweepError` for a
 missing or mistyped value: the receiving side drops the link (and the
 coordinator requeues its work) instead of crashing on a ``KeyError``.
 
 Every stream is created with an explicit ``limit`` of
-:data:`MAX_FRAME_BYTES`, which is what bounds ``readline`` against a
-peer that never sends a newline (simlint rule SIM110 checks this
-statically across the transport paths).
+:data:`MAX_FRAME_BYTES` (:func:`open_link`), which is what bounds
+``readline`` against a peer that never sends a newline (simlint rule
+SIM110 checks this statically across the transport paths).
 
 Frame kinds
 -----------
 
 coordinator -> worker:
 
-``hello``
-    Session start: protocol string, the encoded ``config``, the
-    ``directory`` warm pairs, grid name, ``observing`` flag, and gather
-    knobs (``points_per_item``, ``heartbeat_seconds``).
 ``chunk``
     One shard of the points the coordinator's caches missed: ``chunk``
-    id, global ``indices``, point ``labels`` and each point's encoded
-    ``streams``.
+    id and the points' grid ``indices``. A worker rejects an index
+    outside its grid.
 ``steal``
     Ask the worker to relinquish about half of its queued points.
 ``bye``
-    Session end; the worker drains nothing further and disconnects.
+    Session end; the worker drains nothing further and exits.
 
 worker -> coordinator:
 
-``join``
-    First frame after connecting; carries the protocol string.
 ``heartbeat``
     Liveness; any frame refreshes the deadline, this one exists for
     workers parked on a long item.
@@ -56,8 +52,8 @@ worker -> coordinator:
     and ``notes``; ``counters``; ``counter_notes``; ``directory_after``
     — no ``specs``), an optional counters ``snapshot``, and ``wall``
     seconds. Row ``k`` answers point ``indices[k]``, and its offsets
-    must give it exactly the streams that point was shipped with. Every
-    row is a computed miss.
+    must give it exactly the streams that point has. Every row is a
+    computed miss.
 ``stolen``
     Answer to ``steal``: the global ``indices`` relinquished (may be
     empty if the queue drained first).
@@ -76,10 +72,10 @@ stores and counts the returned rows itself.
 
 from __future__ import annotations
 
-import json
-from typing import Callable, Mapping, Sequence
-
 import asyncio
+import json
+import socket
+from typing import Callable, Mapping, Sequence
 
 from repro import units
 from repro.errors import SchemaError, SweepError
@@ -89,21 +85,18 @@ from repro.serve.protocol import dump_line
 from repro.sweep.cache import columns_from_payload, decode
 
 __all__ = [
-    "CLUSTER_PROTOCOL",
     "MAX_FRAME_BYTES",
     "dump_line",
     "field",
+    "open_link",
     "read_frame",
     "rows",
     "send_frame",
 ]
 
-#: Protocol identifier carried by ``hello`` and ``join`` frames.
-CLUSTER_PROTOCOL = "repro.sweep.cluster/6"
-
 #: Stream limit for every cluster connection: bounds ``readline`` so a
-#: broken or hostile peer cannot grow an unbounded buffer. Large enough
-#: for a chunk of hundreds of encoded points.
+#: broken peer cannot grow an unbounded buffer. Large enough for the
+#: rows of a work item of hundreds of points.
 MAX_FRAME_BYTES = 8 * units.MIB
 
 
@@ -144,11 +137,18 @@ def rows(
     return _read(frame, "rows", lambda value: columns_from_payload(value, streams))
 
 
+async def open_link(
+    sock: socket.socket,
+) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    """Streams over one end of a coordinator–worker socketpair."""
+    return await asyncio.open_connection(sock=sock, limit=MAX_FRAME_BYTES)
+
+
 async def read_frame(reader: asyncio.StreamReader) -> Mapping[str, object] | None:
     """Read one frame; ``None`` on a clean EOF.
 
-    The reader's ``limit`` (set to :data:`MAX_FRAME_BYTES` at connection
-    time) bounds the line; an overlong frame surfaces as
+    The reader's ``limit`` (set to :data:`MAX_FRAME_BYTES` by
+    :func:`open_link`) bounds the line; an overlong frame surfaces as
     :class:`~repro.errors.SweepError` rather than a silent buffer blowup.
     """
     try:

@@ -1,9 +1,12 @@
-"""Cluster sweep worker: evaluates point chunks for a coordinator.
+"""Cluster sweep worker: evaluates point chunks for its coordinator.
 
-One :class:`ClusterWorker` serves one coordinator session over one
-connection. The session is fully coordinator-driven: the worker joins,
-receives a ``hello`` pinning the machine config and directory state,
-then evaluates ``chunk`` frames through its own non-memoizing
+One :class:`ClusterWorker` serves one coordinator session over one end
+of a socketpair. The worker is a child the coordinator forked for this
+sweep, and it is constructed with everything the session pins: a
+:class:`Session` (machine config, directory state, grid name and gather
+knobs) and the grid's points. The coordinator then drives it with
+``chunk`` frames naming grid indices, which the worker evaluates
+through its own non-memoizing
 :class:`~repro.sweep.service.EvaluationService`. A worker is stateless
 compute: the coordinator has already answered every point its own
 caches hold and stores the rows the worker returns, so the worker keeps
@@ -38,21 +41,20 @@ a killed process would.
 from __future__ import annotations
 
 import asyncio
-import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Mapping
+from dataclasses import dataclass
+from typing import Awaitable, Callable, Mapping, Sequence
 
 from repro.errors import GridPointError, SweepError
 from repro.memsim.config import DirectoryState, MachineConfig
-from repro.memsim.spec import StreamSpec
 from repro.obs import NULL_RECORDER, CountersRecorder, Recorder
 from repro.sweep.cache import columns_to_payload
 from repro.sweep.cluster import protocol
 from repro.sweep.service import EvaluationService
+from repro.workloads.grids import SweepPoint
 
-__all__ = ["ClusterWorker", "connect_worker", "serve_worker"]
+__all__ = ["ClusterWorker", "Session"]
 
 
 @dataclass
@@ -61,13 +63,11 @@ class _Item:
 
     chunk: int
     indices: list[int]
-    labels: list[str]
-    streams: list[tuple[StreamSpec, ...]]
 
 
-@dataclass
-class _Session:
-    """Everything pinned by the coordinator's ``hello`` frame."""
+@dataclass(frozen=True)
+class Session:
+    """Everything one sweep pins for its workers, given at fork."""
 
     config: MachineConfig
     directory: DirectoryState
@@ -84,9 +84,12 @@ class ClusterWorker:
     ----------
     reader, writer:
         The connection (created with an explicit ``limit``).
-    clock, sleep:
-        Injectable time source and async sleep — the fault tests drive
-        both with a fake clock.
+    session, points:
+        The sweep's session and its grid's points; ``chunk`` frames name
+        points by their index here.
+    sleep:
+        Injectable async sleep — the fault tests drive it with a fake
+        clock.
     item_delay_seconds:
         Fault injection: park on ``sleep`` this long before each item.
     crash_after_items:
@@ -101,8 +104,9 @@ class ClusterWorker:
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
+        session: Session,
+        points: Sequence[SweepPoint],
         *,
-        clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], Awaitable[None]] = asyncio.sleep,
         item_delay_seconds: float = 0.0,
         crash_after_items: int | None = None,
@@ -111,7 +115,8 @@ class ClusterWorker:
         self._service = EvaluationService(memoize=False)
         self._reader = reader
         self._writer = writer
-        self._clock = clock
+        self._session = session
+        self._points = points
         self._sleep = sleep
         self._item_delay = item_delay_seconds
         self._crash_after = crash_after_items
@@ -119,7 +124,6 @@ class ClusterWorker:
         self._queue: deque[_Item] = deque()
         self._work_ready = asyncio.Event()
         self._done = asyncio.Event()
-        self._session: _Session | None = None
         self._items_completed = 0
         self._crashed = False
 
@@ -129,29 +133,6 @@ class ClusterWorker:
 
     async def run(self) -> None:
         """Serve one coordinator session to completion."""
-        await protocol.send_frame(
-            self._writer, {"kind": "join", "protocol": protocol.CLUSTER_PROTOCOL}
-        )
-        hello = await protocol.read_frame(self._reader)
-        if hello is None:
-            return
-        if hello.get("kind") != "hello" or hello.get("protocol") != protocol.CLUSTER_PROTOCOL:
-            raise SweepError(
-                f"cluster worker expected a {protocol.CLUSTER_PROTOCOL!r} hello, "
-                f"got {hello.get('kind')!r}"
-            )
-        self._session = _Session(
-            config=protocol.field(hello, "config", MachineConfig),
-            directory=DirectoryState(
-                protocol.field(hello, "directory", frozenset[tuple[int, int]])
-            ),
-            grid_name=protocol.field(hello, "grid", str),
-            observing=protocol.field(hello, "observing", bool),
-            points_per_item=protocol.field(hello, "points_per_item", int),
-            heartbeat_seconds=protocol.field(hello, "heartbeat_seconds", float),
-        )
-        if not 0.0 < self._session.heartbeat_seconds < math.inf:
-            raise SweepError("cluster hello needs a positive heartbeat_seconds")
         tasks = [asyncio.ensure_future(self._compute_loop())]
         if self._heartbeat_enabled:
             tasks.append(asyncio.ensure_future(self._heartbeat_loop()))
@@ -173,8 +154,6 @@ class ClusterWorker:
                     pass
 
     async def _read_loop(self) -> None:
-        session = self._session
-        assert session is not None
         while True:
             frame = await protocol.read_frame(self._reader)
             if frame is None or frame.get("kind") == "bye":
@@ -183,29 +162,20 @@ class ClusterWorker:
                 return
             kind = frame["kind"]
             if kind == "chunk":
-                self._enqueue_chunk(frame, session)
+                self._enqueue_chunk(frame)
             elif kind == "steal":
                 await self._answer_steal(frame)
             else:
                 raise SweepError(f"cluster worker got unknown frame kind {kind!r}")
 
-    def _enqueue_chunk(self, frame: Mapping[str, object], session: _Session) -> None:
+    def _enqueue_chunk(self, frame: Mapping[str, object]) -> None:
         chunk = protocol.field(frame, "chunk", int)
         indices = list(protocol.field(frame, "indices", tuple[int, ...]))
-        labels = list(protocol.field(frame, "labels", tuple[str, ...]))
-        streams = list(
-            protocol.field(frame, "streams", tuple[tuple[StreamSpec, ...], ...])
-        )
-        if not len(indices) == len(labels) == len(streams):
-            raise SweepError("cluster chunk columns differ in length")
-        if not all(streams):
-            raise SweepError("cluster chunk holds a point with no streams")
-        step = max(1, session.points_per_item)
+        if not all(0 <= index < len(self._points) for index in indices):
+            raise SweepError("cluster chunk names a point outside the grid")
+        step = self._session.points_per_item
         for lo in range(0, len(indices), step):
-            hi = lo + step
-            self._queue.append(_Item(
-                chunk, indices[lo:hi], labels[lo:hi], streams[lo:hi]
-            ))
+            self._queue.append(_Item(chunk, indices[lo:lo + step]))
         self._work_ready.set()
 
     async def _answer_steal(self, frame: Mapping[str, object]) -> None:
@@ -228,10 +198,8 @@ class ClusterWorker:
         )
 
     async def _heartbeat_loop(self) -> None:
-        session = self._session
-        assert session is not None
         while not self._done.is_set():
-            await self._sleep(session.heartbeat_seconds)
+            await self._sleep(self._session.heartbeat_seconds)
             await protocol.send_frame(self._writer, {"kind": "heartbeat"})
 
     # ------------------------------------------------------------------
@@ -239,8 +207,6 @@ class ClusterWorker:
     # ------------------------------------------------------------------
 
     async def _compute_loop(self) -> None:
-        session = self._session
-        assert session is not None
         while True:
             while not self._queue:
                 if self._done.is_set():
@@ -250,7 +216,7 @@ class ClusterWorker:
             item = self._queue.popleft()
             if self._item_delay > 0:
                 await self._sleep(self._item_delay)
-            await self._run_item(item, session)
+            await self._run_item(item)
             self._items_completed += 1
             if (
                 self._crash_after is not None
@@ -264,17 +230,19 @@ class ClusterWorker:
             # Yield so steal frames interleave between items.
             await asyncio.sleep(0)
 
-    async def _run_item(self, item: _Item, session: _Session) -> None:
+    async def _run_item(self, item: _Item) -> None:
+        session = self._session
+        points = [self._points[index] for index in item.indices]
         rec = CountersRecorder() if session.observing else None
         sink: Recorder = rec if rec is not None else NULL_RECORDER
         started = time.perf_counter()
         try:
             columns = self._service.evaluate_grid_columns(
                 session.config,
-                item.streams,
+                [point.streams for point in points],
                 session.directory,
                 recorder=sink,
-                labels=item.labels,
+                labels=[point.label for point in points],
                 grid_name=session.grid_name,
             )
         except GridPointError:
@@ -298,37 +266,3 @@ class ClusterWorker:
             },
         )
 
-
-async def connect_worker(host: str, port: int) -> None:
-    """Dial a coordinator and serve one session (spawned-local mode)."""
-    reader, writer = await asyncio.open_connection(
-        host, port, limit=protocol.MAX_FRAME_BYTES
-    )
-    await ClusterWorker(reader, writer).run()
-
-
-async def serve_worker(
-    host: str, port: int = 0
-) -> tuple[str, int, asyncio.AbstractServer]:
-    """Listen for coordinators (``repro worker`` standalone mode).
-
-    Each inbound connection is one coordinator session; the worker keeps
-    listening after a session ends, so one standing ``repro worker`` can
-    serve many sweeps. Sessions share nothing: a standing worker keeps
-    no cache between them. Returns the bound address and the server
-    object.
-    """
-
-    async def handle(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            await ClusterWorker(reader, writer).run()
-        except (SweepError, ConnectionError, asyncio.IncompleteReadError):  # simlint: ignore[silent-except] -- a broken coordinator session must not kill the listener
-            pass
-
-    server = await asyncio.start_server(
-        handle, host, port, limit=protocol.MAX_FRAME_BYTES
-    )
-    bound_host, bound_port = server.sockets[0].getsockname()[:2]
-    return bound_host, bound_port, server

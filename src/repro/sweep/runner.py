@@ -17,12 +17,12 @@ Two backends:
 * ``"cluster"`` — a :mod:`repro.sweep.cluster` coordinator/worker
   cluster: the coordinator answers every point the service's caches
   hold, exactly as the vector backend does, and shards only the misses
-  by content hash across worker processes (``jobs`` of them spawned
-  locally, or remote ``repro worker`` peers), with work-stealing for
-  stragglers and heartbeat-timeout requeueing for dead workers. Rows
-  are assembled by global grid index.
+  by content hash across ``jobs`` (at least two) worker processes
+  forked for the sweep, with work-stealing for stragglers and
+  heartbeat-timeout requeueing for dead workers. Rows are assembled by
+  global grid index.
 
-``jobs`` is the cluster's local worker count only; the vector backend
+``jobs`` is the cluster's worker count only; the vector backend
 runs on one core, so ``jobs > 1`` without ``backend="cluster"`` raises
 :class:`~repro.errors.ConfigurationError`. An unknown ``backend`` name
 raises :class:`~repro.errors.BackendError` naming the valid set. A
@@ -57,7 +57,7 @@ class SweepRunner:
         Evaluation service to route points through; defaults to the
         process-wide shared service.
     jobs:
-        Local cluster workers to spawn; ``1`` (default) spawns two. Only
+        Cluster workers to fork; ``1`` (default) forks two. Only
         ``backend="cluster"`` accepts ``jobs > 1``.
     backend:
         One of :data:`BACKENDS` (``"vector"`` is the default) — see the

@@ -1,7 +1,11 @@
 """Server basics: coalescing, dedup, sweep/advise paths, TCP smoke."""
 
 import asyncio
+import math
 
+import pytest
+
+from repro.errors import ConfigurationError
 from repro.memsim.config import paper_config
 from repro.memsim.spec import read_stream
 from repro.obs import CountersRecorder
@@ -36,6 +40,42 @@ def evaluate_frame(request_id, threads, **extra):
     }
     frame.update(extra)
     return frame
+
+
+class TestServeConfig:
+    def test_defaults_and_zero_window_validate(self):
+        assert ServeConfig().retry_after() == 0.004
+        assert ServeConfig(gather_window_seconds=0.0).retry_after() == 0.0
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("gather_window_seconds", -0.001),
+            ("gather_window_seconds", math.inf),
+            ("gather_window_seconds", math.nan),
+            ("shed_retry_after_seconds", -1.0),
+            ("shed_retry_after_seconds", math.inf),
+            ("shed_retry_after_seconds", math.nan),
+            ("frame_timeout_seconds", 0.0),
+            ("frame_timeout_seconds", -1.0),
+            ("frame_timeout_seconds", math.nan),
+            ("max_frame_bytes", 0),
+            ("max_batch_points", 0),
+            ("max_queue_depth", 0),
+            ("max_queue_depth", -4),
+        ],
+    )
+    def test_bad_value_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            ServeConfig(**{name: value})
+
+    def test_cli_rejects_a_negative_window(self, capsys):
+        from repro.cli import main
+
+        assert main(["serve", "--window-ms", "-1"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "serve: gather_window_seconds must be >= 0"
+        )
 
 
 class TestCoalescing:

@@ -2,6 +2,10 @@
 
 import asyncio
 import json
+import multiprocessing.context
+import os
+import socket
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -15,18 +19,12 @@ from repro.errors import (
     TopologyError,
 )
 from repro.memsim import Op, StreamSpec
-from repro.memsim.config import DirectoryState, MachineConfig, paper_config
+from repro.memsim.config import DirectoryState, paper_config
 from repro.memsim.kernels import ResultColumns
 from repro.obs import NULL_RECORDER, CountersRecorder
 from repro.sweep import BACKENDS, DiskCache, EvaluationService, SweepRunner
-from repro.sweep.cache import (
-    _canonical,
-    columns_from_payload,
-    columns_to_payload,
-    encode,
-)
-from repro.sweep.cluster import ClusterOptions, parse_endpoint
-from repro.sweep.cluster import protocol
+from repro.sweep.cache import columns_from_payload, columns_to_payload
+from repro.sweep.cluster import ClusterOptions, Session, protocol
 from repro.sweep.cluster.coordinator import Coordinator, _Link
 from repro.sweep.cluster.worker import ClusterWorker
 from repro.workloads.grids import SweepGrid, SweepPoint
@@ -77,29 +75,22 @@ def _assert_identical(serial, parallel) -> None:
 
 class TestProtocol:
     def test_wire_codec_round_trip(self):
-        """Config, points and rows cross the wire as canonical JSON.
+        """Indices and rows cross the wire as canonical JSON.
 
         The rows carry no stream specs: the receiver re-attaches the
-        ones it shipped, and the batch comes back equal.
+        ones of the points it shipped, and the batch comes back equal.
         """
-        config = paper_config()
         points = [_point("near"), _point("far", threads=8, issuing=0, target=1)]
+        streams = [point.streams for point in points]
         columns = EvaluationService(memoize=False).evaluate_grid_columns(
-            config, [point.streams for point in points]
+            paper_config(), streams
         )
-        line = protocol.dump_line({
-            "kind": "chunk",
-            "config": encode(config),
-            "streams": [[encode(s) for s in point.streams] for point in points],
+        frame = json.loads(protocol.dump_line({
+            "kind": "result", "chunk": 1, "indices": [4, 2],
             "rows": columns_to_payload(columns, specs=False),
-        })
-        frame = json.loads(line)
+        }))
         assert "specs" not in frame["rows"]["streams"]
-        decoded = protocol.field(frame, "config", MachineConfig)
-        assert decoded == config
-        assert _canonical(encode(decoded)) == _canonical(encode(config))
-        streams = protocol.field(frame, "streams", tuple[tuple[StreamSpec, ...], ...])
-        assert streams == tuple(point.streams for point in points)
+        assert protocol.field(frame, "indices", tuple[int, ...]) == (4, 2)
         assert protocol.rows(frame, streams) == columns
 
     def test_rows_must_match_the_shipped_stream_counts(self):
@@ -197,6 +188,11 @@ _SNAPSHOT = CountersRecorder()
 _SNAPSHOT.incr("sweep.points_count", 2)
 _SNAPSHOT.observe("sweep.batch.wall_seconds", 0.25)
 
+_SESSION = Session(
+    config=_CONFIG, directory=DirectoryState.cold(), grid_name="frames",
+    observing=True, points_per_item=2, heartbeat_seconds=1.0,
+)
+
 #: One well-formed frame of every kind a coordinator reads.
 _COORDINATOR_FRAMES = [
     {"kind": "heartbeat"},
@@ -205,18 +201,23 @@ _COORDINATOR_FRAMES = [
     {"kind": "stolen", "req": 1, "indices": [1]},
     {"kind": "failed", "chunk": 1, "indices": [0, 1]},
 ]
-_HELLO = {
-    "kind": "hello", "protocol": protocol.CLUSTER_PROTOCOL,
-    "config": encode(_CONFIG), "directory": [[0, 1]], "grid": "frames",
-    "observing": True, "points_per_item": 2,
-    "heartbeat_seconds": 1.0,
-}
-#: One well-formed frame of every kind a worker reads after its hello.
+#: One well-formed frame of every kind a worker reads.
 _WORKER_FRAMES = [
-    {"kind": "chunk", "chunk": 1, "indices": [0, 1], "labels": ["p0", "p1"],
-     "streams": [[encode(s) for s in point.streams] for point in _POINTS[:2]]},
+    {"kind": "chunk", "chunk": 1, "indices": [0, 1]},
     {"kind": "steal", "req": 3},
 ]
+
+
+async def _run_worker(frames) -> None:
+    """A worker on ``_POINTS`` fed ``frames`` and then ``bye``."""
+    reader = asyncio.StreamReader(limit=protocol.MAX_FRAME_BYTES)
+    for frame in frames:
+        reader.feed_data(protocol.dump_line(frame))
+    reader.feed_data(protocol.dump_line({"kind": "bye"}))
+    reader.feed_eof()
+    await ClusterWorker(
+        reader, _Writer(), _SESSION, _POINTS, heartbeat=False
+    ).run()
 
 
 class TestFrameProperty:
@@ -250,29 +251,23 @@ class TestFrameProperty:
 
         run_async(scenario())
 
-    @given(
-        frames=st.one_of(
-            mutated(st.just(_HELLO)).map(lambda hello: [hello]),
-            mutated(st.sampled_from(_WORKER_FRAMES)).map(
-                lambda frame: [_HELLO, frame]
-            ),
-        )
-    )
+    @given(frame=mutated(st.sampled_from(_WORKER_FRAMES)))
     @settings(max_examples=300, deadline=None)
-    def test_worker_frames_decode_or_raise_sweep_error(self, frames):
+    def test_worker_frames_decode_or_raise_sweep_error(self, frame):
         async def scenario():
-            reader = asyncio.StreamReader(limit=protocol.MAX_FRAME_BYTES)
-            for frame in frames:
-                reader.feed_data(protocol.dump_line(frame))
-            reader.feed_data(protocol.dump_line({"kind": "bye"}))
-            reader.feed_eof()
-            worker = ClusterWorker(reader, _Writer(), heartbeat=False)
             try:
-                await worker.run()
+                await _run_worker([frame])
             except SweepError:
                 return
 
         run_async(scenario())
+
+    @pytest.mark.parametrize("index", [-1, len(_POINTS)])
+    def test_worker_rejects_an_index_outside_its_grid(self, index):
+        with pytest.raises(SweepError, match="outside the grid"):
+            run_async(
+                _run_worker([{"kind": "chunk", "chunk": 1, "indices": [0, index]}])
+            )
 
 
 _ROW = columns_to_payload(
@@ -796,9 +791,7 @@ class TestBackendValidation:
 
 class TestOptions:
     def test_defaults_validate(self):
-        options = ClusterOptions()
-        assert options.connect == ()
-        assert options.points_per_item == 32
+        assert ClusterOptions().points_per_item == 32
 
     def test_bad_workers_rejected(self):
         # The runner's ``jobs`` is the one local worker count.
@@ -815,26 +808,22 @@ class TestOptions:
             return [], ResultColumns()
 
         monkeypatch.setattr(backend, "_run_cluster", record_workers)
-        peers = ClusterOptions(connect=(("h", 1), ("h", 2), ("h", 3)))
-        for jobs, options in ((1, None), (2, None), (3, None), (1, peers)):
+        for jobs in (1, 2, 3):
             backend.run_grid_columns(
                 SweepGrid(name="jobs", points=tuple(_POINTS)), _POINTS,
                 config=_CONFIG, directory=DirectoryState.cold(), jobs=jobs,
                 service=EvaluationService(), recorder=NULL_RECORDER,
-                options=options if options is not None else ClusterOptions(),
             )
-        assert seen == [2, 2, 3, 3]
+        assert seen == [2, 2, 3]
 
     def test_bad_points_per_item_rejected(self):
         with pytest.raises(ConfigurationError, match="points_per_item"):
             ClusterOptions(points_per_item=0)
 
-    def test_parse_endpoint(self):
-        assert parse_endpoint("127.0.0.1:9000") == ("127.0.0.1", 9000)
-        with pytest.raises(ConfigurationError, match="HOST:PORT"):
-            parse_endpoint("no-port")
-        with pytest.raises(ConfigurationError, match="integer"):
-            parse_endpoint("host:http")
+    @pytest.mark.parametrize("seconds", [0.0, -1.0, float("inf"), float("nan")])
+    def test_bad_heartbeat_rejected(self, seconds):
+        with pytest.raises(ConfigurationError, match="heartbeat_seconds"):
+            ClusterOptions(heartbeat_seconds=seconds)
 
     def test_empty_grid_short_circuits(self):
         from repro.sweep.cluster import run_grid_columns
@@ -846,3 +835,57 @@ class TestOptions:
         )
         assert labels == []
         assert len(columns) == 0
+
+
+class TestPrivatePool:
+    """Workers are forked children on socketpairs: nothing listens."""
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_no_socket_is_bound_or_listens(self, jobs, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cluster sweep opened a listening socket")
+
+        forks = []
+        start = multiprocessing.context.ForkProcess.start
+
+        def counted(process):
+            forks.append(process)
+            start(process)
+
+        monkeypatch.setattr(asyncio, "start_server", refuse)
+        monkeypatch.setattr(socket.socket, "bind", refuse)
+        monkeypatch.setattr(socket.socket, "listen", refuse)
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counted)
+        grid = fig3_grid()
+        runner = SweepRunner(EvaluationService(), jobs=jobs, backend="cluster")
+        assert runner.run_columns(grid) == SweepRunner(EvaluationService()).run_columns(grid)
+        assert len(forks) == max(2, jobs)
+
+    def test_a_dead_workers_eof_is_not_masked_by_a_sibling(self, tmp_path, monkeypatch):
+        # The first worker to start dies at once. Its chunk is requeued on
+        # the EOF of its socket, which needs every live sibling to have
+        # closed its inherited copy; otherwise only the heartbeat timeout
+        # (a minute here) would find the death.
+        from repro.sweep.cluster import backend
+
+        serve = backend._worker_main
+
+        def first_dies(*args):
+            try:
+                os.close(os.open(tmp_path / "dead", os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return serve(*args)
+            os._exit(0)
+
+        monkeypatch.setattr(backend, "_worker_main", first_dies)
+        grid = fig3_grid()
+        recorder = CountersRecorder()
+        started = time.monotonic()
+        got = backend.run_grid_columns(
+            grid, list(grid), config=_CONFIG, directory=DirectoryState.cold(),
+            jobs=2, service=EvaluationService(), recorder=recorder,
+            options=ClusterOptions(heartbeat_timeout_seconds=60.0),
+        )
+        assert time.monotonic() - started < 30.0
+        assert got == SweepRunner(EvaluationService()).run_columns(grid)
+        assert recorder.snapshot()["counters"]["cluster.chunks.requeued_count"] >= 1

@@ -1,14 +1,15 @@
 """Fault injection for the cluster backend, on the fake clock.
 
 Every scenario runs a real :class:`Coordinator` and in-process
-:class:`ClusterWorker` instances over real loopback TCP, but with the
-injected clock/sleep pair from :mod:`tests.serve.conftest` — so slow
-workers, heartbeat timeouts, and steal/requeue races elapse
-deterministically in zero wall time, and every outcome is asserted
-bit-identical to serial.
+:class:`ClusterWorker` instances over real socketpairs, as the backend
+joins its forked workers, but with the injected clock/sleep pair from
+:mod:`tests.serve.conftest` — so slow workers, heartbeat timeouts, and
+steal/requeue races elapse deterministically in zero wall time, and
+every outcome is asserted bit-identical to serial.
 """
 
 import asyncio
+import socket
 
 import pytest
 
@@ -17,7 +18,7 @@ from repro.memsim.config import DirectoryState, paper_config
 from repro.obs import NULL_RECORDER, CountersRecorder
 from repro.sweep import DiskCache, EvaluationService, SweepRunner
 from repro.sweep.cache import columns_to_payload
-from repro.sweep.cluster import ClusterOptions, protocol
+from repro.sweep.cluster import ClusterOptions, Session, protocol
 from repro.sweep.cluster.coordinator import Coordinator
 from repro.sweep.cluster.worker import ClusterWorker
 from repro.workloads.grids import SweepGrid, SweepPoint
@@ -55,6 +56,29 @@ def _serial(grid: SweepGrid):
     }
 
 
+async def _attach_pair(coordinator):
+    """A socketpair with one end attached to ``coordinator``.
+
+    Returns the streams of the other end, the worker's.
+    """
+    mine, theirs = socket.socketpair()
+    coordinator.attach(*await protocol.open_link(mine))
+    return await protocol.open_link(theirs)
+
+
+def _worker(grid, options, recorder, reader, writer, clock, **kwargs):
+    """An in-process worker on ``grid``, its session as the backend builds it."""
+    session = Session(
+        config=CONFIG, directory=STATE, grid_name=grid.name,
+        observing=recorder.enabled,
+        points_per_item=options.points_per_item,
+        heartbeat_seconds=options.heartbeat_seconds,
+    )
+    return ClusterWorker(
+        reader, writer, session, list(grid), sleep=clock.sleep, **kwargs
+    )
+
+
 async def _run_scenario(
     grid: SweepGrid,
     worker_kwargs: list[dict],
@@ -80,16 +104,11 @@ async def _run_scenario(
         workers_hint=len(worker_kwargs),
         clock=clock.time, sleep=clock.sleep,
     )
-    host, port = await coordinator.start()
     workers: list[ClusterWorker] = []
     tasks: list[asyncio.Task] = []
     for kwargs in worker_kwargs:
-        reader, writer = await asyncio.open_connection(
-            host, port, limit=protocol.MAX_FRAME_BYTES
-        )
-        worker = ClusterWorker(
-            reader, writer, clock=clock.time, sleep=clock.sleep, **kwargs
-        )
+        reader, writer = await _attach_pair(coordinator)
+        worker = _worker(grid, options, recorder, reader, writer, clock, **kwargs)
         workers.append(worker)
         tasks.append(asyncio.ensure_future(worker.run()))
     finish = asyncio.ensure_future(coordinator.finish())
@@ -324,35 +343,30 @@ class TestHeartbeatTimeout:
 async def _with_rogue(grid, rogue, *, recorder, service=None):
     """Sweep ``grid`` with one slow healthy worker and a ``rogue`` peer.
 
-    The healthy worker joins first and parks on the fake clock before
-    each item, so its chunk is still unfilled while
-    ``rogue(coordinator, host, port)`` runs. Returns ``finish()``'s
-    result.
+    The healthy worker is attached first and parks on the fake clock
+    before each item, so its chunk is still unfilled while
+    ``rogue(coordinator)`` runs. Returns ``finish()``'s result.
     """
     clock = FakeClock()
+    options = ClusterOptions(
+        points_per_item=2,
+        heartbeat_seconds=10.0,
+        heartbeat_timeout_seconds=1e12,  # death can only come from a frame
+    )
     coordinator = Coordinator(
         grid.name, list(grid),
         config=CONFIG, directory=STATE,
         service=service if service is not None else EvaluationService(memoize=False),
-        recorder=recorder, workers_hint=2,
-        options=ClusterOptions(
-            points_per_item=2,
-            heartbeat_seconds=10.0,
-            heartbeat_timeout_seconds=1e12,  # death can only come from a frame
-        ),
+        recorder=recorder, workers_hint=2, options=options,
         clock=clock.time, sleep=clock.sleep,
     )
-    host, port = await coordinator.start()
-    reader, writer = await asyncio.open_connection(
-        host, port, limit=protocol.MAX_FRAME_BYTES
-    )
-    healthy = ClusterWorker(
-        reader, writer, clock=clock.time, sleep=clock.sleep,
-        item_delay_seconds=50.0,
+    reader, writer = await _attach_pair(coordinator)
+    healthy = _worker(
+        grid, options, recorder, reader, writer, clock, item_delay_seconds=50.0
     )
     worker_task = asyncio.ensure_future(healthy.run())
     await clock.drain()
-    await rogue(coordinator, host, port)
+    await rogue(coordinator)
     finish = asyncio.ensure_future(coordinator.finish())
     try:
         for _ in range(200):
@@ -369,17 +383,11 @@ async def _with_rogue(grid, rogue, *, recorder, service=None):
         await asyncio.gather(worker_task, return_exceptions=True)
 
 
-async def _join(host, port):
-    """Connect and join as a worker; returns the link and its first chunk."""
-    reader, writer = await asyncio.open_connection(
-        host, port, limit=protocol.MAX_FRAME_BYTES
-    )
-    await protocol.send_frame(
-        writer, {"kind": "join", "protocol": protocol.CLUSTER_PROTOCOL}
-    )
-    hello = await protocol.read_frame(reader)
+async def _rogue_peer(coordinator):
+    """A peer attached on a socketpair; returns its streams and first chunk."""
+    reader, writer = await _attach_pair(coordinator)
     chunk = await protocol.read_frame(reader)
-    assert hello["kind"] == "hello" and chunk["kind"] == "chunk"
+    assert chunk["kind"] == "chunk"
     return reader, writer, chunk
 
 
@@ -393,9 +401,9 @@ class TestMalformedFrame:
         grid = _grid(16)
         recorder = CountersRecorder()
 
-        async def rogue(coordinator, host, port):
+        async def rogue(coordinator):
             """Takes a chunk, answers it with a field missing."""
-            reader, writer, chunk = await _join(host, port)
+            reader, writer, chunk = await _rogue_peer(coordinator)
             await protocol.send_frame(
                 writer, {"kind": "result", "chunk": chunk["chunk"]}
             )
@@ -416,8 +424,8 @@ class TestMalformedFrame:
         grid = _grid(16)
         recorder = CountersRecorder()
 
-        async def rogue(coordinator, host, port):
-            reader, writer, chunk = await _join(host, port)
+        async def rogue(coordinator):
+            reader, writer, chunk = await _rogue_peer(coordinator)
             shipped = [grid.points[i].streams for i in chunk["indices"]]
             answered = [shipped[0] * 2, *shipped[1:]]
             payload = columns_to_payload(
@@ -447,8 +455,8 @@ class TestRoguePeer:
         grid = _grid(16)
         recorder = CountersRecorder()
 
-        async def rogue(coordinator, host, port):
-            reader, writer, _ = await _join(host, port)
+        async def rogue(coordinator):
+            reader, writer, _ = await _rogue_peer(coordinator)
             healthy = coordinator._links[1]
             chunk, indices = next(iter(healthy.outstanding.items()))
             indices = sorted(indices)
@@ -479,8 +487,8 @@ class TestRoguePeer:
         grid = _grid(16)
         service, recorder = EvaluationService(), CountersRecorder()
 
-        async def rogue(coordinator, host, port):
-            reader, writer, chunk = await _join(host, port)
+        async def rogue(coordinator):
+            reader, writer, chunk = await _rogue_peer(coordinator)
             await protocol.send_frame(writer, {
                 "kind": "failed", "chunk": chunk["chunk"],
                 "indices": chunk["indices"],

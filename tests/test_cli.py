@@ -105,6 +105,31 @@ class TestSsb:
         assert "SSD" in out
 
 
+class TestBadInput:
+    """A typed error from bad input is one stderr line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["trace", "nope"], "trace: unknown experiment 'nope'"),
+            (["bandwidth", "--threads", "0"],
+             "bandwidth: thread count must be >= 1, got 0"),
+            (["ssb", "--sf", "0"], "ssb: scale factor must be positive"),
+            (["advise", "--sockets", "0"], "advise: need at least one socket"),
+            (["hybrid", "--dram-budget-gib", "-5"],
+             "hybrid: DRAM budget cannot be negative"),
+        ],
+        ids=["trace", "bandwidth", "ssb", "advise", "hybrid"],
+    )
+    def test_prints_command_and_message(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -152,9 +177,9 @@ class TestClusterCli:
             ["run", "fig4", "--backend", "cluster", "--workers", "2"],
             ["bench", "--smoke", "--jobs", "2"],
             ["bench", "--smoke", "--backend", "vector"],
-            ["worker", "--cache-dir", "x"],
+            ["run", "fig4", "--backend", "cluster", "--connect", "h:1"],
         ],
-        ids=["run-workers", "bench-jobs", "bench-backend", "worker-cache-dir"],
+        ids=["run-workers", "bench-jobs", "bench-backend", "run-connect"],
     )
     def test_removed_flags_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -162,14 +187,11 @@ class TestClusterCli:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_bad_connect_endpoint_rejected(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="HOST:PORT"):
-            main(
-                ["run", "fig4", "--backend", "cluster",
-                 "--connect", "no-port-here"]
-            )
+    def test_worker_command_removed(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["worker", "--port", "0"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'worker'" in capsys.readouterr().err
 
 
 class TestHybrid:
