@@ -253,10 +253,20 @@ def _cmd_run(
         previous = set_default_service(
             EvaluationService(disk_cache=DiskCache(cache_dir))
         )
+    # fig14 and table1 share one runner: one generated database, and
+    # each engine configuration executed once.
+    ssb_runner = None
     try:
         with scope:
             for exp_id in experiment_ids:
-                print(run_experiment(exp_id, jobs=jobs, backend=backend).render())
+                kwargs: dict[str, object] = {"jobs": jobs, "backend": backend}
+                if exp_id in ("fig14", "table1"):
+                    if ssb_runner is None:
+                        from repro.ssb.runner import SsbRunner
+
+                        ssb_runner = SsbRunner()
+                    kwargs["runner"] = ssb_runner
+                print(run_experiment(exp_id, **kwargs).render())
                 print()
         print(default_service().stats.describe())
     finally:

@@ -142,6 +142,7 @@ CATALOG: tuple[CounterSpec, ...] = (
     CounterSpec("ssb.cpu.tuples_count", "count", "weighted tuples of CPU work priced"),
     CounterSpec("ssb.query.predicted_seconds", "seconds", "predicted query runtime"),
     CounterSpec("ssb.exec.queries_count", "count", "queries executed for real"),
+    CounterSpec("ssb.exec.probe_replays_count", "count", "stored fact-column probes replayed"),
     CounterSpec("ssb.exec.seq_read_bytes", "bytes", "recorded sequential read traffic"),
     CounterSpec("ssb.exec.random_requests_count", "count", "recorded random reads"),
     CounterSpec("ssb.exec.write_bytes", "bytes", "recorded write traffic"),

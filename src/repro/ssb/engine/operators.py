@@ -22,18 +22,23 @@ done once per dimension row instead. A probe resolves each fact key to
 a dimension row, and a join's predicates and attributes depend only on
 that row, so :func:`probe_dimension` evaluates them over the dimension
 and keeps or drops each fact row with one gather (a semi-join).
+
+The probe itself (:func:`probe_keys`) is kept apart from the semi-join:
+where a probe lands depends only on the key sequence and the index's
+layout, so its outcome (:class:`KeyProbe`) can be replayed on an index
+of the same layout (:func:`replay_probe`), charging the same stats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from repro.errors import QueryError
 from repro.ssb.dbgen import Table
 from repro.ssb.engine.traffic import OperatorTraffic
-from repro.ssb.hashindex import ChainedIndex, DashIndex
+from repro.ssb.hashindex import ChainedIndex, ChainStats, DashIndex, ProbeStats
 from repro.ssb.queries import Predicate
 from repro.ssb.storage import IndexKind, SystemProfile, TupleLayout
 
@@ -188,9 +193,57 @@ def build_dimension_index(
     )
 
 
+@dataclass(frozen=True)
+class KeyProbe:
+    """The outcome of probing a dimension index with a key sequence.
+
+    ``rows`` holds the dimension row each key hit, or the row after the
+    last where it missed (read-only); ``hits`` counts the keys that hit,
+    and ``delta`` is what the probe added to the index's stats.
+    """
+
+    rows: np.ndarray
+    hits: int
+    delta: ProbeStats | ChainStats
+
+
+def probe_keys(join_index: JoinIndex, keys: np.ndarray, missing: int) -> KeyProbe:
+    """Probe the index with ``keys``; a miss resolves to row ``missing``.
+
+    The rows, the hits and the stats delta depend only on the keys and
+    the index's layout, never on the values packed next to the row.
+    """
+    index = join_index.index
+    before = replace(index.stats)
+    rows = index.bulk_probe(keys, missing=missing)
+    if isinstance(index, DashIndex):
+        # The packed value's low bits are the row position.
+        np.bitwise_and(rows, (1 << POSITION_BITS) - 1, out=rows)
+    rows.setflags(write=False)
+    after = index.stats
+    delta = type(after)(
+        **{
+            f.name: getattr(after, f.name) - getattr(before, f.name)
+            for f in fields(after)
+        }
+    )
+    hits = len(rows) - int(np.count_nonzero(rows == missing))
+    return KeyProbe(rows=rows, hits=hits, delta=delta)
+
+
+def replay_probe(join_index: JoinIndex, probe: KeyProbe) -> None:
+    """Charge ``probe`` to the index again, as probing its keys would.
+
+    Exact for an index of the layout the probe was resolved on.
+    """
+    stats = join_index.index.stats
+    for f in fields(stats):
+        setattr(stats, f.name, getattr(stats, f.name) + getattr(probe.delta, f.name))
+
+
 def probe_dimension(
     join_index: JoinIndex,
-    fact_keys: np.ndarray,
+    fact_keys: np.ndarray | KeyProbe,
     dim: Table,
     needed_attrs: tuple[str, ...],
     predicates: tuple[Predicate, ...] = (),
@@ -207,24 +260,29 @@ def probe_dimension(
     dimension's column storage. Either way they are charged per hit,
     and the predicates per hit and predicate, though the predicates are
     evaluated once per dimension row.
+
+    ``fact_keys`` may instead be their :class:`KeyProbe`, already charged
+    to this index: the executor resolves a probe of a fact column as
+    stored once and replays it (:func:`replay_probe`) for later queries.
+    The probe record is the same either way; the predicates, the
+    selection and the payload still run per call.
     """
-    index = join_index.index
-    before_probes = index.stats.probes
-    before_bytes = index.stats.read_bytes
-    # A miss resolves to the row after the last, which no predicate keeps.
     sentinel = dim.n_rows
-    rows = index.bulk_probe(fact_keys, missing=sentinel)
-    reads = (index.stats.read_bytes - before_bytes) / index.stats.access_size
-    probe_weight = (
-        CPU_HASH_PROBE if isinstance(index, DashIndex) else CPU_CHAIN_PROBE
+    probe = (
+        fact_keys
+        if isinstance(fact_keys, KeyProbe)
+        else probe_keys(join_index, fact_keys, sentinel)
     )
+    delta = probe.delta
     records = [
         OperatorTraffic(
             name=f"probe({join_index.table})",
-            random_reads=float(reads),
-            random_read_size=index.stats.access_size,
-            cpu_tuples=float(index.stats.probes - before_probes),
-            cpu_weight=probe_weight,
+            random_reads=float(delta.read_bytes / delta.access_size),
+            random_read_size=delta.access_size,
+            cpu_tuples=float(delta.probes),
+            cpu_weight=(
+                CPU_HASH_PROBE if isinstance(delta, ProbeStats) else CPU_CHAIN_PROBE
+            ),
             random_region_bytes=float(join_index.memory_bytes),
             region_table=join_index.table,
         )
@@ -235,13 +293,10 @@ def probe_dimension(
             raise QueryError(
                 f"index on {join_index.table} lacks packed attrs {missing}"
             )
-        # The packed value's low bits are the row position.
-        np.bitwise_and(rows, (1 << POSITION_BITS) - 1, out=rows)
 
+    # A miss resolves to the row after the last, which no predicate keeps.
+    rows, hits = probe.rows, probe.hits
     gathered = bool(needed_attrs) and not join_index.packed_attrs
-    hits = 0
-    if predicates or gathered:
-        hits = len(rows) - int(np.count_nonzero(rows == sentinel))
     keep = np.zeros(sentinel + 1, dtype=bool)
     keep[:sentinel] = filter_mask(dim, predicates)
     selection = np.flatnonzero(keep[rows])

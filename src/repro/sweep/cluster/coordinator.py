@@ -205,6 +205,12 @@ class Coordinator:
         """Wait for the sweep, tear down, and assemble in grid order."""
         if not self.misses:
             self._finished.set()
+        elif not self._links:
+            # No worker to compute the misses, and none left to die.
+            self._fatal = SweepError(
+                f"sweep {self._grid_name!r} failed: every cluster worker died"
+            )
+            self._finished.set()
         else:
             self._monitor_task = asyncio.ensure_future(self._monitor())
         await self._finished.wait()

@@ -1,11 +1,15 @@
 """Engine correctness tests: every query checked against a brute-force
 numpy reference implementation, across both system profiles."""
 
+import functools
+
 import numpy as np
 import pytest
 
+from repro.obs import CountersRecorder
 from repro.ssb.dbgen import generate
-from repro.ssb.engine import SsbExecutor
+from repro.ssb.engine import SsbExecutor, operators
+from repro.ssb.hashindex import ChainedIndex, DashIndex
 from repro.ssb.queries import ALL_QUERIES, get_query
 from repro.ssb.storage import HANDCRAFTED_PMEM, HYRISE_PMEM
 
@@ -184,3 +188,120 @@ class TestTrafficAccounting:
             7.0 * original.random_region_bytes
         )
         assert part_probe.random_reads == pytest.approx(1000 * original.random_reads)
+
+
+class _Unreplayed(SsbExecutor):
+    """The oracle: probes every stored fact column afresh."""
+
+    def _stored_probe(self, join, join_index):
+        probe = operators.probe_keys(
+            join_index,
+            self.db.lineorder[join.fact_key],
+            self.db.table(join.table).n_rows,
+        )
+        return probe, False
+
+
+def _stored_first(query):
+    """The (table, fact column) a query probes as stored, if any."""
+    if query.fact_filters or not query.joins:
+        return None
+    return query.joins[0].table, query.joins[0].fact_key
+
+
+_ORDERS = {
+    "forward": ALL_QUERIES,
+    "reverse": ALL_QUERIES[::-1],
+    "twice": tuple(q for query in ALL_QUERIES for q in (query, query)),
+}
+
+
+@functools.lru_cache(maxsize=2)
+def _small_db(seed):
+    return generate(scale_factor=0.01, seed=seed)
+
+
+@functools.lru_cache(maxsize=4)
+def _fresh_results(seed, profile):
+    """Each query run on an executor of its own."""
+    db = _small_db(seed)
+    return {q.name: SsbExecutor(db, profile).execute(q) for q in ALL_QUERIES}
+
+
+@pytest.mark.parametrize("seed", [1, 2021])
+@pytest.mark.parametrize(
+    "profile", [HANDCRAFTED_PMEM, HYRISE_PMEM], ids=["dash", "chained"]
+)
+class TestStoredColumnProbe:
+    @pytest.mark.parametrize("order", sorted(_ORDERS))
+    def test_replay_matches_fresh_execution(self, seed, profile, order):
+        db = _small_db(seed)
+        executor = SsbExecutor(db, profile)
+        oracle = _Unreplayed(db, profile)
+        fresh = _fresh_results(seed, profile)
+        for query in _ORDERS[order]:
+            result = executor.execute(query)
+            expected = fresh[query.name]
+            assert result.traffic == expected.traffic
+            assert result.groups == expected.groups
+            assert result.qualifying_rows == expected.qualifying_rows
+            assert oracle.execute(query).traffic == result.traffic
+        assert executor.build_traffic == oracle.build_traffic
+        # Each index holds the stats of an index probed by bulk_probe calls.
+        assert executor._index_cache.keys() == oracle._index_cache.keys()
+        for key, built in executor._index_cache.items():
+            assert built.index.stats == oracle._index_cache[key].index.stats
+
+    def test_stored_rows_are_read_only(self, seed, profile):
+        executor = SsbExecutor(_small_db(seed), profile)
+        for query in ALL_QUERIES:
+            executor.execute(query)
+        assert executor._stored_probes
+        for _, probe in executor._stored_probes.values():
+            assert not probe.rows.flags.writeable
+            with pytest.raises(ValueError):
+                probe.rows[0] = 0
+
+    def test_each_stored_column_is_probed_once(self, seed, profile, monkeypatch):
+        db = _small_db(seed)
+        probed = []
+        for cls in (DashIndex, ChainedIndex):
+            original = cls.bulk_probe
+
+            def counting(index, keys, missing=-1, _original=original):
+                probed.append((index, keys))
+                return _original(index, keys, missing)
+
+            monkeypatch.setattr(cls, "bulk_probe", counting)
+        executor = SsbExecutor(db, profile)
+        queries = ALL_QUERIES + ALL_QUERIES[::-1]
+        for query in queries:
+            executor.execute(query)
+        table_of = {
+            id(built.index): table
+            for (table, _), built in executor._index_cache.items()
+        }
+        stored = [
+            (table_of[id(index)], column)
+            for index, keys in probed
+            for column in ("lo_custkey", "lo_partkey", "lo_suppkey", "lo_orderdate")
+            if keys is db.lineorder[column]
+        ]
+        expected = {_stored_first(q) for q in queries} - {None}
+        assert sorted(stored) == sorted(expected)
+        selections = sum(
+            len(q.joins) - (_stored_first(q) is not None) for q in queries
+        )
+        assert len(probed) - len(stored) == selections
+
+    def test_replays_are_counted(self, seed, profile):
+        executor = SsbExecutor(_small_db(seed), profile)
+        rec = CountersRecorder()
+        replays = []
+        for query in ALL_QUERIES:
+            before = rec.counter("ssb.exec.probe_replays_count")
+            executor.execute(query, recorder=rec)
+            if rec.counter("ssb.exec.probe_replays_count") > before:
+                replays.append(query.joins[0].table)
+        assert rec.counter("ssb.exec.probe_replays_count") == 8
+        assert sorted(replays) == ["customer"] * 6 + ["part"] * 2

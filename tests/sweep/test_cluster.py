@@ -764,6 +764,22 @@ class TestErrorPropagation:
             for row, label in enumerate(list(serial)):
                 assert exc.partial.view(row).counters == serial[label].counters
 
+    def test_finish_without_workers_fails_at_once(self):
+        grid = fig3_grid()
+
+        async def scenario():
+            coordinator = Coordinator(
+                grid.name, list(grid),
+                config=paper_config(), directory=DirectoryState.cold(),
+                service=EvaluationService(memoize=False),
+                recorder=NULL_RECORDER, workers_hint=2,
+            )
+            assert coordinator.misses
+            with pytest.raises(SweepError, match="every cluster worker died"):
+                await asyncio.wait_for(coordinator.finish(), 3)
+
+        run_async(scenario())
+
 
 class TestBackendValidation:
     def test_unknown_backend_raises_typed_error_naming_valid_set(self):

@@ -30,6 +30,31 @@ class TestRun:
             f"{sorted(REGISTRY)}\n"
         )
 
+    def test_ssb_experiments_share_one_runner(
+        self, fresh_default_service, monkeypatch, capsys
+    ):
+        from repro.experiments.registry import run_experiment
+        from repro.ssb import runner as ssb_runner
+
+        made = []
+
+        class Counted(ssb_runner.SsbRunner):
+            def __init__(self):
+                made.append(self)
+                super().__init__(measured_sf=0.01)
+
+        monkeypatch.setattr(ssb_runner, "SsbRunner", Counted)
+        assert main(["run", "fig14", "table1"]) == 0
+        out = capsys.readouterr().out
+        assert len(made) == 1
+        # table1's Q2.1 engine was already executed and priced for fig14.
+        assert out.endswith("evaluation cache: 0 hits / 49 misses (0.0% hit rate)\n")
+        separate = "".join(
+            run_experiment(exp_id, runner=Counted()).render() + "\n\n"
+            for exp_id in ("fig14", "table1")
+        )
+        assert out.startswith(separate)
+
 
 class TestBandwidth:
     def test_default_read(self, capsys):
