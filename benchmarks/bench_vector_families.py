@@ -5,7 +5,7 @@ near-socket sequential points, so the figure grids built from the
 random, remote, unpinned, fsdax, and mixed families — Fig. 4/9
 (pinning), Fig. 5/10 (NUMA locality), Fig. 11 (mixed readers/writers),
 Fig. 12/13 (random access), and the daxmode study — ran entirely on the
-scalar fallback under ``--backend vector``. Now that every family the
+scalar fallback of the vector backend. Now that every family the
 scalar evaluator can price is vectorized, each of those grids must beat
 per-point evaluation by >= 3x (a lower gate than the dense sequential
 axis' 5x: family grids are smaller and the multi-stream family pays a

@@ -7,8 +7,13 @@ Commands
 ``run <exp-id> [...]``
     Run one or more experiments and print their rendered results.
     ``--metrics`` additionally collects observability counters
-    (``repro.obs``) and prints them after the results; ``-o FILE``
-    writes the counter snapshot as canonical JSON.
+    (``repro.obs``) and prints them after the results; with it,
+    ``-o FILE`` also writes the counter snapshot as canonical JSON.
+    Every evaluation runs in process on the vector backend: the cluster
+    backend and the on-disk cache tier remain library paths only
+    (``SweepRunner(backend="cluster")``,
+    ``EvaluationService(disk_cache=...)``), pending the benchmark change
+    that retires them.
 ``trace <exp-id>``
     Run one experiment under a :class:`~repro.obs.TraceRecorder` and
     emit the span/event stream as JSON Lines (stdout or ``-o FILE``).
@@ -37,17 +42,22 @@ Commands
     response.
 
 A command given bad input (a typed :class:`~repro.errors.ReproError`)
-prints ``<command>: <message>`` on stderr and exits 2.
+prints ``<command>: <message>`` on stderr and exits 2. An ``-o FILE``
+of ``run`` or ``trace`` is opened for writing before anything runs, so
+an unwritable path is such bad input: ``<command>: cannot write FILE:
+<reason>``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from collections.abc import Sequence
+from typing import TextIO
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.memsim import (
     DirectoryState,
     Layout,
@@ -70,9 +80,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    from repro.sweep import BACKENDS
+def _open_output(path: str) -> TextIO:
+    """Open an ``-o`` target for writing, as a shell redirect would.
 
+    Called before any experiment runs, so an unwritable path costs
+    nothing and fails as bad input rather than after the run.
+    """
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Maximizing Persistent Memory Bandwidth "
@@ -85,18 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run experiments by id")
     run.add_argument("experiments", nargs="+", metavar="EXP",
                      help="experiment ids, e.g. fig7 table1")
-    run.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                     help="with --backend cluster: worker processes to "
-                          "fork (default 1 forks 2)")
-    run.add_argument("--backend", choices=BACKENDS, default="vector",
-                     help="sweep backend: 'vector' (default) batches every "
-                          "grid through the NumPy kernels in-process, "
-                          "'cluster' shards its cache misses across "
-                          "worker processes with work-stealing "
-                          "(bit-identical)")
-    run.add_argument("--cache-dir", metavar="PATH", default=None,
-                     help="persist evaluation results under PATH and reuse "
-                          "them across runs")
     run.add_argument("--metrics", action="store_true",
                      help="collect observability counters during the run and "
                           "print a report after the results")
@@ -197,8 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="admission-control queue bound; beyond it, "
                             "requests are shed with a retry-after hint")
-    serve.add_argument("--cache-dir", metavar="PATH", default=None,
-                       help="persist evaluation results under PATH")
 
     request = sub.add_parser(
         "request", help="send one request frame to a running server"
@@ -221,45 +227,29 @@ def _cmd_list() -> int:
 
 def _cmd_run(
     experiment_ids: Sequence[str],
-    jobs: int = 1,
-    backend: str = "vector",
-    cache_dir: str | None = None,
     metrics: bool = False,
     output: str | None = None,
 ) -> int:
-    import contextlib
-
     from repro.experiments.registry import get_experiment, run_experiment
     from repro.obs import CountersRecorder, using_recorder
-    from repro.sweep import (
-        DiskCache,
-        EvaluationService,
-        default_service,
-        set_default_service,
-    )
+    from repro.sweep import default_service
 
-    # Every id is checked before any experiment runs.
+    # Every id, and the output path, is checked before any experiment runs.
     for exp_id in experiment_ids:
         get_experiment(exp_id)
+    sink = _open_output(output) if output is not None else contextlib.nullcontext()
     recorder = CountersRecorder() if metrics else None
     scope = (
         using_recorder(recorder) if recorder is not None
         else contextlib.nullcontext()
     )
-    previous = None
-    if cache_dir is not None:
-        # Route every evaluation (experiments, SSB pricing, the façade)
-        # through a service backed by the on-disk cache for this command.
-        previous = set_default_service(
-            EvaluationService(disk_cache=DiskCache(cache_dir))
-        )
     # fig14 and table1 share one runner: one generated database, and
     # each engine configuration executed once.
     ssb_runner = None
-    try:
+    with sink as handle:
         with scope:
             for exp_id in experiment_ids:
-                kwargs: dict[str, object] = {"jobs": jobs, "backend": backend}
+                kwargs: dict[str, object] = {}
                 if exp_id in ("fig14", "table1"):
                     if ssb_runner is None:
                         from repro.ssb.runner import SsbRunner
@@ -269,41 +259,41 @@ def _cmd_run(
                 print(run_experiment(exp_id, **kwargs).render())
                 print()
         print(default_service().stats.describe())
-    finally:
-        if cache_dir is not None:
-            set_default_service(previous)
-    if recorder is not None:
-        from repro.obs.report import render_recorder
+        if recorder is not None:
+            from repro.obs.report import render_recorder
 
-        print()
-        print(render_recorder(recorder))
-        if output is not None:
-            from repro.obs.golden import canonical_json
+            print()
+            print(render_recorder(recorder))
+            if handle is not None:
+                from repro.obs.golden import canonical_json
 
-            with open(output, "w", encoding="utf-8") as handle:
                 handle.write(canonical_json(recorder.snapshot()))
-            print(f"wrote metrics snapshot to {output}")
+                print(f"wrote metrics snapshot to {output}")
     return 0
 
 
 def _cmd_trace(experiment_id: str, output: str | None, timestamps: bool) -> int:
     import time
 
-    from repro.experiments.registry import run_experiment
+    from repro.experiments.registry import get_experiment, run_experiment
     from repro.obs import TraceRecorder, using_recorder
 
+    get_experiment(experiment_id)
+    sink = (
+        _open_output(output) if output is not None
+        else contextlib.nullcontext(sys.stdout)
+    )
     recorder = TraceRecorder(
         clock=time.perf_counter if timestamps else None,
         record_observations=timestamps,
     )
-    with using_recorder(recorder):
-        with recorder.span("experiment", exp_id=experiment_id):
-            run_experiment(experiment_id)
+    with sink as handle:
+        with using_recorder(recorder):
+            with recorder.span("experiment", exp_id=experiment_id):
+                run_experiment(experiment_id)
+        handle.write(recorder.export_jsonl())
     if output is not None:
-        recorder.export_jsonl(output)
         print(f"wrote {len(recorder)} trace records to {output}")
-    else:
-        sys.stdout.write(recorder.export_jsonl())
     return 0
 
 
@@ -450,11 +440,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.serve import BandwidthServer, ServeConfig
-    from repro.sweep import DiskCache, EvaluationService
+    from repro.sweep import EvaluationService
     from repro.units import MS
 
-    disk = DiskCache(args.cache_dir) if args.cache_dir is not None else None
-    service = EvaluationService(disk_cache=disk)
+    service = EvaluationService()
     config = ServeConfig(
         gather_window_seconds=args.window_ms * MS,
         max_batch_points=args.max_batch,
@@ -520,8 +509,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return lint_main(argv[1:])
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "run" and args.jobs > 1 and args.backend != "cluster":
-        parser.error("--jobs N > 1 requires --backend cluster")
+    if args.command == "run" and args.output is not None and not args.metrics:
+        parser.error("run -o/--output requires --metrics")
     try:
         return _dispatch(args)
     except ReproError as exc:
@@ -533,14 +522,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":
-        return _cmd_run(
-            args.experiments,
-            jobs=args.jobs,
-            backend=args.backend,
-            cache_dir=args.cache_dir,
-            metrics=args.metrics,
-            output=args.output,
-        )
+        return _cmd_run(args.experiments, metrics=args.metrics, output=args.output)
     if args.command == "trace":
         return _cmd_trace(args.experiment, args.output, args.timestamps)
     if args.command == "report":

@@ -11,10 +11,7 @@ from repro.core.insights import ALL_INSIGHTS, verify_all
 from repro.experiments.result import ExperimentResult
 
 
-def run(
-    jobs: int = 1,
-    backend: str = "vector",
-) -> ExperimentResult:
+def run() -> ExperimentResult:
     result = ExperimentResult(
         exp_id="bestpractices",
         title="Best practices for OLAP on PMEM (§7)",

@@ -7,29 +7,18 @@ from repro.sweep import SweepRunner
 from repro.workloads.grids import SweepGrid
 
 
-def evaluate_grid(
-    config: MachineConfig,
-    grid: SweepGrid,
-    *,
-    directory: DirectoryState | None = None,
-    jobs: int = 1,
-    backend: str = "vector",
-) -> dict[str, float]:
+def evaluate_grid(config: MachineConfig, grid: SweepGrid) -> dict[str, float]:
     """Evaluate every sweep point; returns {label: total GB/s}.
 
-    Points are evaluated against an explicit warm
-    :class:`DirectoryState`, so far-access points reflect steady-state
-    behaviour; experiments that specifically study the cold path
-    (Fig. 5) pass their own state values. Results stay columnar
+    Points are priced in process, in one batched kernel pass, against
+    an explicit warm :class:`DirectoryState`, so far-access points reflect
+    steady-state behaviour (Fig. 5, which studies the cold path, threads
+    its own states through the service instead). Results stay columnar
     end-to-end — the totals are read straight off the batch, no
-    per-point result object exists anywhere. ``backend="cluster"`` (with
-    ``jobs`` local workers) fans points out across worker processes
-    instead, bit-identically.
+    per-point result object exists anywhere.
     """
-    if directory is None:
-        directory = DirectoryState.warm(config.topology)
-    runner = SweepRunner(jobs=jobs, backend=backend)
-    return runner.totals(grid, config=config, directory=directory)
+    directory = DirectoryState.warm(config.topology)
+    return SweepRunner().totals(grid, config=config, directory=directory)
 
 
 def curves_by(

@@ -15,10 +15,7 @@ from repro.sweep import stream_gbps
 from repro.units import GIB
 
 
-def run(
-    jobs: int = 1,
-    backend: str = "vector",
-) -> ExperimentResult:
+def run() -> ExperimentResult:
     config = paper_config()
     result = ExperimentResult(exp_id="daxmode", title="devdax vs fsdax (§2.3)")
 

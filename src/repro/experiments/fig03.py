@@ -15,10 +15,7 @@ from repro.memsim import Layout, Op, paper_config
 from repro.workloads import sequential_sweep
 
 
-def run(
-    jobs: int = 1,
-    backend: str = "vector",
-) -> ExperimentResult:
+def run() -> ExperimentResult:
     config = paper_config()
     result = ExperimentResult(
         exp_id="fig3",
@@ -26,7 +23,7 @@ def run(
     )
     for layout, panel in ((Layout.GROUPED, "a-grouped"), (Layout.INDIVIDUAL, "b-individual")):
         grid = sequential_sweep(Op.READ, layout=layout)
-        values = evaluate_grid(config, grid, jobs=jobs, backend=backend)
+        values = evaluate_grid(config, grid)
         for threads, curve in curves_by(values, grid, "threads", "access_size").items():
             result.add_series(f"{panel}/{threads}T", curve)
 

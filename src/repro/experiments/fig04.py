@@ -13,13 +13,10 @@ from repro.memsim import Op, PinningPolicy, paper_config
 from repro.workloads import pinning_sweep
 
 
-def run(
-    jobs: int = 1,
-    backend: str = "vector",
-) -> ExperimentResult:
+def run() -> ExperimentResult:
     config = paper_config()
     grid = pinning_sweep(Op.READ)
-    values = evaluate_grid(config, grid, jobs=jobs, backend=backend)
+    values = evaluate_grid(config, grid)
     result = ExperimentResult(
         exp_id="fig4", title="Read bandwidth dependent on thread pinning"
     )

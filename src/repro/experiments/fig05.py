@@ -22,10 +22,7 @@ from repro.sweep import default_service, stream_gbps
 THREADS = (1, 4, 8, 18, 24, 36)
 
 
-def run(
-    jobs: int = 1,
-    backend: str = "vector",
-) -> ExperimentResult:
+def run() -> ExperimentResult:
     config = paper_config()
     service = default_service()
     result = ExperimentResult(exp_id="fig5", title="Read NUMA effects")

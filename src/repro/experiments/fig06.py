@@ -22,17 +22,14 @@ from repro.sweep import default_service
 from repro.workloads import MULTISOCKET_READ_LABELS, multisocket_read_scenarios
 
 
-def run(
-    jobs: int = 1,
-    backend: str = "vector",
-) -> ExperimentResult:
+def run() -> ExperimentResult:
     config = paper_config()
     result = ExperimentResult(
         exp_id="fig6", title="Read from multiple sockets (PMEM and DRAM)"
     )
     for media, panel in ((MediaKind.PMEM, "a-pmem"), (MediaKind.DRAM, "b-dram")):
         grid = multisocket_read_scenarios(media=media)
-        values = evaluate_grid(config, grid, jobs=jobs, backend=backend)
+        values = evaluate_grid(config, grid)
         for label in MULTISOCKET_READ_LABELS:
             curve = {
                 str(point.params["threads"]): values[point.label]

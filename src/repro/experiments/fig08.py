@@ -35,10 +35,7 @@ def boomerang_cells(rows: dict[str, dict[str, float]], threshold: float = 10.0):
     }
 
 
-def run(
-    jobs: int = 1,
-    backend: str = "vector",
-) -> ExperimentResult:
+def run() -> ExperimentResult:
     config = paper_config()
     result = ExperimentResult(
         exp_id="fig8", title="Write bandwidth heatmap: the boomerang"

@@ -21,13 +21,10 @@ from repro.sweep import default_service
 from repro.workloads import MULTISOCKET_WRITE_LABELS, multisocket_write_scenarios
 
 
-def run(
-    jobs: int = 1,
-    backend: str = "vector",
-) -> ExperimentResult:
+def run() -> ExperimentResult:
     config = paper_config()
     grid = multisocket_write_scenarios()
-    values = evaluate_grid(config, grid, jobs=jobs, backend=backend)
+    values = evaluate_grid(config, grid)
     result = ExperimentResult(exp_id="fig10", title="Writing data to multiple sockets")
     for label in MULTISOCKET_WRITE_LABELS:
         curve = {

@@ -18,10 +18,7 @@ from repro.workloads.mixed import (
 )
 
 
-def run(
-    jobs: int = 1,
-    backend: str = "vector",
-) -> ExperimentResult:
+def run() -> ExperimentResult:
     config = paper_config()
     result = ExperimentResult(exp_id="fig11", title="Mixed workload performance")
     reads: dict[str, float] = {}

@@ -18,15 +18,12 @@ from repro.workloads import random_sweep
 from repro.workloads.random_ import DEFAULT_REGION
 
 
-def run(
-    jobs: int = 1,
-    backend: str = "vector",
-) -> ExperimentResult:
+def run() -> ExperimentResult:
     config = paper_config()
     result = ExperimentResult(exp_id="fig12", title="Random read bandwidth (PMEM/DRAM)")
     for media, panel in ((MediaKind.PMEM, "a-pmem"), (MediaKind.DRAM, "b-dram")):
         grid = random_sweep(Op.READ, media=media)
-        values = evaluate_grid(config, grid, jobs=jobs, backend=backend)
+        values = evaluate_grid(config, grid)
         for threads, curve in curves_by(values, grid, "threads", "access_size").items():
             result.add_series(f"{panel}/{threads}T", curve)
 

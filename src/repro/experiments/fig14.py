@@ -12,11 +12,7 @@ from repro.experiments.result import ExperimentResult
 from repro.ssb.runner import SsbRunner, average_slowdown
 
 
-def run(
-    runner: SsbRunner | None = None,
-    jobs: int = 1,
-    backend: str = "vector",
-) -> ExperimentResult:
+def run(runner: SsbRunner | None = None) -> ExperimentResult:
     runner = runner if runner is not None else SsbRunner()
     result = ExperimentResult(
         exp_id="fig14", title="Star Schema Benchmark performance", unit="s"

@@ -12,11 +12,7 @@ from repro.experiments.result import ExperimentResult
 from repro.ssb.runner import SsbRunner
 
 
-def run(
-    runner: SsbRunner | None = None,
-    jobs: int = 1,
-    backend: str = "vector",
-) -> ExperimentResult:
+def run(runner: SsbRunner | None = None) -> ExperimentResult:
     runner = runner if runner is not None else SsbRunner()
     result = ExperimentResult(
         exp_id="table1", title="Optimization of Q2.1 (seconds, sf 100)", unit="s"

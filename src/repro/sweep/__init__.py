@@ -14,7 +14,11 @@ Layering (see DESIGN.md §4):
   either way, rows and cache tallies alike, rows in grid order.
 
 Everything above this package — experiments, the SSB cost model, the
-core advisor/optimizer — evaluates bandwidth through here.
+core advisor/optimizer, the CLI — evaluates bandwidth through here, in
+process on the vector backend with the memo only. The cluster backend
+and the disk tier are library paths that nothing in the program
+selects: both lost to recomputing the model, and they stay only until
+the benchmark's ``cluster`` and ``disk_sweep`` workloads change.
 """
 
 from repro.sweep.cache import CacheStats, DiskCache, MemoCache

@@ -503,8 +503,8 @@ class DiskCache:
                                            -> [block digest, row]
 
     Entries written by a previous process are picked up transparently,
-    which is what makes ``repro run --cache-dir`` useful across
-    invocations. Corrupt, truncated, or legacy (v1 per-point, stored at
+    so a directory can be shared across invocations of a library
+    ``EvaluationService(disk_cache=DiskCache(path))``. Corrupt, truncated, or legacy (v1 per-point, stored at
     ``<root>/<digest[:2]>/<digest>.json`` — never read) entries are
     treated as misses; recomputing writes the result as a column block.
 

@@ -10,7 +10,8 @@ loop regardless of completion order.
 
 Two backends:
 
-* ``"vector"`` (default) — route the whole grid through
+* ``"vector"`` (default, and the only backend experiments and the CLI
+  use) — route the whole grid through
   :meth:`~repro.sweep.service.EvaluationService.evaluate_grid_columns`,
   which computes cache-missing points in one batched NumPy pass
   (:mod:`repro.memsim.kernels`), in this process.
@@ -20,7 +21,9 @@ Two backends:
   by content hash across ``jobs`` (at least two) worker processes
   forked for the sweep, with work-stealing for stragglers and
   heartbeat-timeout requeueing for dead workers. Rows are assembled by
-  global grid index.
+  global grid index. A library path only, slower than ``"vector"`` on
+  every measured grid; it stays until the benchmark's ``cluster``
+  workload changes.
 
 ``jobs`` is the cluster's worker count only; the vector backend
 runs on one core, so ``jobs > 1`` without ``backend="cluster"`` raises

@@ -1,5 +1,8 @@
 """Tests for the experiment registry and result containers."""
 
+import dis
+import inspect
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -32,6 +35,26 @@ class TestRegistry:
     def test_ids_match_registry_keys(self):
         for exp_id, experiment in REGISTRY.items():
             assert experiment.exp_id == exp_id
+
+    def test_runners_declare_only_parameters_they_use(self):
+        # A declared-but-ignored knob (the retired jobs/backend pair was
+        # one on seven experiments) silently runs the default instead.
+        declared = {
+            exp_id: list(inspect.signature(experiment.runner).parameters)
+            for exp_id, experiment in REGISTRY.items()
+        }
+        assert {exp_id: names for exp_id, names in declared.items() if names} == {
+            "fig14": ["runner"],
+            "table1": ["runner"],
+        }
+        for exp_id, names in declared.items():
+            code = REGISTRY[exp_id].runner.__code__
+            read = {
+                instruction.argval
+                for instruction in dis.get_instructions(code)
+                if instruction.opname.startswith("LOAD_FAST")
+            }
+            assert set(names) <= read, exp_id
 
 
 class TestResultContainer:

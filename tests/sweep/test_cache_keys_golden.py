@@ -1,8 +1,9 @@
 """Golden cache keys and block bytes: the on-disk format is a contract.
 
-A ``--cache-dir`` written by one version must be served by the next, so
-neither the request digest nor the bytes of a stored column block may
-drift with a change of encoder. The hex values below were recorded from
+A ``DiskCache`` directory written by one version must be served by the
+next to every library user that keeps one (``EvaluationService(
+disk_cache=DiskCache(path))``), so neither the request digest nor the
+bytes of a stored column block may drift with a change of encoder. The hex values below were recorded from
 the canonical-JSON encoding the disk cache has always used; any change
 to them orphans every existing cache directory.
 """

@@ -166,36 +166,6 @@ class TestParser:
 
 
 class TestClusterCli:
-    def test_unknown_backend_rejected_naming_choices(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["run", "fig4", "--backend", "greenlet"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "greenlet" in err
-        assert "cluster" in err  # the valid set is spelled out
-
-    def test_cluster_flags_parse_and_run(self, capsys):
-        assert main(
-            ["run", "fig4", "--backend", "cluster", "--jobs", "2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "fig4" in out
-
-    def test_jobs_without_cluster_backend_is_a_usage_error(self, capsys):
-        for argv in (["run", "fig4", "--jobs", "2"],
-                     ["run", "fig4", "--jobs", "2", "--backend", "vector"]):
-            with pytest.raises(SystemExit) as excinfo:
-                main(argv)
-            assert excinfo.value.code == 2
-            assert "--backend cluster" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("retired", ["serial", "thread", "process"])
-    def test_backend_choices_are_vector_and_cluster(self, retired, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["run", "fig4", "--backend", retired])
-        assert excinfo.value.code == 2
-        assert "'vector', 'cluster'" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -203,8 +173,13 @@ class TestClusterCli:
             ["bench", "--smoke", "--jobs", "2"],
             ["bench", "--smoke", "--backend", "vector"],
             ["run", "fig4", "--backend", "cluster", "--connect", "h:1"],
+            ["run", "fig4", "--backend", "cluster"],
+            ["run", "fig4", "--jobs", "2"],
+            ["run", "fig4", "--cache-dir", "D"],
+            ["serve", "--cache-dir", "D"],
         ],
-        ids=["run-workers", "bench-jobs", "bench-backend", "run-connect"],
+        ids=["run-workers", "bench-jobs", "bench-backend", "run-connect",
+             "run-backend", "run-jobs", "run-cache-dir", "serve-cache-dir"],
     )
     def test_removed_flags_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -262,6 +237,16 @@ class TestRunMetrics:
         assert main(["run", "fig5"]) == 0
         assert "counters:" not in capsys.readouterr().out
 
+    def test_output_without_metrics_is_a_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "metrics.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "fig3", "-o", str(target)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "-o/--output requires --metrics" in captured.err
+        assert not target.exists()
+
 
 class TestTrace:
     def test_trace_to_stdout_is_valid_jsonl(self, capsys):
@@ -296,6 +281,32 @@ class TestTrace:
         assert main(["trace", "fig5", "-o", str(target), "--timestamps"]) == 0
         first = json.loads(target.read_text(encoding="utf-8").splitlines()[0])
         assert "t" in first
+
+
+class TestUnwritableOutput:
+    """An ``-o`` path that cannot be written fails before anything runs."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "fig3", "--metrics", "-o"], ["trace", "fig3", "-o"]],
+        ids=["run", "trace"],
+    )
+    def test_rejected_before_the_experiment_runs(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        from repro.experiments import registry
+
+        def must_not_run(exp_id, **kwargs):
+            raise AssertionError(f"{exp_id} ran before the output was checked")
+
+        monkeypatch.setattr(registry, "run_experiment", must_not_run)
+        target = tmp_path / "missing" / "x.out"
+        assert main([*argv, str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{argv[0]}: cannot write {target}: No such file or directory\n"
+        )
 
 
 class TestLint:
