@@ -268,6 +268,10 @@ def write_payload(payload: dict[str, object], output: str | None = None) -> Path
         if path.is_dir():
             path = path / default_name
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    path.write_text(text, encoding="utf-8")
+    path.write_text(payload_json(payload), encoding="utf-8")
     return path
+
+
+def payload_json(payload: dict[str, object]) -> str:
+    """``payload`` as a snapshot file holds it: pretty, key-sorted JSON."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -43,9 +43,9 @@ Commands
 
 A command given bad input (a typed :class:`~repro.errors.ReproError`)
 prints ``<command>: <message>`` on stderr and exits 2. An ``-o FILE``
-of ``run`` or ``trace`` is opened for writing before anything runs, so
-an unwritable path is such bad input: ``<command>: cannot write FILE:
-<reason>``.
+of ``run``, ``trace`` or ``bench`` is opened for writing before anything
+runs (``bench -o`` also takes a writable directory), so an unwritable
+path is such bad input: ``<command>: cannot write FILE: <reason>``.
 """
 
 from __future__ import annotations
@@ -417,20 +417,46 @@ def _cmd_hybrid(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import run_benchmarks, write_payload
+    from pathlib import Path
+
+    from repro.bench import payload_json, run_benchmarks, write_payload
     from repro.errors import BenchError
 
+    # The target is checked before the suite runs. A directory (one
+    # named with a trailing separator is made) gets the snapshot's
+    # timestamped name only afterwards, so it must be writable now; a
+    # file is opened now, its parent directories made.
+    output = args.output if args.output is not None else "."
+    target = Path(output)
     try:
-        payload = run_benchmarks(
-            args.benches or None,
-            smoke=args.smoke,
-            warmup=not args.no_warmup,
-            rounds=args.rounds,
-        )
-    except BenchError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return 1
-    path = write_payload(payload, args.output)
+        if output.endswith(os.sep):
+            target.mkdir(parents=True, exist_ok=True)
+        elif not target.parent.exists():
+            target.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {output}: {exc.strerror}") from None
+    if target.is_dir():
+        if not os.access(target, os.W_OK | os.X_OK):
+            raise ConfigurationError(f"cannot write {output}: Permission denied")
+        sink = contextlib.nullcontext()
+    else:
+        sink = _open_output(output)
+    with sink as handle:
+        try:
+            payload = run_benchmarks(
+                args.benches or None,
+                smoke=args.smoke,
+                warmup=not args.no_warmup,
+                rounds=args.rounds,
+            )
+        except BenchError as exc:
+            print(f"bench: {exc}", file=sys.stderr)
+            return 1
+        if handle is None:
+            path = write_payload(payload, str(target))
+        else:
+            handle.write(payload_json(payload))
+            path = target
     benches = payload["benchmarks"]
     print(f"wrote {len(benches)} benchmark results to {path}")
     return 0

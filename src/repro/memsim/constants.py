@@ -52,5 +52,13 @@ DRAM_DIMM_CAPACITY: int = 16 * GIB
 #: Default huge-page size used by devdax/fsdax mappings (ndctl default).
 PMEM_PAGE_SIZE: int = 2 * 1024 * KIB
 
+#: Share of a far payload's volume that crosses the UPI again as
+#: requests and directory metadata. The paper's VTune run shows 90%+ UPI
+#: utilization in the "2 Far" read scenario although each direction moves
+#: only ~25 GB/s of payload: a direction carries its own payload's
+#: metadata plus the requests for payload flowing the other way. Both the
+#: evaluation core's utilization counter and the obs probes use it.
+UPI_REQUEST_FRACTION: float = 0.28
+
 #: Default per-config data volume of the paper's read/write sweeps (70 GB).
 DEFAULT_SWEEP_BYTES: int = 70 * GIB

@@ -41,6 +41,7 @@ from repro.memsim import mixed as mixed_model
 from repro.memsim import random_access
 from repro.memsim.address import DaxMode, InterleaveMap, MappedRegion, fsdax_bandwidth_factor
 from repro.memsim.config import DirectoryState, MachineConfig
+from repro.memsim.constants import UPI_REQUEST_FRACTION
 from repro.memsim.context import Components, EvalContext, components, eval_context
 from repro.memsim.counters import PerfCounters
 from repro.memsim.scheduler import PinningPolicy
@@ -755,17 +756,14 @@ class _Evaluator:
                 counters.wpq_occupancy = max(counters.wpq_occupancy, occupancy)
             counters.notes.extend(solo.notes)
         if upi_payload:
-            # A direction carries its own payload's metadata plus request
-            # traffic for payload flowing the opposite way, which is why
-            # the paper's VTune run shows 90%+ utilization in the "2 Far"
-            # read scenario even though each direction moves ~25 GB/s.
-            reverse_request_fraction = 0.28
+            # A direction carries request traffic for the payload flowing
+            # the opposite way (see UPI_REQUEST_FRACTION).
             utilizations = []
             for direction, payload in upi_payload.items():
                 reverse = upi_payload.get((direction[1], direction[0]), 0.0)
                 utilizations.append(
                     self.upi.utilization(payload)
-                    + reverse * reverse_request_fraction / self.calibration.upi.raw_per_direction
+                    + reverse * UPI_REQUEST_FRACTION / self.calibration.upi.raw_per_direction
                 )
             counters.upi_utilization = min(1.0, max(utilizations))
         return counters

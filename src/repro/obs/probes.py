@@ -26,17 +26,12 @@ writes, §4.4), ``issued`` is raised to ``served`` and ``dropped`` is 0.
 from __future__ import annotations
 
 from repro.memsim.config import DirectoryState, MachineConfig
-from repro.memsim.constants import CACHE_LINE, OPTANE_LINE
+from repro.memsim.constants import CACHE_LINE, OPTANE_LINE, UPI_REQUEST_FRACTION
 from repro.memsim.counters import PerfCounters
 from repro.memsim.prefetcher import PrefetcherModel
 from repro.memsim.spec import Layout, Pattern, StreamSpec
 from repro.memsim.topology import MediaKind
 from repro.obs.recorder import Recorder
-
-#: Metadata share a far payload adds to the UPI (requests, directory
-#: lookups); mirrors the reverse-request fraction the evaluation core
-#: uses for its utilization counter.
-COHERENCE_METADATA_FRACTION: float = 0.28
 
 #: Extra coherence traffic of a far read against a *cold* directory:
 #: mapping reassignments travel the link on top of the metadata share
@@ -97,7 +92,7 @@ def emit_evaluation(
         recorder.incr("memsim.eval.requests_count", volume / spec.access_size)
         recorder.observe("memsim.stream.achieved_gbps", gbps)
         if spec.far:
-            coherence = volume * COHERENCE_METADATA_FRACTION
+            coherence = volume * UPI_REQUEST_FRACTION
             if spec.is_read and not before.is_warm(
                 spec.issuing_socket, spec.target_socket
             ):

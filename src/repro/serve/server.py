@@ -71,17 +71,13 @@ class ServeConfig:
     frame_timeout_seconds: float = 30.0
     #: Largest accepted frame; longer lines are a protocol violation.
     max_frame_bytes: int = 64 * units.KIB
-    #: ``retry_after_seconds`` hint on shed responses; defaults to two
-    #: gather windows (one to drain, one to re-arrive).
-    shed_retry_after_seconds: "float | None" = None
 
     def __post_init__(self) -> None:
-        for name in ("gather_window_seconds", "shed_retry_after_seconds"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value < math.inf:
-                raise ConfigurationError(
-                    f"{name} must be >= 0 and finite, got {value}"
-                )
+        window = self.gather_window_seconds
+        if not 0.0 <= window < math.inf:
+            raise ConfigurationError(
+                f"gather_window_seconds must be >= 0 and finite, got {window}"
+            )
         for name in (
             "frame_timeout_seconds", "max_frame_bytes",
             "max_batch_points", "max_queue_depth",
@@ -91,9 +87,8 @@ class ServeConfig:
                 raise ConfigurationError(f"{name} must be positive, got {value}")
 
     def retry_after(self) -> float:
-        """The shed retry hint in seconds (resolved default)."""
-        if self.shed_retry_after_seconds is not None:
-            return self.shed_retry_after_seconds
+        """The ``retry_after_seconds`` hint on shed responses: two gather
+        windows (one to drain, one to re-arrive)."""
         return 2.0 * self.gather_window_seconds
 
 

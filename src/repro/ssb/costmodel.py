@@ -19,12 +19,6 @@ SSB-specific bandwidth numbers exist anywhere):
 CPU time uses one calibrated constant (ns per weighted tuple); each
 operator phase costs ``max(cpu, memory)`` (computation overlaps memory
 within an operator) and phases add up.
-
-Each :meth:`SsbCostModel.price` pass first collects every distinct
-stream tuple its phases will ask for and evaluates them in **one**
-columnar grid call (:meth:`~repro.sweep.service.EvaluationService.
-evaluate_grid_columns`); totals are read straight off the column batch,
-bit-identical to per-point evaluation.
 """
 
 from __future__ import annotations
@@ -36,7 +30,6 @@ from repro.errors import ConfigurationError
 from repro.memsim import (
     DirectoryState,
     Layout,
-    MachineConfig,
     MediaKind,
     Op,
     PinningPolicy,
@@ -47,7 +40,7 @@ from repro.memsim.spec import Pattern
 from repro.obs import Recorder, default_recorder
 from repro.ssb.engine.traffic import OperatorTraffic, QueryTraffic
 from repro.ssb.storage import SystemProfile
-from repro.sweep import default_service, stream_gbps
+from repro.sweep import stream_gbps
 from repro.units import GB, GIB, NS
 
 #: Last-level cache per socket (Xeon Gold 5220S: 24.75 MB).
@@ -118,39 +111,35 @@ class CostBreakdown:
 class SsbCostModel:
     """Prices :class:`QueryTraffic` for a system profile."""
 
-    def __init__(
-        self,
-        config: MachineConfig | None = None,
-        cpu_seconds_per_tuple: float = CPU_SECONDS_PER_TUPLE,
-    ) -> None:
-        if cpu_seconds_per_tuple <= 0:
-            raise ConfigurationError("CPU cost must be positive")
-        self.config = config if config is not None else paper_config()
+    def __init__(self) -> None:
+        self.config = paper_config()
         # All pricing is steady-state: far accesses are evaluated against
         # an explicitly warm coherence directory (the cold path is
         # Fig. 5's subject, not SSB's).
         self._directory = DirectoryState.warm(self.config.topology)
-        self.cpu_seconds_per_tuple = cpu_seconds_per_tuple
-        # Totals primed by price(): one batched columnar evaluation per
-        # pricing pass reads every bandwidth this model will ask for
-        # straight off the column batch (no per-point result object).
-        self._primed: dict[tuple[StreamSpec, ...], float] = {}
+        # Each distinct stream tuple is asked of the service once per
+        # model, so the service tallies one miss per bandwidth however
+        # many passes price it.
+        self._totals: dict[tuple[StreamSpec, ...], float] = {}
 
     def _gbps(self, streams: list[StreamSpec]) -> float:
         """Steady-state bandwidth of ``streams`` through the service."""
         key = tuple(streams)
-        primed = self._primed.get(key)
-        if primed is not None:
-            return primed
-        return stream_gbps(self.config, key, self._directory)
+        total = self._totals.get(key)
+        if total is None:
+            total = self._totals[key] = stream_gbps(
+                self.config, key, self._directory
+            )
+        return total
 
     # ------------------------------------------------------------------
     # effective bandwidths
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _scan_streams(profile: SystemProfile) -> list[StreamSpec]:
-        """Stream tuple behind :meth:`scan_gbps` (PMEM/DRAM profiles)."""
+    def scan_gbps(self, profile: SystemProfile) -> float:
+        """Sequential table-scan bandwidth of the deployment, GB/s."""
+        if profile.tables_on_ssd:
+            return self.config.calibration.ssd.seq_read_max
         base = dict(
             op=Op.READ,
             threads=profile.threads_per_socket,
@@ -177,53 +166,7 @@ class SsbCostModel:
                 StreamSpec(**half, issuing_socket=1, target_socket=1),
                 StreamSpec(**half, issuing_socket=1, target_socket=0),
             ]
-        return streams
-
-    @staticmethod
-    def _random_streams(
-        profile: SystemProfile,
-        access_size: int,
-        region_bytes: float,
-        media: MediaKind,
-    ) -> list[StreamSpec]:
-        """Stream tuple behind :meth:`random_read_gbps` (one socket)."""
-        region = max(int(region_bytes), access_size) if region_bytes else 2 * GIB
-        return [
-            StreamSpec(
-                op=Op.READ,
-                threads=profile.threads_per_socket,
-                access_size=access_size,
-                media=media,
-                pattern=Pattern.RANDOM,
-                region_bytes=region,
-            )
-        ]
-
-    @staticmethod
-    def _write_streams(profile: SystemProfile) -> list[StreamSpec]:
-        """Stream tuple behind :meth:`write_gbps` (one socket)."""
-        media = profile.effective_index_media
-        if profile.pmem_aware and media is MediaKind.PMEM:
-            # Best practice 2: cap write threads at 4-6 per socket.
-            threads = min(6, profile.threads_per_socket)
-        else:
-            threads = profile.threads_per_socket
-        return [
-            StreamSpec(
-                op=Op.WRITE,
-                threads=threads,
-                access_size=4096,
-                media=media,
-                pinning=profile.pinning,
-                dax_mode=profile.dax_mode,
-            )
-        ]
-
-    def scan_gbps(self, profile: SystemProfile) -> float:
-        """Sequential table-scan bandwidth of the deployment, GB/s."""
-        if profile.tables_on_ssd:
-            return self.config.calibration.ssd.seq_read_max
-        return self._gbps(self._scan_streams(profile))
+        return self._gbps(streams)
 
     def random_read_gbps(
         self,
@@ -239,9 +182,17 @@ class SsbCostModel:
         """
         if media is None:
             media = profile.effective_index_media
-        per_socket = self._gbps(
-            self._random_streams(profile, access_size, region_bytes, media)
-        )
+        region = max(int(region_bytes), access_size) if region_bytes else 2 * GIB
+        per_socket = self._gbps([
+            StreamSpec(
+                op=Op.READ,
+                threads=profile.threads_per_socket,
+                access_size=access_size,
+                media=media,
+                pattern=Pattern.RANDOM,
+                region_bytes=region,
+            )
+        ])
         if media is MediaKind.PMEM and profile.dax_mode.value == "fsdax":
             per_socket /= 1.075
         if (
@@ -272,7 +223,22 @@ class SsbCostModel:
 
     def write_gbps(self, profile: SystemProfile) -> float:
         """Intermediate-write bandwidth of the deployment, GB/s."""
-        per_socket = self._gbps(self._write_streams(profile))
+        media = profile.effective_index_media
+        if profile.pmem_aware and media is MediaKind.PMEM:
+            # Best practice 2: cap write threads at 4-6 per socket.
+            threads = min(6, profile.threads_per_socket)
+        else:
+            threads = profile.threads_per_socket
+        per_socket = self._gbps([
+            StreamSpec(
+                op=Op.WRITE,
+                threads=threads,
+                access_size=4096,
+                media=media,
+                pinning=profile.pinning,
+                dax_mode=profile.dax_mode,
+            )
+        ])
         return per_socket * (profile.sockets if profile.numa_aware else 1)
 
     # ------------------------------------------------------------------
@@ -301,73 +267,6 @@ class SsbCostModel:
     # pricing
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _probe_media(
-        operator: OperatorTraffic, profile: SystemProfile
-    ) -> MediaKind:
-        """Medium an operator's random probes hit.
-
-        Gathers into the fact table hit the base-table medium; index
-        probes hit the (possibly hybrid) index medium.
-        """
-        if operator.region_table == "lineorder" and not profile.tables_on_ssd:
-            return profile.media
-        return profile.effective_index_media
-
-    def _prime(self, traffic: QueryTraffic, profile: SystemProfile) -> None:
-        """Batch-evaluate every bandwidth this pricing pass will need.
-
-        One columnar grid evaluation covers the whole pass: the distinct
-        stream tuples behind :meth:`scan_gbps`, :meth:`random_read_gbps`,
-        and :meth:`write_gbps` are collected from the traffic and priced
-        in a single :meth:`~repro.sweep.service.EvaluationService.
-        evaluate_grid_columns` call, and the totals are read straight off
-        the column batch — no per-point result object exists. The primed
-        totals are bit-identical to the scalar path (same floats summed
-        in the same order), so the public per-bandwidth methods stay
-        exact whether or not a pass primed them first.
-        """
-        wanted: list[tuple[StreamSpec, ...]] = []
-
-        def want(streams: list[StreamSpec]) -> None:
-            key = tuple(streams)
-            if key not in self._primed and key not in wanted:
-                wanted.append(key)
-
-        needs_write = False
-        for operator in traffic.operators:
-            if operator.seq_read_bytes and not profile.tables_on_ssd:
-                want(self._scan_streams(profile))
-            if operator.random_reads and (
-                self.resident_fraction(profile, operator.random_region_bytes)
-                < 1.0
-            ):
-                want(
-                    self._random_streams(
-                        profile,
-                        operator.random_read_size,
-                        operator.random_region_bytes,
-                        self._probe_media(operator, profile),
-                    )
-                )
-            if operator.seq_write_bytes or operator.random_write_bytes:
-                needs_write = True
-        if needs_write:
-            want(self._write_streams(profile))
-        if not wanted:
-            return
-        try:
-            columns = default_service().evaluate_grid_columns(
-                self.config, wanted, self._directory
-            )
-        except Exception:
-            # Priming is purely an optimisation: if any point fails, let
-            # the scalar pricing path surface the original error with its
-            # own type and attribution.
-            return
-        for row, key in enumerate(wanted):
-            self._primed[key] = columns.point_total_gbps(row)
-
     def _phase(
         self, operator: OperatorTraffic, profile: SystemProfile
     ) -> PhaseCost:
@@ -380,11 +279,17 @@ class SsbCostModel:
         if operator.random_reads:
             resident = self.resident_fraction(profile, operator.random_region_bytes)
             if resident < 1.0:
+                # Gathers into the fact table hit the base-table medium;
+                # index probes hit the (possibly hybrid) index medium.
+                if operator.region_table == "lineorder" and not profile.tables_on_ssd:
+                    media = profile.media
+                else:
+                    media = profile.effective_index_media
                 bandwidth = self.random_read_gbps(
                     profile,
                     operator.random_read_size,
                     operator.random_region_bytes,
-                    media=self._probe_media(operator, profile),
+                    media=media,
                 )
                 memory_seconds += (
                     operator.random_read_bytes * (1.0 - resident) / (bandwidth * GB)
@@ -400,7 +305,7 @@ class SsbCostModel:
             operator.cpu_tuples
             * operator.cpu_weight
             * cpu_discount
-            * self.cpu_seconds_per_tuple
+            * CPU_SECONDS_PER_TUPLE
             / profile.total_threads
         )
         return PhaseCost(
@@ -434,9 +339,6 @@ class SsbCostModel:
             scaled = traffic.scaled(scale_ratio, region_factors)
         else:
             scaled = traffic
-        # One columnar batch covers every bandwidth the phases below ask
-        # for; the phase loop then reads primed totals, never results.
-        self._prime(scaled, profile)
         breakdown = CostBreakdown(query=traffic.query, profile=profile.name)
         for operator in scaled.operators:
             breakdown.phases.append(self._phase(operator, profile))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.memsim import MachineConfig, MediaKind
+from repro.memsim import MediaKind
 from repro.ssb.costmodel import CostBreakdown, SsbCostModel
 from repro.ssb.dbgen import SsbDatabase, generate
 from repro.ssb.engine import SsbExecutor
@@ -63,13 +63,12 @@ class SsbRunner:
     def __init__(
         self,
         measured_sf: float = DEFAULT_MEASURED_SF,
-        config: MachineConfig | None = None,
         db: SsbDatabase | None = None,
         seed: int = 2021,
     ) -> None:
         self.measured_sf = measured_sf
         self.db = db if db is not None else generate(measured_sf, seed=seed)
-        self.cost_model = SsbCostModel(config=config)
+        self.cost_model = SsbCostModel()
         #: Traffic cache keyed by engine configuration.
         self._traffic: dict[tuple, dict[str, object]] = {}
 

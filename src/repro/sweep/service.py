@@ -666,8 +666,8 @@ def set_default_service(service: EvaluationService | None) -> EvaluationService 
     """Replace the process-wide service; returns the previous one.
 
     Pass ``None`` to reset (a fresh default is created on next use).
-    Used by the CLI to install a disk-backed service and by tests to
-    isolate cache statistics.
+    ``repro bench`` and tests use it to count one run's cache
+    statistics alone.
     """
     global _DEFAULT_SERVICE
     previous = _DEFAULT_SERVICE

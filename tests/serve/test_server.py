@@ -53,9 +53,6 @@ class TestServeConfig:
             ("gather_window_seconds", -0.001),
             ("gather_window_seconds", math.inf),
             ("gather_window_seconds", math.nan),
-            ("shed_retry_after_seconds", -1.0),
-            ("shed_retry_after_seconds", math.inf),
-            ("shed_retry_after_seconds", math.nan),
             ("frame_timeout_seconds", 0.0),
             ("frame_timeout_seconds", -1.0),
             ("frame_timeout_seconds", math.nan),

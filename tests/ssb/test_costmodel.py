@@ -14,6 +14,7 @@ from repro.ssb.storage import (
     TRADITIONAL_SSD,
     table1_ladder,
 )
+from repro.sweep import EvaluationService, set_default_service
 from repro.units import GB
 
 
@@ -129,9 +130,70 @@ class TestPricing:
         breakdown = cost_model.price(self._traffic(), HANDCRAFTED_PMEM)
         assert 0.0 <= breakdown.memory_bound_fraction <= 1.0
 
-    def test_invalid_cpu_cost_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SsbCostModel(cpu_seconds_per_tuple=0)
+
+class TestServiceLookups:
+    """Each distinct stream tuple reaches the evaluation service once."""
+
+    def _traffic(self):
+        traffic = QueryTraffic(query="lookups")
+        traffic.add(OperatorTraffic(name="scan", seq_read_bytes=10 * GB, cpu_tuples=1e6))
+        for size, region in ((256, 1e9), (64, 2e9), (256, 1e9)):
+            traffic.add(
+                OperatorTraffic(
+                    name=f"probe{size}",
+                    random_reads=1e7,
+                    random_read_size=size,
+                    cpu_tuples=1e7,
+                    random_region_bytes=region,
+                )
+            )
+        traffic.add(OperatorTraffic(name="write", seq_write_bytes=GB, cpu_tuples=1e6))
+        return traffic
+
+    @pytest.fixture
+    def service(self, monkeypatch):
+        fresh = EvaluationService()
+        asked = []
+        evaluate = fresh.evaluate
+
+        def spy(config, streams, directory=None, **kwargs):
+            asked.append(tuple(streams))
+            return evaluate(config, streams, directory, **kwargs)
+
+        monkeypatch.setattr(fresh, "evaluate", spy)
+        previous = set_default_service(fresh)
+        yield fresh, asked
+        set_default_service(previous)
+
+    def test_each_distinct_tuple_is_one_miss(self, service):
+        fresh, asked = service
+        model = SsbCostModel()
+        ladder = table1_ladder(MediaKind.PMEM)
+        for profile in (HANDCRAFTED_PMEM, HYRISE_PMEM, *ladder, *ladder):
+            model.price(self._traffic(), profile, scale_ratio=10)
+        assert len(asked) == len(set(asked)) > 1
+        assert fresh.stats.misses == len(asked)
+        assert fresh.stats.hits == 0
+
+    def test_repricing_makes_no_lookup(self, service):
+        fresh, asked = service
+        model = SsbCostModel()
+        first = model.price(self._traffic(), HYRISE_PMEM)
+        seen = (len(asked), fresh.stats.hits, fresh.stats.misses)
+        again = model.price(self._traffic(), HYRISE_PMEM)
+        assert (len(asked), fresh.stats.hits, fresh.stats.misses) == seen
+        assert again.seconds == first.seconds
+
+    def test_service_error_keeps_its_type(self, monkeypatch):
+        class Unpriced(RuntimeError):
+            pass
+
+        def refuse(config, streams, directory=None):
+            raise Unpriced("no bandwidth")
+
+        monkeypatch.setattr("repro.ssb.costmodel.stream_gbps", refuse)
+        with pytest.raises(Unpriced, match="no bandwidth"):
+            SsbCostModel().price(self._traffic(), HANDCRAFTED_PMEM)
 
 
 class TestHybridProfile:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -307,6 +309,63 @@ class TestUnwritableOutput:
         assert captured.err == (
             f"{argv[0]}: cannot write {target}: No such file or directory\n"
         )
+
+
+class TestBenchOutput:
+    """``bench -o`` is checked before the suite runs, like ``run -o``."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        from repro import bench
+
+        calls = []
+
+        def fake_run(names, **kwargs):
+            calls.append(names)
+            return {"created": "20260101T000000Z", "benchmarks": []}
+
+        monkeypatch.setattr(bench, "run_benchmarks", fake_run)
+        return calls
+
+    def test_file_under_a_regular_file_is_rejected_before_running(
+        self, runs, tmp_path, capsys
+    ):
+        blocker = tmp_path / "plain"
+        blocker.write_text("")
+        target = blocker / "x.json"
+        assert main(["bench", "--smoke", "-o", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"bench: cannot write {target}: ")
+        assert runs == []
+
+    def test_unwritable_directory_is_rejected_before_running(
+        self, runs, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr("os.access", lambda path, mode: False)
+        assert main(["bench", "--smoke", "-o", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"bench: cannot write {tmp_path}: Permission denied\n"
+        )
+        assert runs == []
+
+    def test_directory_gets_the_canonical_name(self, runs, tmp_path):
+        assert main(["bench", "--smoke", "-o", str(tmp_path)]) == 0
+        written = tmp_path / "BENCH_20260101T000000Z.json"
+        assert json.loads(written.read_text())["benchmarks"] == []
+        assert len(runs) == 1
+
+    def test_trailing_separator_makes_a_directory(self, runs, tmp_path):
+        import os
+
+        target = tmp_path / "new" / "results"
+        assert main(["bench", "--smoke", "-o", f"{target}{os.sep}"]) == 0
+        assert (target / "BENCH_20260101T000000Z.json").is_file()
+
+    def test_file_parents_are_created(self, runs, tmp_path):
+        target = tmp_path / "a" / "b" / "snap.json"
+        assert main(["bench", "--smoke", "-o", str(target)]) == 0
+        assert json.loads(target.read_text())["created"] == "20260101T000000Z"
 
 
 class TestLint:
