@@ -6,10 +6,6 @@ of every SSB execution. Every run also checks the bulk paths against the
 per-key ``insert``/``get`` oracle, so a speedup that changes the index
 layout or its traffic statistics fails here.
 
-``test_dash_reused_layout_build`` times the build the SSB executor runs
-for a second attribute set of a dimension: the first build's layout with
-other values written into it, checked against a fresh ``bulk_insert``.
-
 Each bench runs on two key domains, one per addressing mode of the
 probe's lookup table: ``sparse`` keys spread over 2**40 (binary search)
 and SSB-shaped ``dates``, ``yyyymmdd`` keys of 1992-1998 (direct offsets).
@@ -154,18 +150,6 @@ def test_dash_bulk_build(benchmark, per_key_dash, data):
     assert len(index) == len(keys)
     _, oracle_layout = per_key_dash
     assert dash_layout(index) == oracle_layout
-    benchmark.extra_info["keys"] = N_KEYS
-    benchmark.extra_info["segments"] = index.segment_count
-
-
-def test_dash_reused_layout_build(benchmark, dash, data):
-    """A second value set over the same keys: written into the first
-    build's layout, no replay. Must equal a fresh build of those values."""
-    keys, _ = data
-    fresh = DashIndex()
-    fresh.bulk_insert(keys, keys * 3)
-    index = benchmark(DashIndex.from_layout, dash.layout, keys * 3)
-    assert dash_layout(index) == dash_layout(fresh)
     benchmark.extra_info["keys"] = N_KEYS
     benchmark.extra_info["segments"] = index.segment_count
 

@@ -5,8 +5,8 @@ Execution strategy (matching the paper's handcrafted implementation):
 1. scan the fact table once, applying any flight-1 predicates;
 2. for each dimension join, in plan order: probe the dimension's
    persistent hash index with the surviving fact rows' foreign keys,
-   unpack/gather the needed dimension attributes, and apply the join's
-   dimension predicates on them;
+   take the needed dimension attributes from the packed value (Dash) or
+   gather them (chained), and apply the join's dimension predicates;
 3. group-aggregate, materialising the (keys, measure) intermediate.
 
 That is the traffic each query records. The numpy work is leaner and
@@ -20,11 +20,11 @@ columns of the surviving rows.
 A probe of a fact column as stored is resolved once per executor, per
 (table, fact column), and replayed by every later query that starts
 with it: Q2.x start with ``part``, Q3.x and Q4.x with ``customer``.
-Where a probe lands depends only on the key sequence and the index's
-layout, and every index of a table in one executor shares that layout,
-so the replay hands back the same rows and charges the index the same
-stats as probing again: the recorded traffic is unchanged. Probes of a
-selection (after a fact filter or an earlier join) run every time.
+Where a probe lands depends only on the key sequence and the index, and
+an executor keeps one index per table, so the replay hands back the
+same rows and charges the index the same stats as probing again: the
+recorded traffic is unchanged. Probes of a selection (after a fact
+filter or an earlier join) run every time.
 
 Profiles differ in the index implementation (Dash with packed attribute
 values vs. a chained index requiring positional gathers), the tuple
@@ -33,12 +33,11 @@ materialisation. Dash indexes are persistent: they are built once per
 executor and their build traffic is reported separately (``build_traffic``),
 like the load phase of a real deployment. Chained indexes model Hyrise's
 per-query join hash tables, so their build cost lands in every query that
-uses them. An executor still builds each index once and reuses it by
-(table, packed attributes); a reused chained index charges exactly the
-traffic of a fresh build. A Dash build for another attribute set of a
-table already built writes its values into the first build's layout
-instead of replaying the insertions, and charges the fresh build's
-traffic too.
+uses them. An executor builds one index per table and keeps it for its
+lifetime. A reused chained index charges exactly the traffic of a fresh
+build. Each new attribute set of a Dash table shares the table's index
+and charges the build record of a fresh build of that set, so
+``build_traffic`` holds one record per (table, packed attributes).
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from repro.ssb.dbgen import SsbDatabase
 from repro.ssb.engine import operators
 from repro.ssb.engine.operators import JoinIndex, KeyProbe
 from repro.ssb.engine.traffic import QueryTraffic
-from repro.ssb.hashindex import DashIndex
 from repro.ssb.queries import DimensionJoin, QueryDef
 from repro.ssb.storage import IndexKind, SystemProfile
 
@@ -100,11 +98,11 @@ class SsbExecutor:
     def __init__(self, db: SsbDatabase, profile: SystemProfile) -> None:
         self.db = db
         self.profile = profile
-        #: Built dimension indexes, keyed by (table, packed attrs).
+        #: Dimension indexes by (table, packed attrs); the entries of one
+        #: table share its index.
         self._index_cache: dict[tuple[str, tuple[str, ...]], JoinIndex] = {}
         #: Probes of a fact column as stored, keyed by (table, fact
-        #: column), with the layout (Dash) or index (chained) each was
-        #: resolved on.
+        #: column), with the index each was resolved on.
         self._stored_probes: dict[tuple[str, str], tuple[object, KeyProbe]] = {}
         #: Build traffic of the persistent indexes (the "load phase").
         self.build_traffic = QueryTraffic(query="index-build")
@@ -140,13 +138,11 @@ class SsbExecutor:
         key = (join.table, _join_attrs(join) if dash else ())
         built = self._index_cache.get(key)
         if built is None:
-            like = None
-            if dash:
-                # Replay the table's layout once; later attribute sets reuse it.
-                like = next(
-                    (b for (t, _), b in self._index_cache.items() if t == join.table),
-                    None,
-                )
+            # One index per table: a later attribute set shares the first's.
+            like = next(
+                (b for (t, _), b in self._index_cache.items() if t == join.table),
+                None,
+            )
             built = operators.build_dimension_index(
                 self.db.table(join.table), join.dim_key, key[1], self.profile, like=like
             )
@@ -164,12 +160,10 @@ class SsbExecutor:
         """The probe of ``join``'s fact column as stored, and whether it
         was replayed rather than probed.
 
-        Every Dash index of a table shares the first build's layout
-        (``like=``), and a chained executor keeps one index per table, so
-        a probe resolved on one index of the table is exact for all.
+        Every attribute set of a table shares one index, so a probe
+        resolved on it is exact for every later join of the table.
         """
         index = join_index.index
-        owner = index.layout if isinstance(index, DashIndex) else index
         key = (join.table, join.fact_key)
         stored = self._stored_probes.get(key)
         if stored is None:
@@ -178,13 +172,13 @@ class SsbExecutor:
                 self.db.lineorder[join.fact_key],
                 self.db.table(join.table).n_rows,
             )
-            self._stored_probes[key] = (owner, probe)
+            self._stored_probes[key] = (index, probe)
             return probe, False
         resolved_on, probe = stored
-        if owner is None or resolved_on is not owner:
+        if resolved_on is not index:
             raise QueryError(
                 f"the probe of {join.fact_key} was resolved on another "
-                f"layout of {join.table}"
+                f"index of {join.table}"
             )
         operators.replay_probe(join_index, probe)
         return probe, True

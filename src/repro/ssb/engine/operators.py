@@ -9,13 +9,14 @@ calibrated constant in the cost model.
 
 Join strategy (following the paper's handcrafted implementation, which
 uses Dash as *the* index): every dimension carries one persistent hash
-index mapping its primary key to the row position, with up to two small
-dimension attributes packed into the 64-bit value so that selective
-predicates and group keys need no second lookup. A join is then a probe
-per candidate fact row followed by a predicate on the unpacked
-attributes. The PMEM-unaware profile (Hyrise) instead stores only the
-row position and must gather dimension attributes by position — extra
-random reads — and materialises a position list between operators.
+index mapping its primary key to the row position. The model packs up
+to two small dimension attributes into the 64-bit value (range-checked,
+not stored: the numpy work reads them by row), so selective predicates
+and group keys need no second lookup. A join is then a probe per
+candidate fact row followed by a predicate on the packed attributes.
+The PMEM-unaware profile (Hyrise) instead stores only the row position
+and must gather dimension attributes by position — extra random reads —
+and materialises a position list between operators.
 
 The traffic records charge that per-fact-row work; the numpy work is
 done once per dimension row instead. A probe resolves each fact key to
@@ -24,9 +25,9 @@ that row, so :func:`probe_dimension` evaluates them over the dimension
 and keeps or drops each fact row with one gather (a semi-join).
 
 The probe itself (:func:`probe_keys`) is kept apart from the semi-join:
-where a probe lands depends only on the key sequence and the index's
-layout, so its outcome (:class:`KeyProbe`) can be replayed on an index
-of the same layout (:func:`replay_probe`), charging the same stats.
+where a probe lands depends only on the key sequence and the index, so
+its outcome (:class:`KeyProbe`) can be replayed on the same index
+(:func:`replay_probe`), charging the same stats.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ CPU_HASH_PROBE: float = 12.0
 CPU_CHAIN_PROBE: float = 6.0
 CPU_AGGREGATE: float = 2.0
 
-#: Packed-value layout: 24-bit row position + two 20-bit attributes.
+#: The Dash value the model packs: a 24-bit row position and up to two
+#: 20-bit attributes.
 POSITION_BITS: int = 24
 ATTR_BITS: int = 20
 MAX_PACKED_ATTRS: int = 2
@@ -86,39 +88,9 @@ def filter_mask(table: Table, predicates: tuple[Predicate, ...]) -> np.ndarray:
     return mask
 
 
-def pack_values(positions: np.ndarray, attrs: list[np.ndarray]) -> np.ndarray:
-    """Pack a row position plus up to two small attributes into int64."""
-    if len(attrs) > MAX_PACKED_ATTRS:
-        raise QueryError(f"cannot pack {len(attrs)} attributes (max {MAX_PACKED_ATTRS})")
-    if positions.size and int(positions.max()) >= (1 << POSITION_BITS):
-        raise QueryError("row position exceeds the 24-bit packed range")
-    packed = positions.astype(np.int64)
-    shift = POSITION_BITS
-    for attr in attrs:
-        values = attr.astype(np.int64)
-        if values.size and (int(values.min()) < 0 or int(values.max()) >= (1 << ATTR_BITS)):
-            raise QueryError("attribute exceeds the 20-bit packed range")
-        packed |= values << shift
-        shift += ATTR_BITS
-    return packed
-
-
-def unpack_values(packed: np.ndarray, n_attrs: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Inverse of :func:`pack_values`."""
-    if n_attrs > MAX_PACKED_ATTRS:
-        raise QueryError(f"cannot unpack {n_attrs} attributes")
-    positions = packed & ((1 << POSITION_BITS) - 1)
-    attrs = []
-    shift = POSITION_BITS
-    for _ in range(n_attrs):
-        attrs.append((packed >> shift) & ((1 << ATTR_BITS) - 1))
-        shift += ATTR_BITS
-    return positions, attrs
-
-
 @dataclass
 class JoinIndex:
-    """A persistent dimension index plus its packing metadata."""
+    """A persistent dimension index plus the attributes its value packs."""
 
     table: str
     index: DashIndex | ChainedIndex
@@ -139,32 +111,39 @@ def build_dimension_index(
     *,
     like: JoinIndex | None = None,
 ) -> JoinIndex:
-    """Build the per-dimension hash index over *all* rows.
+    """Build the per-dimension hash index over *all* rows: key to row position.
 
-    DASH packs the given attributes into the value (probe-then-filter
-    needs no second access); CHAINED stores only the position, modeling
-    an index that must be followed by positional gathers.
+    DASH models ``attrs`` as packed into the value next to the position
+    (probe-then-filter needs no second access), so they must fit it: at
+    most two, each in ``[0, 2**20)``, over fewer than ``2**24`` rows.
+    CHAINED models an index that must be followed by positional gathers.
 
-    ``like`` is an index built earlier over the same keys, possibly with
-    other attributes. A Dash build then writes its values into that
-    index's layout instead of replaying the insertions: the result, its
-    stats and its traffic are those of a fresh build.
+    ``like`` is a Dash index built earlier over the same table: the
+    result shares its index and charges a copy of its build record, the
+    record a fresh build would charge. Another table's index is ignored.
     """
     keys = dim[key_column].astype(np.int64)
     positions = np.arange(len(keys), dtype=np.int64)
     if profile.index_kind is IndexKind.DASH:
+        if len(attrs) > MAX_PACKED_ATTRS:
+            raise QueryError(
+                f"cannot pack {len(attrs)} attributes (max {MAX_PACKED_ATTRS})"
+            )
         if len(keys) >= 1 << POSITION_BITS:
             # The probe's miss sentinel takes the position after the last.
             raise QueryError("row position exceeds the 24-bit packed range")
-        values = pack_values(positions, [dim[a] for a in attrs])
-        layout = like.index.layout if like is not None and isinstance(
+        for attr in attrs:
+            values = dim[attr]
+            if values.size and not 0 <= values.min() <= values.max() < 1 << ATTR_BITS:
+                raise QueryError(f"attribute {attr} exceeds the 20-bit packed range")
+        if like is not None and like.table == dim.spec.name and isinstance(
             like.index, DashIndex
-        ) else None
-        if layout is not None and layout.holds(keys):
-            index: DashIndex | ChainedIndex = DashIndex.from_layout(layout, values)
-        else:
-            index = DashIndex()
-            index.bulk_insert(keys, values, assume_unique=True)
+        ):
+            return replace(
+                like, packed_attrs=attrs, build_traffic=replace(like.build_traffic)
+            )
+        index: DashIndex | ChainedIndex = DashIndex()
+        index.bulk_insert(keys, positions, assume_unique=True)
         write_bytes = float(index.stats.write_bytes)
         read_bytes = float(index.stats.build_read_bytes)
         access = index.stats.access_size
@@ -211,14 +190,11 @@ def probe_keys(join_index: JoinIndex, keys: np.ndarray, missing: int) -> KeyProb
     """Probe the index with ``keys``; a miss resolves to row ``missing``.
 
     The rows, the hits and the stats delta depend only on the keys and
-    the index's layout, never on the values packed next to the row.
+    the index.
     """
     index = join_index.index
     before = replace(index.stats)
     rows = index.bulk_probe(keys, missing=missing)
-    if isinstance(index, DashIndex):
-        # The packed value's low bits are the row position.
-        np.bitwise_and(rows, (1 << POSITION_BITS) - 1, out=rows)
     rows.setflags(write=False)
     after = index.stats
     delta = type(after)(
@@ -234,7 +210,7 @@ def probe_keys(join_index: JoinIndex, keys: np.ndarray, missing: int) -> KeyProb
 def replay_probe(join_index: JoinIndex, probe: KeyProbe) -> None:
     """Charge ``probe`` to the index again, as probing its keys would.
 
-    Exact for an index of the layout the probe was resolved on.
+    Exact for the index the probe was resolved on.
     """
     stats = join_index.index.stats
     for f in fields(stats):
@@ -255,11 +231,11 @@ def probe_dimension(
     records)``, where ``selection`` indexes the fact keys that hit a
     dimension row satisfying every predicate. ``needed_attrs`` are the
     attributes the join reads (predicate columns and payload). With
-    packed attributes (DASH) the probe alone delivers them; otherwise
-    they are gathered by row position — random reads into the
-    dimension's column storage. Either way they are charged per hit,
-    and the predicates per hit and predicate, though the predicates are
-    evaluated once per dimension row.
+    packed attributes (DASH) the probe alone delivers them in the model;
+    otherwise they are charged as gathers by row position — random reads
+    into the dimension's column storage. Either way they are read from
+    the dimension by row, and the predicates are charged per hit and
+    predicate, though they are evaluated once per dimension row.
 
     ``fact_keys`` may instead be their :class:`KeyProbe`, already charged
     to this index: the executor resolves a probe of a fact column as

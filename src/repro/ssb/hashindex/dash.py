@@ -19,13 +19,6 @@ without looping them: ``bulk_insert`` hashes every key in one vectorised
 call and replays the insertion sequence (target bucket, neighbour, stash,
 split) over plain-int fill lists before writing the segments back once.
 
-A bulk build into an empty index keeps its :class:`DashLayout`: the cell
-each record landed in, after every split. :meth:`DashIndex.from_layout`
-builds an index over the same keys with other values by writing them into
-those cells, with the same segments, directory and ``ProbeStats`` as a
-fresh ``bulk_insert`` and no replay. The layout is a function of the key
-sequence alone, so one replay serves every value set of a key set.
-
 ``bulk_probe`` relies on a probe's outcome being a fixed function of the
 built index: a stored key is found in its target bucket (one line read),
 its neighbour (two) or the stash (two plus a stash read), and a miss
@@ -58,7 +51,8 @@ _STASH_SLOTS: int = STASH_BUCKETS * BUCKET_SLOTS
 
 _LINE_SLOTS: int = BUCKETS_PER_SEGMENT * BUCKET_SLOTS
 
-#: Cells of one segment in a layout: its bucket slots, then its stash.
+#: Cells of one segment in a bulk build's write-back: its bucket slots,
+#: then its stash.
 _SEGMENT_CELLS: int = _LINE_SLOTS + _STASH_SLOTS
 
 #: Keys per ``bulk_probe`` gather round; bounds the probe's scratch memory.
@@ -313,62 +307,6 @@ class _BulkBuild:
             self._split(self.slot_of(record))
 
 
-class DashLayout:
-    """Where a bulk build put each record: the replay's outcome, values aside.
-
-    ``cells`` are flat positions in a ``(segments, _SEGMENT_CELLS)`` grid
-    (a segment's bucket slots, then its stash slots), and ``records`` the
-    record whose key, fingerprint and value each cell holds. A repeated
-    key that overwrote an earlier one points that key's cell at the
-    overwriting record, so values written through ``records`` land
-    exactly where the replay put them, however keys repeat.
-    """
-
-    __slots__ = (
-        "keys",
-        "fps",
-        "cells",
-        "records",
-        "global_depth",
-        "local_depths",
-        "slot_rows",
-        "build_reads",
-        "bucket_writes",
-    )
-
-    def __init__(self, build: _BulkBuild, keys: np.ndarray, hashes: np.ndarray) -> None:
-        """Capture a finished replay of ``keys`` (hashed to ``hashes``)."""
-        replays, slot_rows = _distinct(build.directory)
-        cells: list[int] = []
-        held: list[int] = []
-        for row, replay in enumerate(replays):
-            base = row * _SEGMENT_CELLS
-            for b, bucket in enumerate(replay.buckets):
-                if bucket:
-                    first = base + b * BUCKET_SLOTS
-                    cells.extend(range(first, first + len(bucket)))
-                    held += bucket
-            if replay.stash:
-                first = base + _LINE_SLOTS
-                cells.extend(range(first, first + len(replay.stash)))
-                held += replay.stash
-        fps = (hashes & np.uint64(0xFF)).astype(np.uint8)
-        fps[fps == 0] = 1
-        self.keys = keys
-        self.fps = fps
-        self.cells = np.asarray(cells, dtype=np.intp)
-        self.records = np.asarray(build.sources, dtype=np.intp)[held]
-        self.global_depth = build.global_depth
-        self.local_depths = [replay.local_depth for replay in replays]
-        self.slot_rows = slot_rows
-        self.build_reads = build.build_reads
-        self.bucket_writes = build.bucket_writes
-
-    def holds(self, keys: np.ndarray) -> bool:
-        """Whether this layout was replayed for exactly ``keys``, in order."""
-        return np.array_equal(self.keys, keys)
-
-
 class LookupTable:
     """A built index's key domain, resolved once: value and cost code per key.
 
@@ -433,28 +371,6 @@ class DashIndex:
         self._size = 0
         #: Built by the first ``bulk_probe``, dropped by any insert.
         self._table: LookupTable | None = None
-        #: Kept by a ``bulk_insert`` into an empty index, dropped by any
-        #: later insert.
-        self.layout: DashLayout | None = None
-
-    @classmethod
-    def from_layout(cls, layout: DashLayout, values: np.ndarray) -> "DashIndex":
-        """The index a fresh ``bulk_insert`` of the layout's keys with ``values``
-        would build, without replaying it.
-
-        Segments, directory, depths and ``ProbeStats`` equal the fresh
-        build's; each cell takes the value of the record the layout
-        assigns it.
-        """
-        values = np.asarray(values).astype(np.int64)
-        if len(values) != len(layout.keys):
-            raise ConfigurationError("values must align with the layout's keys")
-        index = cls(initial_depth=0)
-        index._adopt(layout, values)
-        index.stats.build_reads = layout.build_reads
-        index.stats.bucket_writes = layout.bucket_writes
-        index.layout = layout
-        return index
 
     # -- hashing -------------------------------------------------------
 
@@ -502,7 +418,6 @@ class DashIndex:
         if key == _EMPTY:
             raise ConfigurationError(f"key {_EMPTY} marks empty slots")
         self._table = None
-        self.layout = None
         for _ in range(64):  # split attempts are bounded
             if self._try_insert(key, value, assume_new):
                 return
@@ -629,8 +544,7 @@ class DashIndex:
         neighbour, then stash, then a split that may double the
         directory and reinserts the old segment's records in
         ``_Segment.records`` order) is replayed over plain-int fill
-        lists, and the final segments are written back once. A build
-        into an empty index keeps its :class:`DashLayout` in ``layout``.
+        lists, and the final segments are written back once.
         """
         if len(keys) != len(values):
             raise ConfigurationError("keys and values must align")
@@ -655,11 +569,9 @@ class DashIndex:
         for record in range(len(old_keys), len(all_keys)):
             build.insert(record, assume_unique)
 
-        layout = DashLayout(build, all_keys, hashes)
-        self._adopt(layout, np.concatenate((old_values, values)))
+        self._adopt(build, all_keys, hashes, np.concatenate((old_values, values)))
         self.stats.build_reads += build.build_reads
         self.stats.bucket_writes += build.bucket_writes
-        self.layout = layout if len(old_keys) == 0 else None
 
     @staticmethod
     def _unpack(
@@ -691,30 +603,64 @@ class DashIndex:
             ]
         return np.concatenate(out_keys), np.concatenate(out_values), replays
 
-    def _adopt(self, layout: DashLayout, values: np.ndarray) -> None:
-        """Become the layout's segments, each cell holding its record's value."""
-        n_seg = len(layout.local_depths)
-        cells, records = layout.cells, layout.records
-        keys = np.full(n_seg * _SEGMENT_CELLS, _EMPTY, dtype=np.int64)
-        vals = np.zeros(n_seg * _SEGMENT_CELLS, dtype=np.int64)
-        fp = np.zeros(n_seg * _SEGMENT_CELLS, dtype=np.uint8)
-        keys[cells] = layout.keys[records]
-        vals[cells] = values[records]
-        fp[cells] = layout.fps[records]
-        keys, vals, fp = (a.reshape(n_seg, _SEGMENT_CELLS) for a in (keys, vals, fp))
+    def _adopt(
+        self,
+        build: _BulkBuild,
+        keys: np.ndarray,
+        hashes: np.ndarray,
+        values: np.ndarray,
+    ) -> None:
+        """Become the replay's segments: each record's key, fingerprint and
+        value written into the cell the replay put it in.
+
+        Cells are flat positions in a ``(segments, _SEGMENT_CELLS)`` grid
+        (a segment's bucket slots, then its stash slots). A repeated key
+        that overwrote an earlier one points that key's cell at the
+        overwriting record, so each value lands exactly where the replay
+        put it, however keys repeat.
+        """
+        replays, slot_rows = _distinct(build.directory)
+        cells: list[int] = []
+        held: list[int] = []
+        for row, replay in enumerate(replays):
+            base = row * _SEGMENT_CELLS
+            for b, bucket in enumerate(replay.buckets):
+                if bucket:
+                    first = base + b * BUCKET_SLOTS
+                    cells.extend(range(first, first + len(bucket)))
+                    held += bucket
+            if replay.stash:
+                first = base + _LINE_SLOTS
+                cells.extend(range(first, first + len(replay.stash)))
+                held += replay.stash
+        at = np.asarray(cells, dtype=np.intp)
+        records = np.asarray(build.sources, dtype=np.intp)[held]
+        fps = (hashes[records] & np.uint64(0xFF)).astype(np.uint8)
+        fps[fps == 0] = 1
+
+        n_seg = len(replays)
+        flat_keys = np.full(n_seg * _SEGMENT_CELLS, _EMPTY, dtype=np.int64)
+        flat_vals = np.zeros(n_seg * _SEGMENT_CELLS, dtype=np.int64)
+        flat_fps = np.zeros(n_seg * _SEGMENT_CELLS, dtype=np.uint8)
+        flat_keys[at] = keys[records]
+        flat_vals[at] = values[records]
+        flat_fps[at] = fps
+        seg_keys, seg_vals, seg_fps = (
+            a.reshape(n_seg, _SEGMENT_CELLS) for a in (flat_keys, flat_vals, flat_fps)
+        )
 
         shape = (BUCKETS_PER_SEGMENT, BUCKET_SLOTS)
         segments: list[_Segment] = []
-        for row, depth in enumerate(layout.local_depths):
-            segment = _Segment(depth)
-            segment.keys = keys[row, :_LINE_SLOTS].reshape(shape)
-            segment.values = vals[row, :_LINE_SLOTS].reshape(shape)
-            segment.fps = fp[row, :_LINE_SLOTS].reshape(shape)
-            segment.stash_keys = keys[row, _LINE_SLOTS:]
-            segment.stash_values = vals[row, _LINE_SLOTS:]
+        for row, replay in enumerate(replays):
+            segment = _Segment(replay.local_depth)
+            segment.keys = seg_keys[row, :_LINE_SLOTS].reshape(shape)
+            segment.values = seg_vals[row, :_LINE_SLOTS].reshape(shape)
+            segment.fps = seg_fps[row, :_LINE_SLOTS].reshape(shape)
+            segment.stash_keys = seg_keys[row, _LINE_SLOTS:]
+            segment.stash_values = seg_vals[row, _LINE_SLOTS:]
             segments.append(segment)
-        self._directory = [segments[row] for row in layout.slot_rows]
-        self.global_depth = layout.global_depth
+        self._directory = [segments[row] for row in slot_rows]
+        self.global_depth = build.global_depth
         self._size = len(cells)
 
     def _resolve(self) -> LookupTable:

@@ -15,6 +15,8 @@ This module provides both halves:
 
 from __future__ import annotations
 
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,16 +45,35 @@ def save_database(db: SsbDatabase, path: str | Path) -> Path:
     return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
 
+#: What ``np.load`` raises on a file that is not a readable ``.npz`` archive.
+_UNREADABLE = (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error)
+
+
 def load_database(path: str | Path) -> SsbDatabase:
-    """Load a database saved by :func:`save_database`."""
+    """Load a database saved by :func:`save_database`.
+
+    A missing path raises :class:`ConfigurationError`, and any file that is
+    not such an archive a :class:`SchemaError` naming it.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"no database archive at {path}")
-    with np.load(path) as archive:
-        try:
-            scale_factor = float(archive["__scale_factor__"][0])
-        except KeyError:
-            raise SchemaError(f"{path} is not an SSB archive") from None
+    try:
+        return _load(path)
+    except _UNREADABLE as exc:
+        raise SchemaError(f"{path} is not a readable SSB archive: {exc}") from None
+
+
+def _load(path: Path) -> SsbDatabase:
+    archive = np.load(path)
+    if isinstance(archive, np.ndarray):
+        raise SchemaError(f"{path} is a single array, not an SSB archive")
+    with archive:
+        if "__scale_factor__" not in archive:
+            raise SchemaError(f"{path} is not an SSB archive")
+        scale_factor = archive["__scale_factor__"]
+        if scale_factor.shape != (1,) or scale_factor.dtype.kind not in "fiu":
+            raise SchemaError(f"{path} has a malformed scale factor")
         tables: dict[str, Table] = {}
         for spec in schema.ALL_TABLES:
             columns = {}
@@ -62,7 +83,7 @@ def load_database(path: str | Path) -> SsbDatabase:
                     raise SchemaError(f"{path} is missing column {key}")
                 columns[column] = archive[key]
             tables[spec.name] = Table(spec=spec, columns=columns)
-    return SsbDatabase(scale_factor=scale_factor, **tables)
+    return SsbDatabase(scale_factor=float(scale_factor[0]), **tables)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
-"""A reused Dash layout, checked against a fresh ``bulk_insert``.
+"""Dash builds of the SSB engine share one index per dimension table.
 
-``DashIndex.from_layout`` writes a second value set into the cells an
-earlier build's replay chose. The fresh build of the same keys with those
-values is the oracle: every segment array, the directory aliasing, the
+A build for a second attribute set of a table, given the first as
+``like``, shares its index. A fresh build of that set is the oracle: the
+``build-index`` record, every segment array, the directory aliasing, the
 depths, ``ProbeStats`` and ``bulk_probe`` on stored and absent keys must
-match, and so must the engine's ``build-index`` record.
+match. An index of another table is never shared.
 """
 
 from dataclasses import asdict
@@ -12,10 +12,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.ssb.dbgen import generate
 from repro.ssb.engine import operators
-from repro.ssb.hashindex import DashIndex
 from repro.ssb.storage import HANDCRAFTED_PMEM
 from tests.ssb.test_hashindex import _dash_layout
 
@@ -54,67 +52,21 @@ def _probes(keys, rng):
     return probes
 
 
-class TestFromLayout:
-    @pytest.mark.parametrize("assume_unique", [True, False])
-    def test_repeated_keys(self, assume_unique):
-        rng = np.random.default_rng(3)
-        keys = rng.integers(0, 2_000, size=6_000).astype(np.int64)
-        first = np.arange(len(keys), dtype=np.int64)
-        second = rng.integers(-(2**62), 2**62, size=len(keys))
-        template = DashIndex(initial_depth=0)
-        template.bulk_insert(keys, first, assume_unique=assume_unique)
-        fresh = DashIndex(initial_depth=0)
-        fresh.bulk_insert(keys, second, assume_unique=assume_unique)
-
-        reused = DashIndex.from_layout(template.layout, second)
-        assert _dash_layout(reused) == _dash_layout(fresh)
-        probes = _probes(np.unique(keys), rng)
-        assert _probe(reused, probes) == _probe(fresh, probes)
-
-    def test_layout_is_kept_only_for_a_build_into_an_empty_index(self):
-        keys = np.arange(3_000, dtype=np.int64)
-        index = DashIndex()
-        index.bulk_insert(keys, keys)
-        assert index.layout is not None and index.layout.holds(keys)
-        assert not index.layout.holds(keys[::-1])
-        index.insert(-5, 5)
-        assert index.layout is None
-        index.bulk_insert(keys + 10_000, keys)
-        assert index.layout is None
-
-    def test_values_must_align(self):
-        index = DashIndex()
-        index.bulk_insert(np.arange(10), np.arange(10))
-        with pytest.raises(ConfigurationError):
-            DashIndex.from_layout(index.layout, np.arange(9))
-
-    def test_reused_index_owns_its_arrays(self):
-        keys = np.arange(2_000, dtype=np.int64)
-        template = DashIndex()
-        template.bulk_insert(keys, keys)
-        before = _dash_layout(template)
-        reused = DashIndex.from_layout(template.layout, keys * 2)
-        reused.insert(10**9, 1)
-        assert _dash_layout(template) == before
-
-
 class TestEngineBuildsReuseTheLayout:
     @pytest.mark.parametrize("table", sorted(DIMENSIONS))
     def test_reused_build_equals_fresh_build(self, db, table):
         key, attrs, other = DIMENSIONS[table]
         dim = db.table(table)
         profile = HANDCRAFTED_PMEM
-        template = operators.build_dimension_index(dim, key, attrs, profile)
+        first = operators.build_dimension_index(dim, key, attrs, profile)
         fresh = operators.build_dimension_index(dim, key, other, profile)
-        reused = operators.build_dimension_index(
-            dim, key, other, profile, like=template
-        )
-        assert reused.index is not fresh.index
-        assert reused.packed_attrs == fresh.packed_attrs == other
-        assert asdict(reused.build_traffic) == asdict(fresh.build_traffic)
-        assert _dash_layout(reused.index) == _dash_layout(fresh.index)
+        shared = operators.build_dimension_index(dim, key, other, profile, like=first)
+        assert shared.index is first.index
+        assert shared.packed_attrs == fresh.packed_attrs == other
+        assert asdict(shared.build_traffic) == asdict(fresh.build_traffic)
+        assert _dash_layout(shared.index) == _dash_layout(fresh.index)
         probes = _probes(dim[key].astype(np.int64), np.random.default_rng(5))
-        assert _probe(reused.index, probes) == _probe(fresh.index, probes)
+        assert _probe(shared.index, probes) == _probe(fresh.index, probes)
 
     def test_layout_of_other_keys_is_not_reused(self, db):
         profile = HANDCRAFTED_PMEM
@@ -127,4 +79,6 @@ class TestEngineBuildsReuseTheLayout:
         other = operators.build_dimension_index(
             db.customer, "c_custkey", ("c_region",), profile, like=supplier
         )
+        assert other.index is not supplier.index
+        assert asdict(other.build_traffic) == asdict(fresh.build_traffic)
         assert _dash_layout(other.index) == _dash_layout(fresh.index)

@@ -6,6 +6,7 @@ import functools
 import numpy as np
 import pytest
 
+from repro.errors import QueryError
 from repro.obs import CountersRecorder
 from repro.ssb.dbgen import generate
 from repro.ssb.engine import SsbExecutor, operators
@@ -305,3 +306,34 @@ class TestStoredColumnProbe:
                 replays.append(query.joins[0].table)
         assert rec.counter("ssb.exec.probe_replays_count") == 8
         assert sorted(replays) == ["customer"] * 6 + ["part"] * 2
+
+    def test_replay_on_another_index_is_refused(self, seed, profile):
+        db = _small_db(seed)
+        executor = SsbExecutor(db, profile)
+        query = get_query("Q2.1")
+        executor.execute(query)
+        join = query.joins[0]
+        stranger = operators.build_dimension_index(
+            db.table(join.table), join.dim_key, (), profile
+        )
+        with pytest.raises(QueryError, match="another index"):
+            executor._stored_probe(join, stranger)
+
+
+class TestOneDashIndexPerTable:
+    def test_each_table_resolves_one_lookup_table(self, db, monkeypatch):
+        resolved = []
+        original = DashIndex._resolve
+
+        def counting(index):
+            resolved.append(index)
+            return original(index)
+
+        monkeypatch.setattr(DashIndex, "_resolve", counting)
+        executor = SsbExecutor(db, HANDCRAFTED_PMEM)
+        for query in ALL_QUERIES:
+            executor.execute(query)
+        tables = {table for table, _ in executor._index_cache}
+        indexes = {id(built.index) for built in executor._index_cache.values()}
+        assert len(tables) == len(indexes) == 4
+        assert len(resolved) == len({id(index) for index in resolved}) == 4

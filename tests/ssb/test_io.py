@@ -1,5 +1,7 @@
 """Tests for database persistence and import estimation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,19 @@ class TestPersistence:
         path = tmp_path / "other.npz"
         np.savez_compressed(path, something=np.arange(3))
         with pytest.raises(SchemaError):
+            load_database(path)
+
+    @pytest.mark.parametrize("damage", ["not-a-zip", "truncated", "empty-scale-factor"])
+    def test_unreadable_archive_is_a_schema_error(self, db, tmp_path, damage):
+        path = tmp_path / "bad.npz"
+        if damage == "not-a-zip":
+            path.write_bytes(b"not an archive\n" * 8)
+        elif damage == "truncated":
+            data = save_database(db, path).read_bytes()
+            path.write_bytes(data[: len(data) // 2])
+        else:
+            np.savez(path, __scale_factor__=np.zeros(0))
+        with pytest.raises(SchemaError, match=re.escape(str(path))):
             load_database(path)
 
     def test_suffix_normalisation(self, db, tmp_path):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import QueryError
 from repro.ssb import schema
-from repro.ssb.dbgen import generate
-from repro.ssb.engine import SsbExecutor
-from repro.ssb.engine.operators import pack_values, unpack_values
+from repro.ssb.dbgen import Table, generate
+from repro.ssb.engine import SsbExecutor, operators
 from repro.ssb.hashindex import ChainedIndex, DashIndex
 from repro.ssb.queries import ALL_QUERIES
 from repro.ssb.storage import HANDCRAFTED_PMEM
@@ -62,42 +62,49 @@ class TestHashIndexProperties:
         assert index.stats.probes == len(keys)
 
 
-class TestPackingProperties:
-    @given(
-        positions=st.lists(
-            st.integers(min_value=0, max_value=(1 << 24) - 1),
-            min_size=1, max_size=200,
-        ),
-        attr_values=st.lists(
-            st.integers(min_value=0, max_value=(1 << 20) - 1),
-            min_size=1, max_size=200,
-        ),
+def _customer(c_city=None, rows=None):
+    """The customer dimension, ``c_city`` replaced and cut to ``rows``."""
+    columns = dict(_DB.customer.columns)
+    if c_city is not None:
+        columns["c_city"] = c_city
+    return Table(
+        spec=_DB.customer.spec,
+        columns={name: column[:rows] for name, column in columns.items()},
     )
-    @settings(max_examples=40, deadline=None)
-    def test_pack_unpack_round_trip(self, positions, attr_values):
-        n = min(len(positions), len(attr_values))
-        pos = np.asarray(positions[:n], dtype=np.int64)
-        attr = np.asarray(attr_values[:n], dtype=np.int64)
-        packed = pack_values(pos, [attr, attr // 2])
-        out_pos, out_attrs = unpack_values(packed, 2)
-        assert np.array_equal(out_pos, pos)
-        assert np.array_equal(out_attrs[0], attr)
-        assert np.array_equal(out_attrs[1], attr // 2)
 
-    def test_pack_rejects_oversized_position(self):
-        from repro.errors import QueryError
 
-        with pytest.raises(QueryError):
-            pack_values(np.asarray([1 << 24], dtype=np.int64), [])
+def _build(dim, attrs=("c_city",)):
+    return operators.build_dimension_index(dim, "c_custkey", attrs, HANDCRAFTED_PMEM)
+
+
+class TestPackingProperties:
+    """A Dash join packs at most two 20-bit attributes next to a 24-bit row."""
+
+    def test_pack_rejects_three_attrs(self):
+        with pytest.raises(QueryError, match="cannot pack 3"):
+            _build(_DB.customer, ("c_region", "c_nation", "c_city"))
 
     def test_pack_rejects_oversized_attr(self):
-        from repro.errors import QueryError
+        city = _DB.customer["c_city"].astype(np.int64)
+        city[-1] = (1 << 20) - 1
+        _build(_customer(c_city=city))
+        city[-1] = 1 << 20
+        with pytest.raises(QueryError, match="20-bit"):
+            _build(_customer(c_city=city))
 
-        with pytest.raises(QueryError):
-            pack_values(
-                np.asarray([0], dtype=np.int64),
-                [np.asarray([1 << 20], dtype=np.int64)],
-            )
+    def test_pack_rejects_negative_attr(self):
+        city = _DB.customer["c_city"].astype(np.int64)
+        city[-1] = -1
+        with pytest.raises(QueryError, match="20-bit"):
+            _build(_customer(c_city=city))
+
+    def test_pack_rejects_oversized_position(self, monkeypatch):
+        # A 2**24-row table is 128 MB of keys; with 4 position bits the
+        # boundary is at 16 rows.
+        monkeypatch.setattr(operators, "POSITION_BITS", 4)
+        _build(_customer(rows=15))
+        with pytest.raises(QueryError, match="24-bit"):
+            _build(_customer(rows=16))
 
 
 class TestGeneratorProperties:
