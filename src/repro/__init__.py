@@ -32,14 +32,8 @@ Quickstart::
     print(advisor.recommend(intent).describe())
 """
 
-from repro.core import (
-    AccessProfile,
-    PlacementAdvisor,
-    Recommendation,
-    WorkloadIntent,
-    verify_all,
-    verify_practices,
-)
+from typing import Any
+
 from repro.memsim import (
     DaxMode,
     DeviceCalibration,
@@ -76,3 +70,26 @@ __all__ = [
     "verify_all",
     "verify_practices",
 ]
+
+#: Names re-exported from :mod:`repro.core`, imported on first use
+#: (:pep:`562`) so that ``import repro`` does not load the advisor.
+_CORE = frozenset({
+    "AccessProfile",
+    "PlacementAdvisor",
+    "Recommendation",
+    "WorkloadIntent",
+    "verify_all",
+    "verify_practices",
+})
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _CORE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro import core
+
+    return getattr(core, name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

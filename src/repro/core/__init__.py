@@ -7,36 +7,42 @@
 * :mod:`repro.core.advisor` — workload-intent to configuration mapping.
 """
 
-from repro.core.advisor import (
-    AccessProfile,
-    PlacementAdvisor,
-    Recommendation,
-    WorkloadIntent,
-)
-from repro.core.hybrid import (
-    HybridPlan,
-    HybridPlanner,
-    Placement,
-    Structure,
-    StructureKind,
-    ssb_structures,
-)
-from repro.core.best_practices import (
-    BEST_PRACTICES,
-    BestPractice,
-    get_practice,
-    practices_report,
-    verify_practices,
-)
-from repro.core.insights import ALL_INSIGHTS, Insight, get_insight, verify_all
-from repro.core.sensitivity import SensitivityReport, analyze as sensitivity_analysis
-from repro.core.optimizer import (
-    TuningCandidate,
-    TuningResult,
-    TuningSpace,
-    tune,
-    tuned_matches_best_practices,
-)
+from importlib import import_module
+from types import MappingProxyType
+from typing import Any
+
+#: Public name -> (submodule, attribute). Each submodule is imported on
+#: first use (:pep:`562`), so a command that needs only the insights does
+#: not load the advisor, the hybrid planner, the optimizer or the
+#: sensitivity analysis.
+_LAZY = MappingProxyType({
+    "ALL_INSIGHTS": ("insights", "ALL_INSIGHTS"),
+    "AccessProfile": ("advisor", "AccessProfile"),
+    "BEST_PRACTICES": ("best_practices", "BEST_PRACTICES"),
+    "BestPractice": ("best_practices", "BestPractice"),
+    "HybridPlan": ("hybrid", "HybridPlan"),
+    "HybridPlanner": ("hybrid", "HybridPlanner"),
+    "Insight": ("insights", "Insight"),
+    "Placement": ("hybrid", "Placement"),
+    "Structure": ("hybrid", "Structure"),
+    "StructureKind": ("hybrid", "StructureKind"),
+    "PlacementAdvisor": ("advisor", "PlacementAdvisor"),
+    "Recommendation": ("advisor", "Recommendation"),
+    "SensitivityReport": ("sensitivity", "SensitivityReport"),
+    "TuningCandidate": ("optimizer", "TuningCandidate"),
+    "TuningResult": ("optimizer", "TuningResult"),
+    "TuningSpace": ("optimizer", "TuningSpace"),
+    "WorkloadIntent": ("advisor", "WorkloadIntent"),
+    "get_insight": ("insights", "get_insight"),
+    "get_practice": ("best_practices", "get_practice"),
+    "practices_report": ("best_practices", "practices_report"),
+    "sensitivity_analysis": ("sensitivity", "analyze"),
+    "tune": ("optimizer", "tune"),
+    "ssb_structures": ("hybrid", "ssb_structures"),
+    "tuned_matches_best_practices": ("optimizer", "tuned_matches_best_practices"),
+    "verify_all": ("insights", "verify_all"),
+    "verify_practices": ("best_practices", "verify_practices"),
+})
 
 __all__ = [
     "ALL_INSIGHTS",
@@ -66,3 +72,14 @@ __all__ = [
     "verify_all",
     "verify_practices",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attribute = _LAZY[name]
+    return getattr(import_module(f"{__name__}.{module}"), attribute)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

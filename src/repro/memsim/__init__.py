@@ -16,15 +16,17 @@ Public surface:
 * :mod:`repro.memsim.engine` — the discrete-event cross-check.
 """
 
+from importlib import import_module
+from types import MappingProxyType
+from typing import Any
+
 from repro.memsim.address import DaxMode, InterleaveMap, MappedRegion
 from repro.memsim.calibration import DeviceCalibration, paper_calibration
 from repro.memsim.config import DirectoryState, MachineConfig, paper_config
 from repro.memsim.context import EvalContext, eval_context
 from repro.memsim.evaluation import BandwidthResult, StreamResult, evaluate
 from repro.memsim.counters import PerfCounters
-from repro.memsim.memory_mode import MemoryModeConfig, MemoryModeModel
 from repro.memsim.mixed import MixedOutcome
-from repro.memsim.wear import WearEstimate, wear_from_counters
 from repro.memsim.scheduler import PinningPolicy
 from repro.memsim.spec import Layout, Op, Pattern, StreamSpec, read_stream, write_stream
 from repro.memsim.topology import MediaKind, SystemTopology, build_topology, paper_server
@@ -61,3 +63,23 @@ __all__ = [
     "wear_from_counters",
     "write_stream",
 ]
+
+#: Public name -> submodule, imported on first use (:pep:`562`): no
+#: experiment models memory mode or wear, so ``import repro.memsim``
+#: leaves both unloaded.
+_LAZY = MappingProxyType({
+    "MemoryModeConfig": "memory_mode",
+    "MemoryModeModel": "memory_mode",
+    "WearEstimate": "wear",
+    "wear_from_counters": "wear",
+})
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

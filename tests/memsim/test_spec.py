@@ -1,9 +1,22 @@
 """Tests for stream specifications."""
 
+from dataclasses import fields, replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
-from repro.memsim import Layout, MediaKind, Op, StreamSpec, read_stream, write_stream
+from repro.memsim import (
+    DaxMode,
+    Layout,
+    MediaKind,
+    Op,
+    Pattern,
+    StreamSpec,
+    read_stream,
+    write_stream,
+)
 from repro.memsim.scheduler import PinningPolicy
 
 
@@ -65,3 +78,68 @@ class TestShorthands:
     def test_write_stream(self):
         spec = write_stream(4)
         assert spec.op is Op.WRITE
+
+
+FIELD_NAMES = (
+    "op", "threads", "access_size", "media", "pattern", "layout", "pinning",
+    "issuing_socket", "target_socket", "region_bytes", "total_bytes",
+    "dax_mode", "prefaulted",
+)
+
+specs = st.builds(
+    StreamSpec,
+    op=st.sampled_from(Op),
+    threads=st.integers(min_value=1, max_value=72),
+    access_size=st.integers(min_value=1, max_value=1024).map(lambda lines: lines * 64),
+    media=st.sampled_from([MediaKind.PMEM, MediaKind.DRAM]),
+    pattern=st.sampled_from(Pattern),
+    layout=st.sampled_from(Layout),
+    pinning=st.sampled_from(PinningPolicy),
+    issuing_socket=st.integers(min_value=0, max_value=1),
+    target_socket=st.integers(min_value=0, max_value=1),
+    region_bytes=st.integers(min_value=1, max_value=1 << 40),
+    total_bytes=st.integers(min_value=1, max_value=1 << 40),
+    dax_mode=st.sampled_from(DaxMode),
+    prefaulted=st.booleans(),
+)
+
+
+class TestWithProperties:
+    """``with_`` builds exactly what :func:`dataclasses.replace` builds."""
+
+    def test_fields_are_the_thirteen_declared(self):
+        # sweep.cache's canonical encoding iterates these fields.
+        assert tuple(f.name for f in fields(StreamSpec)) == FIELD_NAMES
+
+    @given(spec=specs, other=specs, names=st.sets(st.sampled_from(FIELD_NAMES)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_replace(self, spec, other, names):
+        changes = {name: getattr(other, name) for name in names}
+        built = spec.with_(**changes)
+        expected = replace(spec, **changes)
+        assert built == expected
+        assert hash(built) == hash(expected)
+        assert repr(built) == repr(expected)
+
+    @given(spec=specs)
+    @settings(max_examples=50, deadline=None)
+    def test_hash_is_the_field_tuple_hash(self, spec):
+        assert hash(spec) == hash(tuple(getattr(spec, f.name) for f in fields(spec)))
+
+    @given(spec=specs, threads=st.integers(min_value=1, max_value=72))
+    @settings(max_examples=25, deadline=None)
+    def test_unknown_field_rejected(self, spec, threads):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'nosuch'"):
+            spec.with_(threads=threads, nosuch=1)
+
+    @given(spec=specs)
+    @settings(max_examples=25, deadline=None)
+    def test_invalid_values_rejected_as_before(self, spec):
+        with pytest.raises(WorkloadError) as threads_error:
+            spec.with_(threads=0)
+        assert str(threads_error.value) == "thread count must be >= 1, got 0"
+        with pytest.raises(WorkloadError) as size_error:
+            spec.with_(access_size=32)
+        assert str(size_error.value) == (
+            "access size must be >= one cache line (64 B), got 32"
+        )
