@@ -8,8 +8,11 @@ Fig. 12/13 (random access), and the daxmode study — ran entirely on the
 scalar fallback of the vector backend. Now that every family the
 scalar evaluator can price is vectorized, each of those grids must beat
 per-point evaluation by >= 3x (a lower gate than the dense sequential
-axis' 5x: family grids are smaller and the multi-stream family pays a
-per-point interaction stage).
+axis' 5x: family grids are smaller). The ``two_stream`` grid holds the
+``sweep`` benchmark grid's two-stream points (Figs. 6, 10 and 11: near
+and far readers on one target, both sockets reading far, readers beside
+writers), whose interactions the kernel prices as pairs of flat
+positions.
 
 Bit-identity is asserted on every run, on every host: the batch's lazy
 views must reproduce the scalar results exactly before any clock is
@@ -20,11 +23,21 @@ small hosts flake on wall-clock ratios); identity never skips.
 from __future__ import annotations
 
 import os
+import random
 import timeit
 
 import pytest
 
-from repro.memsim import DaxMode, DirectoryState, Op, eval_context, evaluate, paper_config
+from repro.memsim import (
+    DaxMode,
+    DirectoryState,
+    MediaKind,
+    Op,
+    PinningPolicy,
+    eval_context,
+    evaluate,
+    paper_config,
+)
 from repro.memsim.kernels import classify_point, evaluate_points_columns
 from repro.memsim.spec import Layout, StreamSpec
 from repro.workloads.mixed import mixed_grid
@@ -65,6 +78,58 @@ def _fsdax_grid_points():
     return points
 
 
+def _two_stream(op, issuing, target, media):
+    return StreamSpec(
+        op=op,
+        threads=1,
+        media=media,
+        pinning=PinningPolicy.NUMA_REGION,
+        issuing_socket=issuing,
+        target_socket=target,
+    )
+
+
+#: The two-stream shapes of perfbench's ``sweep`` grid (seed 2021) and
+#: its point count of each, named by the interactions a point of the
+#: shape is checked for.
+_TWO_STREAM_SHAPES = (
+    (  # prefetch + multi-issuer + far: near and far readers on one target
+        (_two_stream(Op.READ, 0, 0, MediaKind.DRAM), _two_stream(Op.READ, 1, 0, MediaKind.DRAM)),
+        127,
+    ),
+    (  # multi-issuer + far: near and far writers on one target
+        (_two_stream(Op.WRITE, 0, 0, MediaKind.PMEM), _two_stream(Op.WRITE, 1, 0, MediaKind.PMEM)),
+        118,
+    ),
+    (  # prefetch + multi-issuer: both sockets reading near
+        (_two_stream(Op.READ, 0, 0, MediaKind.DRAM), _two_stream(Op.READ, 1, 1, MediaKind.DRAM)),
+        105,
+    ),
+    (  # prefetch + multi-issuer + far-far: both sockets reading far
+        (_two_stream(Op.READ, 0, 1, MediaKind.PMEM), _two_stream(Op.READ, 1, 0, MediaKind.PMEM)),
+        104,
+    ),
+    (  # mixed-only: a writer beside a reader
+        (_two_stream(Op.WRITE, 0, 0, MediaKind.PMEM), _two_stream(Op.READ, 0, 0, MediaKind.PMEM)),
+        103,
+    ),
+)
+
+
+def _two_stream_points():
+    """The sweep grid's two-stream shapes at its counts, each stream
+    with a seeded thread count (1-36) and access size (1-8 KiB)."""
+    rng = random.Random(2021)
+    return [
+        tuple(
+            spec.with_(threads=rng.randint(1, 36), access_size=64 * rng.randint(16, 128))
+            for spec in shape
+        )
+        for shape, count in _TWO_STREAM_SHAPES
+        for _ in range(count)
+    ]
+
+
 def _family_points():
     return {
         "pinning_fig04": [
@@ -85,6 +150,7 @@ def _family_points():
             p.streams for p in random_sweep(Op.READ, thread_counts=_DENSE_THREADS)
         ],
         "fsdax_daxmode": _fsdax_grid_points(),
+        "two_stream": _two_stream_points(),
     }
 
 

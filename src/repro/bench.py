@@ -9,9 +9,10 @@ kink in the series rather than an anecdote.
 
 The payload (schema :data:`SCHEMA`) deliberately keeps only what the
 trajectory needs — per-bench wall-time statistics, the sweep-cache
-counters, and the run configuration (smoke, warmup, rounds) —
-instead of pytest-benchmark's full machine dump, so snapshots diff
-cleanly and stay a few KB.
+counters, the run configuration (smoke, warmup, rounds) and a host
+fingerprint (:func:`host_fingerprint`) — instead of pytest-benchmark's
+full machine dump, so snapshots diff cleanly and stay a few KB. Two
+snapshots' timings compare only when their fingerprints match.
 
 ``--smoke`` pins a small fast subset (:data:`SMOKE_BENCHES`) with one
 round and no warmup; it exists so a tier-1 test can exercise the whole
@@ -22,13 +23,15 @@ from __future__ import annotations
 
 import datetime
 import json
+import os
+import platform
 import tempfile
 from pathlib import Path
 
 from repro.errors import BenchError
 
 #: Canonical payload schema identifier.
-SCHEMA = "repro.bench/2"
+SCHEMA = "repro.bench/3"
 
 #: The ``--smoke`` subset: fast benches covering the sweep service, the
 #: cluster backend, the columnar result path, the serving layer, the
@@ -53,6 +56,29 @@ _BENCH_FIELDS: dict[str, type] = {
     "stddev_seconds": float,
     "rounds": int,
 }
+
+
+#: Fields of the ``host`` fingerprint, with their types.
+_HOST_FIELDS: dict[str, type] = {
+    "cpu_count": int,
+    "machine": str,
+    "python": str,
+    "numpy": str,
+}
+
+
+def host_fingerprint() -> dict[str, object]:
+    """What a snapshot's timings depend on besides the code: the core
+    count (``0`` when the platform cannot tell), the machine type, and
+    the Python and NumPy versions."""
+    import numpy
+
+    return {
+        "cpu_count": os.cpu_count() or 0,
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
 
 
 def bench_dir() -> Path:
@@ -113,6 +139,7 @@ def _distill(
     rounds: int,
     cache_stats: dict[str, int],
     created: str,
+    host: dict[str, object],
 ) -> dict[str, object]:
     """Reduce a pytest-benchmark JSON dump to the canonical payload."""
     benches: list[dict[str, object]] = []
@@ -142,6 +169,7 @@ def _distill(
             "rounds": int(rounds),
         },
         "cache_stats": cache_stats,
+        "host": host,
         "benchmarks": benches,
     }
 
@@ -170,6 +198,15 @@ def validate_payload(payload: dict[str, object]) -> None:
     for key in ("hits", "misses", "disk_hits"):
         if not isinstance(stats.get(key), int):
             fail(f"cache_stats[{key!r}] must be int")
+    host = payload.get("host")
+    if not isinstance(host, dict):
+        fail("'host' must be an object")
+    for key, kind in _HOST_FIELDS.items():
+        value = host.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            fail(f"host[{key!r}] must be {kind.__name__}")
+    if host["cpu_count"] < 0:
+        fail("host['cpu_count'] must be >= 0")
     benches = payload.get("benchmarks")
     if not isinstance(benches, list) or not benches:
         fail("'benchmarks' must be a non-empty list")
@@ -247,6 +284,7 @@ def run_benchmarks(
         rounds=rounds,
         cache_stats=cache_stats,
         created=created,
+        host=host_fingerprint(),
     )
     validate_payload(payload)
     return payload

@@ -38,9 +38,11 @@ would break that and are therefore kept scalar:
 **Eligibility.** The fast path covers every point family the scalar
 evaluator can price: sequential and random patterns, near and far
 placement, all three pinning policies, devdax and fsdax mappings, and
-multi-stream points (whose per-stream solos are vectorized here and
-whose cross-stream interactions run through the exact scalar
-``_Evaluator`` methods on the vectorized solos). The residual fallback
+multi-stream points. Per-stream solos are always vectorized. So are the
+cross-stream interactions of one- and two-stream points, the latter as
+masks over pairs of flat positions; points of three or more streams run
+their interactions through the exact scalar ``_Evaluator`` methods on
+the vectorized solos. The residual fallback
 set (:func:`classify_point`) is only what the scalar evaluator itself
 rejects: empty points, streams naming an unknown or core-less socket,
 and PMEM streams targeting a socket with no PMEM DIMMs — the fallback
@@ -56,7 +58,7 @@ import numpy as np
 from repro.memsim import evaluation, random_access
 from repro.memsim.address import DaxMode, MappedRegion, fsdax_bandwidth_factor
 from repro.memsim.config import DirectoryState
-from repro.memsim.constants import INTERLEAVE_SIZE, OPTANE_LINE
+from repro.memsim.constants import INTERLEAVE_SIZE, OPTANE_LINE, UPI_REQUEST_FRACTION
 from repro.memsim.context import EvalContext
 from repro.memsim.kernels.columns import ResultColumns, _pick
 from repro.memsim.scheduler import HT_YIELD, PinningPolicy
@@ -143,13 +145,13 @@ def evaluate_points_columns(
 
     Per-stream *solo* bandwidths are always computed in one vectorized
     pass, family by family (sequential vs. random chains under masks).
-    The cross-stream stage is vectorized for the single-stream points
-    (the only interaction a single stream can trigger is its own
-    UPI-direction clamp); each multi-stream point's interactions run
-    through the exact scalar ``_Evaluator`` methods over the vectorized
-    solos, which is bit-identical by construction. A batch holding both
-    kinds prices each kind over its own subset of the solos and scatters
-    the rows back into point order.
+    The cross-stream stage (:func:`_assemble`) is vectorized for one- and
+    two-stream points: a single stream can trigger only its own
+    UPI-direction clamp, and two-stream points are priced as pairs of
+    flat positions. Only points of three or more streams run through the
+    exact scalar ``_Evaluator`` methods over the vectorized solos, which
+    is bit-identical by construction. Every row is written straight into
+    point order.
 
     Observability emission is left to the caller: the second element is
     ``emit(recorder, i, *, before=None, after=None)``, which replays
@@ -164,18 +166,15 @@ def evaluate_points_columns(
     """
     specs: list[StreamSpec] = []
     offsets: list[int] = [0]
-    multi: list[int] = []
-    for p, streams in enumerate(points):
+    for streams in points:
         specs.extend(streams)
         offsets.append(len(specs))
-        if len(streams) != 1:
-            multi.append(p)
     config = ctx.config
     if not specs:
         return ResultColumns(), lambda recorder, i, **kw: None
 
     flat = _solo_columns(ctx, specs, directory)
-    out = _assemble(ctx, specs, offsets, multi, flat, directory)
+    out = _assemble(ctx, specs, offsets, flat, directory)
     read_amp = flat.read_amp
     write_amp = flat.write_amp
 
@@ -222,7 +221,7 @@ class _FlatSolos:
         "pages", "fault_seconds", "any_far",
     )
 
-    def __init__(self, n: int = 0) -> None:
+    def __init__(self, n: int) -> None:
         self.gbps = np.empty(n, dtype=np.float64)
         self.solo = np.empty(n, dtype=np.float64)
         self.issue = np.empty(n, dtype=np.float64)
@@ -234,20 +233,9 @@ class _FlatSolos:
         self.is_pmem = np.empty(n, dtype=bool)
         self.far = np.empty(n, dtype=bool)
         self.notes: list[tuple[str, ...]] = [()] * n
-        self.pages: list[int] = [0] * n
-        self.fault_seconds: list[float] = [0.0] * n
+        self.pages = np.zeros(n, dtype=np.int64)
+        self.fault_seconds = np.zeros(n, dtype=np.float64)
         self.any_far = False
-
-    def subset(self, streams: list[int]) -> "_FlatSolos":
-        """The solos of the flat positions ``streams``, in that order."""
-        index = np.array(streams, dtype=np.intp)
-        sub = _FlatSolos()
-        for name in ("gbps", "solo", "issue", "cap", "volume", "is_read", "is_pmem", "far"):
-            setattr(sub, name, getattr(self, name)[index])
-        for name in ("read_amp", "write_amp", "notes", "pages", "fault_seconds"):
-            setattr(sub, name, _pick(getattr(self, name), streams))
-        sub.any_far = bool(sub.far.any())
-        return sub
 
 
 def _solo_columns(
@@ -663,7 +651,8 @@ def _seq_chain(
     flat.solo[rows_at] = solo_gbps
     flat.issue[rows_at] = issue
     flat.cap[rows_at] = media_cap
-    if bool((is_pmem & ~is_read).any()):
+    # PMEM writes and far pinned writes of either media amplify.
+    if bool((~is_read).any()):
         amp_l = write_amp.tolist()
         w_amp = flat.write_amp
         for k, j in enumerate(idx):
@@ -793,416 +782,401 @@ def _rnd_chain(
         w_amp[j] = write_amp_l[k]
 
 
-def _assemble_single(
-    ctx: EvalContext,
-    specs: Sequence[StreamSpec],
-    flat: _FlatSolos,
-    directory: DirectoryState,
-) -> ResultColumns:
-    """Fully vectorized cross-stream stage for all-single-stream batches.
-
-    A single stream can trigger exactly one interaction: its own
-    UPI-direction capacity clamp (``_apply_upi_capacity`` with a
-    one-element group, which multiplies by ``cap/total`` — replicated
-    here as the same multiply, not an assignment). The counter columns
-    are the scalar collector's branch arms as mask selections.
-    """
-    cal = ctx.config.calibration
-    n = len(specs)
-    gbps = flat.gbps
-    is_read = flat.is_read
-    is_pmem = flat.is_pmem
-    far = flat.far
-    volume = flat.volume
-    notes = flat.notes
-    write_amp_l = flat.write_amp
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if flat.any_far:
-            upi_cap = ctx.upi_data_cap
-            over = far & (gbps > upi_cap)
-            if bool(over.any()):
-                gbps = np.where(over, gbps * (upi_cap / gbps), gbps)
-                for j in np.nonzero(over)[0].tolist():
-                    notes[j] = notes[j] + ("UPI direction saturated",)
-        occupancy_service = np.maximum(flat.cap, 1e-9)  # simlint: ignore[unit-literal] -- epsilon guard, not a unit
-        rho = np.minimum(flat.issue / occupancy_service, 1.0)
-        queue = rho + rho * rho / (2.0 * (1.0 - rho))
-        occupancy = np.where(rho >= 1.0, 1.0, np.minimum(1.0, queue / (1.0 + queue)))
-        # Counter columns are mask selections over the arrays above —
-        # the same ``x if read else 0.0`` split the scalar collector
-        # performs, applied to identical floats.
-        read_amp = np.array(flat.read_amp, dtype=np.float64)
-        write_amp = np.array(write_amp_l, dtype=np.float64)
-        media_read = np.where(
-            is_read,
-            volume * read_amp,
-            np.where(is_pmem & (write_amp > 1.0), volume * (write_amp - 1.0), 0.0),
-        )
-        media_written = np.where(is_read, 0.0, volume * write_amp)
-        zeros = np.zeros(n, dtype=np.float64)
-        app_read = np.where(is_read, volume, zeros)
-        app_written = np.where(is_read, zeros, volume)
-        rpq = np.where(is_read, occupancy, zeros)
-        wpq = np.where(is_read, zeros, occupancy)
-        upi_bytes = np.where(far, volume, zeros)
-        if flat.any_far:
-            # One direction, no reverse payload: the scalar collector's
-            # ``min(1.0, max([utilization + 0.0]))`` reduces to the
-            # utilization itself.
-            util = np.minimum(
-                1.0,
-                (gbps / (1.0 - cal.upi.metadata_fraction)) / cal.upi.raw_per_direction,
-            )
-            upi_util = np.where(far, util, zeros)
-        else:
-            upi_util = zeros
-
-    afters: list[DirectoryState] = [directory] * n
-    if flat.any_far:
-        touch_memo: dict[tuple[int, int], DirectoryState] = {}
-        for j in np.nonzero(far)[0].tolist():
-            spec = specs[j]
-            pair = (spec.issuing_socket, spec.target_socket)
-            after = touch_memo.get(pair)
-            if after is None:
-                after = directory.touch(*pair)
-                touch_memo[pair] = after
-            afters[j] = after
-
-    out = ResultColumns()
-    out.offsets = list(range(n + 1))
-    out.specs = list(specs)
-    out.gbps = gbps.tolist()
-    out.solo_gbps = flat.solo.tolist()
-    out.stream_notes = notes
-    out.app_bytes_read = app_read.tolist()
-    out.app_bytes_written = app_written.tolist()
-    out.media_bytes_read = media_read.tolist()
-    out.media_bytes_written = media_written.tolist()
-    out.upi_bytes = upi_bytes.tolist()
-    out.upi_utilization = upi_util.tolist()
-    out.page_faults = flat.pages
-    out.page_fault_seconds = flat.fault_seconds
-    out.rpq_occupancy = rpq.tolist()
-    out.wpq_occupancy = wpq.tolist()
-    out.counter_notes = list(notes)
-    out.directory_after = afters
-    out._views = [None] * n
-    return out
+#: The notes the cross-stream stage can add to a stream, in the order
+#: ``evaluate`` applies their interactions. Bit ``k`` of a stream's note
+#: code stands for ``_NOTES[k]``, so a code's notes come out in that
+#: order, as the scalar evaluator appends them.
+_NOTES: tuple[str, ...] = (
+    "prefetcher tracks multiple streams",
+    "mixed read/write interference",
+    "near+far readers on one target: coherence writes + RPQ pollution",
+    "near+far writers on one target PMEM",
+    "both sockets read far: mutual queue pollution",
+    "UPI direction saturated",
+    "dual-socket DRAM package efficiency",
+)
+(
+    _PREFETCH_BIT, _MIXED_BIT, _SHARED_READ_BIT, _SHARED_WRITE_BIT,
+    _FAR_FAR_BIT, _UPI_BIT, _PACKAGE_BIT,
+) = (1 << k for k in range(len(_NOTES)))
 
 
-def _assemble_general(
-    ctx: EvalContext,
-    specs: Sequence[StreamSpec],
-    offsets: list[int],
-    flat: _FlatSolos,
-    directory: DirectoryState,
-) -> ResultColumns:
-    """Cross-stream stage for multi-stream points, one point at a time.
-
-    Every point has two or more streams (:func:`_assemble` routes
-    single-stream points to :func:`_assemble_single`). Rebuilds a point's :class:`_Solo` objects from the vectorized arrays
-    (bit-identical to the scalar solos by construction) and runs them
-    through the *actual* scalar ``_Evaluator`` interaction methods — the
-    one place the vector path reuses scalar code instead of mirroring
-    it, because cross-stream group logic is data-dependent Python either
-    way. Interactions that cannot fire for a point's stream shape are
-    skipped via cheap conservative flags, and points where *no*
-    interaction fires skip the object rebuild entirely: their rows are
-    read straight off the flat arrays.
-
-    Counters are likewise assembled from per-stream component columns
-    computed once per batch (the same mask selections as
-    :func:`_assemble_single` — interactions change only ``gbps`` and
-    notes, never the issue/cap terms or amplifications those columns
-    depend on), accumulated per point in stream order so every float
-    fold matches the scalar collector's. Only points containing a far
-    stream go through ``_collect_counters`` itself, for the UPI
-    direction-utilization bookkeeping.
-    """
-    ev = evaluation._Evaluator(ctx, directory)
-    gbps_l = flat.gbps.tolist()
-    issue_l = flat.issue.tolist()
-    cap_l = flat.cap.tolist()
-    solo_l = flat.solo.tolist()
-    read_amp_l = flat.read_amp
-    write_amp_l = flat.write_amp
-    notes_l = flat.notes
-    volume_l = flat.volume.tolist()
-    pages_l = flat.pages
-    fault_l = flat.fault_seconds
-    is_read_l = flat.is_read.tolist()
-    far_l = flat.far.tolist()
-    seq_l = [s.pattern is Pattern.SEQUENTIAL for s in specs]
-    sock_l = [s.issuing_socket for s in specs]
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # Identical to ``_Imc.occupancy`` over ``(issue, max(cap, eps))``.
-        service = np.maximum(flat.cap, 1e-9)  # simlint: ignore[unit-literal] -- epsilon guard, not a unit
-        rho = np.minimum(flat.issue / service, 1.0)
-        queue = rho + rho * rho / (2.0 * (1.0 - rho))
-        occ = np.where(rho >= 1.0, 1.0, np.minimum(1.0, queue / (1.0 + queue)))
-        read_amp_a = np.array(read_amp_l, dtype=np.float64)
-        write_amp_a = np.array(write_amp_l, dtype=np.float64)
-        media_read_c = np.where(
-            flat.is_read,
-            flat.volume * read_amp_a,
-            np.where(
-                flat.is_pmem & (write_amp_a > 1.0),
-                flat.volume * (write_amp_a - 1.0),
-                0.0,
-            ),
-        )
-        media_written_c = np.where(flat.is_read, 0.0, flat.volume * write_amp_a)
-    occ_l = occ.tolist()
-    media_read_l = media_read_c.tolist()
-    media_written_l = media_written_c.tolist()
-
-    out = ResultColumns()
-    out_specs = out.specs
-    out_gbps = out.gbps
-    out_solo = out.solo_gbps
-    out_notes = out.stream_notes
-    make_solo = evaluation._Solo
-    for p in range(len(offsets) - 1):
-        lo = offsets[p]
-        hi = offsets[p + 1]
-        point_far = False
-        for j in range(lo, hi):
-            if far_l[j]:
-                point_far = True
-                break
-        seq_reads = 0
-        far_reads = 0
-        has_read = has_write = False
-        first_sock = sock_l[lo]
-        multi_issuer = False
-        for j in range(lo, hi):
-            if is_read_l[j]:
-                has_read = True
-                if seq_l[j]:
-                    seq_reads += 1
-                if far_l[j]:
-                    far_reads += 1
-            else:
-                has_write = True
-            if sock_l[j] != first_sock:
-                multi_issuer = True
-        prefetch = seq_reads > 1
-        mixed = has_read and has_write
-        far_far = far_reads > 1
-        interact = prefetch or mixed or multi_issuer or far_far or point_far
-        mixed_only = mixed and not (
-            prefetch or multi_issuer or far_far or point_far
-        )
-        row_base = len(out_specs)
-        if mixed_only and hi - lo == 2:
-            # The dominant mixed shape (Fig. 11): one near read + one
-            # near write. ``_apply_mixed_interference`` reduces to a
-            # single ``resolve`` when both streams share a device group
-            # — replicated here with the identical float operations —
-            # and to a no-op when they don't.
-            jr, jw = (lo, lo + 1) if is_read_l[lo] else (lo + 1, lo)
-            read_spec = specs[jr]
-            write_spec = specs[jw]
-            if (read_spec.target_socket, read_spec.media) == (
-                write_spec.target_socket,
-                write_spec.media,
-            ):
-                media = read_spec.media
-                read_total = gbps_l[jr]
-                write_total = gbps_l[jw]
-                # Inlined ``mixed_model.resolve`` (same floats, same
-                # order), skipping the outcome object.
-                mp = ctx.mixed_params[media]
-                write_demand = min(1.0, write_total / mp.write_max_gbps)
-                read_demand = min(1.0, read_total / mp.read_max_gbps)
-                read_gbps = read_total * (
-                    1.0 / (1.0 + mp.read_coeff * write_demand)
-                )
-                write_gbps = write_total * (
-                    1.0 / (1.0 + mp.write_coeff * read_demand ** mp.write_exponent)
-                )
-                utilization = (
-                    read_gbps / mp.read_max_gbps + write_gbps / mp.write_max_gbps
-                )
-                if utilization > 1.0:
-                    read_gbps /= utilization
-                    write_gbps /= utilization
-                read_scale = read_gbps / read_total if read_total > 0 else 1.0
-                write_scale = write_gbps / write_total if write_total > 0 else 1.0
-                note = "mixed read/write interference"
-                for j, scale in ((lo, read_scale if lo == jr else write_scale),
-                                 (lo + 1, read_scale if lo + 1 == jr else write_scale)):
-                    out_specs.append(specs[j])
-                    out_gbps.append(gbps_l[j] * scale)
-                    out_notes.append(notes_l[j] + (note,))
-                out_solo.extend(solo_l[lo:hi])
-                interact = False
-                rows_done = True
-            else:
-                # Different device groups: the scalar method loops two
-                # one-sided groups and changes nothing.
-                interact = False
-                rows_done = False
-        else:
-            rows_done = False
-        if rows_done:
-            pass
-        elif interact:
-            solos = [
-                make_solo(
-                    specs[j],
-                    gbps_l[j],
-                    issue_l[j],
-                    cap_l[j],
-                    read_amp_l[j],
-                    write_amp_l[j],
-                    list(notes_l[j]),
-                )
-                for j in range(lo, hi)
-            ]
-            if prefetch:
-                ev._apply_multi_stream_prefetch(solos)
-            if mixed:
-                ev._apply_mixed_interference(solos)
-            if multi_issuer:
-                ev._apply_shared_target(solos)
-            if far_far:
-                ev._apply_far_far_pollution(solos)
-            if point_far:
-                ev._apply_upi_capacity(solos)
-            if multi_issuer:
-                ev._apply_dram_package_efficiency(solos)
-            for solo in solos:
-                out_specs.append(solo.spec)
-                out_gbps.append(solo.gbps)
-                out_notes.append(tuple(solo.notes))
-            out_solo.extend(solo_l[lo:hi])
-        else:
-            out_specs.extend(specs[lo:hi])
-            out_gbps.extend(gbps_l[lo:hi])
-            out_notes.extend(notes_l[lo:hi])
-            out_solo.extend(solo_l[lo:hi])
-        if point_far:
-            # ``_collect_counters`` for the UPI payload/direction math;
-            # also the only case the directory advances.
-            counters = ev._collect_counters(solos)
-            after = directory
-            for solo in solos:
-                if solo.spec.far:
-                    after = after.touch(
-                        solo.spec.issuing_socket, solo.spec.target_socket
-                    )
-            out.app_bytes_read.append(counters.app_bytes_read)
-            out.app_bytes_written.append(counters.app_bytes_written)
-            out.media_bytes_read.append(counters.media_bytes_read)
-            out.media_bytes_written.append(counters.media_bytes_written)
-            out.upi_bytes.append(counters.upi_bytes)
-            out.upi_utilization.append(counters.upi_utilization)
-            out.page_faults.append(counters.page_faults)
-            out.page_fault_seconds.append(counters.page_fault_seconds)
-            out.rpq_occupancy.append(counters.rpq_occupancy)
-            out.wpq_occupancy.append(counters.wpq_occupancy)
-            out.counter_notes.append(tuple(counters.notes))
-            out.directory_after.append(after)
-        else:
-            # Near-only point: fold the precomputed per-stream components
-            # in stream order, exactly as the scalar collector would.
-            app_read = app_written = 0.0
-            media_read = media_written = 0.0
-            rpq = wpq = 0.0
-            faults = 0
-            fault_seconds = 0.0
-            counter_notes: tuple[str, ...] = ()
-            for j in range(lo, hi):
-                if is_read_l[j]:
-                    app_read += volume_l[j]
-                    media_read += media_read_l[j]
-                    rpq = max(rpq, occ_l[j])
-                else:
-                    app_written += volume_l[j]
-                    media_written += media_written_l[j]
-                    media_read += media_read_l[j]
-                    wpq = max(wpq, occ_l[j])
-                faults += pages_l[j]
-                fault_seconds += fault_l[j]
-            for k in range(row_base, row_base + (hi - lo)):
-                counter_notes += out_notes[k]
-            out.app_bytes_read.append(app_read)
-            out.app_bytes_written.append(app_written)
-            out.media_bytes_read.append(media_read)
-            out.media_bytes_written.append(media_written)
-            out.upi_bytes.append(0.0)
-            out.upi_utilization.append(0.0)
-            out.page_faults.append(faults)
-            out.page_fault_seconds.append(fault_seconds)
-            out.rpq_occupancy.append(rpq)
-            out.wpq_occupancy.append(wpq)
-            out.counter_notes.append(counter_notes)
-            out.directory_after.append(directory)
-        out.offsets.append(len(out_specs))
-        out._views.append(None)
-    return out
+#: The counter columns a point folds over its streams with ``+`` and
+#: with ``max``, in the row order of :func:`_assemble`'s stacks.
+_SUMMED: tuple[str, ...] = (
+    "app_bytes_read",
+    "app_bytes_written",
+    "media_bytes_read",
+    "media_bytes_written",
+    "upi_bytes",
+    "page_fault_seconds",
+)
+_MAXED: tuple[str, ...] = ("rpq_occupancy", "wpq_occupancy")
 
 
 def _assemble(
     ctx: EvalContext,
     specs: Sequence[StreamSpec],
     offsets: list[int],
-    multi: list[int],
     flat: _FlatSolos,
     directory: DirectoryState,
 ) -> ResultColumns:
-    """The cross-stream stage, routed by each point's stream count.
+    """The cross-stream stage and the counters, written in point order.
 
-    Single-stream points go through :func:`_assemble_single` and only
-    the ``multi`` points (indices, ascending) through
-    :func:`_assemble_general`. A row is a function of its own point's
-    solos alone, so each kind prices identically whatever else shares
-    its batch. A batch holding both kinds prices each over its own
-    subset of the flat solos, and one column-wise
-    :meth:`ResultColumns.take` puts the rows back into point order,
-    which also restores the flat stream order the caller's ``emit``
-    indexes by.
+    Flat stream order is point order, so every column is computed over
+    the flat arrays and each point's row read off its own streams:
+
+    * a single-stream point can trigger one interaction, its own
+      UPI-direction clamp (``_apply_upi_capacity`` over a one-element
+      group multiplies by ``cap/total``, replicated as the same multiply);
+    * two-stream points go through :func:`_pair_stage` as pairs of flat
+      positions ``(lo, lo + 1)``;
+    * points of three or more streams go through :func:`_scalar_rows`.
+
+    Interactions change only ``gbps`` and notes, never the issue/cap
+    terms or amplifications, so the per-stream counter components
+    (occupancy, media and application bytes) are computed once over all
+    streams. A point's counters fold its streams' components in stream
+    order, as ``_collect_counters`` does: a one-stream fold ``0.0 + x``
+    is ``x``, a two-stream one ``x_a + x_b``. Each point-level column is
+    scattered into a length-``n`` array by point index and converted to
+    a list once.
     """
+    cal = ctx.config.calibration
     n = len(offsets) - 1
-    if not multi:
-        return _assemble_single(ctx, specs, flat, directory)
-    if len(multi) == n:
-        return _assemble_general(ctx, specs, offsets, flat, directory)
-    is_multi = np.zeros(n, dtype=bool)
-    is_multi[multi] = True
-    singles = np.flatnonzero(~is_multi)
-    single_streams = np.asarray(offsets[:-1], dtype=np.intp)[singles].tolist()
-    multi_streams: list[int] = []
-    multi_offsets = [0]
-    for p in multi:
-        multi_streams.extend(range(offsets[p], offsets[p + 1]))
-        multi_offsets.append(len(multi_streams))
+    one_stream_each = n == len(specs)
+    if one_stream_each:
+        # Point and flat stream positions coincide.
+        first = single_points = singles = np.arange(n)
+        pair_points = pairs = np.empty(0, dtype=np.intp)
+        many: list[int] = []
+    else:
+        bounds = np.array(offsets, dtype=np.intp)
+        first = bounds[:-1]
+        count = np.diff(bounds)
+        single_points = np.flatnonzero(count == 1)
+        singles = first[single_points]
+        pair_points = np.flatnonzero(count == 2)
+        pairs = first[pair_points]
+        many = np.flatnonzero(count > 2).tolist()
+    gbps = flat.gbps.copy()
+    is_read = flat.is_read
+    far = flat.far
+    volume = flat.volume
+    note_bits = np.zeros(len(specs), dtype=np.int64)
+    upi_cap = ctx.upi_data_cap
+    raw = cal.upi.raw_per_direction
+    keep = 1.0 - cal.upi.metadata_fraction
 
-    out = _assemble_single(
-        ctx,
-        [specs[j] for j in single_streams],
-        flat.subset(single_streams),
-        directory,
-    )
-    out.extend(
-        _assemble_general(
-            ctx,
-            [specs[j] for j in multi_streams],
-            multi_offsets,
-            flat.subset(multi_streams),
-            directory,
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if flat.any_far:
+            over = singles[far[singles] & (gbps[singles] > upi_cap)]
+            if over.size:
+                gbps[over] = gbps[over] * (upi_cap / gbps[over])
+                note_bits[over] = _UPI_BIT
+        pair_util = (
+            _pair_stage(ctx, specs, flat, pairs, gbps, note_bits)
+            if pairs.size
+            else None
         )
+        # Identical to ``_Imc.occupancy`` over ``(issue, max(cap, eps))``.
+        service = np.maximum(flat.cap, 1e-9)  # simlint: ignore[unit-literal] -- epsilon guard, not a unit
+        rho = np.minimum(flat.issue / service, 1.0)
+        queue = rho + rho * rho / (2.0 * (1.0 - rho))
+        occupancy = np.where(rho >= 1.0, 1.0, np.minimum(1.0, queue / (1.0 + queue)))
+        # Each component is the scalar collector's ``x if read else 0.0``
+        # split as a mask selection over identical floats, one row per
+        # counter: ``summed`` rows fold a point's streams with ``+``,
+        # ``maxed`` rows with ``max``.
+        read_amp = np.array(flat.read_amp, dtype=np.float64)
+        write_amp = np.array(flat.write_amp, dtype=np.float64)
+        summed = np.array((
+            np.where(is_read, volume, 0.0),
+            np.where(is_read, 0.0, volume),
+            np.where(
+                is_read,
+                volume * read_amp,
+                np.where(flat.is_pmem & (write_amp > 1.0), volume * (write_amp - 1.0), 0.0),
+            ),
+            np.where(is_read, 0.0, volume * write_amp),
+            np.where(far, volume, 0.0),
+            flat.fault_seconds,
+        ))
+        maxed = np.array((np.where(is_read, occupancy, 0.0), np.where(is_read, 0.0, occupancy)))
+        # One direction, no reverse payload: the collector's
+        # ``min(1.0, max([utilization + 0.0]))`` is the utilization.
+        upi_util = np.where(far, np.minimum(1.0, (gbps / keep) / raw), 0.0)
+    faults = flat.pages
+    if not one_stream_each:
+        point_sums = summed[:, first]
+        point_maxes = maxed[:, first]
+        faults = faults[first]
+        upi_util = upi_util[first]
+        if pairs.size:
+            point_sums[:, pair_points] = summed[:, pairs] + summed[:, pairs + 1]
+            point_maxes[:, pair_points] = np.maximum(maxed[:, pairs], maxed[:, pairs + 1])
+            faults[pair_points] = flat.pages[pairs] + flat.pages[pairs + 1]
+            upi_util[pair_points] = pair_util
+        summed, maxed = point_sums, point_maxes
+
+    notes = flat.notes
+    if note_bits.any():
+        suffixes: dict[int, tuple[str, ...]] = {}
+        bits_l = note_bits.tolist()
+        for j in np.flatnonzero(note_bits).tolist():
+            code = bits_l[j]
+            suffix = suffixes.get(code)
+            if suffix is None:
+                suffix = tuple(note for k, note in enumerate(_NOTES) if code >> k & 1)
+                suffixes[code] = suffix
+            notes[j] = notes[j] + suffix
+
+    afters: list[DirectoryState] = [directory] * n
+    if flat.any_far:
+        # A point's state is ``directory`` touched by its far streams'
+        # (issuing, target) pairs in stream order, memoized per sequence.
+        touched: dict[tuple, DirectoryState] = {}
+
+        def after(key: tuple) -> DirectoryState:
+            state = touched.get(key)
+            if state is None:
+                state = directory
+                for pair in key:
+                    state = state.touch(*pair)
+                touched[key] = state
+            return state
+
+        hit = far[singles]
+        for p, j in zip(single_points[hit].tolist(), singles[hit].tolist()):
+            spec = specs[j]
+            afters[p] = after(((spec.issuing_socket, spec.target_socket),))
+        hit = far[pairs] | far[pairs + 1]
+        for p, j in zip(pair_points[hit].tolist(), pairs[hit].tolist()):
+            afters[p] = after(tuple(
+                (spec.issuing_socket, spec.target_socket)
+                for spec in specs[j : j + 2]
+                if spec.far
+            ))
+
+    if one_stream_each:
+        counter_notes = list(notes)
+    else:
+        counter_notes = _pick(notes, offsets[:-1])
+        for p, j in zip(pair_points.tolist(), pairs.tolist()):
+            counter_notes[p] = notes[j] + notes[j + 1]
+
+    for p, (solos, counters, state) in zip(
+        many, _scalar_rows(ctx, specs, offsets, many, flat, directory)
+    ):
+        for j, solo in enumerate(solos, offsets[p]):
+            gbps[j] = solo.gbps
+            notes[j] = tuple(solo.notes)
+        summed[:, p] = [getattr(counters, name) for name in _SUMMED]
+        maxed[:, p] = (counters.rpq_occupancy, counters.wpq_occupancy)
+        faults[p] = counters.page_faults
+        upi_util[p] = counters.upi_utilization
+        counter_notes[p] = tuple(counters.notes)
+        afters[p] = state
+
+    out = ResultColumns()
+    out.offsets = offsets
+    out.specs = list(specs)
+    out.gbps = gbps.tolist()
+    out.solo_gbps = flat.solo.tolist()
+    out.stream_notes = notes
+    for name, column in zip(_SUMMED + _MAXED, summed.tolist() + maxed.tolist()):
+        setattr(out, name, column)
+    out.page_faults = faults.tolist()
+    out.upi_utilization = upi_util.tolist()
+    out.counter_notes = counter_notes
+    out.directory_after = afters
+    out._views = [None] * n
+    return out
+
+
+def _pair_stage(
+    ctx: EvalContext,
+    specs: Sequence[StreamSpec],
+    flat: _FlatSolos,
+    pairs: np.ndarray,
+    gbps: np.ndarray,
+    note_bits: np.ndarray,
+) -> np.ndarray:
+    """The six interactions of every two-stream point, over pair arrays.
+
+    ``pairs`` holds each point's first flat position ``a``; its second
+    stream sits at ``b = a + 1``. Per-stream arrays here have two rows,
+    row 0 for the ``a`` streams and row 1 for the ``b`` streams, so a
+    per-pair mask broadcasts over both. Each interaction of ``evaluate``
+    is applied in the scalar order (prefetch, mixed, shared target,
+    far-far, UPI capacity, DRAM package) as a mask over the pairs that
+    does the scalar method's float operations in the same order: a group
+    total ``sum()`` of two streams is ``0 + a + b``, which is exactly
+    ``a + b``. The mixed model's ``**`` runs in Python once per unique
+    operand. Updates ``gbps`` and ``note_bits`` at both positions and
+    returns each pair's UPI utilization, folded over its directions as
+    ``_collect_counters`` does.
+    """
+    cal = ctx.config.calibration
+    at = np.array((pairs, pairs + 1))
+    g = gbps[at]
+    bits = np.zeros(at.shape, dtype=np.int64)
+    read = flat.is_read[at]
+    pmem = flat.is_pmem[at]
+    far = flat.far[at]
+    issuing, target, sequential = (
+        np.array(column).reshape(at.shape)
+        for column in zip(*[
+            (spec.issuing_socket, spec.target_socket, spec.pattern is Pattern.SEQUENTIAL)
+            for spec in _pick(specs, at.ravel().tolist())
+        ])
     )
-    # ``out`` holds the single-stream rows, then the multi-stream rows;
-    # ``order[p]`` is point ``p``'s row in it.
-    order = np.empty(n, dtype=np.intp)
-    order[singles] = np.arange(len(singles))
-    order[multi] = np.arange(len(singles), n)
-    return out.take(order.tolist())
+    two_issuers = issuing[0] != issuing[1]
+    same_group = (target[0] == target[1]) & (pmem[0] == pmem[1])
+    any_far = far[0] | far[1]
+
+    # 1. Two sequential readers on one socket share its prefetcher.
+    fire = (read & sequential).all(axis=0) & ~two_issuers
+    if fire.any():
+        g = np.where(fire, g * ctx.components.prefetcher.multi_stream_factor(2), g)
+        bits |= np.where(fire, _PREFETCH_BIT, 0)
+
+    # 2. A reader and a writer on one device group (``mixed.resolve``).
+    mixed = np.flatnonzero(same_group & (read[0] != read[1]))
+    if mixed.size:
+        a_reads = read[0, mixed]
+        reads = np.where(a_reads, g[0, mixed], g[1, mixed])
+        writes = np.where(a_reads, g[1, mixed], g[0, mixed])
+        on_pmem = pmem[0, mixed]
+        params = (ctx.mixed_params[_DRAM], ctx.mixed_params[_PMEM])
+        read_max, write_max, read_coeff, write_coeff = (
+            np.where(on_pmem, getattr(params[1], name), getattr(params[0], name))
+            for name in ("read_max_gbps", "write_max_gbps", "read_coeff", "write_coeff")
+        )
+        write_demand = np.minimum(1.0, writes / write_max)
+        read_demand = np.minimum(1.0, reads / read_max)
+        read_factor = 1.0 / (1.0 + read_coeff * write_demand)
+        pow_memo: dict[tuple[float, float], float] = {}
+        powered = []
+        for demand, is_pmem in zip(read_demand.tolist(), on_pmem.tolist()):
+            key = (demand, params[is_pmem].write_exponent)
+            value = pow_memo.get(key)
+            if value is None:
+                value = pow_memo[key] = key[0] ** key[1]
+            powered.append(value)
+        write_factor = 1.0 / (1.0 + write_coeff * np.array(powered, dtype=np.float64))
+        read_gbps = reads * read_factor
+        write_gbps = writes * write_factor
+        utilization = read_gbps / read_max + write_gbps / write_max
+        over = utilization > 1.0
+        read_gbps = np.where(over, read_gbps / utilization, read_gbps)
+        write_gbps = np.where(over, write_gbps / utilization, write_gbps)
+        read_scale = np.where(reads > 0, read_gbps / reads, 1.0)
+        write_scale = np.where(writes > 0, write_gbps / writes, 1.0)
+        g[:, mixed] = g[:, mixed] * np.where(read[:, mixed], read_scale, write_scale)
+        bits[:, mixed] |= _MIXED_BIT
+
+    # 3. One target read, or PMEM written, from both sockets at once.
+    shared = same_group & (read[0] == read[1]) & two_issuers & (read[0] | pmem[0])
+    if shared.any():
+        cap = np.where(
+            read[0],
+            np.where(pmem[0], cal.pmem.shared_target_read_max, cal.dram.shared_target_read_max),
+            cal.pmem.mixed_socket_write_max,
+        )
+        total = g[0] + g[1]
+        fire = shared & (total > cap)
+        g = np.where(fire, g * (cap / total), g)
+        bits |= np.where(fire & read[0], _SHARED_READ_BIT, np.where(fire, _SHARED_WRITE_BIT, 0))
+
+    # 4. Far reads in two directions pollute each other's queues.
+    far_far = (far & read).all(axis=0) & (two_issuers | (target[0] != target[1]))
+    if far_far.any():
+        cap = np.where(
+            pmem, cal.pmem.far_far_read_per_socket, cal.dram.far_far_read_per_socket
+        )
+        clip = far_far & (g > cap)
+        g = np.where(clip, cap, g)
+        bits |= np.where(clip, _FAR_FAR_BIT, 0)
+
+    # 5. Far payloads per UPI direction (read data flows home -> issuer).
+    if any_far.any():
+        source = np.where(read, target, issuing)
+        sink = np.where(read, issuing, target)
+        both = far[0] & far[1]
+        one_way = both & (source[0] == source[1]) & (sink[0] == sink[1])
+        opposite = both & (source[0] == sink[1]) & (sink[0] == source[1])
+        cap = ctx.upi_data_cap
+        total = np.where(one_way, g[0] + g[1], g)
+        over = far & (total > cap)
+        g = np.where(over, g * (cap / total), g)
+        bits |= np.where(over, _UPI_BIT, 0)
+
+    # 6. Both sockets streaming near DRAM reads.
+    fire = (~pmem & read & ~far).all(axis=0) & two_issuers
+    if fire.any():
+        g = np.where(fire, g * cal.dram.dual_socket_efficiency, g)
+        bits |= np.where(fire, _PACKAGE_BIT, 0)
+
+    gbps[at] = g
+    note_bits[at] = bits
+    if not any_far.any():
+        return np.zeros(len(pairs), dtype=np.float64)
+    # ``_collect_counters``: each direction's payload (``0.0 + a``, or
+    # ``a + b`` when both flow one way) plus the request traffic of the
+    # payload flowing the opposite way.
+    payload = np.where(one_way, g[0] + g[1], g)
+    reverse = np.where(opposite, g[::-1], 0.0)
+    raw = cal.upi.raw_per_direction
+    util = np.minimum(
+        1.0, (payload / (1.0 - cal.upi.metadata_fraction)) / raw
+    ) + reverse * UPI_REQUEST_FRACTION / raw
+    util = np.where(both, np.maximum(util[0], util[1]), np.where(far[0], util[0], util[1]))
+    return np.where(any_far, np.minimum(1.0, util), 0.0)
+
+
+def _scalar_rows(
+    ctx: EvalContext,
+    specs: Sequence[StreamSpec],
+    offsets: list[int],
+    points: list[int],
+    flat: _FlatSolos,
+    directory: DirectoryState,
+) -> "list[tuple[list[evaluation._Solo], evaluation.PerfCounters, DirectoryState]]":
+    """The cross-stream stage of ``points`` (three or more streams each).
+
+    Rebuilds each point's :class:`_Solo` objects from the flat arrays
+    (bit-identical to the scalar solos by construction) and runs the
+    scalar ``_Evaluator`` interactions and ``_collect_counters`` on
+    them. Returns ``(solos, counters, directory_after)`` per point.
+    """
+    ev = evaluation._Evaluator(ctx, directory)
+    rows = []
+    for p in points:
+        solos = [
+            evaluation._Solo(
+                specs[j],
+                float(flat.gbps[j]),
+                float(flat.issue[j]),
+                float(flat.cap[j]),
+                flat.read_amp[j],
+                flat.write_amp[j],
+                list(flat.notes[j]),
+            )
+            for j in range(offsets[p], offsets[p + 1])
+        ]
+        ev._apply_multi_stream_prefetch(solos)
+        ev._apply_mixed_interference(solos)
+        ev._apply_shared_target(solos)
+        ev._apply_far_far_pollution(solos)
+        ev._apply_upi_capacity(solos)
+        ev._apply_dram_package_efficiency(solos)
+        after = directory
+        for solo in solos:
+            if solo.spec.far:
+                after = after.touch(solo.spec.issuing_socket, solo.spec.target_socket)
+        rows.append((solos, ev._collect_counters(solos), after))
+    return rows
 
 
 def _write_cap_size_factor(access_size: int) -> float:

@@ -12,6 +12,7 @@ the ``sweep.vector.fallback_count`` counter family.
 """
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -30,6 +31,7 @@ from repro.memsim import (
     evaluate,
     paper_config,
 )
+from repro.memsim import evaluation, mixed
 from repro.memsim.config import MachineConfig
 from repro.memsim.kernels import (
     FALLBACK_REASONS,
@@ -249,6 +251,229 @@ def row_repr(columns, row: int) -> str:
     ))
 
 
+R, W = Op.READ, Op.WRITE
+PMEM, DRAM = MediaKind.PMEM, MediaKind.DRAM
+STATES = {
+    "cold": lambda config: DirectoryState.cold(),
+    "warm": lambda config: DirectoryState.warm(config.topology),
+}
+NOTE = {
+    "prefetch": "prefetcher tracks multiple streams",
+    "mixed": "mixed read/write interference",
+    "shared_read": "near+far readers on one target: coherence writes + RPQ pollution",
+    "shared_write": "near+far writers on one target PMEM",
+    "far_far": "both sockets read far: mutual queue pollution",
+    "upi": "UPI direction saturated",
+    "package": "dual-socket DRAM package efficiency",
+}
+
+
+def stream(op, issuing, target, media=PMEM, threads=8, **fields):
+    return StreamSpec(
+        op=op, threads=threads, media=media,
+        issuing_socket=issuing, target_socket=target, **fields,
+    )
+
+
+#: A point the scalar stage prices: readers and writers on both sockets.
+FOUR_STREAMS = (
+    stream(R, 0, 0), stream(R, 1, 0), stream(W, 1, 1, DRAM), stream(R, 0, 1, DRAM),
+)
+
+
+def assert_matches_evaluate(context, points, state):
+    """Every row of the batch equals per-point ``evaluate`` of its point:
+    stream and counter floats by hex, notes, ``directory_after``, and
+    the recorder snapshot its ``emit`` replay leaves."""
+    columns, emit = evaluate_points_columns(context, points, state)
+    assert len(columns) == len(points)
+    for i, streams in enumerate(points):
+        inline, replayed = CountersRecorder(), CountersRecorder()
+        want = evaluate(
+            context.config, streams, state, recorder=inline, context=context
+        )
+        assert_identical(columns.view(i), want)
+        assert columns.counter_notes[i] == tuple(want.counters.notes)
+        emit(replayed, i)
+        assert replayed.snapshot() == inline.snapshot()
+    return columns
+
+
+def with_calibration(group: str, **fields) -> MachineConfig:
+    """The paper machine with fields of one calibration group replaced."""
+    cal = paper_config().calibration
+    return MachineConfig(calibration=dataclasses.replace(
+        cal, **{group: dataclasses.replace(getattr(cal, group), **fields)}
+    ))
+
+
+def solo_total(state, streams) -> float:
+    """``sum()`` of the streams' bandwidths before any interaction."""
+    ev = evaluation._Evaluator(eval_context(paper_config()), state)
+    return sum(ev._solo(spec).gbps for spec in streams)
+
+
+#: Interactions without a numeric threshold, each with a point on
+#: either side of its condition: ``(point, note, fires)``.
+CONDITION_CASES = {
+    "prefetch-one-socket": ((stream(R, 0, 0), stream(R, 0, 0, threads=4)), "prefetch", True),
+    "prefetch-two-sockets": ((stream(R, 0, 0), stream(R, 1, 1)), "prefetch", False),
+    "prefetch-one-random": (
+        (stream(R, 0, 0), stream(R, 0, 0, pattern=Pattern.RANDOM)), "prefetch", False,
+    ),
+    "mixed-one-target": ((stream(W, 0, 0), stream(R, 0, 0)), "mixed", True),
+    "mixed-two-targets": ((stream(R, 0, 0), stream(W, 0, 1)), "mixed", False),
+    "mixed-two-media": ((stream(R, 0, 0), stream(W, 0, 0, DRAM)), "mixed", False),
+    "shared-dram-write-is-a-no-op": (
+        (stream(W, 0, 0, DRAM, 36), stream(W, 1, 0, DRAM, 36)), "shared_write", False,
+    ),
+    "far-far-one-direction": ((stream(R, 0, 1), stream(R, 0, 1, threads=4)), "far_far", False),
+    "package-two-sockets": (
+        (stream(R, 0, 0, DRAM, 18), stream(R, 1, 1, DRAM, 18)), "package", True,
+    ),
+    "package-one-far": ((stream(R, 0, 0, DRAM), stream(R, 1, 0, DRAM)), "package", False),
+    "package-pmem": ((stream(R, 0, 0), stream(R, 1, 1)), "package", False),
+    # Far payloads flowing both ways: each direction's UPI utilization
+    # carries the request traffic of the other's payload.
+    "mixed-far-both-ways": ((stream(R, 0, 1), stream(W, 0, 1)), "mixed", True),
+}
+
+#: Capped interactions: ``(point, cap, group, note)``. ``cap`` names the
+#: calibration field (``group.field``) or, for ``upi``, the context's
+#: ``upi_data_cap``; ``group`` lists the streams whose pre-interaction
+#: total meets it.
+THRESHOLD_CASES = {
+    "shared-read-pmem": (
+        (stream(R, 0, 0, threads=18), stream(R, 1, 0, threads=18)),
+        "pmem.shared_target_read_max", (0, 1), "shared_read",
+    ),
+    "shared-read-dram": (
+        (stream(R, 0, 0, DRAM, 18), stream(R, 1, 0, DRAM, 18)),
+        "dram.shared_target_read_max", (0, 1), "shared_read",
+    ),
+    "shared-write-pmem": (
+        (stream(W, 0, 0, threads=4), stream(W, 1, 0, threads=4)),
+        "pmem.mixed_socket_write_max", (0, 1), "shared_write",
+    ),
+    "far-far-pmem": (
+        (stream(R, 0, 1), stream(R, 1, 0)), "pmem.far_far_read_per_socket", (0,), "far_far",
+    ),
+    "far-far-dram": (
+        (stream(R, 0, 1, DRAM), stream(R, 1, 0, DRAM)),
+        "dram.far_far_read_per_socket", (0,), "far_far",
+    ),
+    "upi-one-way": ((stream(R, 0, 1), stream(W, 1, 0)), "upi", (0, 1), "upi"),
+    "upi-one-far": ((stream(R, 0, 0), stream(W, 0, 1)), "upi", (1,), "upi"),
+}
+
+#: The two-stream shapes of the ``sweep`` benchmark grid, by the
+#: interactions a point of the shape can trigger.
+SHAPES = {
+    "prefetch+multi-issuer+far": (stream(R, 0, 0, DRAM, 17), stream(R, 1, 0, DRAM, 33)),
+    "multi-issuer+far": (stream(W, 0, 0, threads=29), stream(W, 1, 0, threads=18)),
+    "prefetch+multi-issuer": (stream(R, 0, 0, DRAM, 4), stream(R, 1, 1, DRAM, 17)),
+    "prefetch+multi-issuer+far-far": (stream(R, 0, 1, threads=1), stream(R, 1, 0, threads=4)),
+    "mixed-only": (stream(W, 0, 0, threads=16), stream(R, 0, 0, threads=9)),
+    "multi-issuer": (stream(W, 0, 0, threads=30), stream(W, 1, 1, threads=22)),
+}
+
+
+def fired(columns, row: int, note: str) -> list[bool]:
+    lo, hi = columns.offsets[row], columns.offsets[row + 1]
+    return [NOTE[note] in notes for notes in columns.stream_notes[lo:hi]]
+
+
+@pytest.mark.parametrize("state_name", sorted(STATES))
+class TestTwoStreamStage:
+    """Two-stream points priced as pairs equal per-point ``evaluate``,
+    interaction by interaction and on both sides of each threshold."""
+
+    @pytest.mark.parametrize("case", sorted(CONDITION_CASES))
+    def test_condition(self, state_name, case):
+        point, note, fires = CONDITION_CASES[case]
+        context = eval_context(paper_config())
+        columns = assert_matches_evaluate(context, [point], STATES[state_name](context.config))
+        assert fired(columns, 0, note) == [fires, fires]
+
+    @pytest.mark.parametrize("side", ["below", "equal", "above"])
+    @pytest.mark.parametrize("case", sorted(THRESHOLD_CASES))
+    def test_threshold(self, state_name, case, side):
+        # The cap is set to the group's pre-interaction total, or one ulp
+        # either side of it: only a total above the cap fires.
+        point, cap_name, group, note = THRESHOLD_CASES[case]
+        state = STATES[state_name](paper_config())
+        total = solo_total(state, [point[k] for k in group])
+        cap = {
+            "below": math.nextafter(total, 0.0),
+            "equal": total,
+            "above": math.nextafter(total, math.inf),
+        }[side]
+        if cap_name == "upi":
+            context = dataclasses.replace(eval_context(paper_config()), upi_data_cap=cap)
+        else:
+            calibration_group, field = cap_name.split(".")
+            context = eval_context(with_calibration(calibration_group, **{field: cap}))
+        columns = assert_matches_evaluate(context, [point], state)
+        expected = [k in group and side == "below" for k in range(len(point))]
+        if case.startswith("far-far"):
+            # Both far readers are alike, so each meets its own cap.
+            assert solo_total(state, point[1:]) == total
+            expected = [side == "below"] * 2
+        assert fired(columns, 0, note) == expected
+
+    @pytest.mark.parametrize(
+        ("media", "read_threads", "write_threads", "over"),
+        [
+            (PMEM, 8, 8, False),
+            (PMEM, 18, 1, False),  # read demand exactly 1.0
+            (DRAM, 18, 1, True),
+            (DRAM, 18, 18, True),
+            (DRAM, 30, 4, False),
+        ],
+    )
+    def test_mixed_capacity(self, state_name, media, read_threads, write_threads, over):
+        # ``mixed.resolve`` rescales both sides when the pair would use
+        # more than one device's time; check each case's side of that.
+        context = eval_context(paper_config())
+        state = STATES[state_name](context.config)
+        point = (
+            stream(R, 0, 0, media, read_threads),
+            stream(W, 0, 0, media, write_threads),
+        )
+        ev = evaluation._Evaluator(context, state)
+        reads, writes = (ev._solo(spec).gbps for spec in point)
+        params = context.mixed_params[media]
+        read_factor, write_factor = mixed.interference_factors(
+            None, media, reads, writes, params=params
+        )
+        utilization = (
+            reads * read_factor / params.read_max_gbps
+            + writes * write_factor / params.write_max_gbps
+        )
+        assert (utilization > 1.0) is over
+        columns = assert_matches_evaluate(context, [point], state)
+        assert fired(columns, 0, "mixed") == [True, True]
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_sweep_shape(self, state_name, shape):
+        context = eval_context(paper_config())
+        assert_matches_evaluate(context, [SHAPES[shape]], STATES[state_name](context.config))
+
+    def test_batch_of_one_two_and_four_stream_points(self, state_name):
+        # Rows land in point order whatever stage priced them.
+        context = eval_context(narrow_upi_config())
+        singles = single_points()
+        pairs = [SHAPES[name] for name in sorted(SHAPES)]
+        pairs += [case[0] for case in THRESHOLD_CASES.values()]
+        points = []
+        for k, single in enumerate(singles):
+            points.append(single)
+            points.append(pairs[k % len(pairs)])
+            if k == len(singles) // 2:
+                points.append(FOUR_STREAMS)
+        assert_matches_evaluate(context, points, STATES[state_name](context.config))
+
+
 class TestMixedBatch:
     """Single-stream rows price the same alone or beside multi-stream points."""
 
@@ -304,21 +529,25 @@ class TestMixedBatch:
             evaluate(config, streams, state, recorder=inline, context=context)
         assert replayed.snapshot() == inline.snapshot()
 
-    def test_only_multi_stream_points_take_the_scalar_stage(self, monkeypatch):
+    def test_scalar_stage_takes_only_3_plus_stream_points(self, monkeypatch):
+        # One- and two-stream points are priced columnar; only points of
+        # three or more streams rebuild solos for the scalar methods.
         from repro.memsim.kernels import analytic
 
         seen: list[int] = []
-        general = analytic._assemble_general
+        scalar_rows = analytic._scalar_rows
 
-        def spy(ctx, specs, offsets, flat, directory):
-            seen.append(len(offsets) - 1)
-            assert all(hi - lo > 1 for lo, hi in zip(offsets, offsets[1:]))
-            return general(ctx, specs, offsets, flat, directory)
+        def spy(ctx, specs, offsets, points, flat, directory):
+            seen.extend(points)
+            return scalar_rows(ctx, specs, offsets, points, flat, directory)
 
-        monkeypatch.setattr(analytic, "_assemble_general", spy)
-        singles, points = self.mixed()
+        monkeypatch.setattr(analytic, "_scalar_rows", spy)
+        _, points = self.mixed()
+        points.append(FOUR_STREAMS)
         evaluate_points_columns(eval_context(paper_config()), points, DirectoryState.cold())
-        assert seen == [len(points) - len(singles)]
+        assert seen == [i for i, p in enumerate(points) if len(p) >= 3]
+        assert seen[-1] == len(points) - 1
+        assert any(len(p) == 2 for p in points)
 
 
 class TestClassifyPoint:

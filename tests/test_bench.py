@@ -12,6 +12,7 @@ from repro.bench import (
     SCHEMA,
     SMOKE_BENCHES,
     bench_dir,
+    host_fingerprint,
     resolve_selection,
     validate_payload,
     write_payload,
@@ -25,6 +26,7 @@ def minimal_payload() -> dict:
         "created": "20260807T000000Z",
         "config": {"smoke": True, "warmup": False, "rounds": 1},
         "cache_stats": {"hits": 0, "misses": 3, "disk_hits": 0},
+        "host": {"cpu_count": 2, "machine": "x86_64", "python": "3.11.7", "numpy": "2.4.6"},
         "benchmarks": [
             {
                 "name": "test_sweep_cold",
@@ -78,6 +80,10 @@ class TestSchema:
             (lambda p: p["benchmarks"][0].pop("mean_seconds"), "mean_seconds"),
             (lambda p: p["benchmarks"][0].update(rounds=0), ">= 1"),
             (lambda p: p["benchmarks"][0].update(min_seconds=-1.0), "non-negative"),
+            (lambda p: p.pop("host"), "'host' must be an object"),
+            (lambda p: p["host"].pop("numpy"), "host\\['numpy'\\]"),
+            (lambda p: p["host"].update(cpu_count=True), "host\\['cpu_count'\\] must be int"),
+            (lambda p: p["host"].update(cpu_count=-1), ">= 0"),
         ],
     )
     def test_broken_payloads_rejected(self, mutate, match):
@@ -91,8 +97,22 @@ class TestSchema:
         payload = minimal_payload()
         payload["schema"] = "repro.bench/1"
         payload["config"].update(jobs=1, backend="thread")
-        with pytest.raises(BenchError, match="expected 'repro.bench/2'"):
+        with pytest.raises(BenchError, match="expected 'repro.bench/3'"):
             validate_payload(payload)
+
+    def test_version_2_payload_rejected(self):
+        # Schema 3 added the host fingerprint.
+        payload = minimal_payload()
+        payload["schema"] = "repro.bench/2"
+        del payload["host"]
+        with pytest.raises(BenchError, match="expected 'repro.bench/3'"):
+            validate_payload(payload)
+
+    def test_host_fingerprint_is_valid(self):
+        payload = minimal_payload()
+        payload["host"] = host_fingerprint()
+        validate_payload(payload)
+        assert payload["host"]["cpu_count"] == (os.cpu_count() or 0)
 
     def test_write_payload_uses_canonical_name(self, tmp_path):
         payload = minimal_payload()
@@ -118,6 +138,7 @@ class TestSmokeRun:
         validate_payload(payload)
         assert payload["config"]["smoke"] is True
         assert payload["config"]["rounds"] == 1
+        assert payload["host"] == host_fingerprint()
         files = {bench["file"] for bench in payload["benchmarks"]}
         assert files <= set(SMOKE_BENCHES)
         assert "bench_sweep_service.py" in files
