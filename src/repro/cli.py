@@ -45,7 +45,9 @@ A command given bad input (a typed :class:`~repro.errors.ReproError`)
 prints ``<command>: <message>`` on stderr and exits 2. An ``-o FILE``
 of ``run``, ``trace`` or ``bench`` is opened for writing before anything
 runs (``bench -o`` also takes a writable directory), so an unwritable
-path is such bad input: ``<command>: cannot write FILE: <reason>``.
+path is such bad input: ``<command>: cannot write FILE: <reason>``. So
+is a ``serve`` address it cannot listen on (a busy port, an unresolvable
+host): ``serve: cannot listen on HOST:PORT: <reason>``.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ import argparse
 import contextlib
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import TextIO
 
 from repro.errors import ConfigurationError, ReproError
@@ -71,13 +73,20 @@ from repro.memsim import (
 from repro.units import GIB
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        # argparse's documented contract for type= callables: it becomes
-        # a usage error with exit code 2.
-        raise argparse.ArgumentTypeError("must be >= 1")  # simlint: ignore[foreign-raise] -- argparse type= contract
-    return value
+def _int_in(low: int, high: int | None = None) -> Callable[[str], int]:
+    """An argparse ``type=`` accepting integers in ``[low, high]``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in {low}..{high}"
+            # argparse's documented contract for type= callables: it becomes
+            # a usage error with exit code 2.
+            raise argparse.ArgumentTypeError(f"must be {bound}")  # simlint: ignore[foreign-raise] -- argparse type= contract
+        return value
+
+    parse.__name__ = "int"  # names the type in argparse's "invalid int value"
+    return parse
 
 
 def _open_output(path: str) -> TextIO:
@@ -183,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "no warmup (seconds, not minutes)")
     bench.add_argument("--no-warmup", action="store_true",
                        help="skip pytest-benchmark's warmup phase")
-    bench.add_argument("--rounds", type=_positive_int, default=3, metavar="N",
+    bench.add_argument("--rounds", type=_int_in(1), default=3, metavar="N",
                        help="minimum timing rounds per bench (default 3)")
     bench.add_argument("-o", "--output", metavar="PATH", default=None,
                        help="output file or directory (default: "
@@ -193,15 +202,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "serve", help="run the coalescing bandwidth server over TCP"
     )
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
+    serve.add_argument("--port", type=_int_in(0, 65535), default=0,
                        help="TCP port (default 0: pick an ephemeral port "
                             "and print it)")
     serve.add_argument("--window-ms", type=float, default=2.0,
                        help="gather window in milliseconds (default 2.0)")
-    serve.add_argument("--max-batch", type=_positive_int, default=64,
+    serve.add_argument("--max-batch", type=_int_in(1), default=64,
                        metavar="N",
                        help="most points coalesced into one batch")
-    serve.add_argument("--max-queue", type=_positive_int, default=256,
+    serve.add_argument("--max-queue", type=_int_in(1), default=256,
                        metavar="N",
                        help="admission-control queue bound; beyond it, "
                             "requests are shed with a retry-after hint")
@@ -210,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "request", help="send one request frame to a running server"
     )
     request.add_argument("--host", default="127.0.0.1")
-    request.add_argument("--port", type=int, required=True)
+    request.add_argument("--port", type=_int_in(1, 65535), required=True)
     request.add_argument("frame", nargs="?", default=None,
                          help="request frame as a JSON object (default: "
                               "read one line from stdin)")
@@ -478,7 +487,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def run() -> int:
         server = BandwidthServer(service, config=config)
-        host, port = await server.serve_tcp(args.host, args.port)
+        try:
+            host, port = await server.serve_tcp(args.host, args.port)
+        except OSError as exc:  # a busy port or an unresolvable host
+            raise ConfigurationError(
+                f"cannot listen on {args.host}:{args.port}: {exc.strerror or exc}"
+            ) from None
         print(f"serving repro.serve/1 on {host}:{port} "
               f"(window {args.window_ms}ms, batch<={args.max_batch}, "
               f"queue<={args.max_queue})", flush=True)

@@ -23,21 +23,21 @@ also deliberately slower — run it on tens of MB, not the paper's 70 GB.
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigurationError, SimulationError, WorkloadError
+from repro.errors import SimulationError, WorkloadError
 from repro.memsim.address import InterleaveMap
-from repro.memsim.buffers import ReadBufferModel, WriteCombiningModel
-from repro.memsim.calibration import DeviceCalibration, paper_calibration
+from repro.memsim.config import paper_config
 from repro.memsim.constants import OPTANE_LINE
-from repro.memsim.context import EvalContext
+from repro.memsim.context import EvalContext, eval_context
 from repro.memsim.engine.trace import build_traces
 from repro.memsim.spec import Layout, Op, Pattern
-from repro.memsim.topology import MediaKind, SystemTopology, paper_server
+from repro.memsim.topology import MediaKind
 from repro.units import GB, MIB, NS, TIB
 
 if TYPE_CHECKING:
@@ -85,6 +85,10 @@ class EngineConfig:
             raise WorkloadError("total volume too small for the thread count")
         if self.read_mlp_ops < 1:
             raise WorkloadError("read MLP must be >= 1")
+        if not (math.isfinite(self.phase_spread) and self.phase_spread >= 0):
+            raise WorkloadError("phase spread must be a finite, non-negative time")
+        if not (math.isfinite(self.issue_jitter) and self.issue_jitter >= 0):
+            raise WorkloadError("issue jitter must be a finite, non-negative time")
 
 
 @dataclass
@@ -124,7 +128,6 @@ class _Dimm:
 
     free_at: float = 0.0
     bytes_served: int = 0
-    media_bytes: float = 0.0
     #: Application bytes the read-side line buffer answered without any
     #: media traffic (the ``dropped`` leg of the per-DIMM accounting
     #: identity ``issued == queued + dropped``).
@@ -168,54 +171,27 @@ class _Dimm:
 
 
 class DiscreteEventEngine:
-    """Replays access traces through the calibrated component models."""
+    """Replays access traces through the calibrated component models.
 
-    def __init__(
-        self,
-        topology: SystemTopology | None = None,
-        calibration: DeviceCalibration | None = None,
-        *,
-        write_combining_enabled: bool = True,
-        context: EvalContext | None = None,
-    ) -> None:
-        if context is not None:
-            # An EvalContext fixes topology, calibration, and the
-            # component models in one immutable bundle; mixing it with
-            # piecemeal overrides would let the replay disagree with the
-            # analytic model it cross-checks.
-            if topology is not None or calibration is not None:
-                raise ConfigurationError(
-                    "pass either an EvalContext or explicit "
-                    "topology/calibration, not both"
-                )
-            self.topology = context.config.topology
-            self.calibration = context.config.calibration
-            self.write_combining = context.components.write_combining
-            self.read_buffer = context.components.read_buffer
-            self._context = context
-            return
-        self.topology = topology if topology is not None else paper_server()
-        self.calibration = calibration if calibration is not None else paper_calibration()
-        self.write_combining = WriteCombiningModel(
-            self.calibration.pmem, enabled=write_combining_enabled
-        )
-        self.read_buffer = ReadBufferModel(self.calibration.pmem)
-        self._context = None
+    The engine is configured by one :class:`EvalContext` (by default the
+    paper's machine), the same bundle the analytic model prices with, so
+    the replay and the model it cross-checks read one topology, one
+    calibration and one set of component models. Ablations such as
+    write combining off are configs:
+    ``eval_context(MachineConfig(write_combining_enabled=False))``.
+    """
+
+    def __init__(self, context: EvalContext | None = None) -> None:
+        self._context = context if context is not None else eval_context(paper_config())
+        self.calibration = self._context.config.calibration
+        self.write_combining = self._context.components.write_combining
 
     # ------------------------------------------------------------------
-
-    def _ways(self, media: MediaKind) -> int:
-        """Interleave ways on socket 0 (the engine is single-socket)."""
-        if self._context is not None:
-            return self._context.interleave_ways[(0, media)]
-        # No context supplied (ad-hoc topology/calibration): derive the
-        # ways directly, once per run, not per op.
-        return self.topology.interleave_ways(0, media)  # simlint: ignore[context-derivable-constant] -- contextless engine fallback
 
     def _rates(self, config: EngineConfig) -> tuple[float, float, float]:
         """Return (per-DIMM GB/s, per-op overhead s, stream GB/s)."""
         cal = self.calibration
-        ways = self._ways(config.media)
+        ways = self._context.interleave_ways[(0, config.media)]
         if config.media is MediaKind.PMEM:
             params = cal.pmem
         elif config.media is MediaKind.DRAM:
@@ -278,38 +254,95 @@ class DiscreteEventEngine:
         per-DIMM tallies (issued/queued/buffer-dropped bytes, line-buffer
         and write-combining hits) are emitted to it after the run.
         """
-        ways = self._ways(config.media)
-        interleave = InterleaveMap(ways=ways)
-        per_dimm_rate, op_overhead, stream_rate = self._rates(config)
-        traces = build_traces(
-            threads=config.threads,
-            access_size=config.access_size,
-            total_bytes=config.total_bytes,
-            layout=config.layout,
-            pattern=config.pattern,
-            region_bytes=config.region_bytes,
-            seed=config.seed,
+        seconds, (bytes_moved,), dimms, ops, media_bytes = self._replay(
+            (config,), stop_at_first_drain=False
         )
-        iterators = [iter(t) for t in traces]
+        if bytes_moved == 0:
+            raise SimulationError("trace produced no operations")
+        if recorder is not None and recorder.enabled:
+            from repro.obs import probes
+
+            probes.emit_engine(
+                recorder,
+                [
+                    (
+                        d.bytes_served,
+                        d.bytes_served - d.buffer_bytes,
+                        d.buffer_bytes,
+                        d.buffer_hit_lines,
+                        d.buffer_miss_lines,
+                        d.wc_hit_ops,
+                        d.wc_miss_ops,
+                    )
+                    for d in dimms
+                ],
+                ops,
+                bytes_moved,
+                media_bytes,
+            )
+        return EngineResult(
+            seconds=seconds,
+            bytes_moved=bytes_moved,
+            per_dimm_bytes=[d.bytes_served for d in dimms],
+            media_bytes=media_bytes,
+        )
+
+    def _replay(
+        self, sides: tuple[EngineConfig, ...], *, stop_at_first_drain: bool
+    ) -> tuple[float, list[int], list[_Dimm], int, float]:
+        """Replay thread groups concurrently through one set of DIMM servers.
+
+        Side ``k``'s threads follow side ``k - 1``'s in thread-id order and
+        its addresses are offset by ``k`` TiB, so every side stripes over
+        the same DIMMs with disjoint data. The sides run on the first
+        side's media, and its seed and phase spread draw every thread's
+        start phase and per-op jitter from one generator. The replay ends
+        when every trace drains, or, with ``stop_at_first_drain``, when
+        the first one does.
+
+        Returns the end time, the bytes each side completed, the DIMM
+        servers, the op count and the media bytes moved.
+        """
+        first = sides[0]
+        ways = self._context.interleave_ways[(0, first.media)]
+        interleave = InterleaveMap(ways=ways)
         dimms = [_Dimm() for _ in range(ways)]
-        issue_gap = op_overhead + config.access_size / (stream_rate * GB)
-        if config.pattern is Pattern.RANDOM and config.op is Op.READ:
-            issue_gap += self.calibration.pmem.random_read_latency
+        groups: list[tuple[EngineConfig, float, float, float]] = []
+        group_of: list[int] = []
+        iterators = []
+        for index, config in enumerate(sides):
+            per_dimm_rate, op_overhead, stream_rate = self._rates(config)
+            issue_gap = op_overhead + config.access_size / (stream_rate * GB)
+            if config.pattern is Pattern.RANDOM and config.op is Op.READ:
+                issue_gap += self.calibration.pmem.random_read_latency
+            groups.append((config, per_dimm_rate, op_overhead, issue_gap))
+            group_of.extend([index] * config.threads)
+            traces = build_traces(
+                threads=config.threads,
+                access_size=config.access_size,
+                total_bytes=config.total_bytes,
+                layout=config.layout,
+                pattern=config.pattern,
+                region_bytes=config.region_bytes,
+                seed=config.seed,
+            )
+            iterators.extend(iter(t) for t in traces)
 
         # Per-thread outstanding op completion times (reads only). FIFO
         # by issue order: deques retire from the front in O(1) where a
         # list's pop(0) would shift the whole tail (O(n) per retirement,
         # O(n^2) over a run at high MLP budgets).
-        outstanding: list[deque[float]] = [deque() for _ in range(config.threads)]
-        jitter_rng = np.random.default_rng(config.seed)
-        phases = jitter_rng.uniform(0.0, config.phase_spread, size=config.threads)
+        threads = len(iterators)
+        outstanding: list[deque[float]] = [deque() for _ in range(threads)]
+        jitter_rng = np.random.default_rng(first.seed)
+        phases = jitter_rng.uniform(0.0, first.phase_spread, size=threads)
         heap: list[tuple[float, int, int]] = [
-            (float(phases[tid]), tid, tid) for tid in range(config.threads)
+            (float(phases[tid]), tid, tid) for tid in range(threads)
         ]
         heapq.heapify(heap)
-        counter = config.threads
+        counter = threads
         end_time = 0.0
-        bytes_moved = 0
+        side_bytes = [0] * len(sides)
         media_total = 0.0
         ops = 0
 
@@ -318,7 +351,12 @@ class DiscreteEventEngine:
             try:
                 address, size = next(iterators[tid])
             except StopIteration:
+                if stop_at_first_drain:
+                    break
                 continue
+            side = group_of[tid]
+            config, per_dimm_rate, op_overhead, issue_gap = groups[side]
+            address += side * TIB
             ops += 1
 
             if config.op is Op.READ:
@@ -356,14 +394,13 @@ class DiscreteEventEngine:
                     dimm.free_at = start + service
                     fragment_done = dimm.free_at
                 dimm.bytes_served += chunk
-                dimm.media_bytes += media_bytes
                 dimm.recent_threads.append(tid)
                 completion = max(completion, fragment_done)
                 media_total += media_bytes
                 offset += chunk
                 remaining -= chunk
 
-            bytes_moved += size
+            side_bytes[side] += size
             end_time = max(end_time, completion)
 
             if config.op is Op.WRITE:
@@ -381,44 +418,17 @@ class DiscreteEventEngine:
             counter += 1
             heapq.heappush(heap, (next_issue, counter, tid))
 
-        if bytes_moved == 0:
-            raise SimulationError("trace produced no operations")
-        if recorder is not None and recorder.enabled:
-            from repro.obs import probes
-
-            probes.emit_engine(
-                recorder,
-                [
-                    (
-                        d.bytes_served,
-                        d.bytes_served - d.buffer_bytes,
-                        d.buffer_bytes,
-                        d.buffer_hit_lines,
-                        d.buffer_miss_lines,
-                        d.wc_hit_ops,
-                        d.wc_miss_ops,
-                    )
-                    for d in dimms
-                ],
-                ops,
-                bytes_moved,
-                media_total,
-            )
-        return EngineResult(
-            seconds=end_time,
-            bytes_moved=bytes_moved,
-            per_dimm_bytes=[d.bytes_served for d in dimms],
-            media_bytes=media_total,
-        )
+        return end_time, side_bytes, dimms, ops, media_total
 
 
 def simulate(
     config: EngineConfig,
     recorder: "Recorder | None" = None,
-    **engine_kwargs: object,
+    *,
+    context: EvalContext | None = None,
 ) -> EngineResult:
     """One-shot convenience wrapper around :class:`DiscreteEventEngine`."""
-    return DiscreteEventEngine(**engine_kwargs).run(config, recorder=recorder)
+    return DiscreteEventEngine(context).run(config, recorder=recorder)
 
 
 @dataclass(frozen=True)
@@ -427,7 +437,7 @@ class MixedEngineConfig:
 
     Both groups use individual sequential access to disjoint regions on
     the *same* DIMMs, like the paper's mixed benchmark. The replay runs
-    until the first group exhausts its trace; each group's bandwidth is
+    until the first thread exhausts its trace; each group's bandwidth is
     its bytes completed over that shared interval.
     """
 
@@ -442,17 +452,25 @@ class MixedEngineConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if self.read_threads < 1 or self.write_threads < 1:
-            raise WorkloadError("mixed runs need at least one thread per side")
-        if self.access_size < 64:
-            raise WorkloadError("access size must be at least one cache line")
-        threads = self.read_threads + self.write_threads
-        if self.bytes_per_side < self.access_size * threads:
-            raise WorkloadError("volume too small for the thread count")
+        # Each side is an EngineConfig, which rejects an invalid field.
+        self.sides()
 
-    @property
-    def effective_read_mlp(self) -> int:
-        return max(self.read_mlp_ops, 640 // self.access_size + 2)
+    def sides(self) -> tuple[EngineConfig, ...]:
+        """The reader group and the writer group, in replay order."""
+        return tuple(
+            EngineConfig(
+                op=op,
+                threads=threads,
+                access_size=self.access_size,
+                media=self.media,
+                total_bytes=self.bytes_per_side,
+                read_mlp_ops=self.read_mlp_ops,
+                phase_spread=self.phase_spread,
+                issue_jitter=self.issue_jitter,
+                seed=self.seed,
+            )
+            for op, threads in ((Op.READ, self.read_threads), (Op.WRITE, self.write_threads))
+        )
 
 
 @dataclass
@@ -484,129 +502,22 @@ class MixedEngineResult:
 
 
 def simulate_mixed(
-    config: MixedEngineConfig, **engine_kwargs: object
+    config: MixedEngineConfig, *, context: EvalContext | None = None
 ) -> MixedEngineResult:
     """Replay concurrent readers and writers through shared DIMM servers.
 
-    Interference is emergent: write fragments occupy a DIMM roughly 3x
-    longer per byte than read fragments (the calibrated per-DIMM rates),
-    so read completions queue behind writes — the §5.1 imbalance — while
-    many concurrent readers stretch writers' queue waits in return.
+    A two-group run of the engine's replay: readers first, writers
+    after, ending at the first drained trace. Interference is emergent:
+    write fragments occupy a DIMM roughly 3x longer per byte than read
+    fragments (the calibrated per-DIMM rates), so read completions queue
+    behind writes — the §5.1 imbalance — while many concurrent readers
+    stretch writers' queue waits in return.
     """
-    engine = DiscreteEventEngine(**engine_kwargs)
-    ways = engine._ways(config.media)
-    interleave = InterleaveMap(ways=ways)
-
-    sides = {}
-    for op, threads in ((Op.READ, config.read_threads), (Op.WRITE, config.write_threads)):
-        sub = EngineConfig(
-            op=op,
-            threads=threads,
-            access_size=config.access_size,
-            media=config.media,
-            total_bytes=config.bytes_per_side,
-            read_mlp_ops=config.read_mlp_ops,
-            phase_spread=config.phase_spread,
-            issue_jitter=config.issue_jitter,
-            seed=config.seed,
-        )
-        rate, overhead, stream = engine._rates(sub)
-        traces = build_traces(
-            threads=threads,
-            access_size=config.access_size,
-            total_bytes=config.bytes_per_side,
-            layout=Layout.INDIVIDUAL,
-            pattern=Pattern.SEQUENTIAL,
-            seed=config.seed,
-        )
-        sides[op] = {
-            "config": sub,
-            "per_dimm_rate": rate,
-            "op_overhead": overhead,
-            "issue_gap": overhead + config.access_size / (stream * GB),
-            "iterators": [iter(t) for t in traces],
-        }
-
-    dimms = [_Dimm() for _ in range(ways)]
-    rng = np.random.default_rng(config.seed)
-    total_threads = config.read_threads + config.write_threads
-    phases = rng.uniform(0.0, config.phase_spread, size=total_threads)
-
-    # Thread ids: readers first, writers after; writers' addresses are
-    # offset so both sides stripe over the same DIMMs with disjoint data.
-    write_offset = TIB
-    outstanding: list[deque[float]] = [deque() for _ in range(config.read_threads)]
-    heap: list[tuple[float, int, int]] = [
-        (float(phases[tid]), tid, tid) for tid in range(total_threads)
-    ]
-    heapq.heapify(heap)
-    counter = total_threads
-    bytes_done = {Op.READ: 0, Op.WRITE: 0}
-    clock = 0.0
-
-    while heap:
-        now, _, tid = heapq.heappop(heap)
-        is_reader = tid < config.read_threads
-        op = Op.READ if is_reader else Op.WRITE
-        side = sides[op]
-        local_tid = tid if is_reader else tid - config.read_threads
-        try:
-            address, size = next(side["iterators"][local_tid])
-        except StopIteration:
-            # First side to drain ends the measured interval.
-            break
-        if not is_reader:
-            address += write_offset
-
-        if is_reader:
-            pending = outstanding[local_tid]
-            while pending and pending[0] <= now:
-                pending.popleft()
-            if len(pending) >= config.effective_read_mlp:
-                now = pending[0]
-                while pending and pending[0] <= now:
-                    pending.popleft()
-
-        completion = now
-        offset = address
-        remaining = size
-        while remaining > 0:
-            stripe_end = (offset // interleave.granularity + 1) * interleave.granularity
-            chunk = min(remaining, stripe_end - offset)
-            dimm = dimms[interleave.dimm_of(offset)]
-            service, media_bytes = engine._service_seconds(
-                side["config"], dimm, offset, chunk, side["per_dimm_rate"]
-            )
-            if op is Op.READ and media_bytes <= 0.0:
-                fragment_done = now + 10 * NS
-            else:
-                start = max(now, dimm.free_at)
-                dimm.free_at = start + service
-                fragment_done = dimm.free_at
-            dimm.recent_threads.append(tid)
-            completion = max(completion, fragment_done)
-            offset += chunk
-            remaining -= chunk
-
-        bytes_done[op] += size
-        clock = max(clock, completion)
-
-        if op is Op.WRITE:
-            allowance = 32 * 64 / (side["per_dimm_rate"] * GB)
-            acceptance = max(now, completion - allowance)
-            next_issue = max(acceptance + side["op_overhead"], now + side["issue_gap"])
-        else:
-            outstanding[local_tid].append(completion)
-            next_issue = now + side["issue_gap"]
-        if config.issue_jitter > 0:
-            next_issue += float(rng.exponential(config.issue_jitter))
-        counter += 1
-        heapq.heappush(heap, (next_issue, counter, tid))
-
-    if bytes_done[Op.READ] == 0 or bytes_done[Op.WRITE] == 0:
+    seconds, (read_bytes, write_bytes), *_ = DiscreteEventEngine(context)._replay(
+        config.sides(), stop_at_first_drain=True
+    )
+    if read_bytes == 0 or write_bytes == 0:
         raise SimulationError("mixed run ended before both sides moved data")
     return MixedEngineResult(
-        seconds=clock,
-        read_bytes=bytes_done[Op.READ],
-        write_bytes=bytes_done[Op.WRITE],
+        seconds=seconds, read_bytes=read_bytes, write_bytes=write_bytes
     )

@@ -116,10 +116,3 @@ class TestEngineWithContext:
         plain = DiscreteEventEngine().run(engine_config)
         contextual = DiscreteEventEngine(context=context).run(engine_config)
         assert plain.gbps == contextual.gbps
-
-    def test_engine_rejects_context_plus_explicit_parts(self):
-        config = paper_config()
-        with pytest.raises(ConfigurationError, match="not both"):
-            DiscreteEventEngine(
-                topology=config.topology, context=eval_context(config)
-            )

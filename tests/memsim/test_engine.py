@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import WorkloadError
+from repro.memsim import MachineConfig, eval_context
 from repro.memsim.engine import DiscreteEventEngine, EngineConfig, build_traces, simulate
 from repro.memsim.spec import Layout, Op, Pattern
 from repro.units import MIB
@@ -96,6 +97,19 @@ class TestEngineBasics:
         with pytest.raises(WorkloadError):
             EngineConfig(op=Op.READ, threads=1, access_size=32)
 
+    @pytest.mark.parametrize("field", ["phase_spread", "issue_jitter"])
+    @pytest.mark.parametrize("value", [-1e-9, float("nan"), float("inf")])
+    def test_timing_inputs_must_be_finite_and_non_negative(self, field, value):
+        with pytest.raises(WorkloadError, match=field.replace("_", " ")):
+            EngineConfig(op=Op.READ, threads=1, access_size=4096, **{field: value})
+
+    def test_zero_timing_noise_is_valid(self):
+        config = EngineConfig(
+            op=Op.READ, threads=2, access_size=4096, total_bytes=1 * MIB,
+            phase_spread=0.0, issue_jitter=0.0,
+        )
+        assert simulate(config).gbps > 0
+
 
 class TestEmergentReadBehaviour:
     def test_read_thread_scaling(self):
@@ -185,7 +199,9 @@ class TestEmergentWriteBehaviour:
 
     def test_write_combining_ablation(self):
         on = DiscreteEventEngine()
-        off = DiscreteEventEngine(write_combining_enabled=False)
+        off = DiscreteEventEngine(
+            eval_context(MachineConfig(write_combining_enabled=False))
+        )
         config = EngineConfig(
             op=Op.WRITE, threads=4, access_size=4096, total_bytes=4 * MIB
         )

@@ -41,6 +41,30 @@ class TestValidation:
                 read_threads=8, write_threads=8, bytes_per_side=4096
             )
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("read_mlp_ops", 0),
+            ("access_size", 32),
+            ("phase_spread", -1e-9),
+            ("phase_spread", float("nan")),
+            ("issue_jitter", -1e-9),
+            ("issue_jitter", float("inf")),
+        ],
+    )
+    def test_side_fields_rejected_at_construction(self, field, value):
+        with pytest.raises(WorkloadError):
+            MixedEngineConfig(read_threads=2, write_threads=2, **{field: value})
+
+    def test_sides_are_readers_then_writers(self):
+        readers, writers = MixedEngineConfig(
+            read_threads=3, write_threads=5, access_size=256, bytes_per_side=1 * MIB
+        ).sides()
+        assert (readers.op, readers.threads) == (Op.READ, 3)
+        assert (writers.op, writers.threads) == (Op.WRITE, 5)
+        assert readers.total_bytes == writers.total_bytes == 1 * MIB
+        assert readers.access_size == writers.access_size == 256
+
 
 class TestEmergentInterference:
     def test_writers_slow_readers(self):

@@ -196,6 +196,47 @@ class TestClusterCli:
         assert "invalid choice: 'worker'" in capsys.readouterr().err
 
 
+class TestServeCli:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["serve", "--port", "99999"], "--port: must be in 0..65535"),
+            (["serve", "--port", "-1"], "--port: must be in 0..65535"),
+            (["request", "--port", "0", "{}"], "--port: must be in 1..65535"),
+            (["request", "--port", "65536", "{}"], "--port: must be in 1..65535"),
+        ],
+        ids=["serve-high", "serve-negative", "request-zero", "request-high"],
+    )
+    def test_out_of_range_port_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_busy_port_is_bad_input(self, capsys):
+        import socket
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            port = listener.getsockname()[1]
+            assert main(["serve", "--host", "127.0.0.1", "--port", str(port)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"serve: cannot listen on 127.0.0.1:{port}: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_unresolvable_host_is_bad_input(self, monkeypatch, capsys):
+        import socket
+
+        def no_such_host(*args, **kwargs):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        # Resolution fails locally: no name lookup leaves the process.
+        monkeypatch.setattr(socket, "getaddrinfo", no_such_host)
+        assert main(["serve", "--host", "no-such-host", "--port", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("serve: cannot listen on no-such-host:0: ")
+        assert "Name or service not known" in err
+
+
 class TestHybrid:
     def test_hybrid_plan(self, capsys):
         assert main(["hybrid", "--sf", "0.02", "--dram-budget-gib", "8"]) == 0
