@@ -16,10 +16,6 @@ Public surface:
 * :mod:`repro.memsim.engine` — the discrete-event cross-check.
 """
 
-from importlib import import_module
-from types import MappingProxyType
-from typing import Any
-
 from repro.memsim.address import DaxMode, InterleaveMap, MappedRegion
 from repro.memsim.calibration import DeviceCalibration, paper_calibration
 from repro.memsim.config import DirectoryState, MachineConfig, paper_config
@@ -42,8 +38,6 @@ __all__ = [
     "Layout",
     "MappedRegion",
     "MediaKind",
-    "MemoryModeConfig",
-    "MemoryModeModel",
     "MixedOutcome",
     "Op",
     "Pattern",
@@ -52,7 +46,6 @@ __all__ = [
     "StreamResult",
     "StreamSpec",
     "SystemTopology",
-    "WearEstimate",
     "build_topology",
     "eval_context",
     "evaluate",
@@ -60,26 +53,5 @@ __all__ = [
     "paper_config",
     "paper_server",
     "read_stream",
-    "wear_from_counters",
     "write_stream",
 ]
-
-#: Public name -> submodule, imported on first use (:pep:`562`): no
-#: experiment models memory mode or wear, so ``import repro.memsim``
-#: leaves both unloaded.
-_LAZY = MappingProxyType({
-    "MemoryModeConfig": "memory_mode",
-    "MemoryModeModel": "memory_mode",
-    "WearEstimate": "wear",
-    "wear_from_counters": "wear",
-})
-
-
-def __getattr__(name: str) -> Any:
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))

@@ -89,6 +89,10 @@ class EngineConfig:
             raise WorkloadError("phase spread must be a finite, non-negative time")
         if not (math.isfinite(self.issue_jitter) and self.issue_jitter >= 0):
             raise WorkloadError("issue jitter must be a finite, non-negative time")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise WorkloadError(f"seed must be a non-negative int, got {self.seed!r}")
+        if self.media not in (MediaKind.PMEM, MediaKind.DRAM):
+            raise WorkloadError(f"engine does not model media {self.media}")
 
 
 @dataclass
@@ -192,12 +196,7 @@ class DiscreteEventEngine:
         """Return (per-DIMM GB/s, per-op overhead s, stream GB/s)."""
         cal = self.calibration
         ways = self._context.interleave_ways[(0, config.media)]
-        if config.media is MediaKind.PMEM:
-            params = cal.pmem
-        elif config.media is MediaKind.DRAM:
-            params = cal.dram
-        else:
-            raise WorkloadError(f"engine does not model media {config.media}")
+        params = cal.pmem if config.media is MediaKind.PMEM else cal.dram
         if config.op is Op.READ:
             device = params.seq_read_max
             overhead = params.read_op_overhead

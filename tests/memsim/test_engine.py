@@ -103,6 +103,11 @@ class TestEngineBasics:
         with pytest.raises(WorkloadError, match=field.replace("_", " ")):
             EngineConfig(op=Op.READ, threads=1, access_size=4096, **{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(WorkloadError, match="seed"):
+            EngineConfig(op=Op.READ, threads=1, access_size=4096, seed=seed)
+
     def test_zero_timing_noise_is_valid(self):
         config = EngineConfig(
             op=Op.READ, threads=2, access_size=4096, total_bytes=1 * MIB,

@@ -47,10 +47,8 @@ class TestDramReplay:
         assert run(MediaKind.PMEM) < run(MediaKind.DRAM)
 
     def test_ssd_media_rejected(self):
-        from repro.errors import ConfigurationError
+        from repro.errors import WorkloadError
 
-        with pytest.raises(ConfigurationError):
-            simulate(
-                EngineConfig(op=Op.READ, threads=1, access_size=4096,
-                             media=MediaKind.SSD, total_bytes=1 * MIB)
-            )
+        with pytest.raises(WorkloadError, match="does not model media"):
+            EngineConfig(op=Op.READ, threads=1, access_size=4096,
+                         media=MediaKind.SSD, total_bytes=1 * MIB)

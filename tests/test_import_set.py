@@ -1,10 +1,10 @@
 """Which ``repro`` modules a command loads, pinned in a fresh interpreter.
 
-The package entry points (``repro``, ``repro.core``, ``repro.memsim``)
-resolve some re-exports on first use, so a command pays at start-up only
-for the modules it runs. ``repro run fig3`` must not load the advisor,
-optimizer, hybrid planner or sensitivity analysis, memory mode or wear,
-the server, the cluster backend, the linter or the bench harness.
+The package entry points ``repro`` and ``repro.core`` resolve some
+re-exports on first use, so a command pays at start-up only for the
+modules it runs. ``repro run fig3`` must not load the advisor,
+optimizer, hybrid planner or sensitivity analysis, the server, the
+cluster backend, the linter or the bench harness.
 """
 
 import json
@@ -22,8 +22,6 @@ NOT_LOADED = (
     "repro.core.hybrid",
     "repro.core.optimizer",
     "repro.core.sensitivity",
-    "repro.memsim.memory_mode",
-    "repro.memsim.wear",
     "repro.serve",
     "repro.sweep.cluster",
     "repro.analysis",
@@ -48,7 +46,6 @@ listed = {
 from repro import PlacementAdvisor
 from repro.core.advisor import PlacementAdvisor as advisor_class
 from repro.core.optimizer import tune
-from repro.memsim.wear import wear_from_counters
 try:
     repro.core.nosuch
     missing = None
@@ -60,7 +57,6 @@ print(json.dumps({
     "unlisted": listed,
     "advisor": PlacementAdvisor is advisor_class,
     "tune": repro.core.tune is tune,
-    "wear": repro.memsim.wear_from_counters is wear_from_counters,
     "missing": missing,
 }))
 """
@@ -88,5 +84,5 @@ def test_run_fig3_loads_only_what_it_runs():
     assert unwanted == []
     # Every public name is listed by dir() before it is first resolved.
     assert report["unlisted"] == {"repro": [], "repro.core": [], "repro.memsim": []}
-    assert report["advisor"] and report["tune"] and report["wear"]
+    assert report["advisor"] and report["tune"]
     assert report["missing"] == "module 'repro.core' has no attribute 'nosuch'"
